@@ -13,12 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "DEFAULT_NORM_TOL",
-    "NORM_ITER_CAP",
     "AlgebraSpec",
     "DimensionMismatchError",
     "Element",
-    "NormConvergenceError",
     "UnitScalar",
     "add",
     "sub",
@@ -36,26 +33,6 @@ __all__ = [
     "random_elements",
     "derived_seed",
 ]
-
-DEFAULT_NORM_TOL = 1e-12
-NORM_ITER_CAP = 10_000
-
-# Stagnation acceptance: a sample whose Weyl residual certifies a top cluster
-# this narrow (relative, in the shifted scale) is accepted once the residual
-# has stopped shrinking, or at the iteration cap.  The returned value is then
-# within about the certified cluster width of the true norm; accidental
-# near-degeneracies that tight are cubically suppressed for generic inputs.
-CLUSTER_ACCEPT_TOL = 1e-4
-_PLATEAU_WINDOW = 100
-_PLATEAU_MIN_ITER = 150
-
-# Irrational phase step for the deterministic power-iteration start vector;
-# keeps the start off coordinate axes and sign-symmetric traps.
-_START_PHASE = 0.6180339887498949
-
-
-class NormConvergenceError(RuntimeError):
-    """Spectral-norm iteration did not converge within the iteration cap."""
 
 
 class DimensionMismatchError(ValueError):
@@ -91,16 +68,13 @@ class Element:
 
 @dataclass(frozen=True)
 class AlgebraSpec:
-    """Ambient algebra description: dimension and spectral-norm tolerance."""
+    """Ambient algebra description: the matrix dimension."""
 
     dim: int
-    norm_tol: float = DEFAULT_NORM_TOL
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if not (0.0 < self.norm_tol <= 1e-3):
-            raise ValueError("norm_tol must lie in (0, 1e-3]")
 
 
 @dataclass(frozen=True)
@@ -169,140 +143,25 @@ def involution(x: Element) -> Element:
     return Element(x.entries.conj().T)
 
 
-def spectral_norms(
-    mats: np.ndarray,
-    tol: float = DEFAULT_NORM_TOL,
-    max_iter: int = NORM_ITER_CAP,
-) -> np.ndarray:
+def spectral_norms(mats: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix in a (..., d, d) stack.
 
-    Power iteration on the Gram matrix x*x with a Rayleigh-quotient stopping
-    test at relative tolerance ``tol``.  The iteration runs on the
-    trace-shifted matrix (x*x - mean*I) + ||.||_F * I, whose top eigenvalue
-    reconstructs the wanted one exactly; the shift keeps the relative
-    spectral gap of near-scalar matrices (the typical shape of Cauchy-tail
-    differences) at order one, and makes exact scalar matrices bit-exact.
-    The start vector is the all-ones vector with index-dependent phases, so
-    degenerate top spaces cannot leave it orthogonal by accident.  Inputs
-    are prescaled by their largest absolute entry, ruling out overflow.
-
-    When the Rayleigh test stalls, a sample is still accepted once its Weyl
-    residual certifies the iterate sits inside a top cluster narrower than
-    CLUSTER_ACCEPT_TOL relative (in the shifted scale); genuinely unresolved
-    spectra raise NormConvergenceError after ``max_iter`` iterations, and so
-    does a value settling below the certified floor.  A wrong value is never
-    returned silently.
+    One batched LAPACK SVD call (backward stable), so each value is accurate
+    to a few ulps of the norm even when the top singular values are nearly
+    degenerate.  Each matrix is decomposed independently: a value does not
+    depend on the rest of the stack.  Non-finite entries raise ValueError.
     """
     arr = np.asarray(mats, dtype=np.complex128)
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise ValueError(f"expected a (..., d, d) stack, got shape {arr.shape}")
-    lead = arr.shape[:-2]
-    d = arr.shape[-1]
-    xs = arr.reshape((-1, d, d))
-    out = np.zeros(xs.shape[0])
-
-    peak = np.max(np.abs(xs), axis=(1, 2))
-    nz = peak > 0.0
-    if not np.any(nz):
-        return out.reshape(lead)
-
-    xn = xs[nz] / peak[nz, None, None]
-    gram = np.matmul(np.conj(np.transpose(xn, (0, 2, 1))), xn)
-    # Rounding leaves the computed Gram matrix slightly non-Hermitian
-    # (imaginary dust on the diagonal); symmetrize so the shifted iteration
-    # sees a genuinely real spectrum.
-    gram = 0.5 * (gram + np.conj(np.transpose(gram, (0, 2, 1))))
-
-    mean_eig = np.trace(gram, axis1=1, axis2=2).real / d
-    centered = gram - mean_eig[:, None, None] * np.eye(d)
-    frob = np.sqrt(np.sum(np.abs(centered) ** 2, axis=(1, 2)))
-    lam = np.array(mean_eig)  # exact answer for scalar matrices (frob == 0)
-
-    active = frob > 0.0
-    if np.any(active):
-        # K is Hermitian positive definite: the centered matrix has zero
-        # trace, so its most negative eigenvalue is strictly above -frob.
-        K = centered[active] + frob[active, None, None] * np.eye(d)
-        n_act = K.shape[0]
-        ln_top = np.full(n_act, np.nan)
-
-        def _square(mats, lsc, pw):
-            sq = np.matmul(mats, mats)
-            s = np.max(np.abs(sq), axis=(1, 2))
-            return sq / s[:, None, None], 2.0 * lsc + np.log(s), 2.0 * pw
-
-        k_scale = np.max(np.abs(K), axis=(1, 2))
-        P = K / k_scale[:, None, None]
-        lsc = np.log(k_scale)
-        pw = np.ones(n_act)
-        # Repeated squaring amplifies the relative spectral gap while the
-        # fixed-start Rayleigh iteration itself stays unchanged; stragglers
-        # get further squarings on a fixed schedule below.
-        for _ in range(2):
-            P, lsc, pw = _square(P, lsc, pw)
-
-        v0 = np.exp(2j * np.pi * _START_PHASE * np.arange(d))
-        v0 = v0 / np.linalg.norm(v0)
-        v = np.broadcast_to(v0, (n_act, d)).copy()
-        rows = np.arange(n_act)
-        t_prev = np.full(n_act, np.inf)
-        hist = np.full((_PLATEAU_WINDOW, n_act), np.inf)
-        cluster_tol = max(np.sqrt(tol), CLUSTER_ACCEPT_TOL)
-        square_at = {250, 500, 1000, 2000, 4000, 8000}
-
-        for it in range(max_iter):
-            w = np.matmul(P, v[:, :, None])[:, :, 0]
-            t = np.einsum("sd,sd->s", np.conj(v), w).real
-            floor = np.maximum(t, 1e-300)
-            primary = np.abs(t - t_prev) <= tol * floor
-            wn2 = np.einsum("sd,sd->s", np.conj(w), w).real
-            weyl2 = np.maximum(wn2 - t * t, 0.0)
-            thresh2 = (cluster_tol * floor) ** 2
-            # A still-migrating iterate keeps shrinking its residual; only a
-            # genuine plateau (or the cap) allows the certified acceptance.
-            stagnant = (it >= _PLATEAU_MIN_ITER) & (
-                weyl2 >= 0.96 * hist[it % _PLATEAU_WINDOW]
-            )
-            last_pass = it == max_iter - 1
-            done = primary | ((weyl2 <= thresh2) & (stagnant | last_pass))
-            if last_pass and not np.all(done):
-                raise NormConvergenceError(
-                    f"spectral norm did not converge within {max_iter} iterations (tol={tol})"
-                )
-            if np.any(done):
-                ln_top[rows[done]] = (np.log(floor[done]) + lsc[done]) / pw[done]
-                keep = ~done
-                if not np.any(keep):
-                    break
-                P, v, w = P[keep], v[keep], w[keep]
-                t, wn2, lsc, pw = t[keep], wn2[keep], lsc[keep], pw[keep]
-                rows, hist = rows[keep], hist[:, keep]
-            hist[it % _PLATEAU_WINDOW] = weyl2[~done] if np.any(done) else weyl2
-            t_prev = t
-            if np.any(wn2 == 0.0):
-                # cannot happen for a positive definite matrix unless the
-                # iterate underflowed to nothing; surface it
-                raise NormConvergenceError("spectral norm iterate vanished")
-            v = w / np.sqrt(wn2)[:, None]
-            if (it + 1) in square_at:
-                P, lsc, pw = _square(P, lsc, pw)
-                t_prev = np.full(P.shape[0], np.inf)
-                hist = np.full((_PLATEAU_WINDOW, P.shape[0]), np.inf)
-
-        top = np.exp(ln_top)
-        # The shifted top eigenvalue is certified >= frob; settling below it
-        # means the iteration locked onto a non-dominant subspace.
-        if np.any(top < frob[active] * (1.0 - 1e-6)):
-            raise NormConvergenceError("spectral norm iteration settled on a non-dominant value")
-        lam[active] = mean_eig[active] + (top - frob[active])
-
-    out[nz] = np.sqrt(np.maximum(lam, 0.0)) * peak[nz]
-    return out.reshape(lead)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("spectral_norms: non-finite entries")
+    return np.linalg.svd(arr, compute_uv=False)[..., 0]
 
 
-def op_norm(x: Element, tol: float = DEFAULT_NORM_TOL, max_iter: int = NORM_ITER_CAP) -> float:
+def op_norm(x: Element) -> float:
     """Operator (spectral) norm of x; exact 0.0 for the zero matrix."""
-    return float(spectral_norms(x.entries[np.newaxis], tol=tol, max_iter=max_iter)[0])
+    return float(spectral_norms(x.entries[np.newaxis])[0])
 
 
 def derived_seed(*parts: int) -> int:

@@ -328,14 +328,9 @@ def parse_config(raw: Any, seed_override: int | None = None) -> ExperimentConfig
         raise ConfigError(f"config.schema: unsupported version {schema!r}")
 
     alg = _require_mapping(_get(top, "config", "algebra", required=True), "config.algebra")
-    _check_unknown(alg, "config.algebra", {"dim", "norm_tol"})
+    _check_unknown(alg, "config.algebra", {"dim"})
     dim = _as_int(_get(alg, "config.algebra", "dim", required=True), "config.algebra.dim", minimum=1)
-    norm_tol = _as_float(
-        _get(alg, "config.algebra", "norm_tol", default=1e-12), "config.algebra.norm_tol", positive=True
-    )
-    if norm_tol > 1e-3:
-        raise ConfigError("config.algebra.norm_tol: must be <= 1e-3")
-    algebra = AlgebraSpec(dim=dim, norm_tol=norm_tol)
+    algebra = AlgebraSpec(dim=dim)
 
     map_cfg = None
     if "map" in top:
@@ -440,7 +435,7 @@ def parse_config(raw: Any, seed_override: int | None = None) -> ExperimentConfig
 
     canonical = {
         "schema": 1,
-        "algebra": {"dim": dim, "norm_tol": norm_tol},
+        "algebra": {"dim": dim},
         "map": map_cfg,
         "bound": bound_cfg,
         "sampling": {"seed": seed, "samples": samples, "norm_cap": norm_cap, "dims": dims},

@@ -63,6 +63,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="config.sampling.extra"):
             parse_config(cfg)
 
+    def test_removed_norm_tol_rejected(self):
+        cfg = minimal_config()
+        cfg["algebra"]["norm_tol"] = 1e-12
+        with pytest.raises(ConfigError, match="config.algebra.norm_tol"):
+            parse_config(cfg)
+
     def test_missing_seed(self):
         cfg = minimal_config()
         del cfg["sampling"]["seed"]
