@@ -7,7 +7,6 @@ experiment harness.
 """
 
 from .algebra import (
-    AlgebraSpec,
     DimensionMismatchError,
     Element,
     UnitScalar,
@@ -90,7 +89,6 @@ from .stabilizer import (
     bound_closed_form,
     bound_series_truncated,
     calibrate_control,
-    control_of_elements,
     control_value,
     stabilize_batch,
     stabilize_point,

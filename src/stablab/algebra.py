@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "AlgebraSpec",
     "DimensionMismatchError",
     "Element",
     "UnitScalar",
@@ -64,17 +63,6 @@ class Element:
 
     def __repr__(self) -> str:  # entries omitted: matrices are noisy in tracebacks
         return f"Element(dim={self.dim})"
-
-
-@dataclass(frozen=True)
-class AlgebraSpec:
-    """Ambient algebra description: the matrix dimension."""
-
-    dim: int
-
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands: lemma-check, stability, superstability, bounds-table.
-Reports go to --out (or outputs.path from the config) as JSON or CSV;
+Reports go to --out (or the config's output path) as JSON or CSV;
 a human-readable line per check is printed either way.
 
 Exit codes: 0 all satisfied, 1 violated, 2 divergence, 3 config error.
@@ -45,9 +45,11 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", help="experiment config JSON path")
-        cmd.add_argument("--out", help="report output path (overrides outputs.path)")
-        cmd.add_argument("--format", choices=("json", "csv"), help="report format (overrides outputs.format)")
-        cmd.add_argument("--seed", type=int, help="seed override for config sampling.seed")
+        cmd.add_argument("--out", help="report output path (overrides the config's output path)")
+        cmd.add_argument(
+            "--format", choices=("json", "csv"), help="report format (overrides the config's output format)"
+        )
+        cmd.add_argument("--seed", type=int, help="seed override for the config's sampling seed")
     return parser
 
 

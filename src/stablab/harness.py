@@ -16,15 +16,15 @@ import csv
 import hashlib
 import io
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from typing import Any
+from types import SimpleNamespace
+from typing import Any, get_args, get_origin
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element, derived_seed, random_elements, spectral_norms
+from .algebra import Element, derived_seed, random_elements, spectral_norms
 from .checkers import (
     CheckReport,
     Witness,
@@ -68,12 +68,13 @@ from .stabilizer import (
     bound_closed_form,
     bound_series_truncated,
     calibrate_control,
-    control_of_elements,
     resolve_direction,
     stabilize_batch,
 )
 
 __all__ = [
+    "CONFIG_FIELDS",
+    "REQUIRED",
     "ConfigError",
     "ExperimentConfig",
     "RunSummary",
@@ -113,6 +114,49 @@ class ConfigError(ValueError):
 # config parsing
 # ---------------------------------------------------------------------------
 
+REQUIRED = object()  # default of a field the config must set
+
+# The config schema, one row per field: (path, attribute, type, default,
+# allowed).  ``allowed`` is an interval for numbers (which must also be
+# finite), a tuple of choices for strings, or None for no further limit; a
+# list's interval applies to each of its (at least one) items.  An explicit
+# null counts as absent.  The parser, the defaults, the canonical dict behind
+# the config digest and the ExperimentConfig attributes all come from here.
+CONFIG_FIELDS = (
+    ("algebra.dim", "dim", int, REQUIRED, "[1, inf)"),
+    ("sampling.seed", "seed", int, REQUIRED, "[0, inf)"),
+    ("sampling.samples", "samples", int, 1000, "[1, inf)"),
+    ("sampling.norm_cap", "norm_cap", float, 10.0, "[0, inf)"),
+    ("sampling.dims", "dims", list[int], None, "[1, inf)"),
+    ("stabilizer.max_iter", "stabilizer_max_iter", int, 64, "[2, inf)"),
+    ("stabilizer.tol", "stabilizer_tol", float, 1e-10, "(0, inf)"),
+    ("stabilizer.direction", "stabilizer_direction", str, "auto", ("forward", "backward", "auto")),
+    ("phase_grid_size", "phase_grid_size", int, 16, "[0, inf)"),
+    ("checks.tol", "checks_tol", float, 1e-9, "(0, inf)"),
+    ("checks.phase_sweep", "phase_sweep", bool, False, None),
+    ("superstability.n_max", "decay_n_max", int, 64, "[2, inf)"),
+    ("superstability.terminal_tol", "decay_terminal_tol", float, 1e-3, "(0, inf)"),
+    ("superstability.slope_margin", "decay_slope_margin", float, 0.1, "(0, inf)"),
+    ("exactness.samples", "exactness_samples", int, 64, "[1, inf)"),
+    ("exactness.tol", "exactness_tol", float, 1e-8, "(0, inf)"),
+    ("calibration.norm_cap", "calibration_norm_cap", float, None, "(0, inf)"),
+    ("calibration.sweep_factor", "calibration_sweep", float, None, "(1, inf)"),
+    ("bounds_table.coeffs", "table_coeffs", list[float], [1e-3, 1.0, 10.0], "[0, inf)"),
+    ("bounds_table.exps_forward", "table_exps_forward", list[float], [1.5, 2.0, 3.0], "(1, inf)"),
+    ("bounds_table.exps_backward", "table_exps_backward", list[float], [0.0, 0.25, 0.5], "[0, 1)"),
+    ("bounds_table.norms", "table_norms", list[float], [0.5, 1.0, 2.0], "[0, inf)"),
+    ("bounds_table.terms", "table_terms", int, 60, "[1, inf)"),
+    ("bounds_table.profile_degree", "table_profile_degree", float, 2.0, "(1, inf)"),
+    ("outputs.format", "output_format", str, "json", ("json", "csv")),
+    ("outputs.path", "output_path", str, None, None),
+)
+
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true/false", str: "a string"}
+
+
+def _field_path(attr: str) -> str:
+    return next(f"config.{path}" for path, name, *_ in CONFIG_FIELDS if name == attr)
+
 
 def _require_mapping(value: Any, path: str) -> dict:
     if not isinstance(value, dict):
@@ -127,41 +171,49 @@ def _check_unknown(value: dict, path: str, allowed: set[str]) -> None:
 
 
 def _get(value: dict, path: str, key: str, required: bool = False, default: Any = None) -> Any:
-    if key in value:
+    if value.get(key) is not None:
         return value[key]
     if required:
         raise ConfigError(f"{path}.{key}: required field missing")
     return default
 
 
-def _as_int(value: Any, path: str, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
-    return value
+def _in_interval(value: float, interval: str) -> bool:
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    if (interval[0] == "(" and value == lo) or (interval[-1] == ")" and value == hi):
+        return False
+    return lo <= value <= hi
 
 
-def _as_float(value: Any, path: str, minimum: float | None = None, positive: bool = False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    out = float(value)
-    if positive and out <= 0.0:
-        raise ConfigError(f"{path}: must be positive, got {out}")
-    if minimum is not None and out < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {out}")
-    return out
+def _leaf(value: Any, path: str, kind: Any, allowed: Any = None) -> Any:
+    """Validate one config value against its type and allowed values.
 
-
-def _as_bool(value: Any, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}: expected true/false, got {value!r}")
-    return value
-
-
-def _as_choice(value: Any, path: str, choices: tuple[str, ...]) -> str:
-    if value not in choices:
-        raise ConfigError(f"{path}: expected one of {choices}, got {value!r}")
+    Every leaf of a config (table fields, map and bound fields, matrix
+    entries) is checked here and nowhere else: numbers must be finite and
+    inside their interval, strings among their choices.  Floats are returned
+    as float, lists as new lists.
+    """
+    if get_origin(kind) is list:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{path}: expected a non-empty list")
+        return [_leaf(v, f"{path}[{i}]", get_args(kind)[0], allowed) for i, v in enumerate(value)]
+    if kind in (bool, str):
+        ok = isinstance(value, kind)
+    else:
+        ok = isinstance(value, (int, float) if kind is float else int) and not isinstance(value, bool)
+    if not ok:
+        raise ConfigError(f"{path}: expected {_TYPE_NAMES[kind]}, got {type(value).__name__}")
+    if kind is float:
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: expected a finite number, got {value}")
+    if isinstance(allowed, tuple) and value not in allowed:
+        raise ConfigError(f"{path}: expected one of {allowed}, got {value!r}")
+    if isinstance(allowed, str) and not _in_interval(value, allowed):
+        raise ConfigError(f"{path}: must be in {allowed}, got {value}")
     return value
 
 
@@ -176,16 +228,8 @@ def _as_matrix(value: Any, path: str) -> list[list[list[float]]]:
             raise ConfigError(f"{path}[{i}]: expected a row of length {dim}")
         out_row = []
         for j, entry in enumerate(row):
-            if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-                out_row.append([float(entry), 0.0])
-            elif (
-                isinstance(entry, list)
-                and len(entry) == 2
-                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
-            ):
-                out_row.append([float(entry[0]), float(entry[1])])
-            else:
-                raise ConfigError(f"{path}[{i}][{j}]: expected a number or [re, im] pair")
+            pair = entry if isinstance(entry, list) and len(entry) == 2 else [entry, 0.0]
+            out_row.append([_leaf(v, f"{path}[{i}][{j}]", float) for v in pair])
         rows.append(out_row)
     return rows
 
@@ -201,15 +245,15 @@ def _matrix_to_array(rows: list[list[list[float]]]) -> np.ndarray:
 
 def _parse_map(value: Any, path: str, nested: bool = False) -> dict:
     m = _require_mapping(value, path)
-    kind = _as_choice(_get(m, path, "kind", required=True), f"{path}.kind", MAP_KINDS)
+    kind = _leaf(_get(m, path, "kind", required=True), f"{path}.kind", str, MAP_KINDS)
     if kind in ("identity", "transpose", "negation", "zero"):
         _check_unknown(m, path, {"kind"})
         return {"kind": kind}
     if kind == "unitary_conjugation":
         _check_unknown(m, path, {"kind", "seed", "matrix"})
-        if "matrix" in m:
+        if m.get("matrix") is not None:
             return {"kind": kind, "matrix": _as_matrix(m["matrix"], f"{path}.matrix")}
-        return {"kind": kind, "seed": _as_int(_get(m, path, "seed", required=True), f"{path}.seed")}
+        return {"kind": kind, "seed": _leaf(_get(m, path, "seed", required=True), f"{path}.seed", int, "[0, inf)")}
     # perturbed
     if nested:
         raise ConfigError(f"{path}.kind: perturbed maps do not nest")
@@ -218,15 +262,15 @@ def _parse_map(value: Any, path: str, nested: bool = False) -> dict:
     p_path = f"{path}.perturbation"
     p = _require_mapping(_get(m, path, "perturbation", required=True), p_path)
     _check_unknown(p, p_path, {"mode", "size", "power", "direction", "odd"})
-    mode = _as_choice(_get(p, p_path, "mode", required=True), f"{p_path}.mode", ("power", "constant", "affine"))
-    size = _as_float(_get(p, p_path, "size", required=True), f"{p_path}.size", minimum=0.0)
-    power = _as_float(_get(p, p_path, "power", default=0.0), f"{p_path}.power")
+    mode = _leaf(_get(p, p_path, "mode", required=True), f"{p_path}.mode", str, ("power", "constant", "affine"))
+    size = _leaf(_get(p, p_path, "size", required=True), f"{p_path}.size", float, "[0, inf)")
+    power = _leaf(_get(p, p_path, "power", default=0.0), f"{p_path}.power", float)
     direction = _get(p, p_path, "direction", default="identity")
     if isinstance(direction, str):
-        direction = _as_choice(direction, f"{p_path}.direction", ("identity", "corner"))
+        direction = _leaf(direction, f"{p_path}.direction", str, ("identity", "corner"))
     else:
         direction = _as_matrix(direction, f"{p_path}.direction")
-    odd = _as_bool(_get(p, p_path, "odd", default=False), f"{p_path}.odd")
+    odd = _leaf(_get(p, p_path, "odd", default=False), f"{p_path}.odd", bool)
     return {
         "kind": "perturbed",
         "base": base,
@@ -236,40 +280,31 @@ def _parse_map(value: Any, path: str, nested: bool = False) -> dict:
 
 def _parse_bound(value: Any, path: str) -> dict:
     b = _require_mapping(value, path)
-    kind = _as_choice(_get(b, path, "kind", required=True), f"{path}.kind", ("power", "profile", "constant"))
-    coeff = _as_float(_get(b, path, "coeff", required=True), f"{path}.coeff", minimum=0.0)
-    if kind == "power":
-        _check_unknown(b, path, {"kind", "coeff", "exp1", "exp2", "exp3"})
-        return {
-            "kind": kind,
-            "coeff": coeff,
-            "exp1": _as_float(_get(b, path, "exp1", required=True), f"{path}.exp1"),
-            "exp2": _as_float(_get(b, path, "exp2", required=True), f"{path}.exp2"),
-            "exp3": _as_float(_get(b, path, "exp3", required=True), f"{path}.exp3"),
-        }
-    if kind == "profile":
-        _check_unknown(b, path, {"kind", "coeff", "degree"})
-        return {"kind": kind, "coeff": coeff, "degree": _as_float(_get(b, path, "degree", required=True), f"{path}.degree")}
-    _check_unknown(b, path, {"kind", "coeff"})
-    return {"kind": kind, "coeff": coeff}
+    kind = _leaf(_get(b, path, "kind", required=True), f"{path}.kind", str, ("power", "profile", "constant"))
+    keys = {"power": ("exp1", "exp2", "exp3"), "profile": ("degree",), "constant": ()}[kind]
+    _check_unknown(b, path, {"kind", "coeff", *keys})
+    out = {"kind": kind, "coeff": _leaf(_get(b, path, "coeff", required=True), f"{path}.coeff", float, "[0, inf)")}
+    for key in keys:
+        out[key] = _leaf(_get(b, path, key, required=True), f"{path}.{key}", float)
+    return out
 
 
 @dataclass
 class ExperimentConfig:
-    """Parsed, defaulted experiment description.
+    """Parsed, defaulted experiment description; one attribute per CONFIG_FIELDS row.
 
     ``canonical`` is the normalized dict the config digest is computed from;
     it reflects every applied default and any seed override.
     """
 
-    algebra: AlgebraSpec
-    map_cfg: dict | None
-    bound_cfg: dict | None
+    dim: int
     seed: int
     samples: int
     norm_cap: float
     dims: list[int]
-    stabilizer: StabilizerConfig
+    stabilizer_max_iter: int
+    stabilizer_tol: float
+    stabilizer_direction: str
     phase_grid_size: int
     checks_tol: float
     phase_sweep: bool
@@ -288,7 +323,18 @@ class ExperimentConfig:
     table_profile_degree: float
     output_format: str
     output_path: str | None
+    map_cfg: dict | None
+    bound_cfg: dict | None
     canonical: dict
+
+    @property
+    def stabilizer(self) -> StabilizerConfig:
+        return StabilizerConfig(self.stabilizer_max_iter, self.stabilizer_tol, self.stabilizer_direction)
+
+    @property
+    def algebra(self) -> SimpleNamespace:
+        """The algebra section as an object (``.dim``), as the benchmark's set-up probe reads it."""
+        return SimpleNamespace(dim=self.dim)
 
     def bound_spec(self) -> BoundSpec | None:
         if self.bound_cfg is None:
@@ -302,206 +348,50 @@ class ExperimentConfig:
 
 
 def parse_config(raw: Any, seed_override: int | None = None) -> ExperimentConfig:
-    """Validate a config dict; raises ConfigError naming the offending field."""
+    """Validate a config dict against CONFIG_FIELDS; raises ConfigError naming the offending field."""
     top = _require_mapping(raw, "config")
-    _check_unknown(
-        top,
-        "config",
-        {
-            "schema",
-            "algebra",
-            "map",
-            "bound",
-            "sampling",
-            "stabilizer",
-            "phase_grid_size",
-            "checks",
-            "superstability",
-            "exactness",
-            "calibration",
-            "bounds_table",
-            "outputs",
-        },
-    )
+    sections: dict[str, set[str]] = {}
+    for path, *_ in CONFIG_FIELDS:
+        section, _, key = path.rpartition(".")
+        sections.setdefault(section, set()).add(key)
+    top_level = sections.pop("")
+    _check_unknown(top, "config", {"schema", "map", "bound", *top_level, *sections})
     schema = _get(top, "config", "schema", required=True)
     if schema != 1:
         raise ConfigError(f"config.schema: unsupported version {schema!r}")
+    nodes = {"": top}
+    for section, keys in sections.items():
+        nodes[section] = _require_mapping(_get(top, "config", section, default={}), f"config.{section}")
+        _check_unknown(nodes[section], f"config.{section}", keys)
 
-    alg = _require_mapping(_get(top, "config", "algebra", required=True), "config.algebra")
-    _check_unknown(alg, "config.algebra", {"dim"})
-    dim = _as_int(_get(alg, "config.algebra", "dim", required=True), "config.algebra.dim", minimum=1)
-    algebra = AlgebraSpec(dim=dim)
-
-    map_cfg = None
-    if "map" in top:
-        map_cfg = _parse_map(top["map"], "config.map")
-
-    bound_cfg = None
-    if "bound" in top:
-        bound_cfg = _parse_bound(top["bound"], "config.bound")
-
-    samp = _require_mapping(_get(top, "config", "sampling", required=True), "config.sampling")
-    _check_unknown(samp, "config.sampling", {"seed", "samples", "norm_cap", "dims"})
-    seed = _as_int(_get(samp, "config.sampling", "seed", required=True), "config.sampling.seed")
-    if seed_override is not None:
-        seed = int(seed_override)
-    samples = _as_int(_get(samp, "config.sampling", "samples", default=1000), "config.sampling.samples", minimum=1)
-    norm_cap = _as_float(
-        _get(samp, "config.sampling", "norm_cap", default=10.0), "config.sampling.norm_cap", minimum=0.0
-    )
-    dims_raw = _get(samp, "config.sampling", "dims", default=[dim])
-    if not isinstance(dims_raw, list) or not dims_raw:
-        raise ConfigError("config.sampling.dims: expected a non-empty list of integers")
-    dims = [_as_int(v, f"config.sampling.dims[{i}]", minimum=1) for i, v in enumerate(dims_raw)]
-
-    stab = _require_mapping(_get(top, "config", "stabilizer", default={}), "config.stabilizer")
-    _check_unknown(stab, "config.stabilizer", {"max_iter", "tol", "direction"})
-    stabilizer = StabilizerConfig(
-        max_iter=_as_int(_get(stab, "config.stabilizer", "max_iter", default=64), "config.stabilizer.max_iter", minimum=2),
-        tol=_as_float(_get(stab, "config.stabilizer", "tol", default=1e-10), "config.stabilizer.tol", positive=True),
-        direction=_as_choice(
-            _get(stab, "config.stabilizer", "direction", default="auto"),
-            "config.stabilizer.direction",
-            ("forward", "backward", "auto"),
-        ),
-    )
-
-    phase_grid_size = _as_int(
-        _get(top, "config", "phase_grid_size", default=16), "config.phase_grid_size", minimum=0
-    )
-
-    checks = _require_mapping(_get(top, "config", "checks", default={}), "config.checks")
-    _check_unknown(checks, "config.checks", {"tol", "phase_sweep"})
-    checks_tol = _as_float(_get(checks, "config.checks", "tol", default=1e-9), "config.checks.tol", positive=True)
-    phase_sweep = _as_bool(_get(checks, "config.checks", "phase_sweep", default=False), "config.checks.phase_sweep")
-
-    decay = _require_mapping(_get(top, "config", "superstability", default={}), "config.superstability")
-    _check_unknown(decay, "config.superstability", {"n_max", "terminal_tol", "slope_margin"})
-    decay_n_max = _as_int(_get(decay, "config.superstability", "n_max", default=64), "config.superstability.n_max", minimum=2)
-    decay_terminal_tol = _as_float(
-        _get(decay, "config.superstability", "terminal_tol", default=1e-3),
-        "config.superstability.terminal_tol",
-        positive=True,
-    )
-    decay_slope_margin = _as_float(
-        _get(decay, "config.superstability", "slope_margin", default=0.1),
-        "config.superstability.slope_margin",
-        positive=True,
-    )
-
-    exact = _require_mapping(_get(top, "config", "exactness", default={}), "config.exactness")
-    _check_unknown(exact, "config.exactness", {"samples", "tol"})
-    exactness_samples = _as_int(_get(exact, "config.exactness", "samples", default=64), "config.exactness.samples", minimum=1)
-    exactness_tol = _as_float(_get(exact, "config.exactness", "tol", default=1e-8), "config.exactness.tol", positive=True)
-
-    calib = _require_mapping(_get(top, "config", "calibration", default={}), "config.calibration")
-    _check_unknown(calib, "config.calibration", {"norm_cap", "sweep_factor"})
-    calibration_norm_cap = None
-    if "norm_cap" in calib:
-        calibration_norm_cap = _as_float(calib["norm_cap"], "config.calibration.norm_cap", positive=True)
-    calibration_sweep = None
-    if "sweep_factor" in calib and calib["sweep_factor"] is not None:
-        calibration_sweep = _as_float(calib["sweep_factor"], "config.calibration.sweep_factor", positive=True)
-
-    table = _require_mapping(_get(top, "config", "bounds_table", default={}), "config.bounds_table")
-    _check_unknown(
-        table, "config.bounds_table", {"coeffs", "exps_forward", "exps_backward", "norms", "terms", "profile_degree"}
-    )
-
-    def _float_list(value: Any, path: str, default: list[float]) -> list[float]:
+    map_cfg = None if top.get("map") is None else _parse_map(top["map"], "config.map")
+    bound_cfg = None if top.get("bound") is None else _parse_bound(top["bound"], "config.bound")
+    values: dict[str, Any] = {}
+    canonical: dict[str, Any] = {"schema": 1, "map": map_cfg, "bound": bound_cfg}
+    for path, attr, kind, default, allowed in CONFIG_FIELDS:
+        section, _, key = path.rpartition(".")
+        value = nodes[section].get(key)
         if value is None:
-            return default
-        if not isinstance(value, list) or not value:
-            raise ConfigError(f"{path}: expected a non-empty list of numbers")
-        return [_as_float(v, f"{path}[{i}]") for i, v in enumerate(value)]
-
-    table_coeffs = _float_list(table.get("coeffs"), "config.bounds_table.coeffs", [1e-3, 1.0, 10.0])
-    table_exps_forward = _float_list(table.get("exps_forward"), "config.bounds_table.exps_forward", [1.5, 2.0, 3.0])
-    table_exps_backward = _float_list(table.get("exps_backward"), "config.bounds_table.exps_backward", [0.0, 0.25, 0.5])
-    table_norms = _float_list(table.get("norms"), "config.bounds_table.norms", [0.5, 1.0, 2.0])
-    table_terms = _as_int(_get(table, "config.bounds_table", "terms", default=60), "config.bounds_table.terms", minimum=1)
-    table_profile_degree = _as_float(
-        _get(table, "config.bounds_table", "profile_degree", default=2.0), "config.bounds_table.profile_degree"
-    )
-
-    outputs = _require_mapping(_get(top, "config", "outputs", default={}), "config.outputs")
-    _check_unknown(outputs, "config.outputs", {"format", "path"})
-    output_format = _as_choice(
-        _get(outputs, "config.outputs", "format", default="json"), "config.outputs.format", ("json", "csv")
-    )
-    output_path = _get(outputs, "config.outputs", "path", default=None)
-    if output_path is not None and not isinstance(output_path, str):
-        raise ConfigError("config.outputs.path: expected a string")
-
-    canonical = {
-        "schema": 1,
-        "algebra": {"dim": dim},
-        "map": map_cfg,
-        "bound": bound_cfg,
-        "sampling": {"seed": seed, "samples": samples, "norm_cap": norm_cap, "dims": dims},
-        "stabilizer": {
-            "max_iter": stabilizer.max_iter,
-            "tol": stabilizer.tol,
-            "direction": stabilizer.direction,
-        },
-        "phase_grid_size": phase_grid_size,
-        "checks": {"tol": checks_tol, "phase_sweep": phase_sweep},
-        "superstability": {
-            "n_max": decay_n_max,
-            "terminal_tol": decay_terminal_tol,
-            "slope_margin": decay_slope_margin,
-        },
-        "exactness": {"samples": exactness_samples, "tol": exactness_tol},
-        "calibration": {"norm_cap": calibration_norm_cap, "sweep_factor": calibration_sweep},
-        "bounds_table": {
-            "coeffs": table_coeffs,
-            "exps_forward": table_exps_forward,
-            "exps_backward": table_exps_backward,
-            "norms": table_norms,
-            "terms": table_terms,
-            "profile_degree": table_profile_degree,
-        },
-        "outputs": {"format": output_format, "path": output_path},
-    }
-
-    return ExperimentConfig(
-        algebra=algebra,
-        map_cfg=map_cfg,
-        bound_cfg=bound_cfg,
-        seed=seed,
-        samples=samples,
-        norm_cap=norm_cap,
-        dims=dims,
-        stabilizer=stabilizer,
-        phase_grid_size=phase_grid_size,
-        checks_tol=checks_tol,
-        phase_sweep=phase_sweep,
-        decay_n_max=decay_n_max,
-        decay_terminal_tol=decay_terminal_tol,
-        decay_slope_margin=decay_slope_margin,
-        exactness_samples=exactness_samples,
-        exactness_tol=exactness_tol,
-        calibration_norm_cap=calibration_norm_cap,
-        calibration_sweep=calibration_sweep,
-        table_coeffs=table_coeffs,
-        table_exps_forward=table_exps_forward,
-        table_exps_backward=table_exps_backward,
-        table_norms=table_norms,
-        table_terms=table_terms,
-        table_profile_degree=table_profile_degree,
-        output_format=output_format,
-        output_path=output_path,
-        canonical=canonical,
-    )
+            if default is REQUIRED:
+                raise ConfigError(f"config.{path}: required field missing")
+            value = default
+        values[attr] = None if value is None else _leaf(value, f"config.{path}", kind, allowed)
+        if attr == "seed" and seed_override is not None:
+            values[attr] = _leaf(seed_override, f"config.{path}", kind, allowed)
+        node = canonical.setdefault(section, {}) if section else canonical
+        node[key] = values[attr]
+    if values["dims"] is None:
+        values["dims"] = canonical["sampling"]["dims"] = [values["dim"]]
+    return ExperimentConfig(**values, map_cfg=map_cfg, bound_cfg=bound_cfg, canonical=canonical)
 
 
 def load_config(path: str, seed_override: int | None = None) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config: file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"config: cannot read {path}: {exc.strerror}")
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
         raise ConfigError(f"config: invalid JSON: {exc}")
     return parse_config(raw, seed_override=seed_override)
 
@@ -688,23 +578,6 @@ def rows_to_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _max_threads() -> int:
-    raw = os.environ.get("STABLAB_MAX_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _parallel_map(fn, items):
-    items = list(items)
-    workers = _max_threads()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _global_verdict(checks: list[CheckReport]) -> str:
     asserted = [c for c in checks if c.verdict != "vacuous"]
     if not asserted:
@@ -777,12 +650,12 @@ def cmd_stability(config: ExperimentConfig) -> RunSummary:
     template = config.bound_spec()
     if template is None:
         raise ConfigError("config.bound: required for the stability command")
-    dim = config.algebra.dim
+    dim = config.dim
     f = build_map(map_cfg, dim)
     direction = resolve_direction(f, config.stabilizer)
     if direction is None:
         raise ConfigError(
-            "config.stabilizer.direction: set forward or backward explicitly for maps "
+            f"{_field_path('stabilizer_direction')}: set forward or backward explicitly for maps "
             "without a perturbation exponent"
         )
     digest = config_digest(config)
@@ -933,7 +806,7 @@ def cmd_stability(config: ExperimentConfig) -> RunSummary:
 def cmd_superstability(config: ExperimentConfig) -> RunSummary:
     """Decay-sequence experiment: slope and terminal-value assertions."""
     map_cfg = _require_map(config)
-    dim = config.algebra.dim
+    dim = config.dim
     f = build_map(map_cfg, dim)
     meta: dict[str, Any] = {"map": describe(f), "dim": dim, "n_max": config.decay_n_max}
 
@@ -1030,15 +903,8 @@ def cmd_superstability(config: ExperimentConfig) -> RunSummary:
     )
 
 
-def _series_element(norm_a: float, dim: int) -> Element:
-    arr = np.zeros((dim, dim), dtype=np.complex128)
-    arr[0, 0] = norm_a
-    return Element(arr)
-
-
 def cmd_bounds_table(config: ExperimentConfig) -> RunSummary:
     """Closed-form vs truncated-series bound table over a parameter grid."""
-    dim = max(config.algebra.dim, 2)
     cells = []
     for direction, exps in ((BACKWARD, config.table_exps_backward), (FORWARD, config.table_exps_forward)):
         for coeff in config.table_coeffs:
@@ -1056,9 +922,7 @@ def cmd_bounds_table(config: ExperimentConfig) -> RunSummary:
         else:
             spec = ProfileControl(coeff, exp)
         closed = bound_closed_form(spec, norm_a, direction)
-        series, tail = bound_series_truncated(
-            control_of_elements(spec), _series_element(norm_a, dim), direction, config.table_terms
-        )
+        series, tail = bound_series_truncated(spec, norm_a, direction, config.table_terms)
         rel = abs(closed - series) / max(abs(closed), 1e-300)
         row = {
             "kind": kind,
@@ -1078,7 +942,7 @@ def cmd_bounds_table(config: ExperimentConfig) -> RunSummary:
             row["power_rel_err"] = abs(closed - ref) / max(abs(ref), 1e-300)
         return row
 
-    rows = _parallel_map(evaluate_cell, cells)
+    rows = [evaluate_cell(cell) for cell in cells]
 
     rel_errs = np.array([r["rel_err"] for r in rows])
 

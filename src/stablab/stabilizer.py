@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
-from .algebra import Element, random_elements, spectral_norms, zeros
+from .algebra import Element, random_elements, spectral_norms
 from .checkers import CheckReport, Witness, _build_report, _stability_equation_values
 from .mappings import MapSpec, Perturbed, apply_array, domain_dim
 
@@ -35,7 +35,6 @@ __all__ = [
     "bound_closed_form",
     "bound_series_truncated",
     "calibrate_control",
-    "control_of_elements",
     "control_value",
     "resolve_direction",
     "stabilize_batch",
@@ -136,16 +135,6 @@ def control_value(spec: BoundSpec, na: float, nb: float, nc: float) -> float:
     raise TypeError(f"unknown bound spec {type(spec).__name__}")
 
 
-def control_of_elements(spec: BoundSpec) -> Callable[[Element, Element, Element], float]:
-    """Control function lifted to algebra elements via their operator norms."""
-
-    def phi(a: Element, b: Element, c: Element) -> float:
-        norms = spectral_norms(np.stack([a.entries, b.entries, c.entries]))
-        return control_value(spec, float(norms[0]), float(norms[1]), float(norms[2]))
-
-    return phi
-
-
 def validate_control_direction(spec: BoundSpec, direction: str) -> None:
     """Reject (control, direction) pairs whose error series diverges.
 
@@ -202,34 +191,30 @@ def bound_closed_form(spec: BoundSpec, norm_a: float, direction: str) -> float:
     return spec.coeff  # constant control, backward only
 
 
-def bound_series_truncated(
-    phi: Callable[[Element, Element, Element], float],
-    a: Element,
-    direction: str,
-    terms: int,
-) -> tuple[float, float]:
+def bound_series_truncated(spec: BoundSpec, norm_a: float, direction: str, terms: int) -> tuple[float, float]:
     """Truncated error series along (a, 2a, 0) plus a geometric tail estimate.
 
-    Forward sums 3^i * phi(a/3^i, 2a/3^i, 0) from i = 0; backward sums
-    3^{-i} * phi(3^i a, 2*3^i a, 0) from i = 1 (the index origins differ on
-    purpose).  The tail uses the empirical ratio of the last two terms and
-    is infinite when that ratio fails to certify convergence.
+    A control sees its arguments only through their norms, so the series runs
+    on t = ||a|| directly.  Forward sums 3^i * phi(t/3^i, 2t/3^i, 0) from
+    i = 0; backward sums 3^{-i} * phi(3^i t, 2*3^i t, 0) from i = 1 (the index
+    origins differ on purpose).  The tail uses the empirical ratio of the
+    last two terms and is infinite when that ratio fails to certify
+    convergence.
     """
     if direction not in (FORWARD, BACKWARD):
         raise ValueError(f"direction must be '{FORWARD}' or '{BACKWARD}', got {direction!r}")
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    zero = zeros(a.dim)
+    if norm_a < 0.0:
+        raise ValueError("norm_a must be nonnegative")
     term_values = []
     for k in range(terms):
         if direction == FORWARD:
             factor = 3.0**k
-            ak = Element(a.entries / factor)
-            term = factor * phi(ak, Element(2.0 * a.entries / factor), zero)
+            term = factor * control_value(spec, norm_a / factor, 2.0 * norm_a / factor, 0.0)
         else:
             factor = 3.0 ** (k + 1)
-            ak = Element(a.entries * factor)
-            term = phi(ak, Element(2.0 * factor * a.entries), zero) / factor
+            term = control_value(spec, norm_a * factor, 2.0 * factor * norm_a, 0.0) / factor
         term_values.append(term)
     value = float(math.fsum(term_values))
     last = term_values[-1]

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stablab.algebra import (
-    AlgebraSpec,
     DimensionMismatchError,
     Element,
     UnitScalar,
@@ -88,11 +87,6 @@ class TestElement:
         x = identity(2)
         with pytest.raises(ValueError):
             x.entries[0, 0] = 5.0
-
-    def test_algebra_spec_validation(self):
-        AlgebraSpec(dim=2)
-        with pytest.raises(ValueError):
-            AlgebraSpec(dim=0)
 
     def test_unit_scalar_validation(self):
         UnitScalar(1j)

@@ -1,16 +1,23 @@
 """Harness and CLI tests: config validation, exit codes, determinism, formats."""
 
+import copy
 import json
+from pathlib import Path
+from typing import get_args, get_origin
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablab.cli import main as cli_main
 from stablab.harness import (
+    CONFIG_FIELDS,
     EXIT_CONFIG,
     EXIT_DIVERGED,
     EXIT_OK,
     EXIT_VIOLATED,
+    REQUIRED,
     ConfigError,
     build_map,
     checks_to_csv,
@@ -50,6 +57,20 @@ BACKWARD_CONSTANT = {
     "sampling": {"seed": 77, "samples": 30, "norm_cap": 10.0},
     "exactness": {"samples": 12, "tol": 1e-8},
 }
+
+BOUNDS_TABLE = {"schema": 1, "algebra": {"dim": 2}, "sampling": {"seed": 0, "samples": 1}}
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def set_path(cfg, path, value):
+    """Set a dotted config path, creating sections on the way."""
+    *parents, key = path.split(".")
+    node = cfg
+    for part in parents:
+        node = node.setdefault(part, {})
+    node[key] = value
+    return cfg
 
 
 class TestConfigValidation:
@@ -122,6 +143,9 @@ class TestConfigValidation:
         assert cfg.phase_grid_size == 16
         assert cfg.dims == [3]
         assert cfg.output_format == "json"
+        nulls = minimal_config(bound=None, calibration={"norm_cap": None}, outputs={"path": None})
+        nulls["sampling"]["dims"] = None
+        assert parse_config(nulls).canonical == cfg.canonical
 
     def test_seed_override_changes_digest(self):
         base = parse_config(minimal_config())
@@ -454,9 +478,172 @@ class TestBoundsTableCommand:
         prof = cell("profile", "forward", 1.0, 2.0, 1.0)
         assert prof["power_rel_err"] <= 1e-12
 
-    def test_thread_env_respected(self, monkeypatch):
-        cfg = parse_config({"schema": 1, "algebra": {"dim": 2}, "sampling": {"seed": 0, "samples": 1}})
-        base_rows = cmd_bounds_table(cfg).sample_rows
-        monkeypatch.setenv("STABLAB_MAX_THREADS", "4")
-        threaded_rows = cmd_bounds_table(cfg).sample_rows
-        assert base_rows == threaded_rows
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestOutOfRangeValues:
+    """Values that pass the type check but not the field's range: exit 3, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, overrides, argv, path",
+        [
+            ("lemma-check", {"sampling.seed": -1}, [], "sampling.seed"),
+            ("lemma-check", {}, ["--seed", "-1"], "sampling.seed"),
+            ("lemma-check", {"map": {"kind": "unitary_conjugation", "seed": -3}}, [], "map.seed"),
+            ("lemma-check", {"sampling.norm_cap": NAN}, [], "sampling.norm_cap"),
+            ("lemma-check", {"sampling.norm_cap": INF}, [], "sampling.norm_cap"),
+            ("lemma-check", {"checks.tol": NAN}, [], "checks.tol"),
+            (
+                "lemma-check",
+                {"map": {"kind": "perturbed", "base": {"kind": "identity"}, "perturbation": {"mode": "constant", "size": NAN}}},
+                [],
+                "map.perturbation.size",
+            ),
+            (
+                "lemma-check",
+                {"map": {"kind": "perturbed", "base": {"kind": "zero"}, "perturbation": {"mode": "power", "size": 1, "power": NAN}}},
+                [],
+                "map.perturbation.power",
+            ),
+            ("stability", {"calibration.sweep_factor": 0.5}, [], "calibration.sweep_factor"),
+            ("stability", {"calibration.sweep_factor": 1}, [], "calibration.sweep_factor"),
+            ("bounds-table", {"bounds_table.coeffs": [-1]}, [], "bounds_table.coeffs"),
+            ("bounds-table", {"bounds_table.norms": [-1]}, [], "bounds_table.norms"),
+            ("bounds-table", {"bounds_table.exps_forward": [0.5]}, [], "bounds_table.exps_forward"),
+            ("bounds-table", {"bounds_table.exps_backward": [1.5]}, [], "bounds_table.exps_backward"),
+            ("bounds-table", {"bounds_table.profile_degree": 0.5}, [], "bounds_table.profile_degree"),
+            ("lemma-check", {"algebra.dim": 0}, [], "algebra.dim"),
+        ],
+    )
+    def test_cli_exits_config_error(self, tmp_path, capsys, command, overrides, argv, path):
+        base = {"lemma-check": minimal_config(), "stability": BACKWARD_CONSTANT, "bounds-table": BOUNDS_TABLE}
+        raw = copy.deepcopy(base[command])
+        for key, value in overrides.items():
+            set_path(raw, key, value)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert cli_main([command, "--config", str(cfg_path), *argv]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config.{path}")
+        assert "Traceback" not in err
+
+
+def _valid_values(kind, allowed):
+    """Strategy for in-range values of one schema row."""
+    if get_origin(kind) is list:
+        return st.lists(_valid_values(get_args(kind)[0], allowed), min_size=1, max_size=3)
+    if kind is bool:
+        return st.booleans()
+    if kind is str:
+        return st.sampled_from(allowed) if allowed else st.text(max_size=8)
+    lo, hi = (float(end) for end in allowed[1:-1].split(","))
+    if kind is int:
+        return st.integers(min_value=int(lo), max_value=int(lo) + 1000)
+    return st.floats(
+        min_value=lo,
+        max_value=min(hi, 1e6),
+        exclude_min=allowed[0] == "(",
+        exclude_max=allowed[-1] == ")" and hi <= 1e6,
+    )
+
+
+MAPS = [
+    None,
+    {"kind": "transpose"},
+    {"kind": "unitary_conjugation", "seed": 5},
+    {"kind": "unitary_conjugation", "matrix": [[0, 1], [1, 0]]},
+    {
+        "kind": "perturbed",
+        "base": {"kind": "negation"},
+        "perturbation": {"mode": "power", "size": 0.3, "power": 1.5, "direction": [[0, [0, 1]], [0, 0]]},
+    },
+]
+BOUNDS = [
+    None,
+    {"kind": "constant", "coeff": 0.5},
+    {"kind": "power", "coeff": 1, "exp1": 2, "exp2": 2, "exp3": 2},
+    {"kind": "profile", "coeff": 0.1, "degree": 2.0},
+]
+ABSENT = object()
+
+
+@st.composite
+def valid_configs(draw):
+    raw = {"schema": 1}
+    for key, choices in (("map", MAPS), ("bound", BOUNDS)):
+        value = draw(st.sampled_from(choices + [ABSENT]))
+        if value is not ABSENT:
+            raw[key] = copy.deepcopy(value)
+    for path, _, kind, default, allowed in CONFIG_FIELDS:
+        values = _valid_values(kind, allowed)
+        if default is not REQUIRED:
+            values = st.one_of(st.just(ABSENT), st.none(), values)
+        value = draw(values)
+        if value is not ABSENT:
+            set_path(raw, path, value)
+    return raw
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+FUZZ_BASE = minimal_config(
+    map={
+        "kind": "perturbed",
+        "base": {"kind": "unitary_conjugation", "seed": 1},
+        "perturbation": {"mode": "power", "size": 0.1, "power": 2.0, "direction": "corner", "odd": False},
+    },
+    bound={"kind": "power", "coeff": 1.0, "exp1": 2.0, "exp2": 2.0, "exp3": 2.0},
+)
+FUZZ_PATHS = [path for path, *_ in CONFIG_FIELDS] + [
+    "schema",
+    "sampling",
+    "map",
+    "map.base",
+    "map.base.seed",
+    "map.perturbation",
+    *(f"map.perturbation.{key}" for key in FUZZ_BASE["map"]["perturbation"]),
+    "bound",
+    *(f"bound.{key}" for key in FUZZ_BASE["bound"]),
+]
+
+
+class TestSchemaTable:
+    @settings(max_examples=150, deadline=None)
+    @given(valid_configs())
+    def test_canonical_dict_is_a_fixed_point(self, raw):
+        cfg = parse_config(raw)
+        again = parse_config(cfg.canonical)
+        assert again.canonical == cfg.canonical
+        assert config_digest(again) == config_digest(cfg)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(FUZZ_PATHS), JSON)
+    def test_arbitrary_json_raises_only_config_error(self, path, value):
+        raw = set_path(copy.deepcopy(FUZZ_BASE), path, value)
+        try:
+            parse_config(raw)
+        except ConfigError as exc:
+            assert str(exc).startswith("config")
+
+    def test_readme_lists_every_field(self):
+        def row(path, attr, kind, default, allowed):
+            if get_origin(kind) is list:
+                type_name = f"list of {get_args(kind)[0].__name__}"
+            else:
+                type_name = kind.__name__
+            shown_default = "required" if default is REQUIRED else f"`{json.dumps(default)}`"
+            if allowed is None:
+                shown_allowed = "any"
+            elif isinstance(allowed, tuple):
+                shown_allowed = ", ".join(f"`{json.dumps(choice)}`" for choice in allowed)
+            else:
+                shown_allowed = f"`{allowed}`"
+            return f"| `{path}` | {type_name} | {shown_default} | {shown_allowed} |"
+
+        lines = README.read_text(encoding="utf-8").splitlines()
+        missing = [row(*field) for field in CONFIG_FIELDS if row(*field) not in lines]
+        assert not missing, "README.md schema table is out of date:\n" + "\n".join(missing)

@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from stablab.algebra import Element, identity, matrix_unit, op_norm, random_element, sub
+from stablab.algebra import Element, identity, op_norm, random_element, sub
 from stablab.mappings import (
     Identity,
     Perturbation,
@@ -34,7 +34,6 @@ from stablab.stabilizer import (
     bound_closed_form,
     bound_series_truncated,
     calibrate_control,
-    control_of_elements,
     control_value,
     resolve_direction,
     stabilize_batch,
@@ -148,28 +147,25 @@ class TestClosedForms:
 
 
 class TestSeriesTruncated:
-    def unit_point(self, norm_a=1.0, dim=2):
-        return Element(norm_a * matrix_unit(dim, 0, 0).entries)
-
     def test_zero_control(self):
-        phi = control_of_elements(PowerControl(0.0, 2.0, 2.0, 2.0))
-        assert bound_series_truncated(phi, self.unit_point(), FORWARD, 10) == (0.0, 0.0)
+        assert bound_series_truncated(PowerControl(0.0, 2.0, 2.0, 2.0), 1.0, FORWARD, 10) == (0.0, 0.0)
 
     def test_backward_constant_forty_terms(self):
-        phi = control_of_elements(ConstantControl(1.0))
-        value, tail = bound_series_truncated(phi, self.unit_point(), BACKWARD, 40)
+        value, tail = bound_series_truncated(ConstantControl(1.0), 1.0, BACKWARD, 40)
         assert value == pytest.approx(1.0, abs=1e-12)
         assert 0.0 <= tail < 1e-18
 
     def test_forward_square_sixty_terms(self):
-        phi = control_of_elements(PowerControl(1.0, 2.0, 2.0, 2.0))
-        value, tail = bound_series_truncated(phi, self.unit_point(), FORWARD, 60)
+        value, tail = bound_series_truncated(PowerControl(1.0, 2.0, 2.0, 2.0), 1.0, FORWARD, 60)
         assert value == pytest.approx(7.5, abs=1e-9)
         assert tail < 1e-12
 
+    def test_negative_norm_rejected(self):
+        with pytest.raises(ValueError, match="norm_a"):
+            bound_series_truncated(ConstantControl(1.0), -1.0, BACKWARD, 10)
+
     def test_divergent_series_reports_infinite_tail(self):
-        phi = control_of_elements(ConstantControl(1.0))
-        value, tail = bound_series_truncated(phi, self.unit_point(), FORWARD, 10)
+        value, tail = bound_series_truncated(ConstantControl(1.0), 1.0, FORWARD, 10)
         assert tail == np.inf
         assert value > 1.0
 
@@ -179,9 +175,7 @@ class TestSeriesTruncated:
                 for coeff in (1e-3, 1.0, 10.0):
                     spec = PowerControl(coeff, exp, exp, exp)
                     closed = bound_closed_form(spec, 1.0, direction)
-                    series, _ = bound_series_truncated(
-                        control_of_elements(spec), self.unit_point(), direction, 60
-                    )
+                    series, _ = bound_series_truncated(spec, 1.0, direction, 60)
                     assert abs(series - closed) <= 1e-9 * closed
 
 
