@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import Element, random_elements, spectral_norms
-from .mappings import MapSpec, apply_array, domain_dim, evaluate
+from .mappings import MapSpec, _conj_t, apply_array, domain_dim, evaluate
 
 __all__ = [
     "CheckReport",
@@ -493,18 +493,14 @@ def superstability_star_decay(f: MapSpec, a: Element, n_max: int) -> list[float]
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     A = a.entries[np.newaxis]
-    Astar = _conj_t_stack(A)
+    Astar = _conj_t(A)
     out = []
     for n in range(1, n_max + 1):
         nn = float(n)
         _guard_overflow(nn * A, n)
-        val = spectral_norms(apply_array(f, nn * Astar) - _conj_t_stack(apply_array(f, nn * A))) / nn
+        val = spectral_norms(apply_array(f, nn * Astar) - _conj_t(apply_array(f, nn * A))) / nn
         out.append(float(val[0]))
     return out
-
-
-def _conj_t_stack(xs: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(xs, -1, -2))
 
 
 def fit_loglog_slope(values: list[float] | np.ndarray, start_n: int = 4) -> float:

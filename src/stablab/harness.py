@@ -17,6 +17,7 @@ import hashlib
 import io
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from types import SimpleNamespace
@@ -38,14 +39,14 @@ from .checkers import (
     telescoping_check,
 )
 from .mappings import (
-    Identity,
+    DIM_ONLY_ACTIONS,
+    MAP_KINDS,
+    PERTURBATION_MODES,
+    UNIT_DIRECTIONS,
     MapSpec,
-    Negation,
     Perturbation,
     Perturbed,
-    Transpose,
     UnitaryConjugation,
-    ZeroMap,
     apply_array,
     describe,
     domain_dim,
@@ -56,14 +57,12 @@ from .mappings import (
 )
 from .stabilizer import (
     BACKWARD,
+    BOUND_KINDS,
     FORWARD,
     BoundSpec,
     CalibrationError,
-    ConstantControl,
     ControlDirectionError,
     DivergedError,
-    PowerControl,
-    ProfileControl,
     StabilizerConfig,
     bound_closed_form,
     bound_series_truncated,
@@ -101,9 +100,7 @@ EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_DIVERGED = 2
 EXIT_CONFIG = 3
-
-MAP_KINDS = ("identity", "transpose", "negation", "zero", "unitary_conjugation", "perturbed")
-EXACT_MAP_KINDS = ("identity", "transpose", "negation", "zero", "unitary_conjugation")
+EXIT_CODES = {"satisfied": EXIT_OK, "violated": EXIT_VIOLATED, "diverged": EXIT_DIVERGED}
 
 
 class ConfigError(ValueError):
@@ -234,22 +231,14 @@ def _as_matrix(value: Any, path: str) -> list[list[list[float]]]:
     return rows
 
 
-def _matrix_to_array(rows: list[list[list[float]]]) -> np.ndarray:
-    dim = len(rows)
-    arr = np.empty((dim, dim), dtype=np.complex128)
-    for i in range(dim):
-        for j in range(dim):
-            arr[i, j] = complex(rows[i][j][0], rows[i][j][1])
-    return arr
-
-
 def _parse_map(value: Any, path: str, nested: bool = False) -> dict:
     m = _require_mapping(value, path)
-    kind = _leaf(_get(m, path, "kind", required=True), f"{path}.kind", str, MAP_KINDS)
-    if kind in ("identity", "transpose", "negation", "zero"):
+    kind = _leaf(_get(m, path, "kind", required=True), f"{path}.kind", str, tuple(MAP_KINDS))
+    cls = MAP_KINDS[kind]
+    if cls in DIM_ONLY_ACTIONS:
         _check_unknown(m, path, {"kind"})
         return {"kind": kind}
-    if kind == "unitary_conjugation":
+    if cls is UnitaryConjugation:
         _check_unknown(m, path, {"kind", "seed", "matrix"})
         if m.get("matrix") is not None:
             return {"kind": kind, "matrix": _as_matrix(m["matrix"], f"{path}.matrix")}
@@ -262,17 +251,17 @@ def _parse_map(value: Any, path: str, nested: bool = False) -> dict:
     p_path = f"{path}.perturbation"
     p = _require_mapping(_get(m, path, "perturbation", required=True), p_path)
     _check_unknown(p, p_path, {"mode", "size", "power", "direction", "odd"})
-    mode = _leaf(_get(p, p_path, "mode", required=True), f"{p_path}.mode", str, ("power", "constant", "affine"))
+    mode = _leaf(_get(p, p_path, "mode", required=True), f"{p_path}.mode", str, PERTURBATION_MODES)
     size = _leaf(_get(p, p_path, "size", required=True), f"{p_path}.size", float, "[0, inf)")
     power = _leaf(_get(p, p_path, "power", default=0.0), f"{p_path}.power", float)
     direction = _get(p, p_path, "direction", default="identity")
     if isinstance(direction, str):
-        direction = _leaf(direction, f"{p_path}.direction", str, ("identity", "corner"))
+        direction = _leaf(direction, f"{p_path}.direction", str, tuple(UNIT_DIRECTIONS))
     else:
         direction = _as_matrix(direction, f"{p_path}.direction")
     odd = _leaf(_get(p, p_path, "odd", default=False), f"{p_path}.odd", bool)
     return {
-        "kind": "perturbed",
+        "kind": kind,
         "base": base,
         "perturbation": {"mode": mode, "size": size, "power": power, "direction": direction, "odd": odd},
     }
@@ -280,8 +269,8 @@ def _parse_map(value: Any, path: str, nested: bool = False) -> dict:
 
 def _parse_bound(value: Any, path: str) -> dict:
     b = _require_mapping(value, path)
-    kind = _leaf(_get(b, path, "kind", required=True), f"{path}.kind", str, ("power", "profile", "constant"))
-    keys = {"power": ("exp1", "exp2", "exp3"), "profile": ("degree",), "constant": ()}[kind]
+    kind = _leaf(_get(b, path, "kind", required=True), f"{path}.kind", str, tuple(BOUND_KINDS))
+    keys = BOUND_KINDS[kind][1]
     _check_unknown(b, path, {"kind", "coeff", *keys})
     out = {"kind": kind, "coeff": _leaf(_get(b, path, "coeff", required=True), f"{path}.coeff", float, "[0, inf)")}
     for key in keys:
@@ -339,12 +328,8 @@ class ExperimentConfig:
     def bound_spec(self) -> BoundSpec | None:
         if self.bound_cfg is None:
             return None
-        b = self.bound_cfg
-        if b["kind"] == "power":
-            return PowerControl(b["coeff"], b["exp1"], b["exp2"], b["exp3"])
-        if b["kind"] == "profile":
-            return ProfileControl(b["coeff"], b["degree"])
-        return ConstantControl(b["coeff"])
+        cls, keys = BOUND_KINDS[self.bound_cfg["kind"]]
+        return cls(self.bound_cfg["coeff"], *(self.bound_cfg[key] for key in keys))
 
 
 def parse_config(raw: Any, seed_override: int | None = None) -> ExperimentConfig:
@@ -403,68 +388,68 @@ def default_bounds_table_config() -> ExperimentConfig:
 
 def map_to_config(f: MapSpec) -> dict:
     """Serialize a map back to its config form (inverse of build_map)."""
-    if isinstance(f, Identity):
-        return {"kind": "identity"}
-    if isinstance(f, Transpose):
-        return {"kind": "transpose"}
-    if isinstance(f, Negation):
-        return {"kind": "negation"}
-    if isinstance(f, ZeroMap):
-        return {"kind": "zero"}
-    if isinstance(f, UnitaryConjugation):
-        return {"kind": "unitary_conjugation", "matrix": _element_json(f.u)}
-    if isinstance(f, Perturbed):
-        p = f.perturbation
-        return {
-            "kind": "perturbed",
-            "base": map_to_config(f.base),
-            "perturbation": {
-                "mode": p.mode,
-                "size": p.size,
-                "power": p.power,
-                "direction": _element_json(p.direction),
-                "odd": p.odd,
-            },
-        }
-    raise TypeError(f"unknown map spec {type(f).__name__}")
+    if type(f) in DIM_ONLY_ACTIONS:
+        return {"kind": f.kind}
+    if not isinstance(f, Perturbed):
+        return {"kind": f.kind, "matrix": _element_json(f.u)}  # unitary conjugation
+    p = f.perturbation
+    return {
+        "kind": f.kind,
+        "base": map_to_config(f.base),
+        "perturbation": {
+            "mode": p.mode,
+            "size": p.size,
+            "power": p.power,
+            "direction": _element_json(p.direction),
+            "odd": p.odd,
+        },
+    }
 
 
-def build_map(map_cfg: dict, dim: int) -> MapSpec:
-    """Instantiate a validated map config at a concrete dimension."""
-    kind = map_cfg["kind"]
-    if kind == "identity":
-        return Identity(dim)
-    if kind == "transpose":
-        return Transpose(dim)
-    if kind == "negation":
-        return Negation(dim)
-    if kind == "zero":
-        return ZeroMap(dim)
-    if kind == "unitary_conjugation":
-        if "matrix" in map_cfg:
-            arr = _matrix_to_array(map_cfg["matrix"])
-            if arr.shape[0] != dim:
-                raise ConfigError(
-                    f"config.map.matrix: dimension {arr.shape[0]} incompatible with requested dim {dim}"
-                )
-            return UnitaryConjugation(Element(arr))
-        return UnitaryConjugation(phase_permutation_unitary(dim, map_cfg["seed"]))
-    # perturbed
-    base = build_map(map_cfg["base"], dim)
+@contextmanager
+def _refusals_named(path: str):
+    """Re-raise a map class's refusal (a ValueError) as a ConfigError naming the field."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _matrix_element(rows: list[list[list[float]]], dim: int, path: str) -> Element:
+    arr = np.array(rows, dtype=float).view(np.complex128)[..., 0]
+    if arr.shape[0] != dim:
+        raise ConfigError(f"{path}: dimension {arr.shape[0]} incompatible with requested dim {dim}")
+    return Element(arr)
+
+
+def build_map(map_cfg: dict, dim: int, path: str = "config.map") -> MapSpec:
+    """Instantiate a validated map config at a concrete dimension.
+
+    A value the map classes refuse (a matrix that is not unitary, a direction
+    of norm above one or one the dimension cannot hold) is a ConfigError.
+    """
+    cls = MAP_KINDS[map_cfg["kind"]]
+    if cls in DIM_ONLY_ACTIONS:
+        return cls(dim)
+    if cls is UnitaryConjugation:
+        if "seed" in map_cfg:
+            return UnitaryConjugation(phase_permutation_unitary(dim, map_cfg["seed"]))
+        u_path = f"{path}.matrix"
+        with _refusals_named(u_path):
+            return UnitaryConjugation(_matrix_element(map_cfg["matrix"], dim, u_path))
+    base = build_map(map_cfg["base"], dim, f"{path}.base")
     p = map_cfg["perturbation"]
-    direction = p["direction"]
-    if isinstance(direction, str):
-        dir_el = unit_direction(dim, direction)
-    else:
-        arr = _matrix_to_array(direction)
-        if arr.shape[0] != dim:
-            raise ConfigError(
-                f"config.map.perturbation.direction: dimension {arr.shape[0]} incompatible with dim {dim}"
-            )
-        dir_el = Element(arr)
-    perturbation = Perturbation(
-        size=p["size"], power=p["power"], direction=dir_el, mode=p["mode"], odd=p["odd"]
-    )
+    d_path = f"{path}.perturbation.direction"
+    with _refusals_named(d_path):
+        if isinstance(p["direction"], str):
+            direction = unit_direction(dim, p["direction"])
+        else:
+            direction = _matrix_element(p["direction"], dim, d_path)
+        perturbation = Perturbation(
+            size=p["size"], power=p["power"], direction=direction, mode=p["mode"], odd=p["odd"]
+        )
     return Perturbed(base, perturbation)
 
 
@@ -585,6 +570,19 @@ def _global_verdict(checks: list[CheckReport]) -> str:
     return "satisfied" if all(c.verdict == "satisfied" for c in asserted) else "violated"
 
 
+def _summary(
+    command: str,
+    config: ExperimentConfig,
+    meta: dict,
+    checks: list[CheckReport],
+    rows: list[dict],
+    verdict: str | None = None,
+) -> RunSummary:
+    """A command's summary; the verdict defaults to the checks' and sets the exit code."""
+    verdict = verdict or _global_verdict(checks)
+    return RunSummary(command, config_digest(config), config.seed, meta, checks, rows, verdict, EXIT_CODES[verdict])
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -616,17 +614,7 @@ def cmd_lemma_check(config: ExperimentConfig) -> RunSummary:
         for r in reports:
             r.name = f"dim{dim}/{r.name}"
         checks.extend(reports)
-    verdict = _global_verdict(checks)
-    return RunSummary(
-        command="lemma-check",
-        config_digest=config_digest(config),
-        seed=config.seed,
-        meta=meta,
-        checks=checks,
-        sample_rows=[],
-        verdict=verdict,
-        exit_code=EXIT_OK if verdict == "satisfied" else EXIT_VIOLATED,
-    )
+    return _summary("lemma-check", config, meta, checks, [])
 
 
 def _stabilized_evaluator(f: MapSpec, cfg: StabilizerConfig, direction: str):
@@ -658,7 +646,6 @@ def cmd_stability(config: ExperimentConfig) -> RunSummary:
             f"{_field_path('stabilizer_direction')}: set forward or backward explicitly for maps "
             "without a perturbation exponent"
         )
-    digest = config_digest(config)
     meta: dict[str, Any] = {"map": describe(f), "direction": direction, "dim": dim}
 
     A = random_elements(config.seed, config.samples, dim, config.norm_cap, stream=60)
@@ -679,16 +666,7 @@ def cmd_stability(config: ExperimentConfig) -> RunSummary:
             for i, r in enumerate(results)
         ]
         meta["diverged_samples"] = len(diverged)
-        return RunSummary(
-            command="stability",
-            config_digest=digest,
-            seed=config.seed,
-            meta=meta,
-            checks=[],
-            sample_rows=rows,
-            verdict="diverged",
-            exit_code=EXIT_DIVERGED,
-        )
+        return _summary("stability", config, meta, [], rows, verdict="diverged")
 
     exhausted = [i for i, r in enumerate(results) if r.status == "exhausted"]
     checks: list[CheckReport] = []
@@ -705,16 +683,7 @@ def cmd_stability(config: ExperimentConfig) -> RunSummary:
         )
     except CalibrationError as exc:
         meta["calibration_error"] = str(exc)
-        return RunSummary(
-            command="stability",
-            config_digest=digest,
-            seed=config.seed,
-            meta=meta,
-            checks=[],
-            sample_rows=[],
-            verdict="violated",
-            exit_code=EXIT_VIOLATED,
-        )
+        return _summary("stability", config, meta, [], [], verdict="violated")
     meta["calibrated_coeff"] = calibrated.coeff
 
     limits = np.stack([r.limit.entries for r in results])
@@ -789,18 +758,7 @@ def cmd_stability(config: ExperimentConfig) -> RunSummary:
     if exhausted:
         meta["exhausted_samples"] = len(exhausted)
         checks.append(CheckReport("all_samples_converged", float(len(exhausted)), 0.0, len(results), "violated"))
-
-    verdict = _global_verdict(checks)
-    return RunSummary(
-        command="stability",
-        config_digest=digest,
-        seed=config.seed,
-        meta=meta,
-        checks=checks,
-        sample_rows=rows,
-        verdict=verdict,
-        exit_code=EXIT_OK if verdict == "satisfied" else EXIT_VIOLATED,
-    )
+    return _summary("stability", config, meta, checks, rows)
 
 
 def cmd_superstability(config: ExperimentConfig) -> RunSummary:
@@ -890,17 +848,7 @@ def cmd_superstability(config: ExperimentConfig) -> RunSummary:
         }
         for i in range(config.samples)
     ]
-    verdict = _global_verdict(checks)
-    return RunSummary(
-        command="superstability",
-        config_digest=config_digest(config),
-        seed=config.seed,
-        meta=meta,
-        checks=checks,
-        sample_rows=rows,
-        verdict=verdict,
-        exit_code=EXIT_OK if verdict == "satisfied" else EXIT_VIOLATED,
-    )
+    return _summary("superstability", config, meta, checks, rows)
 
 
 def cmd_bounds_table(config: ExperimentConfig) -> RunSummary:
@@ -915,12 +863,13 @@ def cmd_bounds_table(config: ExperimentConfig) -> RunSummary:
         for norm_a in config.table_norms:
             cells.append(("profile", FORWARD, coeff, config.table_profile_degree, norm_a))
 
+    def control(kind: str, coeff: float, exp: float) -> BoundSpec:
+        cls, keys = BOUND_KINDS[kind]
+        return cls(coeff, *[exp] * len(keys))
+
     def evaluate_cell(cell):
         kind, direction, coeff, exp, norm_a = cell
-        if kind == "power":
-            spec: BoundSpec = PowerControl(coeff, exp, exp, exp)
-        else:
-            spec = ProfileControl(coeff, exp)
+        spec = control(kind, coeff, exp)
         closed = bound_closed_form(spec, norm_a, direction)
         series, tail = bound_series_truncated(spec, norm_a, direction, config.table_terms)
         rel = abs(closed - series) / max(abs(closed), 1e-300)
@@ -937,7 +886,7 @@ def cmd_bounds_table(config: ExperimentConfig) -> RunSummary:
             "agree": rel <= 1e-9,
         }
         if kind == "profile":
-            ref = bound_closed_form(PowerControl(coeff, exp, exp, exp), norm_a, direction)
+            ref = bound_closed_form(control("power", coeff, exp), norm_a, direction)
             row["power_reference"] = ref
             row["power_rel_err"] = abs(closed - ref) / max(abs(ref), 1e-300)
         return row
@@ -971,14 +920,4 @@ def cmd_bounds_table(config: ExperimentConfig) -> RunSummary:
                 None,
             )
         )
-    verdict = _global_verdict(checks)
-    return RunSummary(
-        command="bounds-table",
-        config_digest=config_digest(config),
-        seed=config.seed,
-        meta={"cells": len(rows), "terms": config.table_terms},
-        checks=checks,
-        sample_rows=rows,
-        verdict=verdict,
-        exit_code=EXIT_OK if verdict == "satisfied" else EXIT_VIOLATED,
-    )
+    return _summary("bounds-table", config, {"cells": len(rows), "terms": config.table_terms}, checks, rows)

@@ -34,10 +34,13 @@ __all__ = [
     "Perturbed",
     "MapSpec",
     "JordanStarReport",
+    "DIM_ONLY_ACTIONS",
+    "MAP_KINDS",
+    "PERTURBATION_MODES",
+    "UNIT_DIRECTIONS",
     "apply_array",
     "describe",
     "domain_dim",
-    "codomain_dim",
     "evaluate",
     "is_exact_jordan_star",
     "jordan_star_defects",
@@ -52,21 +55,25 @@ PERTURBATION_MODES = ("power", "constant", "affine")
 
 @dataclass(frozen=True)
 class Identity:
+    kind = "identity"
     dim: int
 
 
 @dataclass(frozen=True)
 class Transpose:
+    kind = "transpose"
     dim: int
 
 
 @dataclass(frozen=True)
 class Negation:
+    kind = "negation"
     dim: int
 
 
 @dataclass(frozen=True)
 class ZeroMap:
+    kind = "zero"
     dim: int
 
 
@@ -74,6 +81,7 @@ class ZeroMap:
 class UnitaryConjugation:
     """x -> u x u* for a fixed unitary u; multiplicative, star- and square-preserving."""
 
+    kind = "unitary_conjugation"
     u: Element
 
     def __post_init__(self) -> None:
@@ -118,6 +126,7 @@ class Perturbation:
 
 @dataclass(frozen=True)
 class Perturbed:
+    kind = "perturbed"
     base: "MapSpec"
     perturbation: Perturbation
 
@@ -134,45 +143,48 @@ class Perturbed:
 
 MapSpec = Union[Identity, Transpose, Negation, ZeroMap, UnitaryConjugation, Perturbed]
 
+# The map catalog: MAP_KINDS maps every config kind name to its class.  A
+# dimension-only kind is built as cls(dim) and has one row in DIM_ONLY_ACTIONS
+# with its action on a (..., d, d) stack; the config parser, builder and
+# serializer read both tables, so a new such kind is its class plus that row.
+DIM_ONLY_ACTIONS = {
+    Identity: lambda xs: xs.copy(),
+    Transpose: lambda xs: np.swapaxes(xs, -1, -2).copy(),
+    Negation: np.negative,
+    ZeroMap: np.zeros_like,
+}
+MAP_KINDS = {cls.kind: cls for cls in (*DIM_ONLY_ACTIONS, UnitaryConjugation, Perturbed)}
+
 
 def domain_dim(f: MapSpec) -> int:
     return f.dim
 
 
-def codomain_dim(f: MapSpec) -> int:
-    # v1 catalog: maps stay inside one algebra.
-    return f.dim
-
-
 def describe(f: MapSpec) -> str:
-    if isinstance(f, Identity):
-        return f"identity(dim={f.dim})"
-    if isinstance(f, Transpose):
-        return f"transpose(dim={f.dim})"
-    if isinstance(f, Negation):
-        return f"negation(dim={f.dim})"
-    if isinstance(f, ZeroMap):
-        return f"zero(dim={f.dim})"
-    if isinstance(f, UnitaryConjugation):
-        return f"unitary_conjugation(dim={f.dim})"
+    if not isinstance(f, Perturbed):
+        return f"{f.kind}(dim={f.dim})"
     p = f.perturbation
     odd = ", odd" if p.odd else ""
     return f"perturbed({describe(f.base)}, mode={p.mode}, size={p.size}, power={p.power}{odd})"
 
 
-def unit_direction(dim: int, name: str) -> Element:
-    """Named unit-operator-norm direction matrices.
+def _corner(dim: int) -> Element:
+    if dim < 2:
+        raise ValueError("corner direction needs dim >= 2")
+    return matrix_unit(dim, 0, dim - 1)
 
-    "identity" is self-adjoint; "corner" is the nilpotent top-right matrix
-    unit (requires dim >= 2), whose square vanishes exactly.
-    """
-    if name == "identity":
-        return identity_element(dim)
-    if name == "corner":
-        if dim < 2:
-            raise ValueError("corner direction needs dim >= 2")
-        return matrix_unit(dim, 0, dim - 1)
-    raise ValueError(f"unknown direction name {name!r}")
+
+# Named unit-operator-norm direction matrices: "identity" is self-adjoint;
+# "corner" is the nilpotent top-right matrix unit (dim >= 2), whose square
+# vanishes exactly.
+UNIT_DIRECTIONS = {"identity": identity_element, "corner": _corner}
+
+
+def unit_direction(dim: int, name: str) -> Element:
+    """The named direction matrix of UNIT_DIRECTIONS at dimension dim."""
+    if name not in UNIT_DIRECTIONS:
+        raise ValueError(f"unknown direction name {name!r}")
+    return UNIT_DIRECTIONS[name](dim)
 
 
 def phase_permutation_unitary(dim: int, seed: int) -> Element:
@@ -216,20 +228,12 @@ def apply_array(f: MapSpec, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.complex128)
     if xs.shape[-1] != f.dim or xs.shape[-2] != f.dim:
         raise DimensionMismatchError(f"map of dim {f.dim} applied to shape {xs.shape}")
-    if isinstance(f, Identity):
-        return xs.copy()
-    if isinstance(f, ZeroMap):
-        return np.zeros_like(xs)
-    if isinstance(f, Negation):
-        return -xs
-    if isinstance(f, Transpose):
-        return np.swapaxes(xs, -1, -2).copy()
-    if isinstance(f, UnitaryConjugation):
-        u = f.u.entries
-        return u @ xs @ u.conj().T
     if isinstance(f, Perturbed):
         return apply_array(f.base, xs) + _perturbation_term(f.perturbation, xs)
-    raise TypeError(f"unknown map spec {type(f).__name__}")
+    if type(f) in DIM_ONLY_ACTIONS:
+        return DIM_ONLY_ACTIONS[type(f)](xs)
+    u = f.u.entries  # unitary conjugation
+    return u @ xs @ u.conj().T
 
 
 def evaluate(f: MapSpec, a: Element) -> Element:

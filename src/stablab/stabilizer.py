@@ -23,6 +23,7 @@ from .checkers import CheckReport, Witness, _build_report, _stability_equation_v
 from .mappings import MapSpec, Perturbed, apply_array, domain_dim
 
 __all__ = [
+    "BOUND_KINDS",
     "BoundSpec",
     "CalibrationError",
     "ConstantControl",
@@ -118,6 +119,14 @@ class ConstantControl:
 
 
 BoundSpec = Union[PowerControl, ProfileControl, ConstantControl]
+
+# The control catalog: config kind -> (class, exponent fields).  A control is
+# built as cls(coeff, *exponents), in the order listed.
+BOUND_KINDS = {
+    "power": (PowerControl, ("exp1", "exp2", "exp3")),
+    "profile": (ProfileControl, ("degree",)),
+    "constant": (ConstantControl, ()),
+}
 
 
 def _npow(t: float, e: float) -> float:

@@ -31,7 +31,16 @@ from stablab.harness import (
     report_json_bytes,
     rows_to_csv,
 )
-from stablab.mappings import Perturbed, Transpose, UnitaryConjugation
+from stablab.mappings import (
+    DIM_ONLY_ACTIONS,
+    MAP_KINDS,
+    PERTURBATION_MODES,
+    UNIT_DIRECTIONS,
+    Perturbed,
+    Transpose,
+    UnitaryConjugation,
+)
+from stablab.stabilizer import BOUND_KINDS, ConstantControl, PowerControl, ProfileControl
 
 
 def minimal_config(**overrides):
@@ -71,6 +80,30 @@ def set_path(cfg, path, value):
         node = node.setdefault(part, {})
     node[key] = value
     return cfg
+
+
+# One config per catalog map kind, plus both unitary forms and every
+# perturbation mode with each named direction and a matrix direction.
+ROUND_TRIP_MAPS = [
+    *({"kind": kind} for kind, cls in MAP_KINDS.items() if cls in DIM_ONLY_ACTIONS),
+    {"kind": "unitary_conjugation", "seed": 9},
+    {"kind": "unitary_conjugation", "matrix": [[0, [0, 1], 0], [0, 0, -1], [1, 0, 0]]},
+    *(
+        {
+            "kind": "perturbed",
+            "base": {"kind": "negation"},
+            "perturbation": {"mode": mode, "size": 0.3, "power": 1.5, "direction": direction, "odd": True},
+        }
+        for mode in PERTURBATION_MODES
+        for direction in [*UNIT_DIRECTIONS, [[0, [0, 0.5], 0], [0, 0, 0], [0.5, 0, 0]]]
+    ),
+]
+# One bound config per catalog control kind, with the control it must build.
+BOUND_CASES = {
+    "power": ({"kind": "power", "coeff": 0.5, "exp1": 0.5, "exp2": 0.25, "exp3": 2}, PowerControl(0.5, 0.5, 0.25, 2.0)),
+    "profile": ({"kind": "profile", "coeff": 0.1, "degree": 2.5}, ProfileControl(0.1, 2.5)),
+    "constant": ({"kind": "constant", "coeff": 0.5}, ConstantControl(0.5)),
+}
 
 
 class TestConfigValidation:
@@ -194,23 +227,25 @@ class TestBuildMap:
         from stablab.harness import map_to_config
         from stablab.mappings import evaluate
 
-        raw_maps = [
-            {"kind": "transpose"},
-            {"kind": "unitary_conjugation", "seed": 9},
-            {
-                "kind": "perturbed",
-                "base": {"kind": "negation"},
-                "perturbation": {"mode": "power", "size": 0.3, "power": 1.5, "direction": "corner", "odd": True},
-            },
-        ]
-        for raw in raw_maps:
-            cfg = parse_config(minimal_config(map=raw))
-            f = build_map(cfg.map_cfg, 3)
+        assert {raw["kind"] for raw in ROUND_TRIP_MAPS} == set(MAP_KINDS)
+        for raw in ROUND_TRIP_MAPS:
+            f = build_map(parse_config(minimal_config(map=raw)).map_cfg, 3)
             serialized = map_to_config(f)
             g = build_map(parse_config(minimal_config(map=serialized)).map_cfg, 3)
+            assert map_to_config(g) == serialized
             for seed in range(5):
                 a = random_element(seed, 3, 2.0)
                 assert np.allclose(evaluate(f, a).entries, evaluate(g, a).entries, atol=1e-14)
+
+
+
+class TestBoundSpec:
+    @pytest.mark.parametrize("kind", sorted(BOUND_KINDS))
+    def test_bound_spec_from_catalog_row(self, kind):
+        raw, expected = BOUND_CASES[kind]
+        spec = parse_config(minimal_config(bound=raw)).bound_spec()
+        assert type(spec) is type(expected)
+        assert spec == expected
 
 
 class TestExitCodes:
@@ -514,6 +549,31 @@ class TestOutOfRangeValues:
             ("bounds-table", {"bounds_table.exps_backward": [1.5]}, [], "bounds_table.exps_backward"),
             ("bounds-table", {"bounds_table.profile_degree": 0.5}, [], "bounds_table.profile_degree"),
             ("lemma-check", {"algebra.dim": 0}, [], "algebra.dim"),
+            # values the map classes refuse once the map is built
+            (
+                "lemma-check",
+                {"algebra.dim": 2, "map": {"kind": "unitary_conjugation", "matrix": [[2, 0], [0, 1]]}},
+                [],
+                "map.matrix",
+            ),
+            (
+                "lemma-check",
+                {"algebra.dim": 2, "map": {"kind": "perturbed", "base": {"kind": "identity"}, "perturbation": {"mode": "constant", "size": 0.1, "direction": [[2, 0], [0, 0]]}}},
+                [],
+                "map.perturbation.direction",
+            ),
+            (
+                "lemma-check",
+                {"algebra.dim": 1, "map": {"kind": "perturbed", "base": {"kind": "identity"}, "perturbation": {"mode": "constant", "size": 0.1, "direction": "corner"}}},
+                [],
+                "map.perturbation.direction",
+            ),
+            (
+                "lemma-check",
+                {"algebra.dim": 2, "map": {"kind": "perturbed", "base": {"kind": "unitary_conjugation", "matrix": [[2, 0], [0, 1]]}, "perturbation": {"mode": "constant", "size": 0.1}}},
+                [],
+                "map.base.matrix",
+            ),
         ],
     )
     def test_cli_exits_config_error(self, tmp_path, capsys, command, overrides, argv, path):
