@@ -9,6 +9,7 @@ experiment harness.
 from .algebra import (
     DimensionMismatchError,
     Element,
+    NonFiniteError,
     UnitScalar,
     add,
     element,
@@ -46,6 +47,7 @@ from .checkers import (
 from .harness import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_VIOLATED,
     ConfigError,
@@ -77,13 +79,10 @@ from .mappings import (
     unit_direction,
 )
 from .stabilizer import (
-    BoundSpec,
     CalibrationError,
-    ConstantControl,
     ControlDirectionError,
     DivergedError,
     PowerControl,
-    ProfileControl,
     StabilizationResult,
     StabilizerConfig,
     bound_closed_form,

@@ -15,6 +15,7 @@ import numpy as np
 __all__ = [
     "DimensionMismatchError",
     "Element",
+    "NonFiniteError",
     "UnitScalar",
     "add",
     "sub",
@@ -36,6 +37,10 @@ __all__ = [
 
 class DimensionMismatchError(ValueError):
     """Operands live in algebras of different dimension."""
+
+
+class NonFiniteError(ArithmeticError, ValueError):
+    """A NaN or infinite value reached a computation that needs finite input."""
 
 
 @dataclass(frozen=True)
@@ -137,13 +142,14 @@ def spectral_norms(mats: np.ndarray) -> np.ndarray:
     One batched LAPACK SVD call (backward stable), so each value is accurate
     to a few ulps of the norm even when the top singular values are nearly
     degenerate.  Each matrix is decomposed independently: a value does not
-    depend on the rest of the stack.  Non-finite entries raise ValueError.
+    depend on the rest of the stack.  Non-finite entries raise
+    NonFiniteError (a ValueError).
     """
     arr = np.asarray(mats, dtype=np.complex128)
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise ValueError(f"expected a (..., d, d) stack, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("spectral_norms: non-finite entries")
+        raise NonFiniteError("spectral_norms: non-finite entries")
     return np.linalg.svd(arr, compute_uv=False)[..., 0]
 
 

@@ -4,7 +4,9 @@ Subcommands: lemma-check, stability, superstability, bounds-table.
 Reports go to --out (or the config's output path) as JSON or CSV;
 a human-readable line per check is printed either way.
 
-Exit codes: 0 all satisfied, 1 violated, 2 divergence, 3 config error.
+Exit codes: 0 all satisfied, 1 violated, 2 divergence, 3 config error,
+4 numerical failure (overflow or non-finite values; one stderr line, no
+traceback).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import sys
 
 from .harness import (
     EXIT_CONFIG,
+    EXIT_NUMERIC,
     ConfigError,
     ExperimentConfig,
     RunSummary,
@@ -94,6 +97,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except ArithmeticError as exc:
+        print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     _print_summary(summary)
     return summary.exit_code
 

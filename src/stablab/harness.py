@@ -7,7 +7,8 @@ byte-identical across runs except for the timestamp field, which is excluded
 from the config digest.
 
 Exit-code contract: 0 all satisfied, 1 hypothesis or bound violated,
-2 divergence, 3 config error.
+2 divergence, 3 config error, 4 numerical failure (an overflow or a
+non-finite value, raised as an ArithmeticError).
 """
 
 from __future__ import annotations
@@ -59,14 +60,16 @@ from .stabilizer import (
     BACKWARD,
     BOUND_KINDS,
     FORWARD,
-    BoundSpec,
     CalibrationError,
     ControlDirectionError,
     DivergedError,
+    PowerControl,
     StabilizerConfig,
     bound_closed_form,
+    bound_fields,
     bound_series_truncated,
     calibrate_control,
+    make_control,
     resolve_direction,
     stabilize_batch,
 )
@@ -81,6 +84,7 @@ __all__ = [
     "EXIT_VIOLATED",
     "EXIT_DIVERGED",
     "EXIT_CONFIG",
+    "EXIT_NUMERIC",
     "build_map",
     "map_to_config",
     "cmd_bounds_table",
@@ -100,6 +104,7 @@ EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_DIVERGED = 2
 EXIT_CONFIG = 3
+EXIT_NUMERIC = 4
 EXIT_CODES = {"satisfied": EXIT_OK, "violated": EXIT_VIOLATED, "diverged": EXIT_DIVERGED}
 
 
@@ -270,7 +275,7 @@ def _parse_map(value: Any, path: str, nested: bool = False) -> dict:
 def _parse_bound(value: Any, path: str) -> dict:
     b = _require_mapping(value, path)
     kind = _leaf(_get(b, path, "kind", required=True), f"{path}.kind", str, tuple(BOUND_KINDS))
-    keys = BOUND_KINDS[kind][1]
+    keys = bound_fields(kind)
     _check_unknown(b, path, {"kind", "coeff", *keys})
     out = {"kind": kind, "coeff": _leaf(_get(b, path, "coeff", required=True), f"{path}.coeff", float, "[0, inf)")}
     for key in keys:
@@ -325,11 +330,10 @@ class ExperimentConfig:
         """The algebra section as an object (``.dim``), as the benchmark's set-up probe reads it."""
         return SimpleNamespace(dim=self.dim)
 
-    def bound_spec(self) -> BoundSpec | None:
+    def bound_spec(self) -> PowerControl | None:
         if self.bound_cfg is None:
             return None
-        cls, keys = BOUND_KINDS[self.bound_cfg["kind"]]
-        return cls(self.bound_cfg["coeff"], *(self.bound_cfg[key] for key in keys))
+        return make_control(self.bound_cfg["kind"], self.bound_cfg["coeff"], self.bound_cfg)
 
 
 def parse_config(raw: Any, seed_override: int | None = None) -> ExperimentConfig:
@@ -863,9 +867,8 @@ def cmd_bounds_table(config: ExperimentConfig) -> RunSummary:
         for norm_a in config.table_norms:
             cells.append(("profile", FORWARD, coeff, config.table_profile_degree, norm_a))
 
-    def control(kind: str, coeff: float, exp: float) -> BoundSpec:
-        cls, keys = BOUND_KINDS[kind]
-        return cls(coeff, *[exp] * len(keys))
+    def control(kind: str, coeff: float, exp: float) -> PowerControl:
+        return make_control(kind, coeff, dict.fromkeys(bound_fields(kind), exp))
 
     def evaluate_cell(cell):
         kind, direction, coeff, exp, norm_a = cell

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Union
 
 import numpy as np
 
@@ -24,19 +23,18 @@ from .mappings import MapSpec, Perturbed, apply_array, domain_dim
 
 __all__ = [
     "BOUND_KINDS",
-    "BoundSpec",
     "CalibrationError",
-    "ConstantControl",
     "ControlDirectionError",
     "DivergedError",
     "PowerControl",
-    "ProfileControl",
     "StabilizationResult",
     "StabilizerConfig",
     "bound_closed_form",
+    "bound_fields",
     "bound_series_truncated",
     "calibrate_control",
     "control_value",
+    "make_control",
     "resolve_direction",
     "stabilize_batch",
     "stabilize_point",
@@ -72,7 +70,13 @@ class DivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class PowerControl:
-    """coeff * (na^exp1 + nb^exp2 + nc^exp3) with the convention 0^e := 0."""
+    """coeff * (na^exp1 + nb^exp2 + nc^exp3) with the convention 0^e := 0.
+
+    This is the only control class: every catalog kind (BOUND_KINDS) is an
+    exponent triple of it.  A profile t^degree puts its degree in all three
+    slots, and the constant control (coeff per nonzero argument) is the
+    zero-exponent triple.
+    """
 
     coeff: float
     exp1: float
@@ -84,123 +88,72 @@ class PowerControl:
             raise ValueError("coeff must be nonnegative")
 
 
-@dataclass(frozen=True)
-class ProfileControl:
-    """coeff * (prof(na) + prof(nb) + prof(nc)) with prof(t) = t^degree.
-
-    The profile is sub-multiplicative with prof(0) = 0 and prof(t)/t -> 0 at
-    zero for degree > 1, the regime the forward direction needs.
-    """
-
-    coeff: float
-    degree: float
-
-    def __post_init__(self) -> None:
-        if self.coeff < 0.0:
-            raise ValueError("coeff must be nonnegative")
-
-    def profile(self, t: float) -> float:
-        return 0.0 if t == 0.0 else float(t) ** self.degree
-
-
-@dataclass(frozen=True)
-class ConstantControl:
-    """coeff per nonzero argument; the zero-exponent limit of PowerControl.
-
-    Evaluating at (a, 2a, 0) gives 2 * coeff, which makes the backward series
-    sum to exactly coeff.
-    """
-
-    coeff: float
-
-    def __post_init__(self) -> None:
-        if self.coeff < 0.0:
-            raise ValueError("coeff must be nonnegative")
-
-
-BoundSpec = Union[PowerControl, ProfileControl, ConstantControl]
-
-# The control catalog: config kind -> (class, exponent fields).  A control is
-# built as cls(coeff, *exponents), in the order listed.
+# The control catalog: config kind -> exponent triple, each slot either the
+# name of a config field or a fixed exponent.  A kind's config fields are its
+# distinct slot names, in slot order.
 BOUND_KINDS = {
-    "power": (PowerControl, ("exp1", "exp2", "exp3")),
-    "profile": (ProfileControl, ("degree",)),
-    "constant": (ConstantControl, ()),
+    "power": ("exp1", "exp2", "exp3"),
+    "profile": ("degree", "degree", "degree"),
+    "constant": (0.0, 0.0, 0.0),
 }
+
+
+def bound_fields(kind: str) -> tuple[str, ...]:
+    """The exponent fields a catalog kind reads from its config."""
+    return tuple(dict.fromkeys(slot for slot in BOUND_KINDS[kind] if isinstance(slot, str)))
+
+
+def make_control(kind: str, coeff: float, fields: dict) -> PowerControl:
+    """The control of a catalog kind; ``fields`` maps its exponent fields to values."""
+    return PowerControl(coeff, *(fields[slot] if isinstance(slot, str) else slot for slot in BOUND_KINDS[kind]))
 
 
 def _npow(t: float, e: float) -> float:
     return 0.0 if t == 0.0 else float(t) ** e
 
 
-def control_value(spec: BoundSpec, na: float, nb: float, nc: float) -> float:
+def control_value(spec: PowerControl, na: float, nb: float, nc: float) -> float:
     """Evaluate the control function on the three argument norms."""
-    if isinstance(spec, PowerControl):
-        return spec.coeff * (_npow(na, spec.exp1) + _npow(nb, spec.exp2) + _npow(nc, spec.exp3))
-    if isinstance(spec, ProfileControl):
-        return spec.coeff * (spec.profile(na) + spec.profile(nb) + spec.profile(nc))
-    if isinstance(spec, ConstantControl):
-        return spec.coeff * (float(na > 0.0) + float(nb > 0.0) + float(nc > 0.0))
-    raise TypeError(f"unknown bound spec {type(spec).__name__}")
+    return spec.coeff * (_npow(na, spec.exp1) + _npow(nb, spec.exp2) + _npow(nc, spec.exp3))
 
 
-def validate_control_direction(spec: BoundSpec, direction: str) -> None:
+def validate_control_direction(spec: PowerControl, direction: str) -> None:
     """Reject (control, direction) pairs whose error series diverges.
 
-    The raised message names the violated convergence condition.
+    Along (a, 2a, 0) the third argument is zero, so only exp1 and exp2 set
+    the term ratio.  The raised message names the violated condition.
     """
     if direction not in (FORWARD, BACKWARD):
         raise ValueError(f"direction must be '{FORWARD}' or '{BACKWARD}', got {direction!r}")
-    if isinstance(spec, PowerControl):
-        if direction == FORWARD and not (spec.exp1 > 1.0 and spec.exp2 > 1.0):
-            raise ControlDirectionError(
-                "forward series needs exponents > 1 (term ratio 3^(1-exp) must be < 1)"
-            )
-        if direction == BACKWARD and not (spec.exp1 < 1.0 and spec.exp2 < 1.0):
-            raise ControlDirectionError(
-                "backward series needs exponents < 1 (term ratio 3^(exp-1) must be < 1)"
-            )
-    elif isinstance(spec, ProfileControl):
-        if direction == FORWARD and not (3.0 * spec.profile(1.0 / 3.0) < 1.0):
-            raise ControlDirectionError("forward profile series needs 3*prof(1/3) < 1")
-        if direction == BACKWARD and not (spec.profile(3.0) / 3.0 < 1.0):
-            raise ControlDirectionError("backward profile series needs prof(3)/3 < 1")
-    elif isinstance(spec, ConstantControl):
-        if direction == FORWARD:
-            raise ControlDirectionError(
-                "constant control admits no forward bound (terms grow like 3^i)"
-            )
-    else:
-        raise TypeError(f"unknown bound spec {type(spec).__name__}")
+    if direction == FORWARD and not (spec.exp1 > 1.0 and spec.exp2 > 1.0):
+        raise ControlDirectionError(
+            "forward series needs exponents > 1 (term ratio 3^(1-exp) must be < 1)"
+        )
+    if direction == BACKWARD and not (spec.exp1 < 1.0 and spec.exp2 < 1.0):
+        raise ControlDirectionError(
+            "backward series needs exponents < 1 (term ratio 3^(exp-1) must be < 1)"
+        )
 
 
-def bound_closed_form(spec: BoundSpec, norm_a: float, direction: str) -> float:
-    """Closed-form distance bound ||f(a) - h(a)|| for the admissible direction."""
+def bound_closed_form(spec: PowerControl, norm_a: float, direction: str) -> float:
+    """Closed-form distance bound ||f(a) - h(a)|| for the admissible direction.
+
+    The sum of bound_series_truncated's series: coeff * (t^e1 g(e1) +
+    2^e2 t^e2 g(e2)), with g(e) the geometric sum of the ratio 3^(1-e) from
+    i = 0 (forward) or of 3^(e-1) from i = 1 (backward).
+    """
     validate_control_direction(spec, direction)
     if norm_a < 0.0:
         raise ValueError("norm_a must be nonnegative")
-    if isinstance(spec, PowerControl):
-        c, e1, e2 = spec.coeff, spec.exp1, spec.exp2
-        if direction == FORWARD:
-            return c * _npow(norm_a, e1) / (1.0 - 3.0 ** (1.0 - e1)) + c * 2.0**e2 * _npow(
-                norm_a, e2
-            ) / (1.0 - 3.0 ** (1.0 - e2))
-        return c * _npow(norm_a, e1) / (3.0 ** (1.0 - e1) - 1.0) + c * 2.0**e2 * _npow(
-            norm_a, e2
-        ) / (3.0 ** (1.0 - e2) - 1.0)
-    if isinstance(spec, ProfileControl):
-        c = spec.coeff
-        if direction == FORWARD:
-            return c * (1.0 + spec.profile(2.0)) * spec.profile(norm_a) / (
-                1.0 - 3.0 * spec.profile(1.0 / 3.0)
-            )
-        return c * (1.0 + spec.profile(2.0)) * spec.profile(norm_a) / (
-            1.0 - spec.profile(3.0) / 3.0
-        )
-    return spec.coeff  # constant control, backward only
+
+    def denominator(e: float) -> float:  # 1 / g(e)
+        return 1.0 - 3.0 ** (1.0 - e) if direction == FORWARD else 3.0 ** (1.0 - e) - 1.0
+
+    c, e1, e2 = spec.coeff, spec.exp1, spec.exp2
+    return c * _npow(norm_a, e1) / denominator(e1) + c * 2.0**e2 * _npow(norm_a, e2) / denominator(e2)
 
 
-def bound_series_truncated(spec: BoundSpec, norm_a: float, direction: str, terms: int) -> tuple[float, float]:
+def bound_series_truncated(spec: PowerControl, norm_a: float, direction: str, terms: int) -> tuple[float, float]:
     """Truncated error series along (a, 2a, 0) plus a geometric tail estimate.
 
     A control sees its arguments only through their norms, so the series runs
@@ -402,7 +355,7 @@ def stabilize_point(f: MapSpec, a: Element, cfg: StabilizerConfig) -> Stabilizat
 
 
 def _calibrated_coeff(
-    f: MapSpec, template: BoundSpec, seed: int, samples: int, norm_cap: float, stream: int
+    f: MapSpec, template: PowerControl, seed: int, samples: int, norm_cap: float, stream: int
 ) -> float:
     d = domain_dim(f)
     A = random_elements(seed, samples, d, norm_cap, stream=stream)
@@ -429,12 +382,12 @@ def _calibrated_coeff(
 
 def calibrate_control(
     f: MapSpec,
-    template: BoundSpec,
+    template: PowerControl,
     seed: int,
     samples: int,
     norm_cap: float = 10.0,
     sweep_factor: float | None = None,
-) -> BoundSpec:
+) -> PowerControl:
     """Fit the control coefficient so the template dominates sampled residuals.
 
     The coefficient is the worst sampled ratio of the master-equation

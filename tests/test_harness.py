@@ -15,6 +15,7 @@ from stablab.harness import (
     CONFIG_FIELDS,
     EXIT_CONFIG,
     EXIT_DIVERGED,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_VIOLATED,
     REQUIRED,
@@ -40,7 +41,7 @@ from stablab.mappings import (
     Transpose,
     UnitaryConjugation,
 )
-from stablab.stabilizer import BOUND_KINDS, ConstantControl, PowerControl, ProfileControl
+from stablab.stabilizer import BOUND_KINDS, PowerControl
 
 
 def minimal_config(**overrides):
@@ -70,6 +71,7 @@ BACKWARD_CONSTANT = {
 BOUNDS_TABLE = {"schema": 1, "algebra": {"dim": 2}, "sampling": {"seed": 0, "samples": 1}}
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+P05_CONFIG = README.parent / "configs" / "superstability_p05.json"
 
 
 def set_path(cfg, path, value):
@@ -101,8 +103,8 @@ ROUND_TRIP_MAPS = [
 # One bound config per catalog control kind, with the control it must build.
 BOUND_CASES = {
     "power": ({"kind": "power", "coeff": 0.5, "exp1": 0.5, "exp2": 0.25, "exp3": 2}, PowerControl(0.5, 0.5, 0.25, 2.0)),
-    "profile": ({"kind": "profile", "coeff": 0.1, "degree": 2.5}, ProfileControl(0.1, 2.5)),
-    "constant": ({"kind": "constant", "coeff": 0.5}, ConstantControl(0.5)),
+    "profile": ({"kind": "profile", "coeff": 0.1, "degree": 2.5}, PowerControl(0.1, 2.5, 2.5, 2.5)),
+    "constant": ({"kind": "constant", "coeff": 0.5}, PowerControl(0.5, 0.0, 0.0, 0.0)),
 }
 
 
@@ -586,6 +588,37 @@ class TestOutOfRangeValues:
         assert cli_main([command, "--config", str(cfg_path), *argv]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"config error: config.{path}")
+        assert "Traceback" not in err
+
+
+class TestNumericalFailure:
+    """Overflow and non-finite values end in exit 4 with a `numerical error:` line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, raw, error",
+        [
+            (
+                "superstability",
+                set_path(json.loads(P05_CONFIG.read_text()), "sampling.norm_cap", 1e60),
+                "DecayOverflowError",
+            ),
+            ("bounds-table", {**BOUNDS_TABLE, "bounds_table": {"exps_forward": [2000.0], "norms": [2.0]}}, "OverflowError"),
+            (
+                "lemma-check",
+                minimal_config(
+                    algebra={"dim": 2},
+                    map={"kind": "perturbed", "base": {"kind": "identity"}, "perturbation": {"mode": "power", "size": 0.1, "power": -400}},
+                ),
+                "NonFiniteError",
+            ),
+        ],
+    )
+    def test_cli_exits_numerical_error(self, tmp_path, capsys, command, raw, error):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert cli_main([command, "--config", str(cfg_path)]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith(f"numerical error: {error}: ")
         assert "Traceback" not in err
 
 

@@ -24,22 +24,34 @@ from stablab.mappings import (
 from stablab.stabilizer import (
     BACKWARD,
     FORWARD,
+    BOUND_KINDS,
     CalibrationError,
-    ConstantControl,
     ControlDirectionError,
     DivergedError,
     PowerControl,
-    ProfileControl,
     StabilizerConfig,
     bound_closed_form,
     bound_series_truncated,
     calibrate_control,
     control_value,
+    make_control,
     resolve_direction,
     stabilize_batch,
     stabilize_point,
     verify_uniqueness,
 )
+
+
+# Each catalog kind by its definition: the config fields for a grid value x,
+# the exponent of the one-argument function the oracle sums (t^x for power
+# and profile, 1 per nonzero argument for constant) and its admissible
+# directions.
+CATALOG_ORACLE = {
+    "power": (lambda x: {"exp1": x, "exp2": x, "exp3": x}, lambda x: x, (FORWARD, BACKWARD)),
+    "profile": (lambda x: {"degree": x}, lambda x: x, (FORWARD, BACKWARD)),
+    "constant": (lambda x: {}, lambda x: 0, (BACKWARD,)),
+}
+GRID_EXPONENTS = {FORWARD: (1.5, 2.0, 3.0), BACKWARD: (0.0, 0.25, 0.5)}
 
 
 def mp_series(coeff, exponent, norm_a, direction, terms=200):
@@ -72,19 +84,21 @@ class TestControlValues:
         assert control_value(spec, 0.0, 0.0, 0.0) == 0.0
 
     def test_constant_counts_nonzero_arguments(self):
-        spec = ConstantControl(0.5)
+        spec = make_control("constant", 0.5, {})
         assert control_value(spec, 1.0, 2.0, 0.0) == pytest.approx(1.0)
         assert control_value(spec, 1.0, 2.0, 3.0) == pytest.approx(1.5)
         assert control_value(spec, 0.0, 0.0, 0.0) == 0.0
 
     def test_constant_agrees_with_zero_exponent_power(self):
-        const = ConstantControl(0.7)
+        const = make_control("constant", 0.7, {})
         power = PowerControl(0.7, 0.0, 0.0, 0.0)
+        assert const == power
         for args in [(1.0, 2.0, 0.0), (0.5, 0.0, 0.0), (3.0, 1.0, 2.0)]:
             assert control_value(const, *args) == control_value(power, *args)
 
     def test_profile_control(self):
-        spec = ProfileControl(1.0, 2.0)
+        spec = make_control("profile", 1.0, {"degree": 2.0})
+        assert spec == PowerControl(1.0, 2.0, 2.0, 2.0)
         assert control_value(spec, 2.0, 0.0, 3.0) == pytest.approx(4.0 + 9.0)
 
 
@@ -98,14 +112,14 @@ class TestDirectionValidation:
             bound_closed_form(PowerControl(1.0, 2.0, 2.0, 2.0), 1.0, BACKWARD)
 
     def test_constant_forward_rejected(self):
-        with pytest.raises(ControlDirectionError, match="3\\^i"):
-            bound_closed_form(ConstantControl(1.0), 1.0, FORWARD)
+        with pytest.raises(ControlDirectionError, match="forward series needs exponents > 1"):
+            bound_closed_form(make_control("constant", 1.0, {}), 1.0, FORWARD)
 
     def test_profile_conditions(self):
-        with pytest.raises(ControlDirectionError, match="prof"):
-            bound_closed_form(ProfileControl(1.0, 0.5), 1.0, FORWARD)
-        with pytest.raises(ControlDirectionError, match="prof"):
-            bound_closed_form(ProfileControl(1.0, 2.0), 1.0, BACKWARD)
+        with pytest.raises(ControlDirectionError, match="forward series needs exponents > 1"):
+            bound_closed_form(make_control("profile", 1.0, {"degree": 0.5}), 1.0, FORWARD)
+        with pytest.raises(ControlDirectionError, match="backward series needs exponents < 1"):
+            bound_closed_form(make_control("profile", 1.0, {"degree": 2.0}), 1.0, BACKWARD)
 
 
 class TestClosedForms:
@@ -118,22 +132,24 @@ class TestClosedForms:
         assert bound_closed_form(PowerControl(1.0, 0.0, 0.0, 0.0), 1.0, BACKWARD) == pytest.approx(
             1.0, abs=1e-12
         )
-        assert bound_closed_form(ConstantControl(0.7), 1.0, BACKWARD) == pytest.approx(0.7)
+        assert bound_closed_form(make_control("constant", 0.7, {}), 1.0, BACKWARD) == pytest.approx(0.7)
 
     def test_profile_square_matches_power(self):
-        assert bound_closed_form(ProfileControl(1.0, 2.0), 1.0, FORWARD) == pytest.approx(
+        assert bound_closed_form(make_control("profile", 1.0, {"degree": 2.0}), 1.0, FORWARD) == pytest.approx(
             7.5, abs=1e-12
         )
 
     def test_closed_forms_match_high_precision_series(self):
-        for direction, exps in ((FORWARD, (1.5, 2.0, 3.0)), (BACKWARD, (0.0, 0.25, 0.5))):
-            for exp in exps:
-                for coeff in (1e-3, 1.0, 10.0):
-                    for norm_a in (0.5, 1.0, 2.0):
-                        spec = PowerControl(coeff, exp, exp, exp)
-                        got = bound_closed_form(spec, norm_a, direction)
-                        ref = mp_series(coeff, exp, norm_a, direction)
-                        assert got == pytest.approx(ref, rel=1e-12)
+        assert set(CATALOG_ORACLE) == set(BOUND_KINDS)
+        for kind, (fields, oracle_exponent, directions) in CATALOG_ORACLE.items():
+            for direction in directions:
+                for exp in GRID_EXPONENTS[direction]:
+                    for coeff in (1e-3, 1.0, 10.0):
+                        for norm_a in (0.0, 0.5, 1.0, 2.0):
+                            spec = make_control(kind, coeff, fields(exp))
+                            got = bound_closed_form(spec, norm_a, direction)
+                            ref = mp_series(coeff, oracle_exponent(exp), norm_a, direction)
+                            assert got == pytest.approx(ref, rel=1e-12), (kind, direction, exp, coeff, norm_a)
 
     def test_backward_rational_oracle(self):
         # exponent 0 admits an exact rational series: sum 3^-i * 2c = c
@@ -141,7 +157,7 @@ class TestClosedForms:
         for i in range(1, 120):
             total += Fraction(2, 3**i)
         assert float(total) == pytest.approx(1.0, abs=1e-15)
-        assert bound_closed_form(ConstantControl(1.0), 5.0, BACKWARD) == pytest.approx(
+        assert bound_closed_form(make_control("constant", 1.0, {}), 5.0, BACKWARD) == pytest.approx(
             float(total), abs=1e-12
         )
 
@@ -151,7 +167,7 @@ class TestSeriesTruncated:
         assert bound_series_truncated(PowerControl(0.0, 2.0, 2.0, 2.0), 1.0, FORWARD, 10) == (0.0, 0.0)
 
     def test_backward_constant_forty_terms(self):
-        value, tail = bound_series_truncated(ConstantControl(1.0), 1.0, BACKWARD, 40)
+        value, tail = bound_series_truncated(make_control("constant", 1.0, {}), 1.0, BACKWARD, 40)
         assert value == pytest.approx(1.0, abs=1e-12)
         assert 0.0 <= tail < 1e-18
 
@@ -162,10 +178,10 @@ class TestSeriesTruncated:
 
     def test_negative_norm_rejected(self):
         with pytest.raises(ValueError, match="norm_a"):
-            bound_series_truncated(ConstantControl(1.0), -1.0, BACKWARD, 10)
+            bound_series_truncated(make_control("constant", 1.0, {}), -1.0, BACKWARD, 10)
 
     def test_divergent_series_reports_infinite_tail(self):
-        value, tail = bound_series_truncated(ConstantControl(1.0), 1.0, FORWARD, 10)
+        value, tail = bound_series_truncated(make_control("constant", 1.0, {}), 1.0, FORWARD, 10)
         assert tail == np.inf
         assert value > 1.0
 
@@ -275,7 +291,7 @@ class TestCalibration:
         assert spec.coeff <= 1e-9
 
     def test_zero_map_calibrates_to_zero(self):
-        spec = calibrate_control(ZeroMap(3), ConstantControl(1.0), seed=51, samples=50)
+        spec = calibrate_control(ZeroMap(3), make_control("constant", 1.0, {}), seed=51, samples=50)
         assert spec.coeff == 0.0
 
     def test_power_defect_calibrated_range(self):
@@ -306,7 +322,7 @@ class TestCalibration:
 
     def test_needs_ten_samples(self):
         with pytest.raises(ValueError):
-            calibrate_control(Transpose(2), ConstantControl(1.0), seed=55, samples=5)
+            calibrate_control(Transpose(2), make_control("constant", 1.0, {}), seed=55, samples=5)
 
 
 class TestUniqueness:
