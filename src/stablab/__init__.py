@@ -10,19 +10,12 @@ from .algebra import (
     DimensionMismatchError,
     Element,
     NonFiniteError,
-    UnitScalar,
-    add,
     element,
     identity,
-    involution,
     matrix_unit,
-    mul,
-    neg,
     op_norm,
     random_element,
-    scale,
     spectral_norms,
-    sub,
     zeros,
 )
 from .checkers import (
@@ -31,18 +24,11 @@ from .checkers import (
     Witness,
     additivity_ladder,
     fit_loglog_slope,
-    jordan_defect,
     phase_substitution_checks,
     phase_sweep_report,
-    phased_split_residual,
-    split_inequality_check,
-    stability_equation_residual,
-    star_defect,
-    superstability_decay,
-    superstability_decay_shrinking,
-    superstability_star_decay,
+    superstability_decay_batch,
+    superstability_shrinking_batch,
     telescoping_check,
-    triple_split_residual,
 )
 from .harness import (
     EXIT_CONFIG,
@@ -63,7 +49,6 @@ from .harness import (
 )
 from .mappings import (
     Identity,
-    JordanStarReport,
     MapSpec,
     Negation,
     Perturbation,
@@ -71,9 +56,8 @@ from .mappings import (
     Transpose,
     UnitaryConjugation,
     ZeroMap,
-    evaluate,
-    is_exact_jordan_star,
-    multiplicativity_witness,
+    apply_array,
+    jordan_star_defects,
     phase_permutation_unitary,
     unit_circle_grid,
     unit_direction,
@@ -90,7 +74,6 @@ from .stabilizer import (
     calibrate_control,
     control_value,
     stabilize_batch,
-    stabilize_point,
     verify_uniqueness,
 )
 

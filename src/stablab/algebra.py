@@ -1,9 +1,8 @@
-"""Finite-dimensional C*-algebra arithmetic on square complex matrices.
+"""The carrier M_d(C): elements, the batched spectral norm and seeded sampling.
 
-The carrier is the full matrix algebra M_d(C) with the conjugate-transpose
-involution and the operator (spectral) norm.  Every operation here is a pure
-function of immutable values, so batches may be evaluated concurrently with
-no shared state.
+The full matrix algebra with the conjugate-transpose involution and the
+operator (spectral) norm.  Arithmetic runs on (..., d, d) numpy stacks; an
+Element is one validated, read-only matrix.  Every function here is pure.
 """
 
 from __future__ import annotations
@@ -16,13 +15,6 @@ __all__ = [
     "DimensionMismatchError",
     "Element",
     "NonFiniteError",
-    "UnitScalar",
-    "add",
-    "sub",
-    "neg",
-    "mul",
-    "scale",
-    "involution",
     "identity",
     "zeros",
     "matrix_unit",
@@ -70,19 +62,6 @@ class Element:
         return f"Element(dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class UnitScalar:
-    """A complex scalar of modulus one."""
-
-    value: complex
-
-    def __post_init__(self) -> None:
-        v = complex(self.value)
-        if abs(abs(v) - 1.0) > 1e-12:
-            raise ValueError(f"|value| must equal 1, got {abs(v)!r}")
-        object.__setattr__(self, "value", v)
-
-
 def element(rows) -> Element:
     """Build an Element from any nested sequence of (complex) numbers."""
     return Element(np.array(rows, dtype=np.complex128))
@@ -101,39 +80,6 @@ def matrix_unit(dim: int, row: int, col: int) -> Element:
     arr = np.zeros((dim, dim), dtype=np.complex128)
     arr[row, col] = 1.0
     return Element(arr)
-
-
-def _require_same_dim(x: Element, y: Element) -> None:
-    if x.dim != y.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {x.dim} vs {y.dim}")
-
-
-def add(x: Element, y: Element) -> Element:
-    _require_same_dim(x, y)
-    return Element(x.entries + y.entries)
-
-
-def sub(x: Element, y: Element) -> Element:
-    _require_same_dim(x, y)
-    return Element(x.entries - y.entries)
-
-
-def neg(x: Element) -> Element:
-    return Element(-x.entries)
-
-
-def mul(x: Element, y: Element) -> Element:
-    _require_same_dim(x, y)
-    return Element(x.entries @ y.entries)
-
-
-def scale(coefficient: complex, x: Element) -> Element:
-    return Element(np.complex128(coefficient) * x.entries)
-
-
-def involution(x: Element) -> Element:
-    """Conjugate transpose; an isometric anti-automorphism of period two."""
-    return Element(x.entries.conj().T)
 
 
 def spectral_norms(mats: np.ndarray) -> np.ndarray:

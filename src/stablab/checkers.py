@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import Element, random_elements, spectral_norms
-from .mappings import MapSpec, _conj_t, apply_array, domain_dim, evaluate
+from .mappings import MapSpec, apply_array, domain_dim
 
 __all__ = [
     "CheckReport",
@@ -23,20 +23,11 @@ __all__ = [
     "Witness",
     "additivity_ladder",
     "fit_loglog_slope",
-    "jordan_defect",
     "phase_substitution_checks",
     "phase_sweep_report",
-    "phased_split_residual",
-    "split_inequality_check",
-    "stability_equation_residual",
-    "star_defect",
-    "superstability_decay",
     "superstability_decay_batch",
-    "superstability_decay_shrinking",
     "superstability_shrinking_batch",
-    "superstability_star_decay",
     "telescoping_check",
-    "triple_split_residual",
 ]
 
 DECAY_OVERFLOW_LIMIT = 1e100
@@ -139,20 +130,6 @@ def _split_values(
     return lhs, rhs
 
 
-def triple_split_residual(f: MapSpec, a: Element, b: Element, c: Element) -> tuple[float, float]:
-    """(lhs, rhs) of the three-term split inequality at a single triple."""
-    lhs, rhs = _split_values(f, a.entries, b.entries, c.entries)
-    return float(lhs), float(rhs)
-
-
-def phased_split_residual(
-    f: MapSpec, a: Element, b: Element, c: Element, phase: complex
-) -> tuple[float, float]:
-    """(lhs, rhs) of the unit-scalar-twisted split inequality."""
-    lhs, rhs = _split_values(f, a.entries, b.entries, c.entries, phase=complex(phase))
-    return float(lhs), float(rhs)
-
-
 def _stability_equation_values(
     f: MapSpec, A: np.ndarray, B: np.ndarray, C: np.ndarray, phase: complex = 1.0
 ) -> np.ndarray:
@@ -173,37 +150,6 @@ def _stability_equation_values(
     fc = apply_array(f, C)
     fcc = apply_array(f, C @ C)
     return spectral_norms(t1 + t2 + t3 - fa + fcc - fc @ fc)
-
-
-def stability_equation_residual(
-    f: MapSpec, a: Element, b: Element, c: Element, phase: complex = 1.0
-) -> float:
-    """Residual of the master stability equation at a single triple."""
-    values = _stability_equation_values(
-        f,
-        a.entries[np.newaxis],
-        b.entries[np.newaxis],
-        c.entries[np.newaxis],
-        phase=complex(phase),
-    )
-    return float(values[0])
-
-
-def _jordan_defect_values(f: MapSpec, A: np.ndarray) -> np.ndarray:
-    fa = apply_array(f, A)
-    return spectral_norms(apply_array(f, A @ A) - fa @ fa)
-
-
-def jordan_defect(f: MapSpec, a: Element) -> float:
-    """||f(a^2) - f(a)^2||, the square-preservation defect."""
-    return float(_jordan_defect_values(f, a.entries[np.newaxis])[0])
-
-
-def star_defect(f: MapSpec, a: Element) -> float:
-    """||f(a*) - f(a)*||, the involution-preservation defect."""
-    astar = a.entries.conj().T
-    fa = evaluate(f, a).entries
-    return float(spectral_norms((apply_array(f, astar) - fa.conj().T)[np.newaxis])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -312,21 +258,6 @@ def telescoping_check(
     scales = 1.0 + np.maximum(np.maximum(spectral_norms(A), spectral_norms(B)), spectral_norms(C))
     return _build_report(
         "telescoping_equality", gap, np.zeros(samples), scales, tol,
-        lambda i: _norm_witness(i, gap, a=A, b=B, c=C),
-    )
-
-
-def split_inequality_check(
-    f: MapSpec, seed: int, samples: int, tol: float, norm_cap: float = 10.0
-) -> CheckReport:
-    """lhs <= rhs of the split inequality over sampled triples."""
-    d = domain_dim(f)
-    A, B, C = _sample_triples(seed, samples, d, norm_cap, base_stream=30)
-    lhs, rhs = _split_values(f, A, B, C)
-    scales = 1.0 + np.maximum(np.maximum(spectral_norms(A), spectral_norms(B)), spectral_norms(C))
-    gap = lhs - rhs
-    return _build_report(
-        "split_inequality", lhs, rhs, scales, tol,
         lambda i: _norm_witness(i, gap, a=A, b=B, c=C),
     )
 
@@ -469,11 +400,6 @@ def superstability_decay_batch(f: MapSpec, A: np.ndarray, n_max: int) -> np.ndar
     return _decay_batch(f, A, n_max, shrink=False)
 
 
-def superstability_decay(f: MapSpec, a: Element, n_max: int) -> list[float]:
-    """Single-point decay sequence; see superstability_decay_batch."""
-    return [float(v) for v in superstability_decay_batch(f, a.entries[np.newaxis], n_max)[0]]
-
-
 def superstability_shrinking_batch(f: MapSpec, A: np.ndarray, n_max: int) -> np.ndarray:
     """d_n = n^2 ||f(a^2 / n^2) - f(a/n)^2||, the large-exponent variant.
 
@@ -481,26 +407,6 @@ def superstability_shrinking_batch(f: MapSpec, A: np.ndarray, n_max: int) -> np.
     square preservation when the defect exponent exceeds one.
     """
     return _decay_batch(f, A, n_max, shrink=True)
-
-
-def superstability_decay_shrinking(f: MapSpec, a: Element, n_max: int) -> list[float]:
-    """Single-point shrinking-argument sequence; see superstability_shrinking_batch."""
-    return [float(v) for v in superstability_shrinking_batch(f, a.entries[np.newaxis], n_max)[0]]
-
-
-def superstability_star_decay(f: MapSpec, a: Element, n_max: int) -> list[float]:
-    """s_n = ||f(n a*) - f(n a)*|| / n, the involution-defect decay."""
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
-    A = a.entries[np.newaxis]
-    Astar = _conj_t(A)
-    out = []
-    for n in range(1, n_max + 1):
-        nn = float(n)
-        _guard_overflow(nn * A, n)
-        val = spectral_norms(apply_array(f, nn * Astar) - _conj_t(apply_array(f, nn * A))) / nn
-        out.append(float(val[0]))
-    return out
 
 
 def fit_loglog_slope(values: list[float] | np.ndarray, start_n: int = 4) -> float:

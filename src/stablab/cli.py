@@ -4,9 +4,10 @@ Subcommands: lemma-check, stability, superstability, bounds-table.
 Reports go to --out (or the config's output path) as JSON or CSV;
 a human-readable line per check is printed either way.
 
-Exit codes: 0 all satisfied, 1 violated, 2 divergence, 3 config error,
-4 numerical failure (overflow or non-finite values; one stderr line, no
-traceback).
+Exit codes: 0 all satisfied, 1 violated, 2 divergence, 3 config or usage
+error (an unwritable --out or outputs.path included), 4 numerical failure
+(overflow or non-finite values).  Exits 2-4 print one stderr line and no
+traceback.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     RunSummary,
+    _field_path,
     checks_to_csv,
     cmd_bounds_table,
     cmd_lemma_check,
@@ -70,14 +72,18 @@ def _write_output(summary: RunSummary, config: ExperimentConfig, out: str | None
     path = out if out is not None else config.output_path
     if path is None:
         return
+    source = "--out" if out is not None else _field_path("output_path")
     chosen = fmt if fmt is not None else config.output_format
     if chosen == "json":
         payload = report_json_bytes(summary)
     else:
         body = rows_to_csv(summary.sample_rows) if summary.sample_rows else checks_to_csv(summary.checks)
         payload = body.encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(payload)
+    try:
+        with open(path, "wb") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        raise ConfigError(f"{source}: cannot write {path}: {exc.strerror or exc}")
     print(f"report written: {path}")
 
 
@@ -101,6 +107,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     _print_summary(summary)
+    if summary.reason:
+        print(f"{summary.verdict}: {summary.reason}", file=sys.stderr)
     return summary.exit_code
 
 

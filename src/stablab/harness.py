@@ -7,8 +7,9 @@ byte-identical across runs except for the timestamp field, which is excluded
 from the config digest.
 
 Exit-code contract: 0 all satisfied, 1 hypothesis or bound violated,
-2 divergence, 3 config error, 4 numerical failure (an overflow or a
-non-finite value, raised as an ArithmeticError).
+2 divergence (of the sampled runs or of the exactness check's), 3 config or
+usage error (an unwritable output path included), 4 numerical failure (an
+overflow or a non-finite value, raised as an ArithmeticError).
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ EXIT_CODES = {"satisfied": EXIT_OK, "violated": EXIT_VIOLATED, "diverged": EXIT_
 
 
 class ConfigError(ValueError):
-    """Malformed experiment config; the message starts with the field path."""
+    """Malformed config or unusable argument; the message starts with the field path or flag."""
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +465,8 @@ def build_map(map_cfg: dict, dim: int, path: str = "config.map") -> MapSpec:
 
 @dataclass
 class RunSummary:
+    """A command's outcome; ``reason`` says why a diverged run stopped and is not part of the report."""
+
     command: str
     config_digest: str
     seed: int
@@ -472,6 +475,7 @@ class RunSummary:
     sample_rows: list[dict]
     verdict: str
     exit_code: int
+    reason: str = ""
 
 
 def config_digest(config: ExperimentConfig) -> str:
@@ -581,10 +585,13 @@ def _summary(
     checks: list[CheckReport],
     rows: list[dict],
     verdict: str | None = None,
+    reason: str = "",
 ) -> RunSummary:
     """A command's summary; the verdict defaults to the checks' and sets the exit code."""
     verdict = verdict or _global_verdict(checks)
-    return RunSummary(command, config_digest(config), config.seed, meta, checks, rows, verdict, EXIT_CODES[verdict])
+    return RunSummary(
+        command, config_digest(config), config.seed, meta, checks, rows, verdict, EXIT_CODES[verdict], reason
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -670,9 +677,12 @@ def cmd_stability(config: ExperimentConfig) -> RunSummary:
             for i, r in enumerate(results)
         ]
         meta["diverged_samples"] = len(diverged)
-        return _summary("stability", config, meta, [], rows, verdict="diverged")
+        reason = f"{len(diverged)} of {len(results)} stabilization runs diverged"
+        return _summary("stability", config, meta, [], rows, verdict="diverged", reason=reason)
 
     exhausted = [i for i, r in enumerate(results) if r.status == "exhausted"]
+    if exhausted:
+        meta["exhausted_samples"] = len(exhausted)
     checks: list[CheckReport] = []
 
     calib_cap = config.calibration_norm_cap if config.calibration_norm_cap is not None else config.norm_cap
@@ -733,14 +743,19 @@ def cmd_stability(config: ExperimentConfig) -> RunSummary:
     # Exactness of the recovered limit map, evaluated through stabilization.
     eval_fn = _stabilized_evaluator(f, config.stabilizer, direction)
     exact_cap = 1.0 if config.norm_cap <= 0.0 else min(config.norm_cap, 1.0)
-    defects, _ = jordan_star_defects(
-        eval_fn,
-        dim,
-        config.exactness_samples,
-        derived_seed(config.seed, 8),
-        norm_cap=exact_cap,
-        phases=unit_circle_grid(config.phase_grid_size),
-    )
+    try:
+        defects, _ = jordan_star_defects(
+            eval_fn,
+            dim,
+            config.exactness_samples,
+            derived_seed(config.seed, 8),
+            norm_cap=exact_cap,
+            phases=unit_circle_grid(config.phase_grid_size),
+        )
+    except DivergedError as exc:  # the report keeps the rows and checks built so far
+        meta["exactness_error"] = str(exc)
+        reason = f"exactness check: {exc}"
+        return _summary("stability", config, meta, checks, rows, verdict="diverged", reason=reason)
     names = sorted(defects)
     worst_per_law = np.array([float(np.max(defects[k])) for k in names])
     meta["recovered_defects"] = {k: float(np.max(defects[k])) for k in names}
@@ -760,7 +775,6 @@ def cmd_stability(config: ExperimentConfig) -> RunSummary:
     )
 
     if exhausted:
-        meta["exhausted_samples"] = len(exhausted)
         checks.append(CheckReport("all_samples_converged", float(len(exhausted)), 0.0, len(results), "violated"))
     return _summary("stability", config, meta, checks, rows)
 

@@ -17,6 +17,7 @@ import numpy as np
 from .algebra import (
     DimensionMismatchError,
     Element,
+    NonFiniteError,
     identity as identity_element,
     matrix_unit,
     op_norm,
@@ -33,7 +34,6 @@ __all__ = [
     "Perturbation",
     "Perturbed",
     "MapSpec",
-    "JordanStarReport",
     "DIM_ONLY_ACTIONS",
     "MAP_KINDS",
     "PERTURBATION_MODES",
@@ -41,10 +41,7 @@ __all__ = [
     "apply_array",
     "describe",
     "domain_dim",
-    "evaluate",
-    "is_exact_jordan_star",
     "jordan_star_defects",
-    "multiplicativity_witness",
     "phase_permutation_unitary",
     "unit_circle_grid",
     "unit_direction",
@@ -199,11 +196,19 @@ def phase_permutation_unitary(dim: int, seed: int) -> Element:
 
 
 def _safe_pow(values: np.ndarray, exponent: float) -> np.ndarray:
-    """t^exponent with the convention 0^e := 0 for every e (including e <= 0)."""
+    """t^exponent with the convention 0^e := 0 for every e (including e <= 0).
+
+    A power beyond the float range raises NonFiniteError naming the exponent
+    instead of letting numpy warn and an infinity reach the map's value.
+    """
     vals = np.asarray(values, dtype=float)
     positive = vals > 0.0
-    guarded = np.where(positive, vals, 1.0)
-    return np.where(positive, guarded**exponent, 0.0)
+    try:
+        with np.errstate(over="raise"):
+            powered = np.where(positive, vals, 1.0) ** exponent
+    except FloatingPointError:
+        raise NonFiniteError(f"perturbation power {exponent!r}: ||x||^power is beyond the float range") from None
+    return np.where(positive, powered, 0.0)
 
 
 def _perturbation_term(p: Perturbation, xs: np.ndarray) -> np.ndarray:
@@ -236,13 +241,6 @@ def apply_array(f: MapSpec, xs: np.ndarray) -> np.ndarray:
     return u @ xs @ u.conj().T
 
 
-def evaluate(f: MapSpec, a: Element) -> Element:
-    """Evaluate the map at a single algebra element."""
-    if a.dim != domain_dim(f):
-        raise DimensionMismatchError(f"map of dim {domain_dim(f)} applied to dim {a.dim}")
-    return Element(apply_array(f, a.entries))
-
-
 def unit_circle_grid(extra: int = 16) -> list[complex]:
     """Unit scalars 1, -1, i, -i plus ``extra`` equally spaced phases, deduplicated.
 
@@ -259,19 +257,6 @@ def unit_circle_grid(extra: int = 16) -> list[complex]:
             seen.add(key)
             grid.append(v)
     return grid
-
-
-@dataclass
-class JordanStarReport:
-    """Verdict of the Jordan *-homomorphism law check with a replayable witness."""
-
-    ok: bool
-    tol: float
-    num_samples: int
-    defects: dict[str, float]
-    worst_check: str
-    worst_sample: int
-    witness: Element | None
 
 
 def _conj_t(xs: np.ndarray) -> np.ndarray:
@@ -315,62 +300,3 @@ def jordan_star_defects(
         hom = np.maximum(hom, spectral_norms(fmu - mu * fa))
     defects["homogeneity"] = hom
     return defects, A
-
-
-def is_exact_jordan_star(
-    f: MapSpec,
-    samples: int,
-    seed: int,
-    tol: float,
-    norm_cap: float = 1.0,
-    phases: list[complex] | None = None,
-) -> JordanStarReport:
-    """True iff all sampled Jordan *-homomorphism residuals stay within tol.
-
-    On failure the report carries the violating check and sample so the
-    defect can be replayed.
-    """
-    defects, A = jordan_star_defects(
-        lambda xs: apply_array(f, xs), domain_dim(f), samples, seed, norm_cap, phases
-    )
-    worst_check = ""
-    worst_sample = 0
-    worst_value = -1.0
-    for name, values in defects.items():
-        idx = int(np.argmax(values))
-        if float(values[idx]) > worst_value:
-            worst_value = float(values[idx])
-            worst_check = name
-            worst_sample = idx
-    ok = worst_value <= tol
-    return JordanStarReport(
-        ok=ok,
-        tol=tol,
-        num_samples=samples,
-        defects={name: float(np.max(values)) for name, values in defects.items()},
-        worst_check=worst_check,
-        worst_sample=worst_sample,
-        witness=None if ok else Element(A[worst_sample]),
-    )
-
-
-def multiplicativity_witness(
-    f: MapSpec,
-    seed: int,
-    samples: int = 200,
-    threshold: float = 0.1,
-    norm_cap: float = 10.0,
-) -> tuple[Element, Element, float] | None:
-    """A sampled pair with ||f(ab) - f(a)f(b)|| above threshold, if one exists.
-
-    Separates the Jordan property from full multiplicativity: the transpose
-    map passes every Jordan check yet produces such a pair in dim >= 2.
-    """
-    d = domain_dim(f)
-    A = random_elements(seed, samples, d, norm_cap, stream=5)
-    B = random_elements(seed, samples, d, norm_cap, stream=6)
-    residuals = spectral_norms(apply_array(f, A @ B) - apply_array(f, A) @ apply_array(f, B))
-    idx = int(np.argmax(residuals))
-    if float(residuals[idx]) > threshold:
-        return Element(A[idx]), Element(B[idx]), float(residuals[idx])
-    return None

@@ -37,7 +37,6 @@ __all__ = [
     "make_control",
     "resolve_direction",
     "stabilize_batch",
-    "stabilize_point",
     "verify_uniqueness",
 ]
 
@@ -342,13 +341,6 @@ def stabilize_batch(f: MapSpec, A: np.ndarray, cfg: StabilizerConfig) -> list[St
     return picked
 
 
-def stabilize_point(f: MapSpec, a: Element, cfg: StabilizerConfig) -> StabilizationResult:
-    """Stabilize a single point; see stabilize_batch for the auto policy."""
-    if a.dim != domain_dim(f):
-        raise ValueError(f"point dim {a.dim} does not match map dim {domain_dim(f)}")
-    return stabilize_batch(f, a.entries[np.newaxis], cfg)[0]
-
-
 # ---------------------------------------------------------------------------
 # empirical control calibration and uniqueness
 # ---------------------------------------------------------------------------
@@ -423,31 +415,28 @@ def verify_uniqueness(
     norm_cap: float = 10.0,
     tol: float = 1e-9,
 ) -> CheckReport:
-    """Agreement of depth-doubled and scale-shifted stabilization runs.
+    """Agreement of each stabilized limit h(a) with h(3a)/3 from the tripled point.
 
-    For each sampled point the limit is recomputed with doubled max_iter and
-    from the tripled point rescaled back; the largest discrepancy must stay
-    within tol * (1 + ||a||).  Any non-convergent run raises DivergedError.
+    The two runs stop at different truncation points of the rescaled
+    sequence, so a limit that depends on where the iteration stops shows up
+    as a discrepancy; it must stay within tol * (1 + ||a||).  A rerun at
+    doubled max_iter is not a check: a converged sample stops on its Cauchy
+    residual before max_iter is read, so that rerun is bit-identical.  Any
+    non-convergent run raises DivergedError.
     """
     d = domain_dim(f)
     A = random_elements(seed, samples, d, norm_cap, stream=50)
-    deep_cfg = replace(cfg, max_iter=2 * cfg.max_iter)
     base = stabilize_batch(f, A, cfg)
-    deep = stabilize_batch(f, A, deep_cfg)
     shifted = stabilize_batch(f, 3.0 * A, cfg)
-    for results in (base, deep, shifted):
+    for results in (base, shifted):
         bad = [r for r in results if not r.converged]
         if bad:
             raise DivergedError(
                 f"{len(bad)} of {samples} stabilization runs did not converge", results=results
             )
     h_base = np.stack([r.limit.entries for r in base])
-    h_deep = np.stack([r.limit.entries for r in deep])
     h_shift = np.stack([r.limit.entries for r in shifted]) / 3.0
-    disc = np.maximum(
-        spectral_norms(h_deep - h_base),
-        spectral_norms(h_shift - h_base),
-    )
+    disc = spectral_norms(h_shift - h_base)
     scales = 1.0 + spectral_norms(A)
 
     def witness(i: int) -> Witness:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from stablab.algebra import random_element
-from stablab.checkers import fit_loglog_slope, superstability_decay
+from stablab.checkers import fit_loglog_slope, superstability_decay_batch
 from stablab.harness import (
     EXIT_DIVERGED,
     EXIT_OK,
@@ -157,7 +157,7 @@ class TestCriterion5SuperstabilityDecay:
             target = 2.0 * power - 2.0
             for i in range(25):
                 a = random_element(900 + i, 3, 2.0)
-                seq = superstability_decay(f, a, 64)
+                seq = superstability_decay_batch(f, a.entries[np.newaxis], 64)[0]
                 slope = fit_loglog_slope(seq, start_n=4)
                 assert slope == pytest.approx(target, abs=0.05)
                 assert seq[63] <= seq[0] * 64.0**target * 1.1
@@ -189,7 +189,10 @@ class TestCriterion6DivergenceDichotomy:
 
 
 class TestCriterion7Uniqueness:
-    def test_depth_and_scale_shifted_runs_agree(self):
+    def test_scale_shifted_runs_agree(self):
+        # h(3a)/3 and h(a) stop the rescaled sequence at different points, so
+        # their agreement can fail; a rerun at doubled max_iter cannot (a
+        # converged sample stops before max_iter is read) and is not checked
         cfg = StabilizerConfig(max_iter=64, tol=1e-10, direction="auto")
         backward_map = build_map(load("stability_backward_constant.json").map_cfg, 3)
         fwd_config = load("stability_forward_power.json")
@@ -199,8 +202,9 @@ class TestCriterion7Uniqueness:
         assert r1.verdict == "satisfied"
         assert r2.verdict == "satisfied"
         report(
-            "criterion 7: doubled-depth and scale-shifted stabilizations agree to 1e-9 scale "
-            f"on all samples (worst discrepancies {r1.max_residual:.2e}, {r2.max_residual:.2e})"
+            "criterion 7: scale-shifted stabilizations h(3a)/3 agree with h(a) to 1e-9 scale on all "
+            f"samples (worst discrepancies {r1.max_residual:.2e}, {r2.max_residual:.2e}); no doubled-depth "
+            "rerun, which is bit-identical for converged samples"
         )
 
 

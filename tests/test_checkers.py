@@ -8,23 +8,18 @@ the checker under test).
 import numpy as np
 import pytest
 
-from stablab.algebra import Element, element, identity, op_norm, random_element, zeros
+from stablab.algebra import Element, element, identity, op_norm, random_element, random_elements, spectral_norms
 from stablab.checkers import (
     DecayOverflowError,
+    _split_values,
+    _stability_equation_values,
     additivity_ladder,
     fit_loglog_slope,
-    jordan_defect,
     phase_substitution_checks,
     phase_sweep_report,
-    phased_split_residual,
-    split_inequality_check,
-    stability_equation_residual,
-    star_defect,
-    superstability_decay,
-    superstability_decay_shrinking,
-    superstability_star_decay,
+    superstability_decay_batch,
+    superstability_shrinking_batch,
     telescoping_check,
-    triple_split_residual,
 )
 from stablab.mappings import (
     Identity,
@@ -33,6 +28,8 @@ from stablab.mappings import (
     Transpose,
     UnitaryConjugation,
     ZeroMap,
+    _conj_t,
+    apply_array,
     phase_permutation_unitary,
     unit_circle_grid,
     unit_direction,
@@ -40,11 +37,8 @@ from stablab.mappings import (
 
 
 def sample_triple(seed, dim=3, cap=5.0):
-    return (
-        random_element(seed, dim, cap),
-        random_element(seed + 1, dim, cap),
-        random_element(seed + 2, dim, cap),
-    )
+    """Three seeded one-matrix stacks, the shape every batched kernel takes."""
+    return tuple(random_element(seed + k, dim, cap).entries[np.newaxis] for k in range(3))
 
 
 def constant_perturbed(dim=3, size=0.5, direction="identity"):
@@ -57,47 +51,47 @@ def constant_perturbed(dim=3, size=0.5, direction="identity"):
 class TestTripleSplit:
     def test_arguments_telescope_to_a(self):
         a, b, c = sample_triple(60)
-        total = (b.entries - a.entries) / 3.0 + (a.entries - 3.0 * c.entries) / 3.0 + (
-            3.0 * a.entries + 3.0 * c.entries - b.entries
-        ) / 3.0
-        assert np.allclose(total, a.entries, atol=1e-14)
+        total = (b - a) / 3.0 + (a - 3.0 * c) / 3.0 + (3.0 * a + 3.0 * c - b) / 3.0
+        assert np.allclose(total, a, atol=1e-14)
 
     def test_identity_map_gives_equality(self):
         a, b, c = sample_triple(61)
-        lhs, rhs = triple_split_residual(Identity(3), a, b, c)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-        assert rhs == pytest.approx(op_norm(a), rel=1e-12)
+        lhs, rhs = _split_values(Identity(3), a, b, c)
+        assert lhs[0] == pytest.approx(rhs[0], rel=1e-12)
+        assert rhs[0] == pytest.approx(spectral_norms(a)[0], rel=1e-12)
 
     def test_zero_map_gives_zero_pair(self):
         a, b, c = sample_triple(62)
-        assert triple_split_residual(ZeroMap(3), a, b, c) == (0.0, 0.0)
+        lhs, rhs = _split_values(ZeroMap(3), a, b, c)
+        assert (lhs[0], rhs[0]) == (0.0, 0.0)
 
     def test_constant_perturbation_stays_within_triangle_budget(self):
         # each of the three evaluated terms moves by at most size*||dir||
         f = constant_perturbed(size=0.5)
         for seed in range(63, 75):
-            a, b, c = sample_triple(seed)
-            lhs, rhs = triple_split_residual(f, a, b, c)
-            assert abs(lhs - rhs) <= 3 * 0.5 * 1.0 + 1e-9
+            lhs, rhs = _split_values(f, *sample_triple(seed))
+            assert abs(lhs[0] - rhs[0]) <= 3 * 0.5 * 1.0 + 1e-9
 
     def test_phase_one_reduces_bitwise(self):
         f = Transpose(3)
         a, b, c = sample_triple(80)
-        assert phased_split_residual(f, a, b, c, 1.0) == triple_split_residual(f, a, b, c)
+        phased = _split_values(f, a, b, c, phase=complex(1.0))
+        plain = _split_values(f, a, b, c)
+        assert all(np.array_equal(x, y) for x, y in zip(phased, plain))
 
     def test_proof_substitution_vanishes(self):
         # a = b = 0 collapses the twisted inequality to f(-mu c) + mu f(c)
-        c = random_element(90, 3, 2.0)
-        z = zeros(3)
-        lhs, _ = phased_split_residual(Identity(3), z, z, c, 1j)
-        assert lhs <= 1e-14
+        c = random_element(90, 3, 2.0).entries[np.newaxis]
+        z = np.zeros_like(c)
+        lhs, _ = _split_values(Identity(3), z, z, c, phase=1j)
+        assert lhs[0] <= 1e-14
 
     def test_phase_minus_one_expansion_oracle(self):
         # for the identity map the twisted sum collapses to (1-mu)b/3 + mu*a
         a, b, c = sample_triple(91)
-        lhs, _ = phased_split_residual(Identity(3), a, b, c, -1.0)
-        expected = op_norm(Element(2.0 * b.entries / 3.0 - a.entries))
-        assert lhs == pytest.approx(expected, rel=1e-10)
+        lhs, _ = _split_values(Identity(3), a, b, c, phase=complex(-1.0))
+        expected = op_norm(Element(2.0 * b[0] / 3.0 - a[0]))
+        assert lhs[0] == pytest.approx(expected, rel=1e-10)
 
 
 class TestStabilityEquation:
@@ -105,38 +99,41 @@ class TestStabilityEquation:
         f = Transpose(3)
         for seed in (100, 103, 106):
             a, b, c = sample_triple(seed)
-            scale = 1.0 + max(op_norm(a), op_norm(b), op_norm(c))
-            assert stability_equation_residual(f, a, b, c, 1.0) <= 1e-9 * scale
+            scale = 1.0 + max(spectral_norms(x)[0] for x in (a, b, c))
+            assert _stability_equation_values(f, a, b, c)[0] <= 1e-9 * scale
 
     def test_key_substitution_doubles_argument(self):
         # b = 2a, c = 0 collapses the equation to 3 f(a/3) - f(a)
-        a = random_element(110, 3, 3.0)
-        b = Element(2.0 * a.entries)
-        r = stability_equation_residual(Identity(3), a, b, zeros(3), 1.0)
-        assert r <= 1e-14 * (1.0 + op_norm(a))
+        a = random_element(110, 3, 3.0).entries[np.newaxis]
+        r = _stability_equation_values(Identity(3), a, 2.0 * a, np.zeros_like(a))[0]
+        assert r <= 1e-14 * (1.0 + spectral_norms(a)[0])
 
     def test_imaginary_phase_expansion_oracle(self):
         # for the identity with c = 0 the expression equals (mu - 1) a
         a, b, _ = sample_triple(111)
-        r = stability_equation_residual(Identity(3), a, b, zeros(3), 1j)
-        assert r == pytest.approx(abs(1j - 1.0) * op_norm(a), rel=1e-10)
+        r = _stability_equation_values(Identity(3), a, b, np.zeros_like(a), phase=1j)[0]
+        assert r == pytest.approx(abs(1j - 1.0) * spectral_norms(a)[0], rel=1e-10)
 
     def test_argument_forms_agree(self):
         # (3a - b)/3 + c and (3a + 3c - b)/3 are the same up to rounding
         a, b, c = sample_triple(112)
-        form_a = (3.0 * a.entries - b.entries) / 3.0 + c.entries
-        form_b = (3.0 * a.entries + 3.0 * c.entries - b.entries) / 3.0
+        form_a = (3.0 * a - b) / 3.0 + c
+        form_b = (3.0 * a + 3.0 * c - b) / 3.0
         assert np.allclose(form_a, form_b, atol=1e-13)
 
 
 class TestDefects:
+    """The square defect is column 0 of the decay sequence; the star defect is written out."""
+
     def test_exact_map_square_defect_vanishes(self):
         for seed in range(120, 126):
             a = random_element(seed, 3, 5.0)
-            assert jordan_defect(Transpose(3), a) <= 1e-10 * (1.0 + op_norm(a) ** 2)
+            defect = superstability_decay_batch(Transpose(3), a.entries[np.newaxis], 2)[0, 0]
+            assert defect <= 1e-10 * (1.0 + op_norm(a) ** 2)
 
     def test_zero_map_square_defect_zero(self):
-        assert jordan_defect(ZeroMap(3), random_element(5, 3, 2.0)) == 0.0
+        A = random_element(5, 3, 2.0).entries[np.newaxis]
+        assert superstability_decay_batch(ZeroMap(3), A, 2)[0, 0] == 0.0
 
     def test_power_perturbation_square_defect_budget(self):
         # expansion oracle: f(a^2)-f(a)^2 = eps(a^2) - {a, eps(a)} - eps(a)^2
@@ -150,7 +147,7 @@ class TestDefects:
             na = op_norm(a)
             nasq = op_norm(Element(a.entries @ a.entries))
             budget = size * nasq**power + 2 * size * na ** (power + 1) + size**2 * na ** (2 * power)
-            assert jordan_defect(f, a) <= budget + 1e-12
+            assert superstability_decay_batch(f, a.entries[np.newaxis], 2)[0, 0] <= budget + 1e-12
 
     def test_star_defect_unitary_conjugation(self):
         u = phase_permutation_unitary(3, seed=3)
@@ -160,13 +157,15 @@ class TestDefects:
         lhs = (u.entries @ a.entries @ u.entries.conj().T).conj().T
         rhs = u.entries @ a.entries.conj().T @ u.entries.conj().T
         assert np.allclose(lhs, rhs, atol=1e-12)
-        assert star_defect(f, a) <= 1e-10 * (1.0 + op_norm(a))
+        A = a.entries[np.newaxis]
+        defect = spectral_norms(apply_array(f, _conj_t(A)) - _conj_t(apply_array(f, A)))[0]
+        assert defect <= 1e-10 * (1.0 + op_norm(a))
 
     def test_star_defect_self_adjoint_direction_and_point(self):
         f = constant_perturbed(size=0.3)
         sym = element([[1, 2], [2, -1]])
-        pad = Element(np.pad(sym.entries, ((0, 1), (0, 1))))
-        assert star_defect(f, pad) <= 1e-13
+        pad = np.pad(sym.entries, ((0, 1), (0, 1)))[np.newaxis]
+        assert spectral_norms(apply_array(f, _conj_t(pad)) - _conj_t(apply_array(f, pad)))[0] <= 1e-13
 
     def test_star_defect_skew_direction_value(self):
         # f = id + 0.4 * e01 on a = I: defect is 0.4 * ||e01 - e10|| = 0.4
@@ -174,7 +173,9 @@ class TestDefects:
             Identity(2),
             Perturbation(size=0.4, power=0.0, direction=element([[0, 1], [0, 0]]), mode="constant"),
         )
-        assert star_defect(f, identity(2)) == pytest.approx(0.4, rel=1e-11)
+        eye = identity(2).entries[np.newaxis]
+        defect = spectral_norms(apply_array(f, _conj_t(eye)) - _conj_t(apply_array(f, eye)))[0]
+        assert defect == pytest.approx(0.4, rel=1e-11)
 
 
 class TestAdditivityLadder:
@@ -204,8 +205,6 @@ class TestAdditivityLadder:
     def test_small_power_defect_doubling_budget(self):
         # expansion oracle: f(2c) - 2f(c) = eps(2c) - 2 eps(c), so the
         # doubling residual is at most size * (2^power + 2) * ||c||^power
-        from stablab.mappings import evaluate
-
         size, power = 1e-3, 2.0
         f = Perturbed(
             Identity(3),
@@ -213,9 +212,8 @@ class TestAdditivityLadder:
         )
         for seed in range(160, 190):
             c = random_element(seed, 3, 10.0)
-            residual = op_norm(
-                Element(evaluate(f, Element(2.0 * c.entries)).entries - 2.0 * evaluate(f, c).entries)
-            )
+            C = c.entries[np.newaxis]
+            residual = spectral_norms(apply_array(f, 2.0 * C) - 2.0 * apply_array(f, C))[0]
             assert residual <= size * (2.0**power + 2.0) * op_norm(c) ** power + 1e-12
 
     def test_telescoping_check(self):
@@ -223,8 +221,11 @@ class TestAdditivityLadder:
         assert report.verdict == "satisfied"
 
     def test_split_inequality_check_for_exact_map(self):
-        report = split_inequality_check(Transpose(2), seed=12, samples=200, tol=1e-9)
-        assert report.verdict == "satisfied"
+        # lhs <= rhs at scale-relative tolerance on the sampled triples
+        A, B, C = (random_elements(12, 200, 2, 10.0, stream=s) for s in (30, 31, 32))
+        lhs, rhs = _split_values(Transpose(2), A, B, C)
+        scales = 1.0 + np.maximum(np.maximum(spectral_norms(A), spectral_norms(B)), spectral_norms(C))
+        assert np.all(lhs - rhs <= 1e-9 * scales)
 
 
 class TestPhaseChecks:
@@ -246,14 +247,15 @@ class TestPhaseChecks:
 class TestSuperstabilityDecay:
     def test_exact_map_sequence_vanishes(self):
         a = random_element(150, 3, 2.0)
-        seq = superstability_decay(Transpose(3), a, 16)
+        seq = superstability_decay_batch(Transpose(3), a.entries[np.newaxis], 16)[0]
         assert max(seq) <= 1e-9 * (1.0 + op_norm(a) ** 2)
 
     def test_first_term_is_square_defect(self):
         f = constant_perturbed(size=0.2)
-        a = random_element(151, 3, 2.0)
-        seq = superstability_decay(f, a, 4)
-        assert seq[0] == jordan_defect(f, a)
+        A = random_element(151, 3, 2.0).entries[np.newaxis]
+        seq = superstability_decay_batch(f, A, 4)[0]
+        fa = apply_array(f, A)
+        assert seq[0] == spectral_norms(apply_array(f, A @ A) - fa @ fa)[0]
 
     def test_constructed_defect_exponent_half(self):
         # zero base + nilpotent direction: the square defect is exactly
@@ -264,7 +266,7 @@ class TestSuperstabilityDecay:
             Perturbation(size=size, power=power, direction=unit_direction(3, "corner"), mode="power"),
         )
         a = random_element(152, 3, 2.0)
-        seq = superstability_decay(f, a, 64)
+        seq = superstability_decay_batch(f, a.entries[np.newaxis], 64)[0]
         nasq = op_norm(Element(a.entries @ a.entries))
         expected = [size * nasq**power * n ** (2 * power - 2) for n in range(1, 65)]
         assert np.allclose(seq, expected, rtol=1e-9)
@@ -280,7 +282,7 @@ class TestSuperstabilityDecay:
         for seed in (153, 154):
             a = random_element(seed, 3, 2.0)
             na = op_norm(a)
-            seq = superstability_decay(f, a, 32)
+            seq = superstability_decay_batch(f, a.entries[np.newaxis], 32)[0]
             for n, d in enumerate(seq, start=1):
                 assert d <= size * n ** (2 * power - 2) * na ** (2 * power) + 1e-12
 
@@ -291,7 +293,7 @@ class TestSuperstabilityDecay:
             Perturbation(size=size, power=power, direction=unit_direction(3, "corner"), mode="power"),
         )
         a = random_element(155, 3, 2.0)
-        seq = superstability_decay_shrinking(f, a, 64)
+        seq = superstability_shrinking_batch(f, a.entries[np.newaxis], 64)[0]
         slope = fit_loglog_slope(seq, start_n=4)
         assert slope == pytest.approx(2 - 2 * power, abs=0.05)
 
@@ -301,34 +303,31 @@ class TestSuperstabilityDecay:
             ZeroMap(3),
             Perturbation(size=size, power=power, direction=unit_direction(3, "corner"), mode="power"),
         )
-        a = random_element(156, 3, 2.0)
-        seq = superstability_star_decay(f, a, 64)
+        # s_n = ||f(n a*) - f(n a)*|| / n, the involution-defect decay
+        A = random_element(156, 3, 2.0).entries[np.newaxis]
+        seq = [spectral_norms(apply_array(f, n * _conj_t(A)) - _conj_t(apply_array(f, n * A)))[0] / n for n in range(1, 65)]
         slope = fit_loglog_slope(seq, start_n=4)
         assert slope == pytest.approx(power - 1, abs=0.05)
 
     def test_overflow_guard(self):
-        big = Element(np.eye(2) * 1e60)
+        big = np.eye(2)[np.newaxis] * 1e60
         with pytest.raises(DecayOverflowError):
-            superstability_decay(Identity(2), big, 8)
+            superstability_decay_batch(Identity(2), big, 8)
 
     def test_n_max_validation(self):
         with pytest.raises(ValueError):
-            superstability_decay(Identity(2), identity(2), 1)
+            superstability_decay_batch(Identity(2), identity(2).entries[np.newaxis], 1)
 
 
 class TestExactMapDefectSweep:
     def test_defect_residuals_over_thousand_samples(self):
         # both defect functionals stay at noise scale for exact maps across
         # dims 2-4 on a thousand seeded samples each
-        from stablab.algebra import random_elements, spectral_norms
-        from stablab.checkers import _jordan_defect_values
-        from stablab.mappings import apply_array
-
         for dim in (2, 3, 4):
             f = Transpose(dim)
             A = random_elements(777, 1000, dim, 10.0, stream=dim)
             scales = 1.0 + spectral_norms(A) ** 2
-            jordan = _jordan_defect_values(f, A)
+            jordan = superstability_decay_batch(f, A, 2)[:, 0]
             assert np.all(jordan <= 1e-9 * scales)
             astar = np.conj(np.swapaxes(A, -1, -2))
             fa = apply_array(f, A)

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import warnings
 from pathlib import Path
 from typing import get_args, get_origin
 
@@ -72,6 +73,15 @@ BOUNDS_TABLE = {"schema": 1, "algebra": {"dim": 2}, "sampling": {"seed": 0, "sam
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 P05_CONFIG = README.parent / "configs" / "superstability_p05.json"
+FORWARD_POWER_CONFIG = README.parent / "configs" / "stability_forward_power.json"
+
+
+def run_cli(capsys, argv):
+    """Exit code and stderr lines of one CLI run; a Python warning counts as the line it would print."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli_main(argv)
+    return code, capsys.readouterr().err.splitlines() + [str(w.message) for w in caught]
 
 
 def set_path(cfg, path, value):
@@ -227,7 +237,7 @@ class TestBuildMap:
     def test_map_round_trips_through_config_form(self):
         from stablab.algebra import random_element
         from stablab.harness import map_to_config
-        from stablab.mappings import evaluate
+        from stablab.mappings import apply_array
 
         assert {raw["kind"] for raw in ROUND_TRIP_MAPS} == set(MAP_KINDS)
         for raw in ROUND_TRIP_MAPS:
@@ -236,8 +246,8 @@ class TestBuildMap:
             g = build_map(parse_config(minimal_config(map=serialized)).map_cfg, 3)
             assert map_to_config(g) == serialized
             for seed in range(5):
-                a = random_element(seed, 3, 2.0)
-                assert np.allclose(evaluate(f, a).entries, evaluate(g, a).entries, atol=1e-14)
+                a = random_element(seed, 3, 2.0).entries[np.newaxis]
+                assert np.allclose(apply_array(f, a), apply_array(g, a), atol=1e-14)
 
 
 
@@ -321,7 +331,7 @@ class TestExitCodes:
         with pytest.raises(ConfigError, match="config.stabilizer.direction"):
             cmd_stability(parse_config(cfg))
 
-    def test_cli_exit_codes(self, tmp_path):
+    def test_cli_exit_codes(self, tmp_path, capsys):
         good = tmp_path / "good.json"
         good.write_text(json.dumps(minimal_config()))
         assert cli_main(["lemma-check", "--config", str(good)]) == EXIT_OK
@@ -337,7 +347,9 @@ class TestExitCodes:
         cfg = dict(BACKWARD_CONSTANT)
         cfg["stabilizer"] = {"direction": "forward"}
         divergent.write_text(json.dumps(cfg))
+        capsys.readouterr()
         assert cli_main(["stability", "--config", str(divergent)]) == EXIT_DIVERGED
+        assert capsys.readouterr().err.splitlines() == ["diverged: 30 of 30 stabilization runs diverged"]
 
 
 class TestDeterminism:
@@ -616,10 +628,52 @@ class TestNumericalFailure:
     def test_cli_exits_numerical_error(self, tmp_path, capsys, command, raw, error):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(raw))
-        assert cli_main([command, "--config", str(cfg_path)]) == EXIT_NUMERIC
-        err = capsys.readouterr().err
-        assert err.splitlines()[-1].startswith(f"numerical error: {error}: ")
-        assert "Traceback" not in err
+        code, err = run_cli(capsys, [command, "--config", str(cfg_path)])
+        assert code == EXIT_NUMERIC
+        assert len(err) == 1, err
+        assert err[0].startswith(f"numerical error: {error}: ")
+
+    def test_perturbation_overflow_names_the_power(self, tmp_path, capsys):
+        raw = minimal_config(
+            algebra={"dim": 2},
+            map={"kind": "perturbed", "base": {"kind": "identity"}, "perturbation": {"mode": "power", "size": 0.1, "power": -400}},
+        )
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        code, err = run_cli(capsys, ["lemma-check", "--config", str(cfg_path)])
+        assert code == EXIT_NUMERIC
+        assert err == ["numerical error: NonFiniteError: perturbation power -400.0: ||x||^power is beyond the float range"]
+
+
+class TestRunFailures:
+    """An exhausted exactness run exits 2 and an unwritable output exits 3, each with one stderr line."""
+
+    def test_exhausted_exactness_run_exits_diverged_with_report(self, tmp_path, capsys):
+        raw = set_path(json.loads(FORWARD_POWER_CONFIG.read_text()), "stabilizer.max_iter", 3)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "report.json"
+        code, err = run_cli(capsys, ["stability", "--config", str(cfg_path), "--out", str(out)])
+        assert code == EXIT_DIVERGED
+        assert err == ["diverged: exactness check: 960 of 960 limit evaluations did not converge"]
+        report = json.loads(out.read_text())
+        assert (report["verdict"], report["exit_code"]) == ("diverged", EXIT_DIVERGED)
+        assert report["meta"]["exactness_error"] == "960 of 960 limit evaluations did not converge"
+        assert report["meta"]["exhausted_samples"] == len(report["samples"]) == 200
+
+    @pytest.mark.parametrize("via", ["--out", "config.outputs.path"])
+    def test_unwritable_output_exits_config_error(self, tmp_path, capsys, via):
+        target = tmp_path / "missing" / "x.json"
+        raw = copy.deepcopy(BOUNDS_TABLE)
+        argv = ["--out", str(target)]
+        if via != "--out":
+            raw["outputs"] = {"path": str(target)}
+            argv = []
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        code, err = run_cli(capsys, ["bounds-table", "--config", str(cfg_path), *argv])
+        assert code == EXIT_CONFIG
+        assert err == [f"config error: {via}: cannot write {target}: No such file or directory"]
 
 
 def _valid_values(kind, allowed):

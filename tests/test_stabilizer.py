@@ -11,14 +11,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from stablab.algebra import Element, identity, op_norm, random_element, sub
+from stablab.algebra import random_element, spectral_norms
 from stablab.mappings import (
     Identity,
     Perturbation,
     Perturbed,
     Transpose,
     ZeroMap,
-    evaluate,
+    apply_array,
     unit_direction,
 )
 from stablab.stabilizer import (
@@ -37,7 +37,6 @@ from stablab.stabilizer import (
     make_control,
     resolve_direction,
     stabilize_batch,
-    stabilize_point,
     verify_uniqueness,
 )
 
@@ -196,45 +195,47 @@ class TestSeriesTruncated:
 
 
 class TestStabilizePoint:
+    """A single point is stabilized as a one-matrix stack."""
+
     def test_linear_map_is_fixed_point(self):
-        a = random_element(200, 3, 2.0)
-        res = stabilize_point(Transpose(3), a, StabilizerConfig())
+        a = random_element(200, 3, 2.0).entries[np.newaxis]
+        res = stabilize_batch(Transpose(3), a, StabilizerConfig())[0]
         assert res.status == "converged"
         assert res.iterations_used == 1
-        gap = op_norm(sub(res.limit, evaluate(Transpose(3), a)))
-        assert gap <= 1e-14 * (1.0 + op_norm(a))
+        gap = spectral_norms(res.limit.entries - apply_array(Transpose(3), a))[0]
+        assert gap <= 1e-14 * (1.0 + spectral_norms(a)[0])
 
     def test_backward_constant_recovers_base(self):
         f = Perturbed(
             Identity(3),
             Perturbation(size=0.3, power=0.0, direction=unit_direction(3, "identity"), mode="constant"),
         )
-        a = random_element(201, 3, 2.0)
-        res = stabilize_point(f, a, StabilizerConfig())
+        a = random_element(201, 3, 2.0).entries[np.newaxis]
+        res = stabilize_batch(f, a, StabilizerConfig())[0]
         assert res.status == "converged"
         assert res.direction == BACKWARD
-        assert op_norm(sub(res.limit, a)) <= 1e-9 * (1.0 + op_norm(a))
-        assert op_norm(sub(res.limit, evaluate(f, a))) == pytest.approx(0.3, abs=1e-8)
+        assert spectral_norms(res.limit.entries - a)[0] <= 1e-9 * (1.0 + spectral_norms(a)[0])
+        assert spectral_norms(res.limit.entries - apply_array(f, a))[0] == pytest.approx(0.3, abs=1e-8)
 
     def test_forward_power_converges_fast(self):
         f = Perturbed(
             Identity(3),
             Perturbation(size=1e-2, power=2.0, direction=unit_direction(3, "identity"), mode="power", odd=True),
         )
-        a = random_element(202, 3, 1.0)
-        res = stabilize_point(f, a, StabilizerConfig(tol=1e-14, max_iter=40))
+        a = random_element(202, 3, 1.0).entries[np.newaxis]
+        res = stabilize_batch(f, a, StabilizerConfig(tol=1e-14, max_iter=40))[0]
         assert res.status == "converged"
         assert res.direction == FORWARD
         assert res.iterations_used <= 30
-        assert op_norm(sub(res.limit, a)) <= 1e-12
+        assert spectral_norms(res.limit.entries - a)[0] <= 1e-12
 
     def test_forward_constant_diverges_with_trace(self):
         f = Perturbed(
             Identity(3),
             Perturbation(size=0.3, power=0.0, direction=unit_direction(3, "identity"), mode="constant"),
         )
-        a = random_element(203, 3, 2.0)
-        res = stabilize_point(f, a, StabilizerConfig(direction=FORWARD))
+        a = random_element(203, 3, 2.0).entries[np.newaxis]
+        res = stabilize_batch(f, a, StabilizerConfig(direction=FORWARD))[0]
         assert res.status == "diverged"
         assert res.limit is None
         ratios = [
@@ -244,9 +245,9 @@ class TestStabilizePoint:
         assert all(r == pytest.approx(3.0, rel=1e-9) for r in ratios)
 
     def test_zero_map_stabilizes_to_zero(self):
-        res = stabilize_point(ZeroMap(2), random_element(204, 2, 1.0), StabilizerConfig())
+        res = stabilize_batch(ZeroMap(2), random_element(204, 2, 1.0).entries[np.newaxis], StabilizerConfig())[0]
         assert res.status == "converged"
-        assert op_norm(res.limit) == 0.0
+        assert spectral_norms(res.limit.entries[np.newaxis])[0] == 0.0
 
     def test_auto_direction_resolution(self):
         power_high = Perturbed(
@@ -269,7 +270,7 @@ class TestStabilizePoint:
         assert resolve_direction(const, StabilizerConfig(direction=FORWARD)) == FORWARD
 
     def test_probe_picks_a_convergent_direction(self):
-        res = stabilize_point(Transpose(3), random_element(205, 3, 1.0), StabilizerConfig())
+        res = stabilize_batch(Transpose(3), random_element(205, 3, 1.0).entries[np.newaxis], StabilizerConfig())[0]
         assert res.status == "converged"
 
     def test_batch_matches_point(self):
@@ -280,7 +281,7 @@ class TestStabilizePoint:
         A = np.stack([random_element(210 + i, 3, 2.0).entries for i in range(5)])
         batch = stabilize_batch(f, A, StabilizerConfig())
         for i in range(5):
-            single = stabilize_point(f, Element(A[i]), StabilizerConfig())
+            single = stabilize_batch(f, A[i : i + 1], StabilizerConfig())[0]
             assert batch[i].iterations_used == single.iterations_used
             assert np.allclose(batch[i].limit.entries, single.limit.entries, atol=1e-14)
 
