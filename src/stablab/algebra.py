@@ -24,6 +24,7 @@ __all__ = [
     "random_element",
     "random_elements",
     "derived_seed",
+    "SAMPLER",
 ]
 
 
@@ -110,34 +111,68 @@ def derived_seed(*parts: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def random_element(seed: int, dim: int, norm_cap: float) -> Element:
-    """Seeded random algebra element with operator norm at most norm_cap.
+# Names the draw behind random_elements; it enters every config digest, so a
+# change to the draw (key, layout or normalisation) must change this string.
+SAMPLER = "philox4x64/1"
 
-    Entries are i.i.d. uniform on the complex square [-1,1] + [-1,1]i; the
-    matrix is then rescaled so its operator norm equals a target drawn
-    uniformly from [0, norm_cap).  Identical arguments give identical
-    matrices; norm_cap == 0 gives the zero matrix.
+
+def _block(dim: int) -> int:
+    """Words one sample uses: 2 dim^2 uniforms plus its norm target, padded to Philox's 4-word output."""
+    return -(-(2 * dim * dim + 1) // 4) * 4
+
+
+def _uniforms(seed: int, stream: int, rows: int, dim: int, first: int = 0) -> np.ndarray:
+    """Rows first .. first+rows-1 of the (seed, stream) draw, one block of uniforms on [0, 1) each.
+
+    Philox is keyed by the two uint64 words (seed, stream); each uniform uses
+    one 64-bit word, and a block is a whole number of Philox outputs, so
+    advancing the counter by first * block / 4 starts exactly at row first.
     """
+    bits = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
+    bits.advance(first * _block(dim) // 4)
+    return np.random.Generator(bits).random((rows, _block(dim)))
+
+
+def _scaled(u: np.ndarray, dim: int, norm_cap: float) -> np.ndarray:
+    """The (rows, dim, dim) stack a block of uniforms stands for.
+
+    Row-major real parts, then imaginary parts, each uniform on [-1, 1); the
+    matrix is rescaled so its operator norm equals norm_cap times the
+    block's next uniform.  A row whose base norm or target is 0 is exactly 0.
+    """
+    n = dim * dim
+    x = 2.0 * u[:, : 2 * n] - 1.0
+    raw = (x[:, :n] + 1j * x[:, n:]).reshape(-1, dim, dim)
+    target = norm_cap * u[:, 2 * n]
+    base = spectral_norms(raw)
+    live = (base > 0.0) & (target > 0.0)
+    out = raw * np.divide(target, base, out=np.zeros_like(base), where=live)[:, np.newaxis, np.newaxis]
+    out[~live] = 0.0
+    return out
+
+
+def _check_args(dim: int, norm_cap: float) -> None:
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if norm_cap < 0.0:
         raise ValueError("norm_cap must be nonnegative")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed)))
-    raw = rng.uniform(-1.0, 1.0, (dim, dim)) + 1j * rng.uniform(-1.0, 1.0, (dim, dim))
-    target = norm_cap * rng.uniform(0.0, 1.0)
-    base = float(spectral_norms(raw[np.newaxis])[0])
-    if base == 0.0 or target == 0.0:
-        return zeros(dim)
-    return Element(raw * (target / base))
 
 
 def random_elements(seed: int, count: int, dim: int, norm_cap: float, stream: int = 0) -> np.ndarray:
     """Stack of ``count`` seeded random elements as a (count, dim, dim) array.
 
-    Entry i reproduces random_element(derived_seed(seed, stream, i), ...)
-    exactly, so any batch member can be replayed standalone.
+    Entries are i.i.d. uniform on the complex square [-1,1) + [-1,1)i; each
+    matrix is then rescaled so its operator norm equals a target drawn
+    uniformly from [0, norm_cap).  One counter-based draw keyed by
+    (seed, stream), both in [0, 2^64), and one norm call for the whole stack;
+    row i does not depend on ``count`` and random_element(seed, dim,
+    norm_cap, stream, i) replays it alone.
     """
-    out = np.empty((count, dim, dim), dtype=np.complex128)
-    for i in range(count):
-        out[i] = random_element(derived_seed(seed, stream, i), dim, norm_cap).entries
-    return out
+    _check_args(dim, norm_cap)
+    return _scaled(_uniforms(seed, stream, count, dim), dim, norm_cap)
+
+
+def random_element(seed: int, dim: int, norm_cap: float, stream: int = 0, index: int = 0) -> Element:
+    """Row ``index`` of random_elements(seed, ..., stream), drawn on its own; equal bit for bit."""
+    _check_args(dim, norm_cap)
+    return Element(_scaled(_uniforms(seed, stream, 1, dim, first=index), dim, norm_cap)[0])

@@ -27,7 +27,7 @@ from typing import Any, get_args, get_origin
 
 import numpy as np
 
-from .algebra import Element, derived_seed, random_elements, spectral_norms
+from .algebra import SAMPLER, Element, derived_seed, random_elements, spectral_norms
 from .checkers import (
     CheckReport,
     Witness,
@@ -127,7 +127,7 @@ REQUIRED = object()  # default of a field the config must set
 # the config digest and the ExperimentConfig attributes all come from here.
 CONFIG_FIELDS = (
     ("algebra.dim", "dim", int, REQUIRED, "[1, inf)"),
-    ("sampling.seed", "seed", int, REQUIRED, "[0, inf)"),
+    ("sampling.seed", "seed", int, REQUIRED, "[0, 18446744073709551616)"),
     ("sampling.samples", "samples", int, 1000, "[1, inf)"),
     ("sampling.norm_cap", "norm_cap", float, 10.0, "[0, inf)"),
     ("sampling.dims", "dims", list[int], None, "[1, inf)"),
@@ -289,7 +289,8 @@ class ExperimentConfig:
     """Parsed, defaulted experiment description; one attribute per CONFIG_FIELDS row.
 
     ``canonical`` is the normalized dict the config digest is computed from;
-    it reflects every applied default and any seed override.
+    it reflects every applied default, any seed override and the sampler
+    (algebra.SAMPLER) that draws the samples.
     """
 
     dim: int
@@ -345,10 +346,13 @@ def parse_config(raw: Any, seed_override: int | None = None) -> ExperimentConfig
         section, _, key = path.rpartition(".")
         sections.setdefault(section, set()).add(key)
     top_level = sections.pop("")
-    _check_unknown(top, "config", {"schema", "map", "bound", *top_level, *sections})
+    _check_unknown(top, "config", {"schema", "sampler", "map", "bound", *top_level, *sections})
     schema = _get(top, "config", "schema", required=True)
     if schema != 1:
         raise ConfigError(f"config.schema: unsupported version {schema!r}")
+    sampler = _get(top, "config", "sampler", default=SAMPLER)
+    if sampler != SAMPLER:  # a canonical dict names its sampler; only the current one can run
+        raise ConfigError(f"config.sampler: unsupported sampler {sampler!r}, this version draws {SAMPLER!r}")
     nodes = {"": top}
     for section, keys in sections.items():
         nodes[section] = _require_mapping(_get(top, "config", section, default={}), f"config.{section}")
@@ -357,7 +361,7 @@ def parse_config(raw: Any, seed_override: int | None = None) -> ExperimentConfig
     map_cfg = None if top.get("map") is None else _parse_map(top["map"], "config.map")
     bound_cfg = None if top.get("bound") is None else _parse_bound(top["bound"], "config.bound")
     values: dict[str, Any] = {}
-    canonical: dict[str, Any] = {"schema": 1, "map": map_cfg, "bound": bound_cfg}
+    canonical: dict[str, Any] = {"schema": 1, "sampler": SAMPLER, "map": map_cfg, "bound": bound_cfg}
     for path, attr, kind, default, allowed in CONFIG_FIELDS:
         section, _, key = path.rpartition(".")
         value = nodes[section].get(key)
@@ -729,16 +733,23 @@ def cmd_stability(config: ExperimentConfig) -> RunSummary:
         row["trace"] = [float(v) for v in r.cauchy_residuals]
         rows.append(row)
 
-    def cert_witness(i: int) -> Witness:
+    # An exhausted sample's dist is measured from its last iterate, not a
+    # limit, so only converged samples are certified; witnesses keep sample ids.
+    converged = [i for i, r in enumerate(results) if r.converged]
+
+    def cert_witness(k: int) -> Witness:
+        i = converged[k]
         return Witness(i, float(dists[i]), {"a": float(norms_a[i])})
 
-    checks.append(
-        _build_report("bound_certificate", dists, cal_bounds, scales, 1e-9, cert_witness)
-    )
-    if declared_bounds is not None:
+    if converged:
+        dists_c, scales_c = dists[converged], scales[converged]
         checks.append(
-            _build_report("declared_bound", dists, declared_bounds, scales, 1e-9, cert_witness)
+            _build_report("bound_certificate", dists_c, cal_bounds[converged], scales_c, 1e-9, cert_witness)
         )
+        if declared_bounds is not None:
+            checks.append(
+                _build_report("declared_bound", dists_c, declared_bounds[converged], scales_c, 1e-9, cert_witness)
+            )
 
     # Exactness of the recovered limit map, evaluated through stabilization.
     eval_fn = _stabilized_evaluator(f, config.stabilizer, direction)

@@ -5,10 +5,13 @@ Gram matrix, a separate LAPACK route, and against matrices built with a known
 singular spectrum.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stablab import algebra
 from stablab.algebra import (
     Element,
     element,
@@ -256,9 +259,38 @@ class TestRandomElement:
         assert not np.array_equal(a.entries, b.entries)
 
     def test_batch_replays_single(self):
-        batch = random_elements(77, 5, 3, 2.0, stream=4)
-        from stablab.algebra import derived_seed
+        # 2 dim^2 + 1 words per sample = 3, 9, 19, 33, ... : every padding to 4 words occurs
+        for dim in range(1, 9):
+            batch = random_elements(77, 23, dim, 2.0, stream=4)
+            for i in range(23):
+                single = random_element(77, dim, 2.0, stream=4, index=i)
+                assert np.array_equal(batch[i], single.entries), (dim, i)
 
-        for i in range(5):
-            single = random_element(derived_seed(77, 4, i), 3, 2.0)
-            assert np.array_equal(batch[i], single.entries)
+    def test_row_does_not_depend_on_count(self):
+        for dim in (1, 2, 3, 5):
+            full = random_elements(5, 40, dim, 3.0, stream=9)
+            for m in (0, 1, 7, 39):
+                assert np.array_equal(random_elements(5, m, dim, 3.0, stream=9), full[:m])
+
+    def test_zero_cap_gives_exact_zeros_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stack = random_elements(3, 50, 3, 0.0, stream=2)
+        assert stack.shape == (50, 3, 3)
+        assert not np.any(np.signbit(stack.real)) and not np.any(np.signbit(stack.imag))
+        assert np.array_equal(stack, np.zeros((50, 3, 3)))
+
+    def test_one_norm_call_per_stack(self, monkeypatch):
+        calls = []
+
+        def counting(mats):
+            calls.append(np.shape(mats))
+            return spectral_norms(mats)
+
+        monkeypatch.setattr(algebra, "spectral_norms", counting)
+        random_elements(8, 300, 4, 1.0, stream=3)
+        assert calls == [(300, 4, 4)]
+
+    def test_streams_differ(self):
+        a, b = (random_elements(8, 4, 2, 1.0, stream=s) for s in (0, 1))
+        assert not np.array_equal(a, b)

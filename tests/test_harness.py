@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stablab.algebra import SAMPLER
 from stablab.cli import main as cli_main
 from stablab.harness import (
     CONFIG_FIELDS,
@@ -197,6 +198,13 @@ class TestConfigValidation:
         overridden = parse_config(minimal_config(), seed_override=1234)
         assert overridden.seed == 1234
         assert config_digest(base) != config_digest(overridden)
+
+    def test_digest_names_the_sampler(self):
+        cfg = parse_config(minimal_config())
+        assert cfg.canonical["sampler"] == SAMPLER
+        assert parse_config(minimal_config(sampler=SAMPLER)).canonical == cfg.canonical
+        with pytest.raises(ConfigError, match="config.sampler: unsupported sampler 'mt19937'"):
+            parse_config(minimal_config(sampler="mt19937"))
 
 
 class TestBuildMap:
@@ -603,6 +611,30 @@ class TestOutOfRangeValues:
         assert "Traceback" not in err
 
 
+class TestSeedRange:
+    """The seed is a Philox key word: [0, 2^64) runs, 2^64 is a config error rather than a numerical one."""
+
+    @staticmethod
+    def _run(tmp_path, capsys, seed, via):
+        raw = copy.deepcopy(BACKWARD_CONSTANT)
+        argv = ["--seed", str(seed)] if via == "--seed" else []
+        if via == "config":
+            raw["sampling"]["seed"] = seed
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        return run_cli(capsys, ["stability", "--config", str(cfg_path), *argv])
+
+    @pytest.mark.parametrize("via", ["config", "--seed"])
+    def test_seed_beyond_a_key_word_exits_config_error(self, tmp_path, capsys, via):
+        code, err = self._run(tmp_path, capsys, 2**64, via)
+        assert code == EXIT_CONFIG
+        assert err == [f"config error: config.sampling.seed: must be in [0, 18446744073709551616), got {2**64}"]
+
+    @pytest.mark.parametrize("via", ["config", "--seed"])
+    def test_largest_seed_runs(self, tmp_path, capsys, via):
+        assert self._run(tmp_path, capsys, 2**64 - 1, via) == (EXIT_OK, [])
+
+
 class TestNumericalFailure:
     """Overflow and non-finite values end in exit 4 with a `numerical error:` line, never a traceback."""
 
@@ -648,18 +680,37 @@ class TestNumericalFailure:
 class TestRunFailures:
     """An exhausted exactness run exits 2 and an unwritable output exits 3, each with one stderr line."""
 
-    def test_exhausted_exactness_run_exits_diverged_with_report(self, tmp_path, capsys):
-        raw = set_path(json.loads(FORWARD_POWER_CONFIG.read_text()), "stabilizer.max_iter", 3)
+    @staticmethod
+    def _exhausted_run(tmp_path, capsys, max_iter):
+        raw = set_path(json.loads(FORWARD_POWER_CONFIG.read_text()), "stabilizer.max_iter", max_iter)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(raw))
         out = tmp_path / "report.json"
         code, err = run_cli(capsys, ["stability", "--config", str(cfg_path), "--out", str(out)])
         assert code == EXIT_DIVERGED
-        assert err == ["diverged: exactness check: 960 of 960 limit evaluations did not converge"]
+        assert err == ["diverged: exactness check: 959 of 960 limit evaluations did not converge"]
         report = json.loads(out.read_text())
         assert (report["verdict"], report["exit_code"]) == ("diverged", EXIT_DIVERGED)
-        assert report["meta"]["exactness_error"] == "960 of 960 limit evaluations did not converge"
+        assert report["meta"]["exactness_error"] == "959 of 960 limit evaluations did not converge"
+        return report
+
+    def test_exhausted_exactness_run_exits_diverged_with_report(self, tmp_path, capsys):
+        report = self._exhausted_run(tmp_path, capsys, 3)
+        assert len(report["samples"]) == 200
+        assert report["meta"]["exhausted_samples"] == 199
+        # Only the one converged sample is certified; its witness keeps its sample id.
+        converged = [row["sample_id"] for row in report["samples"] if row["status"] == "converged"]
+        assert converged == [130]
+        checks = {c["name"]: c for c in report["checks"]}
+        assert sorted(checks) == ["bound_certificate", "declared_bound"]
+        for check in checks.values():
+            assert check["num_samples"] == 1
+            assert check["worst_witness"]["sample_index"] == 130
+
+    def test_no_converged_sample_gets_no_certificate(self, tmp_path, capsys):
+        report = self._exhausted_run(tmp_path, capsys, 2)
         assert report["meta"]["exhausted_samples"] == len(report["samples"]) == 200
+        assert report["checks"] == []
 
     @pytest.mark.parametrize("via", ["--out", "config.outputs.path"])
     def test_unwritable_output_exits_config_error(self, tmp_path, capsys, via):
