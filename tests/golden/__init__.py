@@ -44,6 +44,7 @@ CASES = {
     "bounds_table": ("bounds-table", "bounds_table.json"),
     "bounds_table_default": ("bounds-table", None),
     "lemma_affine_counterexample": ("lemma-check", "lemma_affine_counterexample.json"),
+    "lemma_phase_sweep": ("lemma-check", "lemma_phase_sweep.json"),
     "lemma_transpose": ("lemma-check", "lemma_transpose.json"),
     "lemma_unitary": ("lemma-check", "lemma_unitary.json"),
     "stability_backward_constant": ("stability", "stability_backward_constant.json"),
