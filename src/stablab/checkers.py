@@ -1,16 +1,22 @@
 """Residual functionals for the three-term functional inequality family.
 
 Each displayed inequality/equation of the stability theory gets a residual
-evaluator; universal quantifiers are sampled with seeded triples and every
-report carries the worst witness, so failures are replayable.  Tolerances
-are scale-relative: "scale" always means 1 + max input norm, which keeps
-checks meaningful near zero and for large elements.
+evaluator; universal quantifiers are sampled with seeded stacks.  Every
+sampled check is one row of CHECKS (input streams, residual, scale, phase
+mode), run by one runner that draws and norms each stream once per call.
+Every report's worst witness is read from column arrays at the worst
+sample: residual lhs - rhs there, the input norms, and the inputs and phase
+when present, so failures are replayable.  Tolerances are scale-relative:
+"scale" means 1 + max input norm (times the argument's factor for doubling
+and tripling), which keeps checks meaningful near zero and for large
+elements.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -18,6 +24,8 @@ from .algebra import Element, random_elements, spectral_norms
 from .mappings import MapSpec, apply_array, domain_dim
 
 __all__ = [
+    "CHECKS",
+    "Check",
     "CheckReport",
     "DecayOverflowError",
     "Witness",
@@ -74,25 +82,44 @@ class CheckReport:
 def _build_report(
     name: str,
     lhs: np.ndarray,
-    rhs: np.ndarray,
-    scales: np.ndarray,
+    rhs: np.ndarray | float,
+    scales: np.ndarray | float,
     tol: float,
-    witness_fn: Callable[[int], Witness] | None = None,
+    *,
     assertive: bool = True,
+    norms: dict[str, np.ndarray] | None = None,
+    inputs: dict[str, np.ndarray] | None = None,
+    phases: np.ndarray | None = None,
+    ids: list[int] | None = None,
 ) -> CheckReport:
+    """Judge lhs - rhs per sample and read the worst sample's witness from columns.
+
+    The witness is position ``worst`` of every column: its residual is
+    lhs[worst], its input norms come from ``norms`` (no norms, no witness),
+    its input matrices from the ``inputs`` stacks and its phase from
+    ``phases``.  ``ids`` maps positions to sample ids when only a subset of
+    the samples is checked.
+    """
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    scales = np.asarray(scales, dtype=float)
     n = lhs.size
     if n == 0:
         return CheckReport(name, 0.0, 0.0, 0, "vacuous")
-    excess = lhs - rhs - tol * scales
+    excess = lhs - rhs - tol * np.asarray(scales, dtype=float)
     worst = int(np.argmax(excess))
     if assertive:
         verdict = "satisfied" if float(excess[worst]) <= 0.0 else "violated"
     else:
         verdict = "vacuous"
-    witness = witness_fn(worst) if witness_fn is not None else None
+    witness = None
+    if norms is not None:
+        witness = Witness(
+            worst if ids is None else int(ids[worst]),
+            float(lhs[worst]),
+            {k: float(v[worst]) for k, v in norms.items()},
+            None if phases is None else complex(phases[worst]),
+            {k: Element(v[worst]) for k, v in (inputs or {}).items()},
+        )
     return CheckReport(
         name=name,
         max_residual=float(max(0.0, np.max(lhs - rhs))),
@@ -152,15 +179,160 @@ def _stability_equation_values(
     return spectral_norms(t1 + t2 + t3 - fa + fcc - fc @ fc)
 
 
+def _split_gap(f: MapSpec, x: dict[str, np.ndarray], mu: complex) -> np.ndarray:
+    lhs, rhs = _split_values(f, x["a"], x["b"], x["c"], phase=mu)
+    return lhs - rhs
+
+
 # ---------------------------------------------------------------------------
-# the additivity proof ladder
+# the check table and its runner
 # ---------------------------------------------------------------------------
 
 
-def _norm_witness(idx: int, residuals: np.ndarray, **stacks: np.ndarray) -> Witness:
-    norms = {k: float(spectral_norms(v[idx][np.newaxis])[0]) for k, v in stacks.items()}
-    inputs = {k: Element(v[idx]) for k, v in stacks.items()}
-    return Witness(idx, float(residuals[idx]), norms, inputs=inputs)
+def _one_plus_max_norm(norms: dict[str, np.ndarray]) -> np.ndarray:
+    return 1.0 + functools.reduce(np.maximum, norms.values())
+
+
+@dataclass(frozen=True)
+class Check:
+    """One sampled check, declared once.
+
+    ``streams`` maps each input name to the sampling stream its stack is
+    drawn from.  ``residual(f, x, mu)`` is the per-sample lhs - rhs (rhs = 0
+    for an equation) over the input stacks ``x`` at the unit scalar ``mu``;
+    ``x.image(name)`` is f of an input stack, computed once per run.
+    ``scale`` maps the input norms to the per-sample tolerance scale.
+    ``phases`` is None for a check at mu = 1, "worst" for an asserted check
+    maximised over the phase grid whose witness keeps the maximising phase,
+    and "sweep" for a report-only maximum over the grid.
+    """
+
+    name: str
+    streams: dict[str, int]
+    residual: Callable[[MapSpec, "_Inputs", complex], np.ndarray]
+    scale: Callable[[dict[str, np.ndarray]], np.ndarray] = _one_plus_max_norm
+    phases: str | None = None
+
+
+CHECKS = {
+    check.name: check
+    for check in (
+        # the additivity proof ladder, after zero_at_zero (one zero matrix, not sampled)
+        Check("oddness", {"c": 10}, lambda f, x, mu: spectral_norms(apply_array(f, -x["c"]) + x.image("c"))),
+        Check(
+            "doubling",
+            {"c": 10},
+            lambda f, x, mu: spectral_norms(apply_array(f, 2.0 * x["c"]) - 2.0 * x.image("c")),
+            lambda n: 1.0 + 2.0 * n["c"],
+        ),
+        Check(
+            "tripling",
+            {"c": 10},
+            lambda f, x, mu: spectral_norms(apply_array(f, 3.0 * x["c"]) - 3.0 * x.image("c")),
+            lambda n: 1.0 + 3.0 * n["c"],
+        ),
+        Check(
+            "three_term_zero",
+            {"b": 11, "c": 10},
+            lambda f, x, mu: spectral_norms(
+                apply_array(f, x["b"] / 3.0) + apply_array(f, -x["c"]) + apply_array(f, x["c"] - x["b"] / 3.0)
+            ),
+        ),
+        Check(
+            "additivity",
+            {"s": 12, "t": 13},
+            lambda f, x, mu: spectral_norms(apply_array(f, x["s"] + x["t"]) - x.image("s") - x.image("t")),
+        ),
+        # the split inequality's two sides agree for any C-linear map
+        Check("telescoping_equality", {"a": 20, "b": 21, "c": 22}, lambda f, x, mu: np.abs(_split_gap(f, x, mu))),
+        # unit-scalar substitution patterns: the split inequality at a = b = 0
+        # and the master equation at a = c = 0
+        Check(
+            "phase_oddness",
+            {"c": 35},
+            lambda f, x, mu: spectral_norms(apply_array(f, (-mu) * x["c"]) + mu * x.image("c")),
+            phases="worst",
+        ),
+        Check(
+            "phase_homogeneity",
+            {"b": 36},
+            lambda f, x, mu: spectral_norms(apply_array(f, (mu / 3.0) * x["b"]) + mu * apply_array(f, x["b"] / (-3.0))),
+            phases="worst",
+        ),
+        # the full displayed expressions over the grid, report only
+        Check("phase_sweep_split", {"a": 37, "b": 38, "c": 39}, _split_gap, phases="sweep"),
+        Check(
+            "phase_sweep_equation",
+            {"a": 37, "b": 38, "c": 39},
+            lambda f, x, mu: _stability_equation_values(f, x["a"], x["b"], x["c"], phase=mu),
+            phases="sweep",
+        ),
+    )
+}
+
+
+class _Inputs(dict):
+    """A run's input stacks by name; ``image(name)`` is f of a stack, computed once per run."""
+
+    def __init__(self, f: MapSpec, stacks: dict[str, np.ndarray]):
+        super().__init__(stacks)
+        self.image = functools.cache(lambda name: apply_array(f, stacks[name]))
+
+
+def _evaluate(
+    check: Check, f: MapSpec, x: _Inputs, grid: Sequence[complex]
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per-sample residual of a row and, for an asserted grid row, the first phase attaining it.
+
+    A grid row's residual is the maximum over the grid and zero; a sample
+    whose residual never exceeds zero keeps the phase 1.  A sweep row's
+    witness names no phase.
+    """
+    if check.phases is None:
+        return check.residual(f, x, 1.0), None
+    count = next(iter(x.values())).shape[0]
+    res = np.zeros(count)
+    phase = np.full(count, 1.0 + 0.0j)
+    for mu in grid:
+        r = check.residual(f, x, mu)
+        better = r > res
+        res = np.where(better, r, res)
+        phase = np.where(better, mu, phase)
+    return res, None if check.phases == "sweep" else phase
+
+
+def _run_checks(
+    names: tuple[str, ...],
+    f: MapSpec,
+    seed: int,
+    samples: int,
+    tol: float,
+    norm_cap: float,
+    grid: Sequence[complex] = (),
+) -> list[CheckReport]:
+    """Draw and norm each input stream once, then evaluate and judge the named rows in order."""
+    checks = [CHECKS[name] for name in names]
+    streams = {k: stream for check in checks for k, stream in check.streams.items()}
+    d = domain_dim(f)
+    x = _Inputs(f, {k: random_elements(seed, samples, d, norm_cap, stream=s) for k, s in streams.items()})
+    norms = {k: spectral_norms(v) for k, v in x.items()}
+    reports = []
+    for check in checks:
+        res, phases = _evaluate(check, f, x, grid)
+        row_norms = {k: norms[k] for k in check.streams}
+        inputs = {k: x[k] for k in check.streams}
+        reports.append(
+            _build_report(
+                check.name, res, 0.0, check.scale(row_norms), tol,
+                assertive=check.phases != "sweep", norms=row_norms, inputs=inputs, phases=phases,
+            )
+        )
+    return reports
+
+
+# ---------------------------------------------------------------------------
+# entry points
+# ---------------------------------------------------------------------------
 
 
 def additivity_ladder(
@@ -175,72 +347,10 @@ def additivity_ladder(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     d = domain_dim(f)
-    C = random_elements(seed, samples, d, norm_cap, stream=10)
-    B = random_elements(seed, samples, d, norm_cap, stream=11)
-    S = random_elements(seed, samples, d, norm_cap, stream=12)
-    T = random_elements(seed, samples, d, norm_cap, stream=13)
-    zero = np.zeros(1)
-    reports = []
-
-    z = np.zeros((1, d, d), dtype=np.complex128)
-    r = spectral_norms(apply_array(f, z))
-    reports.append(
-        _build_report(
-            "zero_at_zero", r, zero, np.ones(1), tol,
-            lambda i: Witness(i, float(r[i]), {"a": 0.0}),
-        )
-    )
-
-    norms_c = spectral_norms(C)
-    r = spectral_norms(apply_array(f, -C) + apply_array(f, C))
-    reports.append(
-        _build_report(
-            "oddness", r, np.zeros(samples), 1.0 + norms_c, tol,
-            lambda i, r=r: _norm_witness(i, r, c=C),
-        )
-    )
-
-    r = spectral_norms(apply_array(f, 2.0 * C) - 2.0 * apply_array(f, C))
-    reports.append(
-        _build_report(
-            "doubling", r, np.zeros(samples), 1.0 + 2.0 * norms_c, tol,
-            lambda i, r=r: _norm_witness(i, r, c=C),
-        )
-    )
-
-    r = spectral_norms(apply_array(f, 3.0 * C) - 3.0 * apply_array(f, C))
-    reports.append(
-        _build_report(
-            "tripling", r, np.zeros(samples), 1.0 + 3.0 * norms_c, tol,
-            lambda i, r=r: _norm_witness(i, r, c=C),
-        )
-    )
-
-    norms_b = spectral_norms(B)
-    r = spectral_norms(apply_array(f, B / 3.0) + apply_array(f, -C) + apply_array(f, C - B / 3.0))
-    reports.append(
-        _build_report(
-            "three_term_zero", r, np.zeros(samples), 1.0 + np.maximum(norms_b, norms_c), tol,
-            lambda i, r=r: _norm_witness(i, r, b=B, c=C),
-        )
-    )
-
-    scale_st = 1.0 + np.maximum(spectral_norms(S), spectral_norms(T))
-    r = spectral_norms(apply_array(f, S + T) - apply_array(f, S) - apply_array(f, T))
-    reports.append(
-        _build_report(
-            "additivity", r, np.zeros(samples), scale_st, tol,
-            lambda i, r=r: _norm_witness(i, r, s=S, t=T),
-        )
-    )
-    return reports
-
-
-def _sample_triples(seed: int, samples: int, dim: int, norm_cap: float, base_stream: int):
-    A = random_elements(seed, samples, dim, norm_cap, stream=base_stream)
-    B = random_elements(seed, samples, dim, norm_cap, stream=base_stream + 1)
-    C = random_elements(seed, samples, dim, norm_cap, stream=base_stream + 2)
-    return A, B, C
+    r = spectral_norms(apply_array(f, np.zeros((1, d, d), dtype=np.complex128)))
+    zero = _build_report("zero_at_zero", r, 0.0, 1.0, tol, norms={"a": np.zeros(1)})
+    steps = ("oddness", "doubling", "tripling", "three_term_zero", "additivity")
+    return [zero, *_run_checks(steps, f, seed, samples, tol, norm_cap)]
 
 
 def telescoping_check(
@@ -251,20 +361,7 @@ def telescoping_check(
     The three arguments sum to a, so for any C-linear map the two sides
     agree exactly; the check pins that equality at scale-relative tolerance.
     """
-    d = domain_dim(f)
-    A, B, C = _sample_triples(seed, samples, d, norm_cap, base_stream=20)
-    lhs, rhs = _split_values(f, A, B, C)
-    gap = np.abs(lhs - rhs)
-    scales = 1.0 + np.maximum(np.maximum(spectral_norms(A), spectral_norms(B)), spectral_norms(C))
-    return _build_report(
-        "telescoping_equality", gap, np.zeros(samples), scales, tol,
-        lambda i: _norm_witness(i, gap, a=A, b=B, c=C),
-    )
-
-
-# ---------------------------------------------------------------------------
-# unit-scalar checks: proof substitution patterns and the report-only sweep
-# ---------------------------------------------------------------------------
+    return _run_checks(("telescoping_equality",), f, seed, samples, tol, norm_cap)[0]
 
 
 def phase_substitution_checks(
@@ -282,42 +379,7 @@ def phase_substitution_checks(
     master equation at a = c = 0); both vanish for C-linear maps, which is
     how the scalar-linearity lifting is probed numerically.
     """
-    d = domain_dim(f)
-    C = random_elements(seed, samples, d, norm_cap, stream=35)
-    B = random_elements(seed, samples, d, norm_cap, stream=36)
-    scale_c = 1.0 + spectral_norms(C)
-    scale_b = 1.0 + spectral_norms(B)
-
-    odd_res = np.zeros(samples)
-    odd_phase = np.full(samples, 1.0 + 0.0j)
-    hom_res = np.zeros(samples)
-    hom_phase = np.full(samples, 1.0 + 0.0j)
-    fc = apply_array(f, C)
-    for mu in phases:
-        r = spectral_norms(apply_array(f, (-mu) * C) + mu * fc)
-        better = r > odd_res
-        odd_res = np.where(better, r, odd_res)
-        odd_phase = np.where(better, mu, odd_phase)
-
-        r = spectral_norms(apply_array(f, (mu / 3.0) * B) + mu * apply_array(f, B / (-3.0)))
-        better = r > hom_res
-        hom_res = np.where(better, r, hom_res)
-        hom_phase = np.where(better, mu, hom_phase)
-
-    def odd_witness(i: int) -> Witness:
-        w = _norm_witness(i, odd_res, c=C)
-        w.phase = complex(odd_phase[i])
-        return w
-
-    def hom_witness(i: int) -> Witness:
-        w = _norm_witness(i, hom_res, b=B)
-        w.phase = complex(hom_phase[i])
-        return w
-
-    return [
-        _build_report("phase_oddness", odd_res, np.zeros(samples), scale_c, tol, odd_witness),
-        _build_report("phase_homogeneity", hom_res, np.zeros(samples), scale_b, tol, hom_witness),
-    ]
+    return _run_checks(("phase_oddness", "phase_homogeneity"), f, seed, samples, tol, norm_cap, phases)
 
 
 def phase_sweep_report(
@@ -332,26 +394,7 @@ def phase_sweep_report(
     Away from scalar one the displayed expressions do not vanish even for
     exact maps, so the sweep records their size instead of judging it.
     """
-    d = domain_dim(f)
-    A, B, C = _sample_triples(seed, samples, d, norm_cap, base_stream=37)
-    scales = 1.0 + np.maximum(np.maximum(spectral_norms(A), spectral_norms(B)), spectral_norms(C))
-
-    split_res = np.zeros(samples)
-    eq_res = np.zeros(samples)
-    for mu in phases:
-        lhs, rhs = _split_values(f, A, B, C, phase=mu)
-        split_res = np.maximum(split_res, lhs - rhs)
-        eq_res = np.maximum(eq_res, _stability_equation_values(f, A, B, C, phase=mu))
-    return [
-        _build_report(
-            "phase_sweep_split", split_res, np.zeros(samples), scales, 0.0,
-            lambda i: _norm_witness(i, split_res, a=A, b=B, c=C), assertive=False,
-        ),
-        _build_report(
-            "phase_sweep_equation", eq_res, np.zeros(samples), scales, 0.0,
-            lambda i: _norm_witness(i, eq_res, a=A, b=B, c=C), assertive=False,
-        ),
-    ]
+    return _run_checks(("phase_sweep_split", "phase_sweep_equation"), f, seed, samples, 0.0, norm_cap, phases)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algebra import Element, random_elements, spectral_norms
-from .checkers import CheckReport, Witness, _build_report, _stability_equation_values
+from .checkers import CheckReport, _build_report, _stability_equation_values
 from .mappings import MapSpec, Perturbed, apply_array, domain_dim
 
 __all__ = [
@@ -437,9 +437,5 @@ def verify_uniqueness(
     h_base = np.stack([r.limit.entries for r in base])
     h_shift = np.stack([r.limit.entries for r in shifted]) / 3.0
     disc = spectral_norms(h_shift - h_base)
-    scales = 1.0 + spectral_norms(A)
-
-    def witness(i: int) -> Witness:
-        return Witness(i, float(disc[i]), {"a": float(spectral_norms(A[i][np.newaxis])[0])})
-
-    return _build_report("uniqueness", disc, np.zeros(samples), scales, tol, witness)
+    norms_a = spectral_norms(A)
+    return _build_report("uniqueness", disc, 0.0, 1.0 + norms_a, tol, norms={"a": norms_a})

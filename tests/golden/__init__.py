@@ -1,8 +1,9 @@
 """Golden reports: the committed report of every shipped config, and how to compare one.
 
 Each case is one command run on one config in ``configs/`` (or the built-in
-``bounds-table`` default) with the timestamp fixed.  ``compare`` holds a
-fresh report against its golden file:
+``bounds-table`` default) with the timestamp fixed; its report must be strict
+JSON (no NaN or Infinity constants).  ``compare`` holds a fresh report
+against its golden file:
 
 - exactly: the config digest, exit code and verdicts, check names,
   ``num_samples``, row keys, and every other string, integer, boolean and
@@ -23,6 +24,7 @@ tolerance is never widened to absorb a change.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -30,7 +32,7 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from stablab.cli import _COMMANDS
-from stablab.harness import default_bounds_table_config, load_config, report_json_bytes
+from stablab.harness import ExperimentConfig, default_bounds_table_config, load_config, report_json_bytes
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 CONFIG_DIR = GOLDEN_DIR.parent.parent / "configs"
@@ -57,11 +59,24 @@ def golden_path(name: str) -> Path:
     return GOLDEN_DIR / f"{name}.json"
 
 
+@functools.cache
+def _case_bytes(name: str) -> bytes:
+    """The case's serialized report, timestamp fixed; runs are deterministic, so each runs once per process."""
+    return report_json_bytes(_COMMANDS[CASES[name][0]](case_config(name)), timestamp=FIXED_TIMESTAMP)
+
+
+def case_config(name: str) -> ExperimentConfig:
+    config_name = CASES[name][1]
+    return default_bounds_table_config() if config_name is None else load_config(str(CONFIG_DIR / config_name))
+
+
+def _reject_constant(constant: str):
+    raise ValueError(f"report is not strict JSON: it holds {constant}")
+
+
 def run_case(name: str) -> dict:
-    """The case's report as parsed JSON, timestamp fixed."""
-    command, config_name = CASES[name]
-    config = default_bounds_table_config() if config_name is None else load_config(str(CONFIG_DIR / config_name))
-    return json.loads(report_json_bytes(_COMMANDS[command](config), timestamp=FIXED_TIMESTAMP))
+    """The case's report as parsed JSON, timestamp fixed; a NaN or Infinity in it raises ValueError."""
+    return json.loads(_case_bytes(name), parse_constant=_reject_constant)
 
 
 def load_golden(name: str) -> dict:

@@ -467,7 +467,19 @@ class TestSuperstabilityCommand:
         assert summary.exit_code == EXIT_OK
         names = [c.name for c in summary.checks]
         assert "terminal_decay" in names
-        assert all(np.isnan(r["slope"]) for r in summary.sample_rows)
+        assert all(r["slope"] is None for r in summary.sample_rows)  # no fit: null, never a bare NaN
+
+    def test_report_without_fits_is_strict_json(self):
+        # every row at noise scale: each slope is null, never a bare NaN
+        cfg = parse_config(minimal_config(superstability={"n_max": 8}, sampling={"seed": 1, "samples": 5}))
+        body = report_json_bytes(cmd_superstability(cfg))
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        rows = json.loads(body, parse_constant=reject)["samples"]
+        assert [r["slope"] for r in rows] == [None] * 5
+        assert [line.split(",")[4] for line in rows_to_csv(rows).splitlines()] == ["slope"] + [""] * 5
 
     def test_constructed_defect_slope_checked(self):
         cfg = parse_config(
