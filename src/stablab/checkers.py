@@ -5,11 +5,11 @@ evaluator; universal quantifiers are sampled with seeded stacks.  Every
 sampled check is one row of CHECKS (input streams, residual, scale, phase
 mode), run by one runner that draws and norms each stream once per call.
 Every report's worst witness is read from column arrays at the worst
-sample: residual lhs - rhs there, the input norms, and the inputs and phase
-when present, so failures are replayable.  Tolerances are scale-relative:
-"scale" means 1 + max input norm (times the argument's factor for doubling
-and tripling), which keeps checks meaningful near zero and for large
-elements.
+sample: its residual is lhs there, with the input norms, and the inputs
+and phase when present, so failures are replayable.  Tolerances are
+scale-relative: "scale" means 1 + max input norm (1 + 2||c|| and
+1 + 3||c|| for doubling and tripling, the norms of their arguments), which
+keeps checks meaningful near zero and for large elements.
 """
 
 from __future__ import annotations
