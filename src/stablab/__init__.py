@@ -6,18 +6,7 @@ direct-method stabilization with certified error bounds, and a seeded
 experiment harness.
 """
 
-from .algebra import (
-    DimensionMismatchError,
-    Element,
-    NonFiniteError,
-    element,
-    identity,
-    matrix_unit,
-    op_norm,
-    random_element,
-    spectral_norms,
-    zeros,
-)
+from .algebra import DimensionMismatchError, NonFiniteError, random_element, spectral_norms
 from .checkers import (
     CheckReport,
     DecayOverflowError,

@@ -1,25 +1,17 @@
-"""The carrier M_d(C): elements, the batched spectral norm and seeded sampling.
+"""The carrier M_d(C): the batched spectral norm and seeded sampling.
 
 The full matrix algebra with the conjugate-transpose involution and the
-operator (spectral) norm.  Arithmetic runs on (..., d, d) numpy stacks; an
-Element is one validated, read-only matrix.  Every function here is pure.
+operator (spectral) norm.  An element is a (d, d) complex128 array and
+arithmetic runs on (..., d, d) numpy stacks.  Every function here is pure.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "DimensionMismatchError",
-    "Element",
     "NonFiniteError",
-    "identity",
-    "zeros",
-    "matrix_unit",
-    "element",
-    "op_norm",
     "spectral_norms",
     "random_element",
     "random_elements",
@@ -34,53 +26,6 @@ class DimensionMismatchError(ValueError):
 
 class NonFiniteError(ArithmeticError, ValueError):
     """A NaN or infinite value reached a computation that needs finite input."""
-
-
-@dataclass(frozen=True)
-class Element:
-    """A member of the algebra: a dim x dim complex matrix.
-
-    Entries are validated (square, finite) on construction and the backing
-    array is marked read-only afterwards.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.entries, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-            raise ValueError(f"entries must form a square matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("entries must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def dim(self) -> int:
-        return int(self.entries.shape[0])
-
-    def __repr__(self) -> str:  # entries omitted: matrices are noisy in tracebacks
-        return f"Element(dim={self.dim})"
-
-
-def element(rows) -> Element:
-    """Build an Element from any nested sequence of (complex) numbers."""
-    return Element(np.array(rows, dtype=np.complex128))
-
-
-def identity(dim: int) -> Element:
-    return Element(np.eye(dim, dtype=np.complex128))
-
-
-def zeros(dim: int) -> Element:
-    return Element(np.zeros((dim, dim), dtype=np.complex128))
-
-
-def matrix_unit(dim: int, row: int, col: int) -> Element:
-    """The matrix with a single 1 at (row, col); operator norm exactly one."""
-    arr = np.zeros((dim, dim), dtype=np.complex128)
-    arr[row, col] = 1.0
-    return Element(arr)
 
 
 def spectral_norms(mats: np.ndarray) -> np.ndarray:
@@ -98,11 +43,6 @@ def spectral_norms(mats: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError("spectral_norms: non-finite entries")
     return np.linalg.svd(arr, compute_uv=False)[..., 0]
-
-
-def op_norm(x: Element) -> float:
-    """Operator (spectral) norm of x; exact 0.0 for the zero matrix."""
-    return float(spectral_norms(x.entries[np.newaxis])[0])
 
 
 def derived_seed(*parts: int) -> int:
@@ -172,7 +112,7 @@ def random_elements(seed: int, count: int, dim: int, norm_cap: float, stream: in
     return _scaled(_uniforms(seed, stream, count, dim), dim, norm_cap)
 
 
-def random_element(seed: int, dim: int, norm_cap: float, stream: int = 0, index: int = 0) -> Element:
+def random_element(seed: int, dim: int, norm_cap: float, stream: int = 0, index: int = 0) -> np.ndarray:
     """Row ``index`` of random_elements(seed, ..., stream), drawn on its own; equal bit for bit."""
     _check_args(dim, norm_cap)
-    return Element(_scaled(_uniforms(seed, stream, 1, dim, first=index), dim, norm_cap)[0])
+    return _scaled(_uniforms(seed, stream, 1, dim, first=index), dim, norm_cap)[0]

@@ -20,8 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import Element, random_elements, spectral_norms
-from .mappings import MapSpec, apply_array, domain_dim
+from .algebra import random_elements, spectral_norms
+from .mappings import MapSpec, apply_array
 
 __all__ = [
     "CHECKS",
@@ -53,7 +53,7 @@ class Witness:
     residual: float
     input_norms: dict[str, float]
     phase: complex | None = None
-    inputs: dict[str, Element] = field(default_factory=dict)
+    inputs: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 @dataclass
@@ -118,7 +118,7 @@ def _build_report(
             float(lhs[worst]),
             {k: float(v[worst]) for k, v in norms.items()},
             None if phases is None else complex(phases[worst]),
-            {k: Element(v[worst]) for k, v in (inputs or {}).items()},
+            {k: v[worst].copy() for k, v in (inputs or {}).items()},
         )
     return CheckReport(
         name=name,
@@ -313,7 +313,7 @@ def _run_checks(
     """Draw and norm each input stream once, then evaluate and judge the named rows in order."""
     checks = [CHECKS[name] for name in names]
     streams = {k: stream for check in checks for k, stream in check.streams.items()}
-    d = domain_dim(f)
+    d = f.dim
     x = _Inputs(f, {k: random_elements(seed, samples, d, norm_cap, stream=s) for k, s in streams.items()})
     norms = {k: spectral_norms(v) for k, v in x.items()}
     reports = []
@@ -346,7 +346,7 @@ def additivity_ladder(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    d = domain_dim(f)
+    d = f.dim
     r = spectral_norms(apply_array(f, np.zeros((1, d, d), dtype=np.complex128)))
     zero = _build_report("zero_at_zero", r, 0.0, 1.0, tol, norms={"a": np.zeros(1)})
     steps = ("oddness", "doubling", "tripling", "three_term_zero", "additivity")

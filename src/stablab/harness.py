@@ -27,7 +27,7 @@ from typing import Any, get_args, get_origin
 
 import numpy as np
 
-from .algebra import SAMPLER, Element, derived_seed, random_elements, spectral_norms
+from .algebra import SAMPLER, derived_seed, random_elements, spectral_norms
 from .checkers import (
     CheckReport,
     Witness,
@@ -51,7 +51,6 @@ from .mappings import (
     UnitaryConjugation,
     apply_array,
     describe,
-    domain_dim,
     jordan_star_defects,
     phase_permutation_unitary,
     unit_circle_grid,
@@ -137,7 +136,7 @@ CONFIG_FIELDS = (
     ("phase_grid_size", "phase_grid_size", int, 16, "[0, inf)"),
     ("checks.tol", "checks_tol", float, 1e-9, "(0, inf)"),
     ("checks.phase_sweep", "phase_sweep", bool, False, None),
-    ("superstability.n_max", "decay_n_max", int, 64, "[2, inf)"),
+    ("superstability.n_max", "decay_n_max", int, 64, "[5, inf)"),
     ("superstability.terminal_tol", "decay_terminal_tol", float, 1e-3, "(0, inf)"),
     ("superstability.slope_margin", "decay_slope_margin", float, 0.1, "(0, inf)"),
     ("exactness.samples", "exactness_samples", int, 64, "[1, inf)"),
@@ -148,7 +147,7 @@ CONFIG_FIELDS = (
     ("bounds_table.exps_forward", "table_exps_forward", list[float], [1.5, 2.0, 3.0], "(1, inf)"),
     ("bounds_table.exps_backward", "table_exps_backward", list[float], [0.0, 0.25, 0.5], "[0, 1)"),
     ("bounds_table.norms", "table_norms", list[float], [0.5, 1.0, 2.0], "[0, inf)"),
-    ("bounds_table.terms", "table_terms", int, 60, "[1, inf)"),
+    ("bounds_table.terms", "table_terms", int, 60, "[2, inf)"),
     ("bounds_table.profile_degree", "table_profile_degree", float, 2.0, "(1, inf)"),
     ("outputs.format", "output_format", str, "json", ("json", "csv")),
     ("outputs.path", "output_path", str, None, None),
@@ -426,11 +425,11 @@ def _refusals_named(path: str):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _matrix_element(rows: list[list[list[float]]], dim: int, path: str) -> Element:
+def _matrix_element(rows: list[list[list[float]]], dim: int, path: str) -> np.ndarray:
     arr = np.array(rows, dtype=float).view(np.complex128)[..., 0]
     if arr.shape[0] != dim:
         raise ConfigError(f"{path}: dimension {arr.shape[0]} incompatible with requested dim {dim}")
-    return Element(arr)
+    return arr
 
 
 def build_map(map_cfg: dict, dim: int, path: str = "config.map") -> MapSpec:
@@ -491,8 +490,8 @@ def _complex_json(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _element_json(el: Element) -> list[list[list[float]]]:
-    return [[_complex_json(complex(v)) for v in row] for row in el.entries.tolist()]
+def _element_json(el: np.ndarray) -> list[list[list[float]]]:
+    return [[_complex_json(complex(v)) for v in row] for row in el.tolist()]
 
 
 def _witness_json(w: Witness | None) -> dict | None:
@@ -636,7 +635,7 @@ def cmd_lemma_check(config: ExperimentConfig) -> RunSummary:
 
 def _stabilized_evaluator(f: MapSpec, cfg: StabilizerConfig, direction: str):
     pinned = replace(cfg, direction=direction)
-    d = domain_dim(f)
+    d = f.dim
 
     def eval_fn(xs: np.ndarray) -> np.ndarray:
         flat = np.asarray(xs, dtype=np.complex128).reshape((-1, d, d))
@@ -644,7 +643,7 @@ def _stabilized_evaluator(f: MapSpec, cfg: StabilizerConfig, direction: str):
         bad = sum(1 for r in results if not r.converged)
         if bad:
             raise DivergedError(f"{bad} of {flat.shape[0]} limit evaluations did not converge")
-        return np.stack([r.limit.entries for r in results]).reshape(np.asarray(xs).shape)
+        return np.stack([r.limit for r in results]).reshape(np.asarray(xs).shape)
 
     return eval_fn
 
@@ -706,7 +705,7 @@ def cmd_stability(config: ExperimentConfig) -> RunSummary:
         return _summary("stability", config, meta, [], [], verdict="violated")
     meta["calibrated_coeff"] = calibrated.coeff
 
-    limits = np.stack([r.limit.entries for r in results])
+    limits = np.stack([r.limit for r in results])
     dists = spectral_norms(limits - apply_array(f, A))
     try:
         cal_bounds = np.array([bound_closed_form(calibrated, float(n), direction) for n in norms_a])
@@ -719,7 +718,6 @@ def cmd_stability(config: ExperimentConfig) -> RunSummary:
 
     rows = []
     for i, r in enumerate(results):
-        r.certified_bound = float(cal_bounds[i])
         row = {
             "sample_id": i,
             "norm_a": float(norms_a[i]),

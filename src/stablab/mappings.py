@@ -14,16 +14,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .algebra import (
-    DimensionMismatchError,
-    Element,
-    NonFiniteError,
-    identity as identity_element,
-    matrix_unit,
-    op_norm,
-    random_elements,
-    spectral_norms,
-)
+from .algebra import DimensionMismatchError, NonFiniteError, random_elements, spectral_norms
 
 __all__ = [
     "Identity",
@@ -40,7 +31,6 @@ __all__ = [
     "UNIT_DIRECTIONS",
     "apply_array",
     "describe",
-    "domain_dim",
     "jordan_star_defects",
     "phase_permutation_unitary",
     "unit_circle_grid",
@@ -74,21 +64,38 @@ class ZeroMap:
     dim: int
 
 
+def _read_only_matrix(value, name: str) -> np.ndarray:
+    """A read-only complex128 copy of a nonempty square matrix.
+
+    Non-finite entries are left to the caller's spectral_norms check, which
+    raises NonFiniteError (a ValueError).
+    """
+    arr = np.array(value, dtype=np.complex128)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
+        raise ValueError(f"{name} must be a square matrix, got shape {arr.shape}")
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class UnitaryConjugation:
     """x -> u x u* for a fixed unitary u; multiplicative, star- and square-preserving."""
 
     kind = "unitary_conjugation"
-    u: Element
+    u: np.ndarray
 
     def __post_init__(self) -> None:
-        defect = self.u.entries.conj().T @ self.u.entries - np.eye(self.u.dim)
+        u = _read_only_matrix(self.u, "u")
+        object.__setattr__(self, "u", u)
+        # a non-finite u gives a non-finite defect, which spectral_norms refuses
+        with np.errstate(invalid="ignore", over="ignore"):
+            defect = u.conj().T @ u - np.eye(u.shape[0])
         if float(spectral_norms(defect[np.newaxis])[0]) > 1e-10:
             raise ValueError("u is not unitary within 1e-10")
 
     @property
     def dim(self) -> int:
-        return self.u.dim
+        return self.u.shape[0]
 
 
 @dataclass(frozen=True)
@@ -108,16 +115,18 @@ class Perturbation:
 
     size: float
     power: float
-    direction: Element
+    direction: np.ndarray
     mode: str = "power"
     odd: bool = False
 
     def __post_init__(self) -> None:
+        direction = _read_only_matrix(self.direction, "direction")
+        object.__setattr__(self, "direction", direction)
         if self.size < 0.0:
             raise ValueError("size must be nonnegative")
         if self.mode not in PERTURBATION_MODES:
             raise ValueError(f"mode must be one of {PERTURBATION_MODES}, got {self.mode!r}")
-        if op_norm(self.direction) > 1.0 + 1e-9:
+        if float(spectral_norms(direction[np.newaxis])[0]) > 1.0 + 1e-9:
             raise ValueError("direction must have operator norm <= 1")
 
 
@@ -130,12 +139,12 @@ class Perturbed:
     def __post_init__(self) -> None:
         if isinstance(self.base, Perturbed):
             raise ValueError("perturbations do not nest: base must be an exact kind")
-        if self.perturbation.direction.dim != domain_dim(self.base):
+        if self.perturbation.direction.shape[0] != self.base.dim:
             raise DimensionMismatchError("perturbation direction dimension differs from base map")
 
     @property
     def dim(self) -> int:
-        return domain_dim(self.base)
+        return self.base.dim
 
 
 MapSpec = Union[Identity, Transpose, Negation, ZeroMap, UnitaryConjugation, Perturbed]
@@ -153,10 +162,6 @@ DIM_ONLY_ACTIONS = {
 MAP_KINDS = {cls.kind: cls for cls in (*DIM_ONLY_ACTIONS, UnitaryConjugation, Perturbed)}
 
 
-def domain_dim(f: MapSpec) -> int:
-    return f.dim
-
-
 def describe(f: MapSpec) -> str:
     if not isinstance(f, Perturbed):
         return f"{f.kind}(dim={f.dim})"
@@ -165,26 +170,28 @@ def describe(f: MapSpec) -> str:
     return f"perturbed({describe(f.base)}, mode={p.mode}, size={p.size}, power={p.power}{odd})"
 
 
-def _corner(dim: int) -> Element:
+def _corner(dim: int) -> np.ndarray:
     if dim < 2:
         raise ValueError("corner direction needs dim >= 2")
-    return matrix_unit(dim, 0, dim - 1)
+    arr = np.zeros((dim, dim), dtype=np.complex128)
+    arr[0, dim - 1] = 1.0
+    return arr
 
 
 # Named unit-operator-norm direction matrices: "identity" is self-adjoint;
 # "corner" is the nilpotent top-right matrix unit (dim >= 2), whose square
 # vanishes exactly.
-UNIT_DIRECTIONS = {"identity": identity_element, "corner": _corner}
+UNIT_DIRECTIONS = {"identity": lambda dim: np.eye(dim, dtype=np.complex128), "corner": _corner}
 
 
-def unit_direction(dim: int, name: str) -> Element:
+def unit_direction(dim: int, name: str) -> np.ndarray:
     """The named direction matrix of UNIT_DIRECTIONS at dimension dim."""
     if name not in UNIT_DIRECTIONS:
         raise ValueError(f"unknown direction name {name!r}")
     return UNIT_DIRECTIONS[name](dim)
 
 
-def phase_permutation_unitary(dim: int, seed: int) -> Element:
+def phase_permutation_unitary(dim: int, seed: int) -> np.ndarray:
     """Deterministic unitary: a permutation matrix with random unit phases."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed)))
     perm = rng.permutation(dim)
@@ -192,7 +199,7 @@ def phase_permutation_unitary(dim: int, seed: int) -> Element:
     arr = np.zeros((dim, dim), dtype=np.complex128)
     for col in range(dim):
         arr[perm[col], col] = phases[col]
-    return Element(arr)
+    return arr
 
 
 def _safe_pow(values: np.ndarray, exponent: float) -> np.ndarray:
@@ -225,7 +232,7 @@ def _perturbation_term(p: Perturbation, xs: np.ndarray) -> np.ndarray:
         mod = np.abs(tr)
         phase = np.where(mod > 0.0, tr / np.where(mod > 0.0, mod, 1.0), 0.0)
         coeff = coeff * phase
-    return coeff[..., np.newaxis, np.newaxis] * p.direction.entries
+    return coeff[..., np.newaxis, np.newaxis] * p.direction
 
 
 def apply_array(f: MapSpec, xs: np.ndarray) -> np.ndarray:
@@ -237,7 +244,7 @@ def apply_array(f: MapSpec, xs: np.ndarray) -> np.ndarray:
         return apply_array(f.base, xs) + _perturbation_term(f.perturbation, xs)
     if type(f) in DIM_ONLY_ACTIONS:
         return DIM_ONLY_ACTIONS[type(f)](xs)
-    u = f.u.entries  # unitary conjugation
+    u = f.u  # unitary conjugation
     return u @ xs @ u.conj().T
 
 

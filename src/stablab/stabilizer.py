@@ -17,9 +17,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import Element, random_elements, spectral_norms
+from .algebra import random_elements, spectral_norms
 from .checkers import CheckReport, _build_report, _stability_equation_values
-from .mappings import MapSpec, Perturbed, apply_array, domain_dim
+from .mappings import MapSpec, Perturbed, apply_array
 
 __all__ = [
     "BOUND_KINDS",
@@ -215,16 +215,13 @@ class StabilizationResult:
     """Trace of one stabilization run.
 
     ``limit`` is None exactly when the run diverged; a fabricated limit is
-    never reported.  ``certified_bound`` is NaN until a caller attaches a
-    control-function certificate.
+    never reported.
     """
 
-    limit: Element | None
+    limit: np.ndarray | None
     iterations_used: int
     cauchy_residuals: list[float]
-    direction: str
     status: str  # converged | diverged | exhausted
-    certified_bound: float = float("nan")
 
     @property
     def converged(self) -> bool:
@@ -305,10 +302,9 @@ def _iterate_batch(f: MapSpec, A: np.ndarray, direction: str, cfg: StabilizerCon
 
     return [
         StabilizationResult(
-            limit=None if limits[i] is None else Element(limits[i]),
+            limit=limits[i],
             iterations_used=iters[i],
             cauchy_residuals=traces[i],
-            direction=direction,
             status=status[i],
         )
         for i in range(count)
@@ -349,7 +345,7 @@ def stabilize_batch(f: MapSpec, A: np.ndarray, cfg: StabilizerConfig) -> list[St
 def _calibrated_coeff(
     f: MapSpec, template: PowerControl, seed: int, samples: int, norm_cap: float, stream: int
 ) -> float:
-    d = domain_dim(f)
+    d = f.dim
     A = random_elements(seed, samples, d, norm_cap, stream=stream)
     B = random_elements(seed, samples, d, norm_cap, stream=stream + 1)
     C = random_elements(seed, samples, d, norm_cap, stream=stream + 2)
@@ -424,7 +420,7 @@ def verify_uniqueness(
     residual before max_iter is read, so that rerun is bit-identical.  Any
     non-convergent run raises DivergedError.
     """
-    d = domain_dim(f)
+    d = f.dim
     A = random_elements(seed, samples, d, norm_cap, stream=50)
     base = stabilize_batch(f, A, cfg)
     shifted = stabilize_batch(f, 3.0 * A, cfg)
@@ -434,8 +430,8 @@ def verify_uniqueness(
             raise DivergedError(
                 f"{len(bad)} of {samples} stabilization runs did not converge", results=results
             )
-    h_base = np.stack([r.limit.entries for r in base])
-    h_shift = np.stack([r.limit.entries for r in shifted]) / 3.0
+    h_base = np.stack([r.limit for r in base])
+    h_shift = np.stack([r.limit for r in shifted]) / 3.0
     disc = spectral_norms(h_shift - h_base)
     norms_a = spectral_norms(A)
     return _build_report("uniqueness", disc, 0.0, 1.0 + norms_a, tol, norms={"a": norms_a})

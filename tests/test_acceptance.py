@@ -157,7 +157,7 @@ class TestCriterion5SuperstabilityDecay:
             target = 2.0 * power - 2.0
             for i in range(25):
                 a = random_element(900 + i, 3, 2.0)
-                seq = superstability_decay_batch(f, a.entries[np.newaxis], 64)[0]
+                seq = superstability_decay_batch(f, a[np.newaxis], 64)[0]
                 slope = fit_loglog_slope(seq, start_n=4)
                 assert slope == pytest.approx(target, abs=0.05)
                 assert seq[63] <= seq[0] * 64.0**target * 1.1

@@ -12,17 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stablab import algebra
-from stablab.algebra import (
-    Element,
-    element,
-    identity,
-    op_norm,
-    random_element,
-    random_elements,
-    spectral_norms,
-    zeros,
-)
-from stablab.mappings import _conj_t
+from stablab.algebra import random_element, random_elements, spectral_norms
+from stablab.mappings import Perturbation, UnitaryConjugation, _conj_t
 
 
 def gram_norm(arr: np.ndarray) -> float:
@@ -69,107 +60,127 @@ def small_matrices(draw, max_dim=4, magnitude=1e3):
     return np.array(entries, dtype=complex).reshape(d, d)
 
 
+def holders(matrix):
+    """Builders of the two map classes that hold a matrix: a unitary to conjugate by, a perturbation direction."""
+    return (
+        lambda: UnitaryConjugation(matrix),
+        lambda: Perturbation(size=0.1, power=0.0, direction=matrix, mode="constant"),
+    )
+
+
 class TestElement:
+    """An element is a plain (d, d) array; the map classes validate the matrices they hold."""
+
     def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            Element(np.zeros((2, 3), dtype=complex))
+        for build in holders(np.zeros((2, 3), dtype=complex)):
+            with pytest.raises(ValueError):
+                build()
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            element([[np.nan, 0], [0, 0]])
-        with pytest.raises(ValueError):
-            element([[np.inf * 1j, 0], [0, 0]])
+        for rows in ([[np.nan, 0], [0, 0]], [[np.inf * 1j, 0], [0, 0]]):
+            for build in holders(np.array(rows, dtype=complex)):
+                with pytest.raises(ValueError):
+                    build()
 
     def test_entries_read_only(self):
-        x = identity(2)
-        with pytest.raises(ValueError):
-            x.entries[0, 0] = 5.0
+        x = np.eye(2, dtype=complex)
+        held = [
+            UnitaryConjugation(x).u,
+            Perturbation(size=0.1, power=0.0, direction=x, mode="constant").direction,
+        ]
+        x[0, 0] = 5.0  # the built maps hold copies
+        for m in held:
+            assert m.dtype == np.complex128 and np.array_equal(m, np.eye(2))
+            with pytest.raises(ValueError):
+                m[0, 0] = 5.0
 
 
 class TestArithmetic:
     """The algebra's operations are numpy operations on entry stacks."""
 
     def test_add_identity_and_zero(self):
-        assert np.array_equal(identity(2).entries + zeros(2).entries, identity(2).entries)
+        assert np.array_equal(np.eye(2, dtype=complex) + np.zeros((2, 2), dtype=complex), np.eye(2, dtype=complex))
 
     def test_add_matrix_units_gives_identity(self):
-        lhs = element([[1, 0], [0, 0]]).entries + element([[0, 0], [0, 1]]).entries
-        assert np.array_equal(lhs, identity(2).entries)
+        lhs = np.array([[1, 0], [0, 0]], dtype=complex) + np.array([[0, 0], [0, 1]], dtype=complex)
+        assert np.array_equal(lhs, np.eye(2, dtype=complex))
 
     def test_add_neg_cancels_entrywise(self):
         x = random_element(101, 3, 5.0)
-        total = x.entries + (-x.entries)
+        total = x + (-x)
         for i in range(3):
             for j in range(3):
                 assert total[i, j] == 0
 
     def test_mul_identity(self):
         x = random_element(7, 3, 2.0)
-        assert np.array_equal(identity(3).entries @ x.entries, x.entries)
+        assert np.array_equal(np.eye(3, dtype=complex) @ x, x)
 
     def test_mul_nilpotent_square_is_zero(self):
-        n = element([[0, 1], [0, 0]])
-        assert np.array_equal(n.entries @ n.entries, zeros(2).entries)
+        n = np.array([[0, 1], [0, 0]], dtype=complex)
+        assert np.array_equal(n @ n, np.zeros((2, 2), dtype=complex))
 
     def test_mul_matches_triple_loop_oracle(self):
         x = random_element(11, 3, 2.0)
         y = random_element(12, 3, 2.0)
-        expected = loop_matmul(x.entries, y.entries)
-        assert np.allclose((x.entries[np.newaxis] @ y.entries[np.newaxis])[0], expected, atol=1e-13)
+        expected = loop_matmul(x, y)
+        assert np.allclose((x[np.newaxis] @ y[np.newaxis])[0], expected, atol=1e-13)
 
     def test_scale_one_and_zero(self):
         x = random_element(13, 2, 1.0)
-        assert np.array_equal(1.0 * x.entries, x.entries)
-        assert np.array_equal(0.0 * x.entries, zeros(2).entries)
+        assert np.array_equal(1.0 * x, x)
+        assert np.array_equal(0.0 * x, np.zeros((2, 2), dtype=complex))
 
     def test_scale_imaginary_unit_twice_negates(self):
         x = random_element(14, 2, 1.0)
-        assert np.allclose(1j * (1j * x.entries), -x.entries, atol=1e-15)
+        assert np.allclose(1j * (1j * x), -x, atol=1e-15)
 
 
 class TestInvolution:
     """The involution is the batched conjugate transpose the Jordan *-law checks run."""
 
     def test_identity_self_adjoint(self):
-        assert np.array_equal(_conj_t(identity(2).entries[np.newaxis])[0], identity(2).entries)
+        assert np.array_equal(_conj_t(np.eye(2, dtype=complex)[np.newaxis])[0], np.eye(2, dtype=complex))
 
     def test_forced_by_definition(self):
-        got = _conj_t(element([[0, 1j], [0, 0]]).entries[np.newaxis])[0]
+        got = _conj_t(np.array([[0, 1j], [0, 0]], dtype=complex)[np.newaxis])[0]
         assert np.array_equal(got, np.array([[0, 0], [-1j, 0]], dtype=complex))
 
     def test_product_reversal(self):
-        x = random_element(21, 3, 2.0).entries[np.newaxis]
-        y = random_element(22, 3, 2.0).entries[np.newaxis]
+        x = random_element(21, 3, 2.0)[np.newaxis]
+        y = random_element(22, 3, 2.0)[np.newaxis]
         lhs = _conj_t(x @ y)[0]
         rhs = loop_matmul(_conj_t(y)[0], _conj_t(x)[0])
         assert np.allclose(lhs, rhs, atol=1e-13)
 
     def test_involution_is_period_two(self):
-        x = random_element(23, 4, 3.0).entries[np.newaxis]
+        x = random_element(23, 4, 3.0)[np.newaxis]
         assert np.array_equal(_conj_t(_conj_t(x)), x)
 
 
 class TestOpNorm:
     def test_identity_norm_one(self):
-        assert op_norm(identity(3)) == 1.0
+        assert spectral_norms(np.eye(3, dtype=complex)[np.newaxis])[0] == 1.0
 
     def test_nilpotent_norm_two(self):
         # x*x = [[0,0],[0,4]]; char poly t^2 - 4t has roots {0, 4}, so the
         # largest singular value is 2.
-        assert op_norm(element([[0, 2], [0, 0]])) == pytest.approx(2.0, rel=1e-12)
+        x = np.array([[0, 2], [0, 0]], dtype=complex)
+        assert spectral_norms(x[np.newaxis])[0] == pytest.approx(2.0, rel=1e-12)
 
     def test_diagonal_norm(self):
-        assert op_norm(element([[3, 0], [0, -1]])) == pytest.approx(3.0, rel=1e-12)
+        x = np.array([[3, 0], [0, -1]], dtype=complex)
+        assert spectral_norms(x[np.newaxis])[0] == pytest.approx(3.0, rel=1e-12)
 
     def test_zero_matrix(self):
-        assert op_norm(zeros(4)) == 0.0
+        assert spectral_norms(np.zeros((4, 4), dtype=complex)[np.newaxis])[0] == 0.0
 
     def test_matches_svd_on_seeded_random(self):
         rng = np.random.default_rng(2024)
         for _ in range(200):
             d = int(rng.integers(1, 5))
             x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            assert op_norm(Element(x)) == pytest.approx(gram_norm(x), rel=1e-9)
+            assert spectral_norms(x[np.newaxis])[0] == pytest.approx(gram_norm(x), rel=1e-9)
 
     def test_batch_matches_single(self):
         # exact equality: a stack may be normed in one call without moving
@@ -179,13 +190,13 @@ class TestOpNorm:
             stack = rng.normal(size=(40, d, d)) + 1j * rng.normal(size=(40, d, d))
             batch = spectral_norms(stack)
             for i in range(stack.shape[0]):
-                assert np.array_equal(batch[i], op_norm(Element(stack[i])))
+                assert np.array_equal(batch[i], spectral_norms(stack[i][np.newaxis])[0])
 
     def test_extreme_scales(self):
-        x = element([[1e200, 0], [0, 0]])
-        assert op_norm(x) == pytest.approx(1e200, rel=1e-10)
-        y = element([[1e-200, 0], [0, 0]])
-        assert op_norm(y) == pytest.approx(1e-200, rel=1e-10)
+        x = np.array([[1e200, 0], [0, 0]], dtype=complex)
+        assert spectral_norms(x[np.newaxis])[0] == pytest.approx(1e200, rel=1e-10)
+        y = np.array([[1e-200, 0], [0, 0]], dtype=complex)
+        assert spectral_norms(y[np.newaxis])[0] == pytest.approx(1e-200, rel=1e-10)
 
     @pytest.mark.parametrize("d", [3, 8, 16])
     @pytest.mark.parametrize("delta", [1e-5, 1e-7, 1e-9])
@@ -206,12 +217,12 @@ class TestOpNorm:
     @given(small_matrices())
     def test_against_svd_property(self, arr):
         ref = gram_norm(arr)
-        got = op_norm(Element(arr))
+        got = spectral_norms(arr[np.newaxis])[0]
         assert got == pytest.approx(ref, rel=1e-12, abs=1e-280)
 
 
 def seeded_stack(first_seed: int, count: int, dim: int, norm_cap: float) -> np.ndarray:
-    return np.stack([random_element(first_seed + i, dim, norm_cap).entries for i in range(count)])
+    return np.stack([random_element(first_seed + i, dim, norm_cap) for i in range(count)])
 
 
 class TestAlgebraInvariants:
@@ -244,19 +255,19 @@ class TestRandomElement:
     def test_deterministic(self):
         a = random_element(42, 4, 2.5)
         b = random_element(42, 4, 2.5)
-        assert np.array_equal(a.entries, b.entries)
+        assert np.array_equal(a, b)
 
     def test_norm_cap_respected_over_seeds(self):
         for seed in range(100):
-            assert op_norm(random_element(seed, 4, 1.0)) <= 1.0
+            assert spectral_norms(random_element(seed, 4, 1.0)[np.newaxis])[0] <= 1.0
 
     def test_zero_cap_gives_zero(self):
-        assert np.array_equal(random_element(9, 2, 0.0).entries, zeros(2).entries)
+        assert np.array_equal(random_element(9, 2, 0.0), np.zeros((2, 2), dtype=complex))
 
     def test_distinct_seeds_differ(self):
         a = random_element(1, 3, 1.0)
         b = random_element(2, 3, 1.0)
-        assert not np.array_equal(a.entries, b.entries)
+        assert not np.array_equal(a, b)
 
     def test_batch_replays_single(self):
         # 2 dim^2 + 1 words per sample = 3, 9, 19, 33, ... : every padding to 4 words occurs
@@ -264,7 +275,7 @@ class TestRandomElement:
             batch = random_elements(77, 23, dim, 2.0, stream=4)
             for i in range(23):
                 single = random_element(77, dim, 2.0, stream=4, index=i)
-                assert np.array_equal(batch[i], single.entries), (dim, i)
+                assert np.array_equal(batch[i], single), (dim, i)
 
     def test_row_does_not_depend_on_count(self):
         for dim in (1, 2, 3, 5):

@@ -1,0 +1,61 @@
+"""The program surface the benchmark's tracer and set-up probe rely on.
+
+``perfbench/tracing.py`` wraps functions by (module, name) and reads
+stabilization results through ``_stabilize_work``; ``perfbench/run.py``
+builds every shipped config's maps from ``load_config(path).algebra.dim``.
+The benchmark is not part of this suite, so these contracts are pinned
+here: a change that breaks one fails a test instead of the next benchmark
+run.  The tracer module is loaded from its file and left unchanged.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from stablab.algebra import random_elements
+from stablab.harness import build_map, load_config
+from stablab.mappings import Identity, Perturbation, Perturbed, unit_direction
+from stablab.stabilizer import StabilizerConfig, stabilize_batch
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = sorted((ROOT / "configs").glob("*.json"))
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = load_tracing()
+
+
+@pytest.mark.parametrize("module_name, function_name", [(m, f) for m, f, *_ in tracing.TRACED])
+def test_traced_function_resolves(module_name, function_name):
+    assert callable(getattr(importlib.import_module(f"stablab.{module_name}"), function_name))
+
+
+def test_stabilize_work_counts_points_iterations_and_converged():
+    f = Perturbed(
+        Identity(3),
+        Perturbation(size=0.3, power=0.0, direction=unit_direction(3, "identity"), mode="constant"),
+    )
+    A = random_elements(5, 6, 3, 2.0, stream=1)
+    # these samples need 20 or 21 iterations: max_iter 20 leaves two exhausted
+    results = stabilize_batch(f, A, StabilizerConfig(max_iter=20))
+    points, iterations, converged = tracing._stabilize_work((f, A), {}, results)
+    assert points == 6
+    assert iterations == 6 * 20
+    assert converged == sum(1 for r in results if r.status == "converged") == 4
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_setup_probe_reads_algebra_dim(path):
+    cfg = load_config(path)
+    assert cfg.algebra.dim == cfg.dim
+    if cfg.map_cfg is not None:
+        for dim in sorted(set(cfg.dims) | {cfg.algebra.dim}):
+            assert build_map(cfg.map_cfg, dim).dim == dim

@@ -8,7 +8,7 @@ the checker under test).
 import numpy as np
 import pytest
 
-from stablab.algebra import Element, element, identity, op_norm, random_element, random_elements, spectral_norms
+from stablab.algebra import random_element, random_elements, spectral_norms
 from stablab.checkers import (
     DecayOverflowError,
     _split_values,
@@ -38,7 +38,7 @@ from stablab.mappings import (
 
 def sample_triple(seed, dim=3, cap=5.0):
     """Three seeded one-matrix stacks, the shape every batched kernel takes."""
-    return tuple(random_element(seed + k, dim, cap).entries[np.newaxis] for k in range(3))
+    return tuple(random_element(seed + k, dim, cap)[np.newaxis] for k in range(3))
 
 
 def constant_perturbed(dim=3, size=0.5, direction="identity"):
@@ -81,7 +81,7 @@ class TestTripleSplit:
 
     def test_proof_substitution_vanishes(self):
         # a = b = 0 collapses the twisted inequality to f(-mu c) + mu f(c)
-        c = random_element(90, 3, 2.0).entries[np.newaxis]
+        c = random_element(90, 3, 2.0)[np.newaxis]
         z = np.zeros_like(c)
         lhs, _ = _split_values(Identity(3), z, z, c, phase=1j)
         assert lhs[0] <= 1e-14
@@ -90,7 +90,7 @@ class TestTripleSplit:
         # for the identity map the twisted sum collapses to (1-mu)b/3 + mu*a
         a, b, c = sample_triple(91)
         lhs, _ = _split_values(Identity(3), a, b, c, phase=complex(-1.0))
-        expected = op_norm(Element(2.0 * b[0] / 3.0 - a[0]))
+        expected = spectral_norms((2.0 * b[0] / 3.0 - a[0])[np.newaxis])[0]
         assert lhs[0] == pytest.approx(expected, rel=1e-10)
 
 
@@ -104,7 +104,7 @@ class TestStabilityEquation:
 
     def test_key_substitution_doubles_argument(self):
         # b = 2a, c = 0 collapses the equation to 3 f(a/3) - f(a)
-        a = random_element(110, 3, 3.0).entries[np.newaxis]
+        a = random_element(110, 3, 3.0)[np.newaxis]
         r = _stability_equation_values(Identity(3), a, 2.0 * a, np.zeros_like(a))[0]
         assert r <= 1e-14 * (1.0 + spectral_norms(a)[0])
 
@@ -128,11 +128,11 @@ class TestDefects:
     def test_exact_map_square_defect_vanishes(self):
         for seed in range(120, 126):
             a = random_element(seed, 3, 5.0)
-            defect = superstability_decay_batch(Transpose(3), a.entries[np.newaxis], 2)[0, 0]
-            assert defect <= 1e-10 * (1.0 + op_norm(a) ** 2)
+            defect = superstability_decay_batch(Transpose(3), a[np.newaxis], 2)[0, 0]
+            assert defect <= 1e-10 * (1.0 + spectral_norms(a[np.newaxis])[0] ** 2)
 
     def test_zero_map_square_defect_zero(self):
-        A = random_element(5, 3, 2.0).entries[np.newaxis]
+        A = random_element(5, 3, 2.0)[np.newaxis]
         assert superstability_decay_batch(ZeroMap(3), A, 2)[0, 0] == 0.0
 
     def test_power_perturbation_square_defect_budget(self):
@@ -144,36 +144,38 @@ class TestDefects:
         )
         for seed in range(130, 140):
             a = random_element(seed, 3, 2.0)
-            na = op_norm(a)
-            nasq = op_norm(Element(a.entries @ a.entries))
+            na = spectral_norms(a[np.newaxis])[0]
+            nasq = spectral_norms((a @ a)[np.newaxis])[0]
             budget = size * nasq**power + 2 * size * na ** (power + 1) + size**2 * na ** (2 * power)
-            assert superstability_decay_batch(f, a.entries[np.newaxis], 2)[0, 0] <= budget + 1e-12
+            assert superstability_decay_batch(f, a[np.newaxis], 2)[0, 0] <= budget + 1e-12
 
     def test_star_defect_unitary_conjugation(self):
         u = phase_permutation_unitary(3, seed=3)
         f = UnitaryConjugation(u)
         # oracle: (u a u*)* == u a* u*
         a = random_element(140, 3, 2.0)
-        lhs = (u.entries @ a.entries @ u.entries.conj().T).conj().T
-        rhs = u.entries @ a.entries.conj().T @ u.entries.conj().T
+        lhs = (u @ a @ u.conj().T).conj().T
+        rhs = u @ a.conj().T @ u.conj().T
         assert np.allclose(lhs, rhs, atol=1e-12)
-        A = a.entries[np.newaxis]
+        A = a[np.newaxis]
         defect = spectral_norms(apply_array(f, _conj_t(A)) - _conj_t(apply_array(f, A)))[0]
-        assert defect <= 1e-10 * (1.0 + op_norm(a))
+        assert defect <= 1e-10 * (1.0 + spectral_norms(a[np.newaxis])[0])
 
     def test_star_defect_self_adjoint_direction_and_point(self):
         f = constant_perturbed(size=0.3)
-        sym = element([[1, 2], [2, -1]])
-        pad = np.pad(sym.entries, ((0, 1), (0, 1)))[np.newaxis]
+        sym = np.array([[1, 2], [2, -1]], dtype=complex)
+        pad = np.pad(sym, ((0, 1), (0, 1)))[np.newaxis]
         assert spectral_norms(apply_array(f, _conj_t(pad)) - _conj_t(apply_array(f, pad)))[0] <= 1e-13
 
     def test_star_defect_skew_direction_value(self):
         # f = id + 0.4 * e01 on a = I: defect is 0.4 * ||e01 - e10|| = 0.4
         f = Perturbed(
             Identity(2),
-            Perturbation(size=0.4, power=0.0, direction=element([[0, 1], [0, 0]]), mode="constant"),
+            Perturbation(
+                size=0.4, power=0.0, direction=np.array([[0, 1], [0, 0]], dtype=complex), mode="constant"
+            ),
         )
-        eye = identity(2).entries[np.newaxis]
+        eye = np.eye(2, dtype=complex)[np.newaxis]
         defect = spectral_norms(apply_array(f, _conj_t(eye)) - _conj_t(apply_array(f, eye)))[0]
         assert defect == pytest.approx(0.4, rel=1e-11)
 
@@ -200,7 +202,8 @@ class TestAdditivityLadder:
         reports = additivity_ladder(f, seed=8, samples=50, tol=1e-9)
         assert reports[0].name == "zero_at_zero"
         assert reports[0].verdict == "violated"
-        assert reports[0].max_residual == pytest.approx(op_norm(identity(3)), abs=1e-12)
+        eye = np.eye(3, dtype=complex)
+        assert reports[0].max_residual == pytest.approx(spectral_norms(eye[np.newaxis])[0], abs=1e-12)
 
     def test_small_power_defect_doubling_budget(self):
         # expansion oracle: f(2c) - 2f(c) = eps(2c) - 2 eps(c), so the
@@ -212,9 +215,9 @@ class TestAdditivityLadder:
         )
         for seed in range(160, 190):
             c = random_element(seed, 3, 10.0)
-            C = c.entries[np.newaxis]
+            C = c[np.newaxis]
             residual = spectral_norms(apply_array(f, 2.0 * C) - 2.0 * apply_array(f, C))[0]
-            assert residual <= size * (2.0**power + 2.0) * op_norm(c) ** power + 1e-12
+            assert residual <= size * (2.0**power + 2.0) * spectral_norms(c[np.newaxis])[0] ** power + 1e-12
 
     def test_telescoping_check(self):
         report = telescoping_check(UnitaryConjugation(phase_permutation_unitary(3, 11)), seed=10, samples=200, tol=1e-9)
@@ -247,12 +250,12 @@ class TestPhaseChecks:
 class TestSuperstabilityDecay:
     def test_exact_map_sequence_vanishes(self):
         a = random_element(150, 3, 2.0)
-        seq = superstability_decay_batch(Transpose(3), a.entries[np.newaxis], 16)[0]
-        assert max(seq) <= 1e-9 * (1.0 + op_norm(a) ** 2)
+        seq = superstability_decay_batch(Transpose(3), a[np.newaxis], 16)[0]
+        assert max(seq) <= 1e-9 * (1.0 + spectral_norms(a[np.newaxis])[0] ** 2)
 
     def test_first_term_is_square_defect(self):
         f = constant_perturbed(size=0.2)
-        A = random_element(151, 3, 2.0).entries[np.newaxis]
+        A = random_element(151, 3, 2.0)[np.newaxis]
         seq = superstability_decay_batch(f, A, 4)[0]
         fa = apply_array(f, A)
         assert seq[0] == spectral_norms(apply_array(f, A @ A) - fa @ fa)[0]
@@ -266,8 +269,8 @@ class TestSuperstabilityDecay:
             Perturbation(size=size, power=power, direction=unit_direction(3, "corner"), mode="power"),
         )
         a = random_element(152, 3, 2.0)
-        seq = superstability_decay_batch(f, a.entries[np.newaxis], 64)[0]
-        nasq = op_norm(Element(a.entries @ a.entries))
+        seq = superstability_decay_batch(f, a[np.newaxis], 64)[0]
+        nasq = spectral_norms((a @ a)[np.newaxis])[0]
         expected = [size * nasq**power * n ** (2 * power - 2) for n in range(1, 65)]
         assert np.allclose(seq, expected, rtol=1e-9)
         slope = fit_loglog_slope(seq, start_n=4)
@@ -281,8 +284,8 @@ class TestSuperstabilityDecay:
         )
         for seed in (153, 154):
             a = random_element(seed, 3, 2.0)
-            na = op_norm(a)
-            seq = superstability_decay_batch(f, a.entries[np.newaxis], 32)[0]
+            na = spectral_norms(a[np.newaxis])[0]
+            seq = superstability_decay_batch(f, a[np.newaxis], 32)[0]
             for n, d in enumerate(seq, start=1):
                 assert d <= size * n ** (2 * power - 2) * na ** (2 * power) + 1e-12
 
@@ -293,7 +296,7 @@ class TestSuperstabilityDecay:
             Perturbation(size=size, power=power, direction=unit_direction(3, "corner"), mode="power"),
         )
         a = random_element(155, 3, 2.0)
-        seq = superstability_shrinking_batch(f, a.entries[np.newaxis], 64)[0]
+        seq = superstability_shrinking_batch(f, a[np.newaxis], 64)[0]
         slope = fit_loglog_slope(seq, start_n=4)
         assert slope == pytest.approx(2 - 2 * power, abs=0.05)
 
@@ -304,7 +307,7 @@ class TestSuperstabilityDecay:
             Perturbation(size=size, power=power, direction=unit_direction(3, "corner"), mode="power"),
         )
         # s_n = ||f(n a*) - f(n a)*|| / n, the involution-defect decay
-        A = random_element(156, 3, 2.0).entries[np.newaxis]
+        A = random_element(156, 3, 2.0)[np.newaxis]
         seq = [spectral_norms(apply_array(f, n * _conj_t(A)) - _conj_t(apply_array(f, n * A)))[0] / n for n in range(1, 65)]
         slope = fit_loglog_slope(seq, start_n=4)
         assert slope == pytest.approx(power - 1, abs=0.05)
@@ -316,7 +319,7 @@ class TestSuperstabilityDecay:
 
     def test_n_max_validation(self):
         with pytest.raises(ValueError):
-            superstability_decay_batch(Identity(2), identity(2).entries[np.newaxis], 1)
+            superstability_decay_batch(Identity(2), np.eye(2, dtype=complex)[np.newaxis], 1)
 
 
 class TestExactMapDefectSweep:

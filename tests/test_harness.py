@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import warnings
 from pathlib import Path
 from typing import get_args, get_origin
@@ -72,6 +73,18 @@ BACKWARD_CONSTANT = {
 
 BOUNDS_TABLE = {"schema": 1, "algebra": {"dim": 2}, "sampling": {"seed": 0, "samples": 1}}
 
+# A growing decay whose slope fit starts at n = 4 and needs two points, so n_max >= 5.
+POWER_DECAY = {
+    "schema": 1,
+    "algebra": {"dim": 3},
+    "map": {
+        "kind": "perturbed",
+        "base": {"kind": "zero"},
+        "perturbation": {"mode": "power", "size": 1e-2, "power": 0.9},
+    },
+    "sampling": {"seed": 4, "samples": 5},
+}
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 P05_CONFIG = README.parent / "configs" / "superstability_p05.json"
 FORWARD_POWER_CONFIG = README.parent / "configs" / "stability_forward_power.json"
@@ -83,6 +96,15 @@ def run_cli(capsys, argv):
         warnings.simplefilter("always")
         code = cli_main(argv)
     return code, capsys.readouterr().err.splitlines() + [str(w.message) for w in caught]
+
+
+def strict_json(body):
+    """Parse report bytes, rejecting the non-standard constants NaN, Infinity and -Infinity."""
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(body, parse_constant=reject)
 
 
 def set_path(cfg, path, value):
@@ -254,7 +276,7 @@ class TestBuildMap:
             g = build_map(parse_config(minimal_config(map=serialized)).map_cfg, 3)
             assert map_to_config(g) == serialized
             for seed in range(5):
-                a = random_element(seed, 3, 2.0).entries[np.newaxis]
+                a = random_element(seed, 3, 2.0)[np.newaxis]
                 assert np.allclose(apply_array(f, a), apply_array(g, a), atol=1e-14)
 
 
@@ -472,14 +494,15 @@ class TestSuperstabilityCommand:
     def test_report_without_fits_is_strict_json(self):
         # every row at noise scale: each slope is null, never a bare NaN
         cfg = parse_config(minimal_config(superstability={"n_max": 8}, sampling={"seed": 1, "samples": 5}))
-        body = report_json_bytes(cmd_superstability(cfg))
-
-        def reject(constant):
-            raise ValueError(f"non-standard JSON constant {constant}")
-
-        rows = json.loads(body, parse_constant=reject)["samples"]
+        rows = strict_json(report_json_bytes(cmd_superstability(cfg)))["samples"]
         assert [r["slope"] for r in rows] == [None] * 5
         assert [line.split(",")[4] for line in rows_to_csv(rows).splitlines()] == ["slope"] + [""] * 5
+
+    def test_shortest_decay_is_strict_json(self):
+        # n_max 5 leaves the fit its two points; at 4 it failed and wrote Infinity
+        cfg = parse_config(set_path(copy.deepcopy(POWER_DECAY), "superstability.n_max", 5))
+        report = strict_json(report_json_bytes(cmd_superstability(cfg)))
+        assert all(r["slope"] is not None for r in report["samples"])
 
     def test_constructed_defect_slope_checked(self):
         cfg = parse_config(
@@ -547,6 +570,13 @@ class TestBoundsTableCommand:
         prof = cell("profile", "forward", 1.0, 2.0, 1.0)
         assert prof["power_rel_err"] <= 1e-12
 
+    def test_two_terms_is_strict_json(self):
+        # two terms give the tail its ratio; one term wrote an Infinity tail in every row
+        cfg = parse_config(set_path(copy.deepcopy(BOUNDS_TABLE), "bounds_table.terms", 2))
+        rows = strict_json(report_json_bytes(cmd_bounds_table(cfg)))["samples"]
+        assert len(rows) == 63
+        assert all(math.isfinite(r["tail_estimate"]) for r in rows)
+
 
 NAN, INF = float("nan"), float("inf")
 
@@ -608,10 +638,25 @@ class TestOutOfRangeValues:
                 [],
                 "map.base.matrix",
             ),
+            # ranges that keep every report strict JSON: a slope fit needs two points, a series tail a ratio
+            ("superstability", {"superstability.n_max": 4}, [], "superstability.n_max"),
+            ("bounds-table", {"bounds_table.terms": 1}, [], "bounds_table.terms"),
+            # u*u overflows: refused without a RuntimeWarning
+            (
+                "lemma-check",
+                {"algebra.dim": 2, "map": {"kind": "unitary_conjugation", "matrix": [[1e200, 0], [0, 1]]}},
+                [],
+                "map.matrix",
+            ),
         ],
     )
     def test_cli_exits_config_error(self, tmp_path, capsys, command, overrides, argv, path):
-        base = {"lemma-check": minimal_config(), "stability": BACKWARD_CONSTANT, "bounds-table": BOUNDS_TABLE}
+        base = {
+            "lemma-check": minimal_config(),
+            "stability": BACKWARD_CONSTANT,
+            "superstability": POWER_DECAY,
+            "bounds-table": BOUNDS_TABLE,
+        }
         raw = copy.deepcopy(base[command])
         for key, value in overrides.items():
             set_path(raw, key, value)

@@ -7,14 +7,7 @@ apply_array, the path every command runs.
 import numpy as np
 import pytest
 
-from stablab.algebra import (
-    element,
-    identity,
-    random_element,
-    random_elements,
-    spectral_norms,
-    zeros,
-)
+from stablab.algebra import random_element, random_elements, spectral_norms
 from stablab.mappings import (
     Identity,
     Negation,
@@ -33,11 +26,11 @@ from stablab.mappings import (
 
 class TestEvaluate:
     def test_identity(self):
-        x = random_element(3, 3, 1.0).entries[np.newaxis]
+        x = random_element(3, 3, 1.0)[np.newaxis]
         assert np.array_equal(apply_array(Identity(3), x), x)
 
     def test_transpose_forced(self):
-        got = apply_array(Transpose(2), element([[0, 1], [0, 0]]).entries[np.newaxis])[0]
+        got = apply_array(Transpose(2), np.array([[0, 1], [0, 0]], dtype=complex)[np.newaxis])[0]
         assert np.array_equal(got, np.array([[0, 0], [1, 0]], dtype=complex))
 
     def test_constant_perturbation_adds_offset(self):
@@ -45,11 +38,11 @@ class TestEvaluate:
             Identity(2),
             Perturbation(size=0.5, power=0.0, direction=unit_direction(2, "identity"), mode="constant"),
         )
-        x = element([[1, 2], [3, 4]]).entries[np.newaxis]
+        x = np.array([[1, 2], [3, 4]], dtype=complex)[np.newaxis]
         expected = x + 0.5 * np.eye(2)
         assert np.allclose(apply_array(f, x), expected, atol=1e-15)
         # the constant mode vanishes at zero by convention
-        z = zeros(2).entries[np.newaxis]
+        z = np.zeros((2, 2), dtype=complex)[np.newaxis]
         assert np.array_equal(apply_array(f, z), z)
 
     def test_affine_perturbation_keeps_offset_at_zero(self):
@@ -57,7 +50,7 @@ class TestEvaluate:
             Identity(2),
             Perturbation(size=1.0, power=0.0, direction=unit_direction(2, "identity"), mode="affine"),
         )
-        assert np.allclose(apply_array(f, zeros(2).entries[np.newaxis])[0], np.eye(2), atol=1e-15)
+        assert np.allclose(apply_array(f, np.zeros((2, 2), dtype=complex)[np.newaxis])[0], np.eye(2), atol=1e-15)
 
     def test_power_perturbation_magnitude(self):
         # defect norm identity: ||f(a) - a|| == size * ||a||^power up to rounding
@@ -66,7 +59,7 @@ class TestEvaluate:
             Perturbation(size=0.25, power=1.5, direction=unit_direction(3, "identity"), mode="power"),
         )
         for seed in range(10):
-            a = random_element(seed, 3, 2.0).entries[np.newaxis]
+            a = random_element(seed, 3, 2.0)[np.newaxis]
             gap = spectral_norms(apply_array(f, a) - a)[0]
             expected = 0.25 * spectral_norms(a)[0] ** 1.5
             assert gap == pytest.approx(expected, rel=1e-10, abs=1e-300)
@@ -77,7 +70,7 @@ class TestEvaluate:
                 Identity(2),
                 Perturbation(size=1.0, power=power, direction=unit_direction(2, "corner"), mode="power"),
             )
-            z = zeros(2).entries[np.newaxis]
+            z = np.zeros((2, 2), dtype=complex)[np.newaxis]
             assert np.array_equal(apply_array(f, z), z)
 
     def test_odd_field_is_odd(self):
@@ -86,20 +79,20 @@ class TestEvaluate:
             Perturbation(size=0.1, power=2.0, direction=unit_direction(3, "identity"), mode="power", odd=True),
         )
         for seed in range(8):
-            a = random_element(seed + 50, 3, 1.0).entries[np.newaxis]
+            a = random_element(seed + 50, 3, 1.0)[np.newaxis]
             eps_pos = apply_array(f, a) - a
             eps_neg = apply_array(f, -a) + a
             assert np.allclose(eps_neg, -eps_pos, atol=1e-14)
 
     def test_dimension_mismatch(self):
         with pytest.raises(Exception):
-            apply_array(Identity(2), identity(3).entries[np.newaxis])
+            apply_array(Identity(2), np.eye(3, dtype=complex)[np.newaxis])
 
 
 class TestValidation:
     def test_unitary_conjugation_rejects_non_unitary(self):
         with pytest.raises(ValueError):
-            UnitaryConjugation(element([[1, 0], [0, 2]]))
+            UnitaryConjugation(np.array([[1, 0], [0, 2]], dtype=complex))
 
     def test_perturbed_does_not_nest(self):
         inner = Perturbed(
@@ -111,7 +104,7 @@ class TestValidation:
 
     def test_direction_norm_capped(self):
         with pytest.raises(ValueError):
-            Perturbation(size=1.0, power=0.0, direction=element([[2, 0], [0, 0]]), mode="constant")
+            Perturbation(size=1.0, power=0.0, direction=np.array([[2, 0], [0, 0]], dtype=complex), mode="constant")
 
     def test_direction_dimension_checked(self):
         with pytest.raises(Exception):
@@ -153,8 +146,8 @@ class TestJordanStar:
         # oracle: u a u* u a u* == u a^2 u* because u* u == I
         rng = np.random.default_rng(9)
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        ua = u.entries @ a @ u.entries.conj().T
-        assert np.allclose(ua @ ua, u.entries @ (a @ a) @ u.entries.conj().T, atol=1e-12)
+        ua = u @ a @ u.conj().T
+        assert np.allclose(ua @ ua, u @ (a @ a) @ u.conj().T, atol=1e-12)
         f = UnitaryConjugation(u)
         defects, _ = jordan_star_defects(lambda xs: apply_array(f, xs), 3, 100, 32)
         assert max(float(np.max(v)) for v in defects.values()) <= 1e-9

@@ -198,11 +198,11 @@ class TestStabilizePoint:
     """A single point is stabilized as a one-matrix stack."""
 
     def test_linear_map_is_fixed_point(self):
-        a = random_element(200, 3, 2.0).entries[np.newaxis]
+        a = random_element(200, 3, 2.0)[np.newaxis]
         res = stabilize_batch(Transpose(3), a, StabilizerConfig())[0]
         assert res.status == "converged"
         assert res.iterations_used == 1
-        gap = spectral_norms(res.limit.entries - apply_array(Transpose(3), a))[0]
+        gap = spectral_norms(res.limit - apply_array(Transpose(3), a))[0]
         assert gap <= 1e-14 * (1.0 + spectral_norms(a)[0])
 
     def test_backward_constant_recovers_base(self):
@@ -210,31 +210,31 @@ class TestStabilizePoint:
             Identity(3),
             Perturbation(size=0.3, power=0.0, direction=unit_direction(3, "identity"), mode="constant"),
         )
-        a = random_element(201, 3, 2.0).entries[np.newaxis]
+        a = random_element(201, 3, 2.0)[np.newaxis]
         res = stabilize_batch(f, a, StabilizerConfig())[0]
         assert res.status == "converged"
-        assert res.direction == BACKWARD
-        assert spectral_norms(res.limit.entries - a)[0] <= 1e-9 * (1.0 + spectral_norms(a)[0])
-        assert spectral_norms(res.limit.entries - apply_array(f, a))[0] == pytest.approx(0.3, abs=1e-8)
+        assert resolve_direction(f, StabilizerConfig()) == BACKWARD
+        assert spectral_norms(res.limit - a)[0] <= 1e-9 * (1.0 + spectral_norms(a)[0])
+        assert spectral_norms(res.limit - apply_array(f, a))[0] == pytest.approx(0.3, abs=1e-8)
 
     def test_forward_power_converges_fast(self):
         f = Perturbed(
             Identity(3),
             Perturbation(size=1e-2, power=2.0, direction=unit_direction(3, "identity"), mode="power", odd=True),
         )
-        a = random_element(202, 3, 1.0).entries[np.newaxis]
+        a = random_element(202, 3, 1.0)[np.newaxis]
         res = stabilize_batch(f, a, StabilizerConfig(tol=1e-14, max_iter=40))[0]
         assert res.status == "converged"
-        assert res.direction == FORWARD
+        assert resolve_direction(f, StabilizerConfig()) == FORWARD
         assert res.iterations_used <= 30
-        assert spectral_norms(res.limit.entries - a)[0] <= 1e-12
+        assert spectral_norms(res.limit - a)[0] <= 1e-12
 
     def test_forward_constant_diverges_with_trace(self):
         f = Perturbed(
             Identity(3),
             Perturbation(size=0.3, power=0.0, direction=unit_direction(3, "identity"), mode="constant"),
         )
-        a = random_element(203, 3, 2.0).entries[np.newaxis]
+        a = random_element(203, 3, 2.0)[np.newaxis]
         res = stabilize_batch(f, a, StabilizerConfig(direction=FORWARD))[0]
         assert res.status == "diverged"
         assert res.limit is None
@@ -245,9 +245,9 @@ class TestStabilizePoint:
         assert all(r == pytest.approx(3.0, rel=1e-9) for r in ratios)
 
     def test_zero_map_stabilizes_to_zero(self):
-        res = stabilize_batch(ZeroMap(2), random_element(204, 2, 1.0).entries[np.newaxis], StabilizerConfig())[0]
+        res = stabilize_batch(ZeroMap(2), random_element(204, 2, 1.0)[np.newaxis], StabilizerConfig())[0]
         assert res.status == "converged"
-        assert spectral_norms(res.limit.entries[np.newaxis])[0] == 0.0
+        assert spectral_norms(res.limit[np.newaxis])[0] == 0.0
 
     def test_auto_direction_resolution(self):
         power_high = Perturbed(
@@ -270,7 +270,7 @@ class TestStabilizePoint:
         assert resolve_direction(const, StabilizerConfig(direction=FORWARD)) == FORWARD
 
     def test_probe_picks_a_convergent_direction(self):
-        res = stabilize_batch(Transpose(3), random_element(205, 3, 1.0).entries[np.newaxis], StabilizerConfig())[0]
+        res = stabilize_batch(Transpose(3), random_element(205, 3, 1.0)[np.newaxis], StabilizerConfig())[0]
         assert res.status == "converged"
 
     def test_batch_matches_point(self):
@@ -278,12 +278,12 @@ class TestStabilizePoint:
             Identity(3),
             Perturbation(size=0.2, power=0.0, direction=unit_direction(3, "identity"), mode="constant"),
         )
-        A = np.stack([random_element(210 + i, 3, 2.0).entries for i in range(5)])
+        A = np.stack([random_element(210 + i, 3, 2.0) for i in range(5)])
         batch = stabilize_batch(f, A, StabilizerConfig())
         for i in range(5):
             single = stabilize_batch(f, A[i : i + 1], StabilizerConfig())[0]
             assert batch[i].iterations_used == single.iterations_used
-            assert np.allclose(batch[i].limit.entries, single.limit.entries, atol=1e-14)
+            assert np.allclose(batch[i].limit, single.limit, atol=1e-14)
 
 
 class TestCalibration:
