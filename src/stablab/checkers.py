@@ -74,10 +74,6 @@ class CheckReport:
     verdict: str
     worst_witness: Witness | None = None
 
-    @property
-    def satisfied(self) -> bool:
-        return self.verdict == "satisfied"
-
 
 def _build_report(
     name: str,

@@ -57,10 +57,6 @@ class CalibrationError(RuntimeError):
 class DivergedError(RuntimeError):
     """A stabilization run needed by the caller did not converge."""
 
-    def __init__(self, message: str, results=None):
-        super().__init__(message)
-        self.results = results
-
 
 # ---------------------------------------------------------------------------
 # control functions (the right-hand-side bounds on defects)
@@ -229,10 +225,11 @@ class StabilizationResult:
 
 
 def resolve_direction(f: MapSpec, cfg: StabilizerConfig) -> str | None:
-    """Direction from config, or from the perturbation exponent; None => probe.
+    """Direction from config, or from the perturbation exponent; None if unresolved.
 
     Exponents above one shrink under forward rescaling, below one under
-    backward rescaling; exactly one (and exact maps) fall back to probing.
+    backward rescaling; exactly one and exact maps have no direction of
+    their own and must name one.
     """
     if cfg.direction != "auto":
         return cfg.direction
@@ -247,20 +244,27 @@ def resolve_direction(f: MapSpec, cfg: StabilizerConfig) -> str | None:
     return None
 
 
-def _iterate_batch(f: MapSpec, A: np.ndarray, direction: str, cfg: StabilizerConfig):
-    """Lockstep stabilization of a sample stack with per-sample freezing.
+def stabilize_batch(f: MapSpec, A: np.ndarray, cfg: StabilizerConfig) -> list[StabilizationResult]:
+    """Lockstep stabilization of a (count, d, d) stack; pure per point.
 
     Each sample stops independently the first time its Cauchy residual meets
     tol * (1 + ||a||), diverges after five consecutive residual increases
-    that end above the initial residual, or exhausts max_iter.
+    that end above the initial residual (or once an iterate entry passes
+    ITERATE_OVERFLOW_LIMIT), or exhausts max_iter.  A direction "auto" that
+    resolve_direction cannot resolve raises ValueError.
     """
+    direction = resolve_direction(f, cfg)
+    if direction is None:
+        raise ValueError("stabilizer direction 'auto' does not resolve for this map: set forward or backward")
+    A = np.asarray(A, dtype=np.complex128)
     count = A.shape[0]
     scales = 1.0 + spectral_norms(A)
     h_prev = apply_array(f, A)
-    traces: list[list[float]] = [[] for _ in range(count)]
-    status = ["active"] * count
-    limits: list[np.ndarray | None] = [None] * count
-    iters = [0] * count
+    history = []  # one residual row per iteration, over the whole stack
+    active = np.ones(count, dtype=bool)
+    status = np.full(count, "exhausted", dtype=object)  # the status of a row still active at max_iter
+    iters = np.zeros(count, dtype=int)
+    limits = np.empty_like(A)
     grow = np.zeros(count, dtype=int)
     last_res = np.full(count, np.inf)
 
@@ -271,70 +275,32 @@ def _iterate_batch(f: MapSpec, A: np.ndarray, direction: str, cfg: StabilizerCon
         else:
             h = apply_array(f, A * factor) / factor
         res = spectral_norms(h - h_prev)
-        peaks = np.max(np.abs(h), axis=(1, 2))
-        for i in range(count):
-            if status[i] != "active":
-                continue
-            r = float(res[i])
-            traces[i].append(r)
-            if r <= cfg.tol * scales[i]:
-                status[i] = "converged"
-                limits[i] = h[i].copy()
-                iters[i] = n
-                continue
-            if r > last_res[i]:
-                grow[i] += 1
-            else:
-                grow[i] = 0
-            last_res[i] = r
-            blown = peaks[i] > ITERATE_OVERFLOW_LIMIT
-            if blown or (grow[i] >= DIVERGENCE_GROWTH_STEPS and r > traces[i][0]):
-                status[i] = "diverged"
-                iters[i] = n
-                continue
-            if n == cfg.max_iter:
-                status[i] = "exhausted"
-                limits[i] = h[i].copy()
-                iters[i] = n
-        if all(s != "active" for s in status):
+        history.append(res)
+        iters[active] = n
+        converged = active & (res <= cfg.tol * scales)
+        running = active & ~converged
+        grow = np.where(res > last_res, grow + 1, 0)
+        last_res = res
+        blown = np.max(np.abs(h), axis=(1, 2)) > ITERATE_OVERFLOW_LIMIT
+        diverged = running & (blown | ((grow >= DIVERGENCE_GROWTH_STEPS) & (res > history[0])))
+        status[converged], status[diverged] = "converged", "diverged"
+        active = running & ~diverged
+        kept = converged | active if n == cfg.max_iter else converged  # exhausted rows keep their last iterate
+        limits[kept] = h[kept]
+        if not active.any():
             break
         h_prev = h
 
+    residuals = np.stack(history)
     return [
         StabilizationResult(
-            limit=limits[i],
-            iterations_used=iters[i],
-            cauchy_residuals=traces[i],
+            limit=None if status[i] == "diverged" else limits[i],
+            iterations_used=int(iters[i]),
+            cauchy_residuals=residuals[: iters[i], i].tolist(),
             status=status[i],
         )
         for i in range(count)
     ]
-
-
-def stabilize_batch(f: MapSpec, A: np.ndarray, cfg: StabilizerConfig) -> list[StabilizationResult]:
-    """Stabilize a (count, d, d) stack of points; pure per point.
-
-    With direction "auto" and no usable exponent, both directions are probed
-    and each sample keeps the convergent run (ties favour the faster one,
-    then forward).
-    """
-    A = np.asarray(A, dtype=np.complex128)
-    direction = resolve_direction(f, cfg)
-    if direction is not None:
-        return _iterate_batch(f, A, direction, cfg)
-    fwd = _iterate_batch(f, A, FORWARD, cfg)
-    bwd = _iterate_batch(f, A, BACKWARD, cfg)
-    picked = []
-    for rf, rb in zip(fwd, bwd):
-        if rf.converged and rb.converged:
-            picked.append(rf if rf.iterations_used <= rb.iterations_used else rb)
-        elif rf.converged:
-            picked.append(rf)
-        elif rb.converged:
-            picked.append(rb)
-        else:
-            picked.append(rf)
-    return picked
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +393,7 @@ def verify_uniqueness(
     for results in (base, shifted):
         bad = [r for r in results if not r.converged]
         if bad:
-            raise DivergedError(
-                f"{len(bad)} of {samples} stabilization runs did not converge", results=results
-            )
+            raise DivergedError(f"{len(bad)} of {samples} stabilization runs did not converge")
     h_base = np.stack([r.limit for r in base])
     h_shift = np.stack([r.limit for r in shifted]) / 3.0
     disc = spectral_norms(h_shift - h_base)

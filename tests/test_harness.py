@@ -551,6 +551,14 @@ class TestBoundsTableCommand:
         assert len(summary.sample_rows) == 63
         assert all(r["agree"] for r in summary.sample_rows)
 
+    @pytest.mark.parametrize("terms", [2, 10, 20, 30])
+    def test_short_series_agrees_with_its_tail(self, terms):
+        # the truncated series alone falls short of the closed form; its tail closes the gap
+        cfg = parse_config(set_path(copy.deepcopy(BOUNDS_TABLE), "bounds_table.terms", terms))
+        summary = cmd_bounds_table(cfg)
+        assert summary.exit_code == EXIT_OK
+        assert all(r["agree"] for r in summary.sample_rows)
+
     def test_reference_cells(self):
         cfg = parse_config({"schema": 1, "algebra": {"dim": 2}, "sampling": {"seed": 0, "samples": 1}})
         rows = cmd_bounds_table(cfg).sample_rows

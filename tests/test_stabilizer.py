@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from stablab.algebra import random_element, spectral_norms
+from stablab.algebra import random_element, random_elements, spectral_norms
 from stablab.mappings import (
     Identity,
     Perturbation,
@@ -23,8 +23,10 @@ from stablab.mappings import (
 )
 from stablab.stabilizer import (
     BACKWARD,
+    DIVERGENCE_GROWTH_STEPS,
     FORWARD,
     BOUND_KINDS,
+    ITERATE_OVERFLOW_LIMIT,
     CalibrationError,
     ControlDirectionError,
     DivergedError,
@@ -51,6 +53,26 @@ CATALOG_ORACLE = {
     "constant": (lambda x: {}, lambda x: 0, (BACKWARD,)),
 }
 GRID_EXPONENTS = {FORWARD: (1.5, 2.0, 3.0), BACKWARD: (0.0, 0.25, 0.5)}
+
+
+def reference_stabilize(f, a, cfg):
+    """The stopping rules as a scalar loop over one (1, d, d) point: (status, iterations, trace, limit)."""
+    scale = 1.0 + spectral_norms(a)[0]
+    h_prev = apply_array(f, a)
+    trace, grow, last = [], 0, float("inf")
+    for n in range(1, cfg.max_iter + 1):
+        factor = 3.0**n
+        h = factor * apply_array(f, a / factor) if cfg.direction == FORWARD else apply_array(f, a * factor) / factor
+        r = float(spectral_norms(h - h_prev)[0])
+        trace.append(r)
+        if r <= cfg.tol * scale:
+            return "converged", n, trace, h[0]
+        grow = grow + 1 if r > last else 0
+        last = r
+        if np.max(np.abs(h)) > ITERATE_OVERFLOW_LIMIT or (grow >= DIVERGENCE_GROWTH_STEPS and r > trace[0]):
+            return "diverged", n, trace, None
+        h_prev = h
+    return "exhausted", cfg.max_iter, trace, h[0]
 
 
 def mp_series(coeff, exponent, norm_a, direction, terms=200):
@@ -199,7 +221,7 @@ class TestStabilizePoint:
 
     def test_linear_map_is_fixed_point(self):
         a = random_element(200, 3, 2.0)[np.newaxis]
-        res = stabilize_batch(Transpose(3), a, StabilizerConfig())[0]
+        res = stabilize_batch(Transpose(3), a, StabilizerConfig(direction=FORWARD))[0]
         assert res.status == "converged"
         assert res.iterations_used == 1
         gap = spectral_norms(res.limit - apply_array(Transpose(3), a))[0]
@@ -245,7 +267,8 @@ class TestStabilizePoint:
         assert all(r == pytest.approx(3.0, rel=1e-9) for r in ratios)
 
     def test_zero_map_stabilizes_to_zero(self):
-        res = stabilize_batch(ZeroMap(2), random_element(204, 2, 1.0)[np.newaxis], StabilizerConfig())[0]
+        a = random_element(204, 2, 1.0)[np.newaxis]
+        res = stabilize_batch(ZeroMap(2), a, StabilizerConfig(direction=FORWARD))[0]
         assert res.status == "converged"
         assert spectral_norms(res.limit[np.newaxis])[0] == 0.0
 
@@ -269,21 +292,59 @@ class TestStabilizePoint:
         assert resolve_direction(Transpose(2), cfg) is None
         assert resolve_direction(const, StabilizerConfig(direction=FORWARD)) == FORWARD
 
-    def test_probe_picks_a_convergent_direction(self):
-        res = stabilize_batch(Transpose(3), random_element(205, 3, 1.0)[np.newaxis], StabilizerConfig())[0]
-        assert res.status == "converged"
+    @pytest.mark.parametrize(
+        "f",
+        [
+            Transpose(3),
+            Perturbed(
+                Identity(3),
+                Perturbation(size=0.1, power=1.0, direction=unit_direction(3, "identity"), mode="power"),
+            ),
+        ],
+        ids=["exact", "power_one"],
+    )
+    def test_unresolved_auto_direction_raises(self, f):
+        with pytest.raises(ValueError, match="does not resolve"):
+            stabilize_batch(f, random_element(205, 3, 1.0)[np.newaxis], StabilizerConfig())
 
     def test_batch_matches_point(self):
-        f = Perturbed(
-            Identity(3),
-            Perturbation(size=0.2, power=0.0, direction=unit_direction(3, "identity"), mode="constant"),
-        )
-        A = np.stack([random_element(210 + i, 3, 2.0) for i in range(5)])
-        batch = stabilize_batch(f, A, StabilizerConfig())
-        for i in range(5):
-            single = stabilize_batch(f, A[i : i + 1], StabilizerConfig())[0]
-            assert batch[i].iterations_used == single.iterations_used
-            assert np.allclose(batch[i].limit, single.limit, atol=1e-14)
+        """Each row of a stack, whatever its status, equals the row run alone and the scalar reference."""
+        seeded = np.stack([random_element(210 + i, 3, 2.0) for i in range(5)])
+        zero_row = seeded.copy()
+        zero_row[2] = 0.0
+        # norms from 0.02 to 200: the rows converge at different iterations
+        spread = seeded * np.array([0.01, 0.1, 1.0, 10.0, 100.0])[:, np.newaxis, np.newaxis]
+        cases = [
+            ("constant", 0.0, 0.2, seeded, StabilizerConfig(direction=BACKWARD), {"converged"}),
+            ("constant", 0.0, 0.2, spread, StabilizerConfig(direction=BACKWARD), {"converged"}),
+            ("constant", 0.0, 0.2, zero_row, StabilizerConfig(direction=FORWARD), {"converged", "diverged"}),
+            ("power", 0.5, 0.2, zero_row, StabilizerConfig(direction=FORWARD), {"converged", "diverged"}),
+            # these samples need 20 or 21 iterations: max_iter 20 leaves two exhausted
+            (
+                "constant",
+                0.0,
+                0.3,
+                random_elements(5, 6, 3, 2.0, stream=1),
+                StabilizerConfig(max_iter=20, direction=BACKWARD),
+                {"converged", "exhausted"},
+            ),
+        ]
+        for mode, power, size, A, cfg, statuses in cases:
+            f = Perturbed(
+                Identity(3),
+                Perturbation(size=size, power=power, direction=unit_direction(3, "identity"), mode=mode),
+            )
+            batch = stabilize_batch(f, A, cfg)
+            assert {r.status for r in batch} == statuses
+            for i, row in enumerate(batch):
+                single = stabilize_batch(f, A[i : i + 1], cfg)[0]
+                status, iterations, trace, limit = reference_stabilize(f, A[i : i + 1], cfg)
+                for r in (row, single):
+                    assert (r.status, r.iterations_used, r.cauchy_residuals) == (status, iterations, trace)
+                    if limit is None:
+                        assert r.limit is None
+                    else:
+                        assert r.limit.tobytes() == limit.tobytes()
 
 
 class TestCalibration:
@@ -328,7 +389,7 @@ class TestCalibration:
 
 class TestUniqueness:
     def test_exact_map_discrepancy_zero(self):
-        report = verify_uniqueness(Transpose(3), StabilizerConfig(), seed=60, samples=20)
+        report = verify_uniqueness(Transpose(3), StabilizerConfig(direction=FORWARD), seed=60, samples=20)
         assert report.verdict == "satisfied"
         assert report.max_residual <= 1e-12
 
