@@ -154,13 +154,20 @@ def _split_values(
 
 
 def _stability_equation_values(
-    f: MapSpec, A: np.ndarray, B: np.ndarray, C: np.ndarray, phase: complex = 1.0
+    f: MapSpec,
+    A: np.ndarray,
+    B: np.ndarray,
+    C: np.ndarray,
+    phase: complex = 1.0,
+    na: np.ndarray | None = None,
+    nc: np.ndarray | None = None,
 ) -> np.ndarray:
     """Batched residual of the master stability equation.
 
     ||f((mu*b-a)/3) + f((a-3c)/3) + mu*f((3a-b)/3 + c) - f(a) + f(c^2) - f(c)^2||.
     The third argument is kept in the proof's form (3a-b)/3 + c, which agrees
-    with (3a+3c-b)/3 up to rounding.
+    with (3a+3c-b)/3 up to rounding.  ``na`` and ``nc``, when the caller
+    holds them, are the norms of A and C, passed on to f(a) and f(c).
     """
     if phase == 1:
         t1 = apply_array(f, (B - A) / 3.0)
@@ -169,8 +176,8 @@ def _stability_equation_values(
         t1 = apply_array(f, (phase * B - A) / 3.0)
         t3 = phase * apply_array(f, (3.0 * A - B) / 3.0 + C)
     t2 = apply_array(f, (A - 3.0 * C) / 3.0)
-    fa = apply_array(f, A)
-    fc = apply_array(f, C)
+    fa = apply_array(f, A, na)
+    fc = apply_array(f, C, nc)
     fcc = apply_array(f, C @ C)
     return spectral_norms(t1 + t2 + t3 - fa + fcc - fc @ fc)
 
@@ -412,18 +419,20 @@ def _decay_batch(f: MapSpec, A: np.ndarray, n_max: int, shrink: bool) -> np.ndar
         raise ValueError("n_max must be >= 2")
     A = np.asarray(A, dtype=np.complex128)
     Asq = A @ A
+    # every argument is a scalar multiple of a or a^2, so its norm is carried
+    na, nsq = spectral_norms(A), spectral_norms(Asq)
     out = np.empty((A.shape[0], n_max))
     for n in range(1, n_max + 1):
         n2 = float(n * n)
         if n == 1:
-            arg, fa_arg = Asq, A
+            arg, fa_arg, n_arg, n_fa = Asq, A, nsq, na
         elif shrink:
-            arg, fa_arg = Asq / n2, A / float(n)
+            arg, fa_arg, n_arg, n_fa = Asq / n2, A / float(n), nsq / n2, na / float(n)
         else:
-            arg, fa_arg = n2 * Asq, float(n) * A
+            arg, fa_arg, n_arg, n_fa = n2 * Asq, float(n) * A, n2 * nsq, float(n) * na
         _guard_overflow(arg, n)
-        fa = apply_array(f, fa_arg)
-        norms = spectral_norms(apply_array(f, arg) - fa @ fa)
+        fa = apply_array(f, fa_arg, n_fa)
+        norms = spectral_norms(apply_array(f, arg, n_arg) - fa @ fa)
         out[:, n - 1] = norms * n2 if shrink else norms / n2
     return out
 

@@ -702,7 +702,7 @@ def cmd_stability(config: ExperimentConfig) -> RunSummary:
     meta["calibrated_coeff"] = calibrated.coeff
 
     limits = np.stack([r.limit for r in results])
-    dists = spectral_norms(limits - apply_array(f, A))
+    dists = spectral_norms(limits - apply_array(f, A, norms_a))
     try:
         cal_bounds = np.array([bound_closed_form(calibrated, float(n), direction) for n in norms_a])
     except ControlDirectionError as exc:

@@ -218,14 +218,31 @@ def _safe_pow(values: np.ndarray, exponent: float) -> np.ndarray:
     return np.where(positive, powered, 0.0)
 
 
-def _perturbation_term(p: Perturbation, xs: np.ndarray) -> np.ndarray:
-    norms = spectral_norms(xs)
+def _perturbation_term(p: Perturbation, xs: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
+    """The defect eps(x) over a (..., d, d) stack.
+
+    Only "power" mode reads a norm: ``norms`` holds the caller's known
+    spectral norm of each matrix of xs, and when it is None the stack is
+    normed here.  "constant" mode asks only whether a matrix has a nonzero
+    entry and "affine" mode needs nothing.  In every mode a NaN or infinite
+    entry of xs, or a non-finite carried norm, raises NonFiniteError.
+    """
+    if norms is not None:
+        norms = np.asarray(norms, dtype=float)
+        if norms.shape != xs.shape[:-2]:
+            raise ValueError(f"norms of shape {norms.shape} given for a stack of shape {xs.shape}")
+        if not np.all(np.isfinite(norms)):
+            raise NonFiniteError("perturbation term: non-finite carried norms")
+    if p.mode == "power" and norms is None:
+        norms = spectral_norms(xs)  # refuses non-finite entries itself
+    elif not np.all(np.isfinite(xs)):
+        raise NonFiniteError("perturbation term: non-finite entries")
     if p.mode == "power":
         mag = p.size * _safe_pow(norms, p.power)
     elif p.mode == "constant":
-        mag = p.size * (np.asarray(norms) > 0.0).astype(float)
+        mag = p.size * np.any(xs != 0, axis=(-2, -1))
     else:  # affine: offset applies at zero too
-        mag = np.full_like(np.asarray(norms, dtype=float), p.size)
+        mag = np.full(xs.shape[:-2], p.size)
     coeff = np.asarray(mag, dtype=np.complex128)
     if p.odd:
         tr = np.trace(xs, axis1=-2, axis2=-1)
@@ -235,13 +252,20 @@ def _perturbation_term(p: Perturbation, xs: np.ndarray) -> np.ndarray:
     return coeff[..., np.newaxis, np.newaxis] * p.direction
 
 
-def apply_array(f: MapSpec, xs: np.ndarray) -> np.ndarray:
-    """Evaluate f entrywise over a (..., d, d) stack of matrices."""
+def apply_array(f: MapSpec, xs: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate f entrywise over a (..., d, d) stack of matrices.
+
+    ``norms``, when given, is the spectral norm of each matrix of xs as the
+    caller already knows it (shape xs.shape[:-2]); a "power" perturbation
+    reads it instead of norming xs again.  A perturbed map refuses
+    non-finite entries or norms with NonFiniteError in every mode; an exact
+    map ignores ``norms``.
+    """
     xs = np.asarray(xs, dtype=np.complex128)
     if xs.shape[-1] != f.dim or xs.shape[-2] != f.dim:
         raise DimensionMismatchError(f"map of dim {f.dim} applied to shape {xs.shape}")
     if isinstance(f, Perturbed):
-        return apply_array(f.base, xs) + _perturbation_term(f.perturbation, xs)
+        return apply_array(f.base, xs) + _perturbation_term(f.perturbation, xs, norms)
     if type(f) in DIM_ONLY_ACTIONS:
         return DIM_ONLY_ACTIONS[type(f)](xs)
     u = f.u  # unitary conjugation

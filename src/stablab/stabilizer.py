@@ -258,8 +258,9 @@ def stabilize_batch(f: MapSpec, A: np.ndarray, cfg: StabilizerConfig) -> list[St
         raise ValueError("stabilizer direction 'auto' does not resolve for this map: set forward or backward")
     A = np.asarray(A, dtype=np.complex128)
     count = A.shape[0]
-    scales = 1.0 + spectral_norms(A)
-    h_prev = apply_array(f, A)
+    norms_a = spectral_norms(A)  # ||3^±n a|| is carried as norms_a scaled by 3^±n
+    scales = 1.0 + norms_a
+    h_prev = apply_array(f, A, norms_a)
     history = []  # one residual row per iteration, over the whole stack
     active = np.ones(count, dtype=bool)
     status = np.full(count, "exhausted", dtype=object)  # the status of a row still active at max_iter
@@ -271,9 +272,9 @@ def stabilize_batch(f: MapSpec, A: np.ndarray, cfg: StabilizerConfig) -> list[St
     for n in range(1, cfg.max_iter + 1):
         factor = 3.0**n
         if direction == FORWARD:
-            h = factor * apply_array(f, A / factor)
+            h = factor * apply_array(f, A / factor, norms_a / factor)
         else:
-            h = apply_array(f, A * factor) / factor
+            h = apply_array(f, A * factor, norms_a * factor) / factor
         res = spectral_norms(h - h_prev)
         history.append(res)
         iters[active] = n
@@ -315,11 +316,11 @@ def _calibrated_coeff(
     A = random_elements(seed, samples, d, norm_cap, stream=stream)
     B = random_elements(seed, samples, d, norm_cap, stream=stream + 1)
     C = random_elements(seed, samples, d, norm_cap, stream=stream + 2)
-    residuals = _stability_equation_values(f, A, B, C, phase=1.0)
-    unit = replace(template, coeff=1.0)
     na = spectral_norms(A)
     nb = spectral_norms(B)
     nc = spectral_norms(C)
+    residuals = _stability_equation_values(f, A, B, C, phase=1.0, na=na, nc=nc)
+    unit = replace(template, coeff=1.0)
     worst = 0.0
     for i in range(samples):
         base = control_value(unit, float(na[i]), float(nb[i]), float(nc[i]))

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import sys
 import warnings
 from pathlib import Path
 from typing import get_args, get_origin
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stablab import algebra
 from stablab.algebra import SAMPLER
 from stablab.cli import main as cli_main
 from stablab.harness import (
@@ -30,6 +32,7 @@ from stablab.harness import (
     cmd_stability,
     cmd_superstability,
     config_digest,
+    load_config,
     parse_config,
     report_dict,
     report_json_bytes,
@@ -541,6 +544,35 @@ class TestSuperstabilityCommand:
         summary = cmd_superstability(cfg)
         assert summary.meta["variant"] == "shrinking"
         assert summary.exit_code == EXIT_OK
+
+
+class TestNormCount:
+    """Matrices normed by one run of a shipped config; a per-call SVD of a carried norm fails these."""
+
+    @staticmethod
+    def normed_matrices(monkeypatch, command, config_name):
+        count = [0]
+        real = algebra.spectral_norms
+
+        def counted(mats):
+            norms = real(mats)
+            count[0] += norms.size
+            return norms
+
+        for name, module in list(sys.modules.items()):
+            if name == "stablab" or name.startswith("stablab."):
+                if getattr(module, "spectral_norms", None) is real:
+                    monkeypatch.setattr(module, "spectral_norms", counted)
+        assert command(load_config(str(README.parent / "configs" / config_name))).exit_code == EXIT_OK
+        return count[0]
+
+    def test_backward_constant_stability(self, monkeypatch):
+        # 55401 when every perturbed evaluation normed its input
+        assert self.normed_matrices(monkeypatch, cmd_stability, "stability_backward_constant.json") <= 29000
+
+    def test_superstability_p05(self, monkeypatch):
+        # 4851 when every perturbed evaluation normed its input
+        assert self.normed_matrices(monkeypatch, cmd_superstability, "superstability_p05.json") <= 1800
 
 
 class TestBoundsTableCommand:

@@ -7,8 +7,9 @@ apply_array, the path every command runs.
 import numpy as np
 import pytest
 
-from stablab.algebra import random_element, random_elements, spectral_norms
+from stablab.algebra import NonFiniteError, random_element, random_elements, spectral_norms
 from stablab.mappings import (
+    PERTURBATION_MODES,
     Identity,
     Negation,
     Perturbation,
@@ -87,6 +88,56 @@ class TestEvaluate:
     def test_dimension_mismatch(self):
         with pytest.raises(Exception):
             apply_array(Identity(2), np.eye(3, dtype=complex)[np.newaxis])
+
+    def test_constant_mode_counts_a_subnormal_entry_as_nonzero(self):
+        f = Perturbed(
+            Identity(2),
+            Perturbation(size=0.5, power=0.0, direction=unit_direction(2, "identity"), mode="constant"),
+        )
+        x = np.zeros((2, 2, 2), dtype=complex)
+        x[0, 1, 0] = 5e-324
+        got = apply_array(f, x)
+        assert np.array_equal(got[0], x[0] + 0.5 * np.eye(2))
+        assert np.array_equal(got[1], np.zeros((2, 2)))
+
+    def test_carried_norms_give_the_fresh_value(self):
+        f = Perturbed(
+            Identity(3),
+            Perturbation(size=0.25, power=1.5, direction=unit_direction(3, "identity"), mode="power", odd=True),
+        )
+        x = random_elements(60, 8, 3, 2.0)
+        assert np.array_equal(apply_array(f, x, spectral_norms(x)), apply_array(f, x))
+
+    def test_carried_norms_must_match_the_stack(self):
+        f = Perturbed(
+            Identity(2),
+            Perturbation(size=0.25, power=1.5, direction=unit_direction(2, "identity"), mode="power"),
+        )
+        with pytest.raises(ValueError, match="norms of shape"):
+            apply_array(f, np.zeros((3, 2, 2)), np.zeros(1))
+
+    @pytest.mark.parametrize("carried", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("mode", PERTURBATION_MODES)
+    def test_non_finite_input_raises(self, mode, bad, carried):
+        f = Perturbed(
+            Identity(2),
+            Perturbation(size=0.5, power=0.5, direction=unit_direction(2, "identity"), mode=mode),
+        )
+        x = random_elements(61, 3, 2, 1.0)
+        x[1, 0, 1] = bad
+        with pytest.raises(NonFiniteError):
+            apply_array(f, x, np.ones(3) if carried else None)
+
+    @pytest.mark.parametrize("mode", PERTURBATION_MODES)
+    def test_infinite_carried_norm_raises(self, mode):
+        f = Perturbed(
+            Identity(2),
+            Perturbation(size=0.5, power=0.5, direction=unit_direction(2, "identity"), mode=mode),
+        )
+        x = random_elements(62, 3, 2, 1.0)
+        with pytest.raises(NonFiniteError):
+            apply_array(f, x, np.array([1.0, np.inf, 1.0]))
 
 
 class TestValidation:

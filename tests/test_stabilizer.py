@@ -11,7 +11,9 @@ import mpmath
 import numpy as np
 import pytest
 
+from stablab import checkers, stabilizer
 from stablab.algebra import random_element, random_elements, spectral_norms
+from stablab.checkers import superstability_decay_batch, superstability_shrinking_batch
 from stablab.mappings import (
     Identity,
     Perturbation,
@@ -56,13 +58,20 @@ GRID_EXPONENTS = {FORWARD: (1.5, 2.0, 3.0), BACKWARD: (0.0, 0.25, 0.5)}
 
 
 def reference_stabilize(f, a, cfg):
-    """The stopping rules as a scalar loop over one (1, d, d) point: (status, iterations, trace, limit)."""
-    scale = 1.0 + spectral_norms(a)[0]
-    h_prev = apply_array(f, a)
+    """The stopping rules as a scalar loop over one (1, d, d) point: (status, iterations, trace, limit).
+
+    The norm of 3^±n a is carried as ||a|| * 3^±n, as the iteration does.
+    """
+    norm = spectral_norms(a)
+    scale = 1.0 + norm[0]
+    h_prev = apply_array(f, a, norm)
     trace, grow, last = [], 0, float("inf")
     for n in range(1, cfg.max_iter + 1):
         factor = 3.0**n
-        h = factor * apply_array(f, a / factor) if cfg.direction == FORWARD else apply_array(f, a * factor) / factor
+        if cfg.direction == FORWARD:
+            h = factor * apply_array(f, a / factor, norm / factor)
+        else:
+            h = apply_array(f, a * factor, norm * factor) / factor
         r = float(spectral_norms(h - h_prev)[0])
         trace.append(r)
         if r <= cfg.tol * scale:
@@ -345,6 +354,45 @@ class TestStabilizePoint:
                         assert r.limit is None
                     else:
                         assert r.limit.tobytes() == limit.tobytes()
+
+
+class TestCarriedNorms:
+    """Every norm the stabilizer and the decay sequences carry into apply_array equals a fresh SVD to a few ulps."""
+
+    @staticmethod
+    def recorded_calls(monkeypatch, module):
+        calls = []
+        real = module.apply_array
+
+        def spy(f, xs, norms=None):
+            calls.append((np.array(xs), norms))
+            return real(f, xs, norms)
+
+        monkeypatch.setattr(module, "apply_array", spy)
+        return calls
+
+    @staticmethod
+    def assert_carried_norms_fresh(calls, expected_calls):
+        assert len(calls) == expected_calls
+        for xs, norms in calls:
+            assert norms is not None
+            np.testing.assert_allclose(norms, spectral_norms(xs), rtol=2e-15, atol=0.0)
+
+    @pytest.mark.parametrize("direction,power", [(FORWARD, 2.0), (BACKWARD, 0.5)])
+    def test_stabilizer_carries_scaled_norms(self, monkeypatch, direction, power):
+        # a zero base keeps every residual above tol: all rows run n = 1..64
+        f = Perturbed(ZeroMap(3), Perturbation(size=0.01, power=power, direction=unit_direction(3, "corner")))
+        calls = self.recorded_calls(monkeypatch, stabilizer)
+        results = stabilize_batch(f, random_elements(70, 20, 3, 4.0), StabilizerConfig(tol=1e-300, direction=direction))
+        assert {r.status for r in results} == {"exhausted"}
+        self.assert_carried_norms_fresh(calls, 1 + 64)
+
+    @pytest.mark.parametrize("run", [superstability_decay_batch, superstability_shrinking_batch])
+    def test_decay_carries_scaled_norms(self, monkeypatch, run):
+        f = Perturbed(ZeroMap(3), Perturbation(size=0.01, power=0.5, direction=unit_direction(3, "corner")))
+        calls = self.recorded_calls(monkeypatch, checkers)
+        run(f, random_elements(71, 20, 3, 4.0), 32)
+        self.assert_carried_norms_fresh(calls, 2 * 32)
 
 
 class TestCalibration:
