@@ -178,8 +178,11 @@ def _stability_equation_values(
     t2 = apply_array(f, (A - 3.0 * C) / 3.0)
     fa = apply_array(f, A, na)
     fc = apply_array(f, C, nc)
-    fcc = apply_array(f, C @ C)
-    return spectral_norms(t1 + t2 + t3 - fa + fcc - fc @ fc)
+    # c^2 and f(c)^2 overflow at huge norms; the non-finite value is refused below
+    # (NonFiniteError) instead of numpy warning first
+    with np.errstate(over="ignore", invalid="ignore"):
+        fcc = apply_array(f, C @ C)
+        return spectral_norms(t1 + t2 + t3 - fa + fcc - fc @ fc)
 
 
 def _split_gap(f: MapSpec, x: dict[str, np.ndarray], mu: complex) -> np.ndarray:
@@ -457,14 +460,22 @@ def superstability_shrinking_batch(f: MapSpec, A: np.ndarray, n_max: int) -> np.
     return _decay_batch(f, A, n_max, shrink=True)
 
 
-def fit_loglog_slope(values: list[float] | np.ndarray, start_n: int = 4) -> float:
-    """Least-squares slope of log(values[n]) against log(n) for n >= start_n."""
-    vals = np.asarray(values, dtype=float)
-    ns = np.arange(1, vals.size + 1)
-    mask = ns >= start_n
-    if np.any(vals[mask] <= 0.0):
-        raise ValueError("slope fit needs strictly positive decay values")
-    if int(np.sum(mask)) < 2:
+def fit_loglog_slope(values: list[float] | np.ndarray, start_n: int = 4):
+    """Least-squares slope of log(values[..., n]) against log(n) for n >= start_n, per row.
+
+    ``values`` holds d_1, d_2, ... along its last axis; a sequence gives one
+    slope and a (rows, n) stack one slope per row, each a dot product of the
+    centred log values with the centred abscissa log n.  A row with a
+    nonpositive value at n >= start_n has no logarithm to fit and gets +inf.
+    Fewer than two fit points raise ValueError.
+    """
+    first = max(start_n, 1)
+    vals = np.asarray(values, dtype=float)[..., first - 1 :]
+    if vals.shape[-1] < 2:
         raise ValueError("slope fit needs at least two points")
-    coeffs = np.polyfit(np.log(ns[mask]), np.log(vals[mask]), 1)
-    return float(coeffs[0])
+    x = np.log(np.arange(first, first + vals.shape[-1]))
+    x -= x.mean()
+    positive = vals > 0.0
+    y = np.log(np.where(positive, vals, 1.0))
+    slopes = (y - y.mean(axis=-1, keepdims=True)) @ x / (x @ x)
+    return np.where(np.all(positive, axis=-1), slopes, np.inf)[()]

@@ -704,13 +704,13 @@ def cmd_stability(config: ExperimentConfig) -> RunSummary:
     limits = np.stack([r.limit for r in results])
     dists = spectral_norms(limits - apply_array(f, A, norms_a))
     try:
-        cal_bounds = np.array([bound_closed_form(calibrated, float(n), direction) for n in norms_a])
+        cal_bounds = bound_closed_form(calibrated, norms_a, direction)
     except ControlDirectionError as exc:
         raise ConfigError(f"config.bound: {exc}")
 
     declared_bounds = None
     if template.coeff > 0.0:
-        declared_bounds = np.array([bound_closed_form(template, float(n), direction) for n in norms_a])
+        declared_bounds = bound_closed_form(template, norms_a, direction)
 
     rows = []
     for i, r in enumerate(results):
@@ -797,36 +797,22 @@ def cmd_superstability(config: ExperimentConfig) -> RunSummary:
     tol = config.decay_terminal_tol
     checks = [_build_report("terminal_decay", decay[:, -1], 0.0, scales, tol, norms={"a": norms_a})]
 
-    # A row gets a slope only from a successful fit: null when the defect is
-    # at noise scale (nothing to fit) or the fit fails; a failed fit still
-    # enters the decay_slope check as an infinite slope.
-    slopes = []
-    slope_rows: list[float | None] = []
-    target = None
-    if exponent is not None:
-        target = 2.0 * exponent - 2.0 if not shrink else 2.0 - 2.0 * exponent
-    for i in range(config.samples):
-        seq = decay[i]
-        slope = None
-        if float(np.max(seq)) > 1e-9 * scales[i]:
-            try:
-                slope = fit_loglog_slope(seq, start_n=4)
-            except ValueError:
-                slopes.append((i, float("inf")))
-            else:
-                slopes.append((i, slope))
-        slope_rows.append(slope)
+    # Only rows whose defect is above noise scale are fitted.  A row gets a
+    # slope only from a successful fit: null when it is not fitted or its fit
+    # fails; a failed fit still enters the decay_slope check as +inf.
+    fitted = np.flatnonzero(np.max(decay, axis=1) > 1e-9 * scales)
+    slopes = fit_loglog_slope(decay[fitted], start_n=4)
+    row_slopes = np.full(config.samples, np.inf)
+    row_slopes[fitted] = slopes
+    slope_rows = np.where(np.isfinite(row_slopes), row_slopes, None).tolist()
 
-    if slopes and target is not None:
-        slope_vals = np.array([s for _, s in slopes])
-        idxs = [i for i, _ in slopes]
-        bound = target + config.decay_slope_margin
+    if fitted.size and exponent is not None:
+        target = 2.0 * exponent - 2.0 if not shrink else 2.0 - 2.0 * exponent
         meta["slope_target"] = target
-        checks.append(_build_report("decay_slope", slope_vals, bound, 1.0, 0.0, norms={"a": norms_a[idxs]}, ids=idxs))
-    elif slopes and target is None:
-        checks.append(
-            CheckReport("decay_slope", float(np.max([s for _, s in slopes])), 0.0, len(slopes), "violated")
-        )
+        bound = target + config.decay_slope_margin
+        checks.append(_build_report("decay_slope", slopes, bound, 1.0, 0.0, norms={"a": norms_a[fitted]}, ids=fitted))
+    elif fitted.size:
+        checks.append(CheckReport("decay_slope", float(np.max(slopes)), 0.0, fitted.size, "violated"))
 
     rows = [
         {
@@ -848,44 +834,28 @@ def cmd_bounds_table(config: ExperimentConfig) -> RunSummary:
     A row agrees when the truncated series plus its tail estimate meets the
     closed form, so a short series is not read as a wrong closed form.
     """
-    cells = []
-    for direction, exps in ((BACKWARD, config.table_exps_backward), (FORWARD, config.table_exps_forward)):
-        for coeff in config.table_coeffs:
-            for exp in exps:
-                for norm_a in config.table_norms:
-                    cells.append(("power", direction, coeff, exp, norm_a))
-    for coeff in config.table_coeffs:
-        for norm_a in config.table_norms:
-            cells.append(("profile", FORWARD, coeff, config.table_profile_degree, norm_a))
-
-    def control(kind: str, coeff: float, exp: float) -> PowerControl:
-        return make_control(kind, coeff, dict.fromkeys(bound_fields(kind), exp))
-
-    def evaluate_cell(cell):
-        kind, direction, coeff, exp, norm_a = cell
-        spec = control(kind, coeff, exp)
-        closed = bound_closed_form(spec, norm_a, direction)
-        series, tail = bound_series_truncated(spec, norm_a, direction, config.table_terms)
-        rel = abs(closed - (series + tail)) / max(abs(closed), 1e-300)
-        row = {
-            "kind": kind,
-            "direction": direction,
-            "coeff": coeff,
-            "exponent": exp,
-            "norm_a": norm_a,
-            "closed_form": closed,
-            "series": series,
-            "tail_estimate": tail,
-            "rel_err": rel,
-            "agree": rel <= 1e-9,
-        }
+    norms_a = np.array(config.table_norms, dtype=float)
+    controls = [
+        ("power", direction, coeff, exp)
+        for direction, exps in ((BACKWARD, config.table_exps_backward), (FORWARD, config.table_exps_forward))
+        for coeff in config.table_coeffs
+        for exp in exps
+    ] + [("profile", FORWARD, coeff, config.table_profile_degree) for coeff in config.table_coeffs]
+    rows = []
+    for kind, direction, coeff, exp in controls:  # one call per control on the whole norm column
+        spec = make_control(kind, coeff, dict.fromkeys(bound_fields(kind), exp))
+        closed = bound_closed_form(spec, norms_a, direction)
+        series, tail = bound_series_truncated(spec, norms_a, direction, config.table_terms)
+        rel = np.abs(closed - (series + tail)) / np.maximum(np.abs(closed), 1e-300)
+        columns = {"closed_form": closed, "series": series, "tail_estimate": tail, "rel_err": rel, "agree": rel <= 1e-9}
         if kind == "profile":
-            ref = bound_closed_form(control("power", coeff, exp), norm_a, direction)
-            row["power_reference"] = ref
-            row["power_rel_err"] = abs(closed - ref) / max(abs(ref), 1e-300)
-        return row
-
-    rows = [evaluate_cell(cell) for cell in cells]
+            ref = bound_closed_form(PowerControl(coeff, exp, exp, exp), norms_a, direction)
+            columns["power_reference"] = ref
+            columns["power_rel_err"] = np.abs(closed - ref) / np.maximum(np.abs(ref), 1e-300)
+        values = {name: column.tolist() for name, column in columns.items()}
+        for j, norm_a in enumerate(config.table_norms):
+            row = {"kind": kind, "direction": direction, "coeff": coeff, "exponent": exp, "norm_a": norm_a}
+            rows.append(row | {name: value[j] for name, value in values.items()})
 
     rel_errs = np.array([r["rel_err"] for r in rows])
     norms = {"norm_a": np.array([r["norm_a"] for r in rows])}

@@ -202,20 +202,19 @@ def phase_permutation_unitary(dim: int, seed: int) -> np.ndarray:
     return arr
 
 
-def _safe_pow(values: np.ndarray, exponent: float) -> np.ndarray:
-    """t^exponent with the convention 0^e := 0 for every e (including e <= 0).
+def _safe_pow(values: np.ndarray, exponent: float, what: str) -> np.ndarray:
+    """t^exponent over an array of norms with the convention 0^e := 0 for every e (including e <= 0).
 
-    A power beyond the float range raises NonFiniteError naming the exponent
-    instead of letting numpy warn and an infinity reach the map's value.
+    The one power helper of maps and controls.  A power beyond the float
+    range raises NonFiniteError naming ``what`` and the exponent instead of
+    letting numpy warn and an infinity reach a value.
     """
     vals = np.asarray(values, dtype=float)
-    positive = vals > 0.0
     try:
         with np.errstate(over="raise"):
-            powered = np.where(positive, vals, 1.0) ** exponent
+            return np.power(vals, exponent, out=np.zeros_like(vals), where=vals > 0.0)
     except FloatingPointError:
-        raise NonFiniteError(f"perturbation power {exponent!r}: ||x||^power is beyond the float range") from None
-    return np.where(positive, powered, 0.0)
+        raise NonFiniteError(f"{what} {exponent!r}: ||x||^power is beyond the float range") from None
 
 
 def _perturbation_term(p: Perturbation, xs: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
@@ -238,7 +237,7 @@ def _perturbation_term(p: Perturbation, xs: np.ndarray, norms: np.ndarray | None
     elif not np.all(np.isfinite(xs)):
         raise NonFiniteError("perturbation term: non-finite entries")
     if p.mode == "power":
-        mag = p.size * _safe_pow(norms, p.power)
+        mag = p.size * _safe_pow(norms, p.power, "perturbation power")
     elif p.mode == "constant":
         mag = p.size * np.any(xs != 0, axis=(-2, -1))
     else:  # affine: offset applies at zero too

@@ -12,6 +12,7 @@ every comparison here is tolerance-relative, never exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .algebra import random_elements, spectral_norms
 from .checkers import CheckReport, _build_report, _stability_equation_values
-from .mappings import MapSpec, Perturbed, apply_array
+from .mappings import MapSpec, Perturbed, _safe_pow, apply_array
 
 __all__ = [
     "BOUND_KINDS",
@@ -103,13 +104,12 @@ def make_control(kind: str, coeff: float, fields: dict) -> PowerControl:
     return PowerControl(coeff, *(fields[slot] if isinstance(slot, str) else slot for slot in BOUND_KINDS[kind]))
 
 
-def _npow(t: float, e: float) -> float:
-    return 0.0 if t == 0.0 else float(t) ** e
+_control_pow = functools.partial(_safe_pow, what="control exponent")
 
 
-def control_value(spec: PowerControl, na: float, nb: float, nc: float) -> float:
-    """Evaluate the control function on the three argument norms."""
-    return spec.coeff * (_npow(na, spec.exp1) + _npow(nb, spec.exp2) + _npow(nc, spec.exp3))
+def control_value(spec: PowerControl, na: np.ndarray | float, nb: np.ndarray | float, nc: np.ndarray | float):
+    """Evaluate the control function on the three argument norms (arrays broadcast, scalars give a scalar)."""
+    return spec.coeff * (_control_pow(na, spec.exp1) + _control_pow(nb, spec.exp2) + _control_pow(nc, spec.exp3))
 
 
 def validate_control_direction(spec: PowerControl, direction: str) -> None:
@@ -130,60 +130,57 @@ def validate_control_direction(spec: PowerControl, direction: str) -> None:
         )
 
 
-def bound_closed_form(spec: PowerControl, norm_a: float, direction: str) -> float:
-    """Closed-form distance bound ||f(a) - h(a)|| for the admissible direction.
+def bound_closed_form(spec: PowerControl, norm_a: np.ndarray | float, direction: str):
+    """Closed-form distance bound ||f(a) - h(a)|| for the admissible direction, per norm.
 
     The sum of bound_series_truncated's series: coeff * (t^e1 g(e1) +
-    2^e2 t^e2 g(e2)), with g(e) the geometric sum of the ratio 3^(1-e) from
+    (2t)^e2 g(e2)), with g(e) the geometric sum of the ratio 3^(1-e) from
     i = 0 (forward) or of 3^(e-1) from i = 1 (backward).
     """
     validate_control_direction(spec, direction)
-    if norm_a < 0.0:
+    t = np.asarray(norm_a, dtype=float)
+    if np.any(t < 0.0):
         raise ValueError("norm_a must be nonnegative")
 
     def denominator(e: float) -> float:  # 1 / g(e)
         return 1.0 - 3.0 ** (1.0 - e) if direction == FORWARD else 3.0 ** (1.0 - e) - 1.0
 
     c, e1, e2 = spec.coeff, spec.exp1, spec.exp2
-    return c * _npow(norm_a, e1) / denominator(e1) + c * 2.0**e2 * _npow(norm_a, e2) / denominator(e2)
+    return c * _control_pow(t, e1) / denominator(e1) + c * _control_pow(2.0 * t, e2) / denominator(e2)
 
 
-def bound_series_truncated(spec: PowerControl, norm_a: float, direction: str, terms: int) -> tuple[float, float]:
-    """Truncated error series along (a, 2a, 0) plus a geometric tail estimate.
+def bound_series_truncated(spec: PowerControl, norm_a: np.ndarray | float, direction: str, terms: int):
+    """Truncated error series along (a, 2a, 0) plus a geometric tail estimate, per norm.
 
     A control sees its arguments only through their norms, so the series runs
-    on t = ||a|| directly.  Forward sums 3^i * phi(t/3^i, 2t/3^i, 0) from
-    i = 0; backward sums 3^{-i} * phi(3^i t, 2*3^i t, 0) from i = 1 (the index
-    origins differ on purpose).  The tail uses the empirical ratio of the
-    last two terms and is infinite when that ratio fails to certify
-    convergence.
+    on t = ||a|| directly, for a whole norm column at once.  Forward sums
+    3^i * phi(t/3^i, 2t/3^i, 0) from i = 0; backward sums
+    3^{-i} * phi(3^i t, 2*3^i t, 0) from i = 1 (the index origins differ on
+    purpose).  Each sum is one math.fsum over its terms.  The tail uses the
+    empirical ratio of the last two terms and is infinite when that ratio
+    fails to certify convergence.
     """
     if direction not in (FORWARD, BACKWARD):
         raise ValueError(f"direction must be '{FORWARD}' or '{BACKWARD}', got {direction!r}")
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    if norm_a < 0.0:
+    t = np.asarray(norm_a, dtype=float)[..., np.newaxis]  # the terms of each norm run along the last axis
+    if np.any(t < 0.0):
         raise ValueError("norm_a must be nonnegative")
-    term_values = []
-    for k in range(terms):
-        if direction == FORWARD:
-            factor = 3.0**k
-            term = factor * control_value(spec, norm_a / factor, 2.0 * norm_a / factor, 0.0)
-        else:
-            factor = 3.0 ** (k + 1)
-            term = control_value(spec, norm_a * factor, 2.0 * factor * norm_a, 0.0) / factor
-        term_values.append(term)
-    value = float(math.fsum(term_values))
-    last = term_values[-1]
-    prev = term_values[-2] if terms >= 2 else 0.0
-    if last == 0.0:
-        tail = 0.0
-    elif prev <= 0.0 or last >= prev:
-        tail = math.inf
+    # 3^i by Python's float ** as stabilize_batch forms it (numpy's array ** is an ulp off from 3^34 on)
+    powers = np.array([3.0**i for i in range(terms + 1)])
+    if direction == FORWARD:
+        factor = powers[:-1]
+        term_values = factor * control_value(spec, t / factor, 2.0 * t / factor, 0.0)
     else:
+        factor = powers[1:]
+        term_values = control_value(spec, t * factor, 2.0 * factor * t, 0.0) / factor
+    value = np.array([math.fsum(cell) for cell in term_values.reshape(-1, terms).tolist()]).reshape(t.shape[:-1])
+    last, prev = term_values[..., -1], term_values[..., -2] if terms >= 2 else 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
         ratio = last / prev
-        tail = last * ratio / (1.0 - ratio)
-    return value, tail
+        tail = np.where((prev <= 0.0) | (last >= prev), np.inf, last * ratio / (1.0 - ratio))
+    return value[()], np.where(last == 0.0, 0.0, tail)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -320,19 +317,11 @@ def _calibrated_coeff(
     nb = spectral_norms(B)
     nc = spectral_norms(C)
     residuals = _stability_equation_values(f, A, B, C, phase=1.0, na=na, nc=nc)
-    unit = replace(template, coeff=1.0)
-    worst = 0.0
-    for i in range(samples):
-        base = control_value(unit, float(na[i]), float(nb[i]), float(nc[i]))
-        r = float(residuals[i])
-        if base == 0.0:
-            if r > 1e-12:
-                raise CalibrationError(
-                    "nonzero residual at an all-zero sample: no finite coefficient dominates"
-                )
-            continue  # 0/0 guarded as 0
-        worst = max(worst, r / base)
-    return worst
+    base = control_value(replace(template, coeff=1.0), na, nb, nc)
+    zero = base == 0.0
+    if np.any(residuals[zero] > 1e-12):
+        raise CalibrationError("nonzero residual at an all-zero sample: no finite coefficient dominates")
+    return float(np.max(residuals[~zero] / base[~zero], initial=0.0))  # 0/0 guarded as 0
 
 
 def calibrate_control(

@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 from stablab.algebra import random_elements
-from stablab.harness import build_map, load_config
+from stablab import harness
+from stablab.harness import build_map, cmd_bounds_table, default_bounds_table_config, load_config
 from stablab.mappings import Identity, Perturbation, Perturbed, unit_direction
 from stablab.stabilizer import StabilizerConfig, stabilize_batch
 
@@ -50,6 +51,21 @@ def test_stabilize_work_counts_points_iterations_and_converged():
     assert points == 6
     assert iterations == 6 * 20
     assert converged == sum(1 for r in results if r.status == "converged") == 4
+
+
+def test_series_terms_reads_terms_from_the_bounds_table_call(monkeypatch):
+    config = default_bounds_table_config()
+    real = harness.bound_series_truncated
+    seen = []
+
+    def recorded(*args, **kwargs):
+        result = real(*args, **kwargs)
+        seen.append(tracing._series_terms(args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(harness, "bound_series_truncated", recorded)
+    cmd_bounds_table(config)
+    assert seen == [config.table_terms] * 21  # one call per control, on its whole norm column
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)

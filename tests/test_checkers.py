@@ -344,5 +344,19 @@ class TestSlopeFit:
         assert fit_loglog_slope(values, start_n=4) == pytest.approx(-1.25, abs=1e-12)
 
     def test_rejects_nonpositive_values(self):
-        with pytest.raises(ValueError):
-            fit_loglog_slope([1.0, 0.0, 1.0, 1.0, 0.0, 0.5], start_n=4)
+        # a row with a nonpositive value has no log-log fit: +inf, as the decay_slope check reads it
+        assert fit_loglog_slope([1.0, 0.0, 1.0, 1.0, 0.0, 0.5], start_n=4) == np.inf
+        rows = fit_loglog_slope([[1.0, 0.0, 1.0, 1.0, 0.0, 0.5], [1.0, 0.0, 1.0, 1.0, 2.0, 4.0]], start_n=4)
+        assert rows[0] == np.inf and np.isfinite(rows[1])
+        with pytest.raises(ValueError, match="two points"):
+            fit_loglog_slope([1.0, 1.0, 1.0, 1.0], start_n=4)
+
+    def test_stack_matches_polyfit_per_row(self):
+        rng = np.random.default_rng(12)
+        ns = np.arange(1, 41)
+        stack = rng.uniform(0.5, 2.0, (50, 40)) * rng.uniform(1e-6, 1e3, (50, 1)) * ns ** rng.uniform(-3.0, 1.0, (50, 1))
+        slopes = fit_loglog_slope(stack, start_n=4)
+        assert slopes.shape == (50,)
+        for row, slope in zip(stack, slopes):
+            reference = np.polyfit(np.log(ns[3:]), np.log(row[3:]), 1)[0]
+            assert slope == pytest.approx(reference, rel=1e-12, abs=1e-12)

@@ -91,6 +91,7 @@ POWER_DECAY = {
 README = Path(__file__).resolve().parent.parent / "README.md"
 P05_CONFIG = README.parent / "configs" / "superstability_p05.json"
 FORWARD_POWER_CONFIG = README.parent / "configs" / "stability_forward_power.json"
+BACKWARD_CONSTANT_CONFIG = README.parent / "configs" / "stability_backward_constant.json"
 
 
 def run_cli(capsys, argv):
@@ -545,6 +546,18 @@ class TestSuperstabilityCommand:
         assert summary.meta["variant"] == "shrinking"
         assert summary.exit_code == EXIT_OK
 
+    def test_slope_without_target_is_violated(self):
+        # a constant defect has no exponent to aim at, so any fitted slope fails decay_slope
+        raw = json.loads(P05_CONFIG.read_text())
+        raw["map"]["perturbation"] = {"mode": "constant", "size": 0.01}
+        raw["sampling"]["samples"] = 20
+        summary = cmd_superstability(parse_config(raw))
+        assert summary.exit_code == EXIT_VIOLATED
+        assert "slope_target" not in summary.meta
+        check = summary.checks[-1]
+        assert (check.name, check.verdict, check.num_samples, check.worst_witness) == ("decay_slope", "violated", 20, None)
+        assert check.max_residual == pytest.approx(-2.0, abs=1e-12)  # the steepest slope, not clamped at zero
+
 
 class TestNormCount:
     """Matrices normed by one run of a shipped config; a per-call SVD of a carried norm fails these."""
@@ -743,13 +756,18 @@ class TestNumericalFailure:
                 set_path(json.loads(P05_CONFIG.read_text()), "sampling.norm_cap", 1e60),
                 "DecayOverflowError",
             ),
-            ("bounds-table", {**BOUNDS_TABLE, "bounds_table": {"exps_forward": [2000.0], "norms": [2.0]}}, "OverflowError"),
+            ("bounds-table", {**BOUNDS_TABLE, "bounds_table": {"exps_forward": [2000.0], "norms": [2.0]}}, "NonFiniteError"),
             (
                 "lemma-check",
                 minimal_config(
                     algebra={"dim": 2},
                     map={"kind": "perturbed", "base": {"kind": "identity"}, "perturbation": {"mode": "power", "size": 0.1, "power": -400}},
                 ),
+                "NonFiniteError",
+            ),
+            (
+                "stability",
+                set_path(json.loads(BACKWARD_CONSTANT_CONFIG.read_text()), "sampling.norm_cap", 1e300),
                 "NonFiniteError",
             ),
         ],
@@ -772,6 +790,13 @@ class TestNumericalFailure:
         code, err = run_cli(capsys, ["lemma-check", "--config", str(cfg_path)])
         assert code == EXIT_NUMERIC
         assert err == ["numerical error: NonFiniteError: perturbation power -400.0: ||x||^power is beyond the float range"]
+
+    def test_control_overflow_names_the_exponent(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**BOUNDS_TABLE, "bounds_table": {"exps_forward": [2000.0], "norms": [2.0]}}))
+        code, err = run_cli(capsys, ["bounds-table", "--config", str(cfg_path)])
+        assert code == EXIT_NUMERIC
+        assert err == ["numerical error: NonFiniteError: control exponent 2000.0: ||x||^power is beyond the float range"]
 
 
 class TestRunFailures:

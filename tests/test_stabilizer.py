@@ -13,7 +13,7 @@ import pytest
 
 from stablab import checkers, stabilizer
 from stablab.algebra import random_element, random_elements, spectral_norms
-from stablab.checkers import superstability_decay_batch, superstability_shrinking_batch
+from stablab.checkers import _stability_equation_values, superstability_decay_batch, superstability_shrinking_batch
 from stablab.mappings import (
     Identity,
     Perturbation,
@@ -131,6 +131,14 @@ class TestControlValues:
         assert spec == PowerControl(1.0, 2.0, 2.0, 2.0)
         assert control_value(spec, 2.0, 0.0, 3.0) == pytest.approx(4.0 + 9.0)
 
+    def test_norm_arrays_match_scalar_calls(self):
+        spec = PowerControl(0.5, 0.25, 1.5, 0.0)
+        na, nb, nc = np.array([0.0, 0.5, 2.0]), np.array([1.0, 0.0, 3.0]), np.array([0.0, 4.0, 0.0])
+        values = control_value(spec, na, nb, nc)
+        assert values.shape == (3,)
+        for i in range(3):
+            assert values[i] == pytest.approx(control_value(spec, na[i], nb[i], nc[i]), rel=1e-15)
+
 
 class TestDirectionValidation:
     def test_power_forward_needs_large_exponents(self):
@@ -175,11 +183,15 @@ class TestClosedForms:
             for direction in directions:
                 for exp in GRID_EXPONENTS[direction]:
                     for coeff in (1e-3, 1.0, 10.0):
-                        for norm_a in (0.0, 0.5, 1.0, 2.0):
-                            spec = make_control(kind, coeff, fields(exp))
+                        spec = make_control(kind, coeff, fields(exp))
+                        norms = (0.0, 0.5, 1.0, 2.0)
+                        column = bound_closed_form(spec, np.array(norms), direction)
+                        assert column.shape == (4,)
+                        for norm_a, from_column in zip(norms, column):
                             got = bound_closed_form(spec, norm_a, direction)
                             ref = mp_series(coeff, oracle_exponent(exp), norm_a, direction)
                             assert got == pytest.approx(ref, rel=1e-12), (kind, direction, exp, coeff, norm_a)
+                            assert from_column == pytest.approx(ref, rel=1e-12), (kind, direction, exp, coeff, norm_a)
 
     def test_backward_rational_oracle(self):
         # exponent 0 admits an exact rational series: sum 3^-i * 2c = c
@@ -214,6 +226,15 @@ class TestSeriesTruncated:
         value, tail = bound_series_truncated(make_control("constant", 1.0, {}), 1.0, FORWARD, 10)
         assert tail == np.inf
         assert value > 1.0
+
+    def test_norm_column_matches_scalar_calls(self):
+        norms = np.array([0.0, 0.5, 1.0, 2.0])
+        for direction, spec in ((FORWARD, PowerControl(2.0, 1.5, 3.0, 2.0)), (BACKWARD, make_control("constant", 1.0, {}))):
+            values, tails = bound_series_truncated(spec, norms, direction, 30)
+            assert values.shape == tails.shape == (4,)
+            for i, norm_a in enumerate(norms):
+                value, tail = bound_series_truncated(spec, float(norm_a), direction, 30)
+                assert (values[i], tails[i]) == pytest.approx((value, tail), rel=1e-15)
 
     def test_consistency_grid_against_closed_form(self):
         for direction, exps in ((FORWARD, (1.5, 2.0, 3.0)), (BACKWARD, (0.0, 0.25, 0.5))):
@@ -429,6 +450,22 @@ class TestCalibration:
             Transpose(3), PowerControl(1.0, 2.0, 2.0, 2.0), seed=54, samples=100, sweep_factor=3.0
         )
         assert spec.coeff <= 1e-9
+
+    def test_matches_scalar_reference_loop(self):
+        # the worst residual-to-control ratio, written one sample at a time
+        f = Perturbed(Identity(3), Perturbation(size=0.2, power=0.5, direction=unit_direction(3, "corner"), mode="power"))
+        exps = (0.5, 0.25, 1.5)
+        spec = calibrate_control(f, PowerControl(1.0, *exps), seed=56, samples=40, norm_cap=3.0)
+        A, B, C = (random_elements(56, 40, 3, 3.0, stream=40 + k) for k in range(3))
+        residuals = _stability_equation_values(f, A, B, C)
+        worst = 0.0
+        for a, b, c, r in zip(A, B, C, residuals):
+            norms = spectral_norms(np.stack([a, b, c]))
+            base = sum(float(n) ** e for n, e in zip(norms, exps) if n > 0.0)
+            if base > 0.0:
+                worst = max(worst, float(r) / base)
+        assert worst > 0.0
+        assert spec.coeff == pytest.approx(worst, rel=1e-14)
 
     def test_needs_ten_samples(self):
         with pytest.raises(ValueError):
