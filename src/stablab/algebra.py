@@ -34,15 +34,23 @@ def spectral_norms(mats: np.ndarray) -> np.ndarray:
     One batched LAPACK SVD call (backward stable), so each value is accurate
     to a few ulps of the norm even when the top singular values are nearly
     degenerate.  Each matrix is decomposed independently: a value does not
-    depend on the rest of the stack.  Non-finite entries raise
-    NonFiniteError (a ValueError).
+    depend on the rest of the stack.  A matrix whose entries are all zero
+    (-0.0 included; a subnormal entry is nonzero) gets exactly 0.0 without
+    going through the SVD, so skipping it moves no other value.  Non-finite
+    entries raise NonFiniteError (a ValueError).
     """
     arr = np.asarray(mats, dtype=np.complex128)
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise ValueError(f"expected a (..., d, d) stack, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError("spectral_norms: non-finite entries")
-    return np.linalg.svd(arr, compute_uv=False)[..., 0]
+    live = arr.any(axis=(-2, -1))
+    if live.all():
+        return np.linalg.svd(arr, compute_uv=False)[..., 0]
+    out = np.zeros(live.shape)
+    if live.any():
+        out[live] = np.linalg.svd(arr[live], compute_uv=False)[..., 0]
+    return out[()]
 
 
 def derived_seed(*parts: int) -> int:

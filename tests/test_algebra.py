@@ -192,6 +192,34 @@ class TestOpNorm:
             for i in range(stack.shape[0]):
                 assert np.array_equal(batch[i], spectral_norms(stack[i][np.newaxis])[0])
 
+    def test_zero_rows_skip_without_moving_a_value(self):
+        # zero, -0.0-only, subnormal-entry and random rows mixed in one stack
+        rng = np.random.default_rng(13)
+        stack = rng.normal(size=(9, 3, 3)) + 1j * rng.normal(size=(9, 3, 3))
+        stack[1] = 0.0
+        stack[4] = complex(-0.0, -0.0)
+        stack[5] = 0.0
+        stack[5, 2, 1] = complex(0.0, 5e-324)
+        stack[7] = 0.0
+        stack[7, 0, 0] = -5e-324
+        got = spectral_norms(stack)
+        for i in range(stack.shape[0]):
+            ref = np.linalg.svd(stack[i][np.newaxis], compute_uv=False)[0, 0]
+            assert np.array_equal(got[i], ref) and np.signbit(got[i]) == np.signbit(ref), i
+        assert got[1] == got[4] == 0.0 and not np.signbit(got[[1, 4]]).any()
+        assert got[5] > 0.0 and got[7] > 0.0  # a subnormal entry is a nonzero matrix
+
+    def test_all_zero_stack_makes_no_svd_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("SVD called on a zero matrix")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        stack = np.zeros((6, 4, 4), dtype=complex)
+        stack[2] = complex(-0.0, 0.0)
+        got = spectral_norms(stack)
+        assert got.shape == (6,) and np.array_equal(got, np.zeros(6)) and not np.signbit(got).any()
+        assert spectral_norms(np.zeros((2, 2), dtype=complex)) == 0.0
+
     def test_extreme_scales(self):
         x = np.array([[1e200, 0], [0, 0]], dtype=complex)
         assert spectral_norms(x[np.newaxis])[0] == pytest.approx(1e200, rel=1e-10)
