@@ -81,12 +81,13 @@ def _uniforms(seed: int, stream: int, rows: int, dim: int, first: int = 0) -> np
     return np.random.Generator(bits).random((rows, _block(dim)))
 
 
-def _scaled(u: np.ndarray, dim: int, norm_cap: float) -> np.ndarray:
-    """The (rows, dim, dim) stack a block of uniforms stands for.
+def _scaled(u: np.ndarray, dim: int, norm_cap: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (rows, dim, dim) stack a block of uniforms stands for, and each row's drawn norm.
 
     Row-major real parts, then imaginary parts, each uniform on [-1, 1); the
     matrix is rescaled so its operator norm equals norm_cap times the
-    block's next uniform.  A row whose base norm or target is 0 is exactly 0.
+    block's next uniform.  A row whose base norm or target is 0 is exactly 0
+    and its drawn norm is 0; every other row's drawn norm is its target.
     """
     n = dim * dim
     x = 2.0 * u[:, : 2 * n] - 1.0
@@ -96,7 +97,7 @@ def _scaled(u: np.ndarray, dim: int, norm_cap: float) -> np.ndarray:
     live = (base > 0.0) & (target > 0.0)
     out = raw * np.divide(target, base, out=np.zeros_like(base), where=live)[:, np.newaxis, np.newaxis]
     out[~live] = 0.0
-    return out
+    return out, np.where(live, target, 0.0)
 
 
 def _check_args(dim: int, norm_cap: float) -> None:
@@ -106,7 +107,9 @@ def _check_args(dim: int, norm_cap: float) -> None:
         raise ValueError("norm_cap must be nonnegative")
 
 
-def random_elements(seed: int, count: int, dim: int, norm_cap: float, stream: int = 0) -> np.ndarray:
+def random_elements(
+    seed: int, count: int, dim: int, norm_cap: float, stream: int = 0, *, norms_out: np.ndarray | None = None
+) -> np.ndarray:
     """Stack of ``count`` seeded random elements as a (count, dim, dim) array.
 
     Entries are i.i.d. uniform on the complex square [-1,1) + [-1,1)i; each
@@ -115,12 +118,29 @@ def random_elements(seed: int, count: int, dim: int, norm_cap: float, stream: in
     (seed, stream), both in [0, 2^64), and one norm call for the whole stack;
     row i does not depend on ``count`` and random_element(seed, dim,
     norm_cap, stream, i) replays it alone.
+
+    ``norms_out``, a float array of shape (count,), receives each row's
+    drawn norm: its target, or exactly 0 for a zero row.  A caller that needs
+    the norms of the stack reads them here instead of norming it again; a
+    drawn norm is within 4.5 eps relative of a fresh spectral_norms value.
     """
     _check_args(dim, norm_cap)
-    return _scaled(_uniforms(seed, stream, count, dim), dim, norm_cap)
+    out, norms = _scaled(_uniforms(seed, stream, count, dim), dim, norm_cap)
+    if norms_out is not None:
+        norms_out[...] = norms
+    return out
 
 
-def random_element(seed: int, dim: int, norm_cap: float, stream: int = 0, index: int = 0) -> np.ndarray:
-    """Row ``index`` of random_elements(seed, ..., stream), drawn on its own; equal bit for bit."""
+def random_element(
+    seed: int, dim: int, norm_cap: float, stream: int = 0, index: int = 0, *, norms_out: np.ndarray | None = None
+) -> np.ndarray:
+    """Row ``index`` of random_elements(seed, ..., stream), drawn on its own; equal bit for bit.
+
+    ``norms_out``, a float array of shape (), receives the row's drawn norm,
+    equal bit for bit to the batch's.
+    """
     _check_args(dim, norm_cap)
-    return _scaled(_uniforms(seed, stream, 1, dim, first=index), dim, norm_cap)[0]
+    out, norms = _scaled(_uniforms(seed, stream, 1, dim, first=index), dim, norm_cap)
+    if norms_out is not None:
+        norms_out[...] = norms[0]
+    return out[0]

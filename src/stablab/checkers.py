@@ -3,7 +3,8 @@
 Each displayed inequality/equation of the stability theory gets a residual
 evaluator; universal quantifiers are sampled with seeded stacks.  Every
 sampled check is one row of CHECKS (input streams, residual, scale, phase
-mode), run by one runner that draws and norms each stream once per call.
+mode), run by one runner that draws each stream once per call and reads its
+norms from the draw.
 Every report's worst witness is read from column arrays at the worst
 sample: its residual is lhs there, with the input norms, and the inputs
 and phase when present, so failures are replayable.  Tolerances are
@@ -316,12 +317,14 @@ def _run_checks(
     norm_cap: float,
     grid: Sequence[complex] = (),
 ) -> list[CheckReport]:
-    """Draw and norm each input stream once, then evaluate and judge the named rows in order."""
+    """Draw each input stream once with its drawn norms, then evaluate and judge the named rows in order."""
     checks = [CHECKS[name] for name in names]
     streams = {k: stream for check in checks for k, stream in check.streams.items()}
     d = f.dim
-    x = _Inputs(f, {k: random_elements(seed, samples, d, norm_cap, stream=s) for k, s in streams.items()})
-    norms = {k: spectral_norms(v) for k, v in x.items()}
+    norms = {k: np.empty(samples) for k in streams}
+    x = _Inputs(
+        f, {k: random_elements(seed, samples, d, norm_cap, stream=s, norms_out=norms[k]) for k, s in streams.items()}
+    )
     reports = []
     for check in checks:
         res, phases = _evaluate(check, f, x, grid)

@@ -660,9 +660,9 @@ def cmd_stability(config: ExperimentConfig) -> RunSummary:
         )
     meta: dict[str, Any] = {"map": describe(f), "direction": direction, "dim": dim}
 
-    A = random_elements(config.seed, config.samples, dim, config.norm_cap, stream=60)
+    norms_a = np.empty(config.samples)
+    A = random_elements(config.seed, config.samples, dim, config.norm_cap, stream=60, norms_out=norms_a)
     results = stabilize_batch(f, A, config.stabilizer)
-    norms_a = spectral_norms(A)
     scales = 1.0 + norms_a
 
     diverged = [i for i, r in enumerate(results) if r.status == "diverged"]
@@ -786,8 +786,8 @@ def cmd_superstability(config: ExperimentConfig) -> RunSummary:
     if exponent is not None:
         meta["defect_exponent"] = exponent
 
-    A = random_elements(config.seed, config.samples, dim, config.norm_cap, stream=70)
-    norms_a = spectral_norms(A)
+    norms_a = np.empty(config.samples)
+    A = random_elements(config.seed, config.samples, dim, config.norm_cap, stream=70, norms_out=norms_a)
     scales = 1.0 + norms_a
     if shrink:
         decay = superstability_shrinking_batch(f, A, config.decay_n_max)

@@ -310,12 +310,10 @@ def _calibrated_coeff(
     f: MapSpec, template: PowerControl, seed: int, samples: int, norm_cap: float, stream: int
 ) -> float:
     d = f.dim
-    A = random_elements(seed, samples, d, norm_cap, stream=stream)
-    B = random_elements(seed, samples, d, norm_cap, stream=stream + 1)
-    C = random_elements(seed, samples, d, norm_cap, stream=stream + 2)
-    na = spectral_norms(A)
-    nb = spectral_norms(B)
-    nc = spectral_norms(C)
+    na, nb, nc = np.empty((3, samples))
+    A = random_elements(seed, samples, d, norm_cap, stream=stream, norms_out=na)
+    B = random_elements(seed, samples, d, norm_cap, stream=stream + 1, norms_out=nb)
+    C = random_elements(seed, samples, d, norm_cap, stream=stream + 2, norms_out=nc)
     residuals = _stability_equation_values(f, A, B, C, phase=1.0, na=na, nc=nc)
     base = control_value(replace(template, coeff=1.0), na, nb, nc)
     zero = base == 0.0
@@ -377,7 +375,8 @@ def verify_uniqueness(
     non-convergent run raises DivergedError.
     """
     d = f.dim
-    A = random_elements(seed, samples, d, norm_cap, stream=50)
+    norms_a = np.empty(samples)
+    A = random_elements(seed, samples, d, norm_cap, stream=50, norms_out=norms_a)
     base = stabilize_batch(f, A, cfg)
     shifted = stabilize_batch(f, 3.0 * A, cfg)
     for results in (base, shifted):
@@ -387,5 +386,4 @@ def verify_uniqueness(
     h_base = np.stack([r.limit for r in base])
     h_shift = np.stack([r.limit for r in shifted]) / 3.0
     disc = spectral_norms(h_shift - h_base)
-    norms_a = spectral_norms(A)
     return _build_report("uniqueness", disc, 0.0, 1.0 + norms_a, tol, norms={"a": norms_a})

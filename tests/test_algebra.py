@@ -330,6 +330,36 @@ class TestRandomElement:
         random_elements(8, 300, 4, 1.0, stream=3)
         assert calls == [(300, 4, 4)]
 
+    def test_drawn_norms_agree_with_a_fresh_svd(self):
+        # a drawn norm is the target its row was rescaled to; the worst gap seen here is 7 ulps
+        for dim in range(1, 9):
+            for seed in range(20):
+                norms = np.empty(500)
+                stack = random_elements(seed, 500, dim, 10.0, stream=3, norms_out=norms)
+                assert np.all(np.abs(spectral_norms(stack) - norms) <= 8 * np.spacing(norms)), (dim, seed)
+
+    def test_drawn_norms_replay_and_leave_the_stack_unchanged(self):
+        for dim in (1, 2, 5):
+            norms = np.empty(23)
+            batch = random_elements(77, 23, dim, 2.0, stream=4, norms_out=norms)
+            assert np.array_equal(batch, random_elements(77, 23, dim, 2.0, stream=4))
+            for i in range(23):
+                norm = np.empty(())
+                assert np.array_equal(random_element(77, dim, 2.0, stream=4, index=i, norms_out=norm), batch[i])
+                assert norm == norms[i]
+
+    def test_drawn_norm_of_a_zero_row_is_exactly_zero(self):
+        norms = np.full(50, np.nan)
+        random_elements(3, 50, 3, 0.0, stream=2, norms_out=norms)
+        assert np.array_equal(norms, np.zeros(50)) and not np.signbit(norms).any()
+        # a zero target, and a zero base matrix under a positive target
+        u = np.random.default_rng(4).random((3, algebra._block(2)))
+        u[1, 8] = 0.0
+        u[2, :8] = 0.5
+        stack, drawn = algebra._scaled(u, 2, 5.0)
+        assert np.array_equal(stack[1:], np.zeros((2, 2, 2))) and np.array_equal(drawn[1:], [0.0, 0.0])
+        assert drawn[0] == 5.0 * u[0, 8]
+
     def test_streams_differ(self):
         a, b = (random_elements(8, 4, 2, 1.0, stream=s) for s in (0, 1))
         assert not np.array_equal(a, b)

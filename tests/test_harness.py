@@ -587,6 +587,10 @@ class TestNormCount:
         # 4851 when every perturbed evaluation normed its input
         assert self.normed_matrices(monkeypatch, cmd_superstability, "superstability_p05.json") <= 1800
 
+    def test_lemma_transpose(self, monkeypatch):
+        # 171003 when the runner normed every stack the sampler had just drawn (144003 with drawn norms)
+        assert self.normed_matrices(monkeypatch, cmd_lemma_check, "lemma_transpose.json") <= 150000
+
 
 class TestBoundsTableCommand:
     def test_default_grid_agrees(self):

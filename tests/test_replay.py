@@ -5,7 +5,8 @@ back from the report as one-matrix stacks and the check's CHECKS residual is
 rerun: at the witness phase for a grid row, as the maximum over the grid for
 a sweep row.  The result must equal ``worst_witness.residual`` bit for bit.
 The inputs must also be the rows the sampler draws for (seed, stream,
-sample_index), and the input norms their norms.
+sample_index), and the input norms the norms the sampler drew for them (bit
+for bit), which agree with a fresh spectral norm to 8 ulps.
 """
 
 import numpy as np
@@ -44,9 +45,12 @@ def test_every_witness_replays_bit_for_bit(name):
         assert sorted(x) == sorted(check.streams)
         seed, index = derived_seed(config.seed, dim), witness["sample_index"]
         for k, stack in x.items():
-            drawn = random_element(seed, dim, config.norm_cap, check.streams[k], index)
+            norm = np.empty(())
+            drawn = random_element(seed, dim, config.norm_cap, check.streams[k], index, norms_out=norm)
             assert np.array_equal(drawn, stack[0]), f"{entry['name']}: input {k} is not the sampled row"
-            assert spectral_norms(stack)[0] == witness["input_norms"][k]
+            assert norm == witness["input_norms"][k]
+            # the drawn norm is the row's target, a few ulps from a fresh SVD
+            assert abs(spectral_norms(stack)[0] - norm) <= 8 * np.spacing(norm)
         # a sweep row maximises over the grid; a row at mu = 1 ignores it
         phases = [complex(*witness["phase"])] if check.phases == "worst" else grid
         residual, _ = _evaluate(check, f, x, phases)
