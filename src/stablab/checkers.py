@@ -133,22 +133,19 @@ def _build_report(
 
 
 def _split_values(
-    f: MapSpec, A: np.ndarray, B: np.ndarray, C: np.ndarray, phase: complex = 1.0
+    f: MapSpec, A: np.ndarray, B: np.ndarray, C: np.ndarray, phase: complex | np.ndarray = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched (lhs, rhs) of the three-term split inequality.
 
     lhs = ||f((b-a)/3) + f((a-3*mu*c)/3) + mu*f((3a+3c-b)/3)|| and
-    rhs = ||f(a)||; at mu == 1 the scalar multiplications are skipped so the
-    phased form reduces bitwise to the plain one.  The three arguments sum
-    to a at mu == 1, so any additive f gives lhs == rhs.
+    rhs = ||f(a)||.  ``phase`` is the scalar mu or a (G, 1, 1, 1) column of
+    them, which gives a (G, n) lhs.  Multiplying by mu == 1 is exact, so the
+    phased form at mu == 1 equals the plain one.  The three arguments sum to
+    a at mu == 1, so any additive f gives lhs == rhs.
     """
     t1 = apply_array(f, (B - A) / 3.0)
-    if phase == 1:
-        t2 = apply_array(f, (A - 3.0 * C) / 3.0)
-        t3 = apply_array(f, (3.0 * A + 3.0 * C - B) / 3.0)
-    else:
-        t2 = apply_array(f, (A - (3.0 * phase) * C) / 3.0)
-        t3 = phase * apply_array(f, (3.0 * A + 3.0 * C - B) / 3.0)
+    t2 = apply_array(f, (A - (3.0 * phase) * C) / 3.0)
+    t3 = phase * apply_array(f, (3.0 * A + 3.0 * C - B) / 3.0)
     lhs = spectral_norms(t1 + t2 + t3)
     rhs = spectral_norms(apply_array(f, A))
     return lhs, rhs
@@ -159,7 +156,7 @@ def _stability_equation_values(
     A: np.ndarray,
     B: np.ndarray,
     C: np.ndarray,
-    phase: complex = 1.0,
+    phase: complex | np.ndarray = 1.0,
     na: np.ndarray | None = None,
     nc: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -167,15 +164,13 @@ def _stability_equation_values(
 
     ||f((mu*b-a)/3) + f((a-3c)/3) + mu*f((3a-b)/3 + c) - f(a) + f(c^2) - f(c)^2||.
     The third argument is kept in the proof's form (3a-b)/3 + c, which agrees
-    with (3a+3c-b)/3 up to rounding.  ``na`` and ``nc``, when the caller
-    holds them, are the norms of A and C, passed on to f(a) and f(c).
+    with (3a+3c-b)/3 up to rounding.  ``phase`` is the scalar mu or a
+    (G, 1, 1, 1) column of them, which gives a (G, n) residual.  ``na`` and
+    ``nc``, when the caller holds them, are the norms of A and C, passed on to
+    f(a) and f(c).
     """
-    if phase == 1:
-        t1 = apply_array(f, (B - A) / 3.0)
-        t3 = apply_array(f, (3.0 * A - B) / 3.0 + C)
-    else:
-        t1 = apply_array(f, (phase * B - A) / 3.0)
-        t3 = phase * apply_array(f, (3.0 * A - B) / 3.0 + C)
+    t1 = apply_array(f, (phase * B - A) / 3.0)
+    t3 = phase * apply_array(f, (3.0 * A - B) / 3.0 + C)
     t2 = apply_array(f, (A - 3.0 * C) / 3.0)
     fa = apply_array(f, A, na)
     fc = apply_array(f, C, nc)
@@ -186,7 +181,7 @@ def _stability_equation_values(
         return spectral_norms(t1 + t2 + t3 - fa + fcc - fc @ fc)
 
 
-def _split_gap(f: MapSpec, x: dict[str, np.ndarray], mu: complex) -> np.ndarray:
+def _split_gap(f: MapSpec, x: dict[str, np.ndarray], mu: complex | np.ndarray) -> np.ndarray:
     lhs, rhs = _split_values(f, x["a"], x["b"], x["c"], phase=mu)
     return lhs - rhs
 
@@ -207,7 +202,9 @@ class Check:
     ``streams`` maps each input name to the sampling stream its stack is
     drawn from.  ``residual(f, x, mu)`` is the per-sample lhs - rhs (rhs = 0
     for an equation) over the input stacks ``x`` at the unit scalar ``mu``;
-    ``x.image(name)`` is f of an input stack, computed once per run.
+    for a grid row ``mu`` is a (G, 1, 1, 1) column of the grid's phases and
+    the residual is (G, n), one row per phase.  ``x.image(name)`` is f of an
+    input stack, computed once per run.
     ``scale`` maps the input norms to the per-sample tolerance scale.
     ``phases`` is None for a check at mu = 1, "worst" for an asserted check
     maximised over the phase grid whose witness keeps the maximising phase,
@@ -216,7 +213,7 @@ class Check:
 
     name: str
     streams: dict[str, int]
-    residual: Callable[[MapSpec, "_Inputs", complex], np.ndarray]
+    residual: Callable[[MapSpec, "_Inputs", complex | np.ndarray], np.ndarray]
     scale: Callable[[dict[str, np.ndarray]], np.ndarray] = _one_plus_max_norm
     phases: str | None = None
 
@@ -291,21 +288,23 @@ def _evaluate(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Per-sample residual of a row and, for an asserted grid row, the first phase attaining it.
 
-    A grid row's residual is the maximum over the grid and zero; a sample
-    whose residual never exceeds zero keeps the phase 1.  A sweep row's
-    witness names no phase.
+    A grid row is one residual call on the whole grid, mu a (G, 1, 1, 1)
+    column, so its temporaries are G times a single phase's.  Its residual
+    is the maximum over the grid and zero; a sample whose residual never
+    exceeds zero keeps the phase 1.  A sweep row's witness names no phase.
     """
     if check.phases is None:
         return check.residual(f, x, 1.0), None
+    phases = np.asarray(grid, dtype=np.complex128)
     count = next(iter(x.values())).shape[0]
-    res = np.zeros(count)
-    phase = np.full(count, 1.0 + 0.0j)
-    for mu in grid:
-        r = check.residual(f, x, mu)
-        better = r > res
-        res = np.where(better, r, res)
-        phase = np.where(better, mu, phase)
-    return res, None if check.phases == "sweep" else phase
+    if phases.size == 0:
+        return np.zeros(count), None if check.phases == "sweep" else np.ones(count, dtype=np.complex128)
+    r = check.residual(f, x, phases[:, np.newaxis, np.newaxis, np.newaxis])
+    first = np.argmax(r, axis=0)  # the first phase at the maximum
+    top = np.take_along_axis(r, first[np.newaxis], axis=0)[0]
+    positive = top > 0.0
+    res = np.where(positive, top, 0.0)
+    return res, None if check.phases == "sweep" else np.where(positive, phases[first], 1.0 + 0.0j)
 
 
 def _run_checks(

@@ -10,7 +10,11 @@ import pytest
 
 from stablab.algebra import random_element, random_elements, spectral_norms
 from stablab.checkers import (
+    CHECKS,
+    Check,
     DecayOverflowError,
+    _evaluate,
+    _Inputs,
     _split_values,
     _stability_equation_values,
     additivity_ladder,
@@ -245,6 +249,62 @@ class TestPhaseChecks:
         assert all(r.verdict == "vacuous" for r in reports)
         # for exact maps the swept residual is genuinely nonzero away from 1
         assert reports[1].max_residual > 0.1
+
+
+def per_phase_loop(check, f, x, phases):
+    """The grid rule one phase at a time: keep a residual only where it beats the running maximum (from 0)."""
+    count = next(iter(x.values())).shape[0]
+    res, phase = np.zeros(count), np.full(count, 1.0 + 0.0j)
+    for i in range(phases.size):
+        r = check.residual(f, x, phases[i : i + 1, np.newaxis, np.newaxis, np.newaxis])[0]
+        better = r > res
+        res, phase = np.where(better, r, res), np.where(better, phases[i], phase)
+    return res, phase
+
+
+class TestStackedGrid:
+    """A grid row is one residual call on the whole grid; it equals the per-phase loop it replaced."""
+
+    @pytest.mark.parametrize("name", ["phase_oddness", "phase_homogeneity", "phase_sweep_split", "phase_sweep_equation"])
+    def test_matches_per_phase_loop(self, name):
+        check = CHECKS[name]
+        phases = np.array(unit_circle_grid(16))
+        f = Perturbed(
+            Transpose(3),
+            Perturbation(size=0.05, power=0.5, direction=unit_direction(3, "corner"), mode="power", odd=True),
+        )
+        for g in (Transpose(3), UnitaryConjugation(phase_permutation_unitary(3, 5)), f):
+            x = _Inputs(g, {k: random_elements(21, 40, 3, 4.0, stream=s) for k, s in check.streams.items()})
+            res, phase = _evaluate(check, g, x, phases)
+            ref_res, ref_phase = per_phase_loop(check, g, x, phases)
+            assert np.array_equal(res, ref_res) and not np.signbit(res).any()
+            if check.phases == "worst":
+                assert np.array_equal(phase, ref_phase)
+            else:
+                assert phase is None
+
+    def test_first_maximum_ties_and_no_positive_residual(self):
+        phases = np.array([-1.0, 1j, -1j, np.exp(0.25j * np.pi)])
+        table = np.array(
+            [  # rows are phases, columns samples
+                [-1.0, 0.5, 0.0, 0.1, -0.0],
+                [-2.0, 2.0, 0.0, 0.2, -1.0],
+                [-0.5, 1.0, 0.0, 0.3, -0.0],
+                [-1.0, 2.0, 0.0, 0.4, -2.0],
+            ]
+        )
+
+        def residual(f, x, mu):
+            rows = [int(np.flatnonzero(phases == m)[0]) for m in np.ravel(mu)]
+            return table[rows].reshape(np.shape(mu)[:-3] + (table.shape[1],))
+
+        check = Check("table", {"c": 10}, residual, phases="worst")
+        x = {"c": np.zeros((5, 2, 2), dtype=complex)}
+        res, phase = _evaluate(check, Identity(2), x, phases)
+        assert np.array_equal(res, [0.0, 2.0, 0.0, 0.4, 0.0]) and not np.signbit(res).any()
+        assert np.array_equal(phase, [1.0, 1j, 1.0, phases[3], 1.0])  # the first of two maxima; 1 when none is positive
+        ref_res, ref_phase = per_phase_loop(check, Identity(2), x, phases)
+        assert np.array_equal(res, ref_res) and np.array_equal(phase, ref_phase)
 
 
 class TestSuperstabilityDecay:
