@@ -811,8 +811,9 @@ def cmd_superstability(config: ExperimentConfig) -> RunSummary:
         meta["slope_target"] = target
         bound = target + config.decay_slope_margin
         checks.append(_build_report("decay_slope", slopes, bound, 1.0, 0.0, norms={"a": norms_a[fitted]}, ids=fitted))
-    elif fitted.size:
-        checks.append(CheckReport("decay_slope", float(np.max(slopes)), 0.0, fitted.size, "violated"))
+    elif fitted.size:  # no exponent to aim at: any fitted slope violates
+        meta["steepest_slope"] = float(np.max(slopes))
+        checks.append(CheckReport("decay_slope", max(0.0, meta["steepest_slope"]), 0.0, fitted.size, "violated"))
 
     rows = [
         {

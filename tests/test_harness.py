@@ -556,7 +556,9 @@ class TestSuperstabilityCommand:
         assert "slope_target" not in summary.meta
         check = summary.checks[-1]
         assert (check.name, check.verdict, check.num_samples, check.worst_witness) == ("decay_slope", "violated", 20, None)
-        assert check.max_residual == pytest.approx(-2.0, abs=1e-12)  # the steepest slope, not clamped at zero
+        # max_residual is clamped at zero as in every CheckReport; the steepest slope goes to meta
+        assert check.max_residual == 0.0
+        assert summary.meta["steepest_slope"] == pytest.approx(-2.0, abs=1e-12)
 
 
 class TestNormCount:
