@@ -5,12 +5,13 @@ evaluator; universal quantifiers are sampled with seeded stacks.  Every
 sampled check is one row of CHECKS (input streams, residual, scale, phase
 mode), run by one runner that draws each stream once per call and reads its
 norms from the draw instead of norming it; a row over the phase grid is one
-residual call on all phases at once.  Every report's worst witness is read from column arrays at the worst
-sample: its residual is lhs there, with the input norms, and the inputs
-and phase when present, so failures are replayable.  Tolerances are
-scale-relative: "scale" means 1 + max input norm (1 + 2||c|| and
-1 + 3||c|| for doubling and tripling, the norms of their arguments), which
-keeps checks meaningful near zero and for large elements.
+residual call on all phases at once.  Every report's worst witness is read
+from column arrays at the worst sample: its residual is lhs there, with the
+input norms, and the inputs and phase when present, so failures are
+replayable.  Tolerances are scale-relative: "scale" means 1 + max input
+norm (1 + 2||c|| and 1 + 3||c|| for doubling and tripling, the norms of
+their arguments), which keeps checks meaningful near zero and for large
+elements.
 """
 
 from __future__ import annotations

@@ -265,7 +265,7 @@ def per_phase_loop(check, f, x, phases):
 class TestStackedGrid:
     """A grid row is one residual call on the whole grid; it equals the per-phase loop it replaced."""
 
-    @pytest.mark.parametrize("name", ["phase_oddness", "phase_homogeneity", "phase_sweep_split", "phase_sweep_equation"])
+    @pytest.mark.parametrize("name", [name for name, check in CHECKS.items() if check.phases])
     def test_matches_per_phase_loop(self, name):
         check = CHECKS[name]
         phases = np.array(unit_circle_grid(16))
@@ -305,6 +305,8 @@ class TestStackedGrid:
         assert np.array_equal(phase, [1.0, 1j, 1.0, phases[3], 1.0])  # the first of two maxima; 1 when none is positive
         ref_res, ref_phase = per_phase_loop(check, Identity(2), x, phases)
         assert np.array_equal(res, ref_res) and np.array_equal(phase, ref_phase)
+        res, phase = _evaluate(check, Identity(2), x, [])  # an empty grid has no positive residual
+        assert np.array_equal(res, np.zeros(5)) and np.array_equal(phase, np.ones(5))
 
 
 class TestSuperstabilityDecay:
