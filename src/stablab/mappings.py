@@ -313,20 +313,16 @@ def jordan_star_defects(
         raise ValueError("samples must be >= 1")
     if phases is None:
         phases = unit_circle_grid()
-    twists = [mu for mu in phases if mu != 1]
+    mus = np.array([mu for mu in phases if mu != 1], dtype=np.complex128)[:, None, None, None]
     A = random_elements(seed, samples, dim, norm_cap, stream=1)
     B = random_elements(seed, samples, dim, norm_cap, stream=2)
-    blocks = [A, A @ A, _conj_t(A), A + B, B] + [mu * A for mu in twists]
-    values = eval_fn(np.concatenate(blocks, axis=0))
-    parts = [values[k * samples : (k + 1) * samples] for k in range(len(blocks))]
-    fa, faa, fas, fab, fb = parts[:5]
+    values = eval_fn(np.concatenate([A, A @ A, _conj_t(A), A + B, B, *(mus * A)], axis=0))
+    fa, faa, fas, fab, fb = values[: 5 * samples].reshape(5, samples, dim, dim)
+    f_twisted = values[5 * samples :].reshape(len(mus), samples, dim, dim)
     defects = {
         "squares": spectral_norms(faa - fa @ fa),
         "involution": spectral_norms(fas - _conj_t(fa)),
         "additivity": spectral_norms(fab - fa - fb),
+        "homogeneity": np.max(spectral_norms(f_twisted - mus * fa), axis=0, initial=0.0),
     }
-    hom = np.zeros(samples)
-    for mu, fmu in zip(twists, parts[5:]):
-        hom = np.maximum(hom, spectral_norms(fmu - mu * fa))
-    defects["homogeneity"] = hom
     return defects, A

@@ -236,6 +236,37 @@ class TestJordanStar:
             assert np.max(defects["additivity"]) <= 1e-10
             assert np.max(defects["homogeneity"]) <= 1e-10
 
+    def test_homogeneity_is_the_worst_twist(self):
+        # oracle: one norm per twist, folded one phase at a time
+        f = Perturbed(
+            Identity(3),
+            Perturbation(size=0.1, power=0.5, direction=unit_direction(3, "corner"), mode="power"),
+        )
+        phases = unit_circle_grid(8)
+        defects, A = jordan_star_defects(lambda xs: apply_array(f, xs), 3, 30, 37, phases=phases)
+        fa = apply_array(f, A)
+        worst = np.zeros(30)
+        for mu in phases[1:]:
+            worst = np.maximum(worst, spectral_norms(apply_array(f, mu * A) - mu * fa))
+        assert np.max(worst) > 1e-3
+        assert np.array_equal(defects["homogeneity"], worst)
+
+    def test_unit_phase_only_gives_zero_homogeneity(self):
+        f = Perturbed(
+            Identity(3),
+            Perturbation(size=0.1, power=0.0, direction=unit_direction(3, "identity"), mode="constant"),
+        )
+        seen = []
+
+        def eval_fn(xs):
+            seen.append(xs.shape[0])
+            return apply_array(f, xs)
+
+        defects, _ = jordan_star_defects(eval_fn, 3, 20, 38, phases=[1.0])
+        assert seen == [5 * 20]
+        assert np.array_equal(defects["homogeneity"], np.zeros(20))
+        assert np.max(defects["additivity"]) > 1e-3
+
     def test_transpose_not_multiplicative(self):
         # Jordan but not multiplicative: a sampled pair with ||f(ab) - f(a)f(b)|| > 0.1
         for dim in (2, 3, 4):
