@@ -375,6 +375,9 @@ def parse_config(raw: Any, seed_override: int | None = None) -> ExperimentConfig
         node[key] = values[attr]
     if values["dims"] is None:
         values["dims"] = canonical["sampling"]["dims"] = [values["dim"]]
+    repeated = sorted({d for d in values["dims"] if values["dims"].count(d) > 1})
+    if repeated:  # a suite reports each dimension once, under its own name
+        raise ConfigError(f"config.sampling.dims: dimension {repeated[0]} is listed more than once")
     return ExperimentConfig(**values, map_cfg=map_cfg, bound_cfg=bound_cfg, canonical=canonical)
 
 

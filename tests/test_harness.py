@@ -209,6 +209,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"config.sampling.dims\[1\]"):
             parse_config(cfg)
 
+    def test_repeated_dims_rejected(self):
+        cfg = minimal_config()
+        cfg["sampling"]["dims"] = [2, 3, 2]
+        with pytest.raises(ConfigError, match=r"^config.sampling.dims: dimension 2 is listed more than once$"):
+            parse_config(cfg)
+        cfg["sampling"]["dims"] = [3, 2]
+        assert parse_config(cfg).dims == [3, 2]
+
     def test_defaults_applied(self):
         cfg = parse_config(minimal_config())
         assert cfg.stabilizer.max_iter == 64
@@ -707,6 +715,8 @@ class TestOutOfRangeValues:
                 [],
                 "map.matrix",
             ),
+            # a suite reports each dimension once
+            ("lemma-check", {"sampling.dims": [2, 2]}, [], "sampling.dims"),
         ],
     )
     def test_cli_exits_config_error(self, tmp_path, capsys, command, overrides, argv, path):
@@ -903,6 +913,8 @@ def valid_configs(draw):
             raw[key] = copy.deepcopy(value)
     for path, _, kind, default, allowed in CONFIG_FIELDS:
         values = _valid_values(kind, allowed)
+        if path == "sampling.dims":  # a dimension is listed at most once
+            values = values.map(lambda dims: list(dict.fromkeys(dims)))
         if default is not REQUIRED:
             values = st.one_of(st.just(ABSENT), st.none(), values)
         value = draw(values)
