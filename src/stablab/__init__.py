@@ -63,7 +63,6 @@ from .stabilizer import (
     calibrate_control,
     control_value,
     stabilize_batch,
-    verify_uniqueness,
 )
 
 __version__ = "0.1.0"

@@ -760,6 +760,11 @@ def cmd_stability(config: ExperimentConfig) -> RunSummary:
         meta["exactness_error"] = str(exc)
         reason = f"exactness check: {exc}"
         return _summary("stability", config, meta, checks, rows, verdict="diverged", reason=reason)
+    # Uniqueness: the exact base of f is a Jordan *-homomorphism within the
+    # control distance of f, so the limit must equal it on every converged sample.
+    if converged:
+        base = f.base if isinstance(f, Perturbed) else f
+        defects["uniqueness"] = spectral_norms(limits[converged] - apply_array(base, A[converged])) / scales[converged]
     names = sorted(defects)
     worst_per_law = np.array([float(np.max(defects[k])) for k in names])
     meta["recovered_defects"] = {k: float(np.max(defects[k])) for k in names}

@@ -1,10 +1,12 @@
-"""Direct-method stabilization: rescaled iterates, error bounds, uniqueness.
+"""Direct-method stabilization: rescaled iterates, error bounds, calibration.
 
 The forward iteration h_n(a) = 3^n f(a/3^n) repairs maps whose defect decays
 fast at small scales; the backward iteration h_n(a) = 3^{-n} f(3^n a) covers
 slow-growth defects.  Convergence is decided by the Cauchy criterion on
 successive iterates, and the distance from f to the repaired limit is
-certified by a control-function series with matching closed forms.
+certified by a control-function series with matching closed forms.  The
+limit's uniqueness is judged by the stability command, which compares it
+with the exact base of the perturbed map.
 
 Powers of three are not exactly representable in binary floating point, so
 every comparison here is tolerance-relative, never exact.
@@ -19,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algebra import random_elements, spectral_norms
-from .checkers import CheckReport, _build_report, _stability_equation_values
+from .checkers import _stability_equation_values
 from .mappings import MapSpec, Perturbed, _safe_pow, apply_array
 
 __all__ = [
@@ -38,7 +40,6 @@ __all__ = [
     "make_control",
     "resolve_direction",
     "stabilize_batch",
-    "verify_uniqueness",
 ]
 
 FORWARD = "forward"
@@ -302,7 +303,7 @@ def stabilize_batch(f: MapSpec, A: np.ndarray, cfg: StabilizerConfig) -> list[St
 
 
 # ---------------------------------------------------------------------------
-# empirical control calibration and uniqueness
+# empirical control calibration
 # ---------------------------------------------------------------------------
 
 
@@ -355,35 +356,3 @@ def calibrate_control(
             )
         coeff = max(coeff, coeff_hi)
     return replace(template, coeff=coeff)
-
-
-def verify_uniqueness(
-    f: MapSpec,
-    cfg: StabilizerConfig,
-    seed: int,
-    samples: int,
-    norm_cap: float = 10.0,
-    tol: float = 1e-9,
-) -> CheckReport:
-    """Agreement of each stabilized limit h(a) with h(3a)/3 from the tripled point.
-
-    The two runs stop at different truncation points of the rescaled
-    sequence, so a limit that depends on where the iteration stops shows up
-    as a discrepancy; it must stay within tol * (1 + ||a||).  A rerun at
-    doubled max_iter is not a check: a converged sample stops on its Cauchy
-    residual before max_iter is read, so that rerun is bit-identical.  Any
-    non-convergent run raises DivergedError.
-    """
-    d = f.dim
-    norms_a = np.empty(samples)
-    A = random_elements(seed, samples, d, norm_cap, stream=50, norms_out=norms_a)
-    base = stabilize_batch(f, A, cfg)
-    shifted = stabilize_batch(f, 3.0 * A, cfg)
-    for results in (base, shifted):
-        bad = [r for r in results if not r.converged]
-        if bad:
-            raise DivergedError(f"{len(bad)} of {samples} stabilization runs did not converge")
-    h_base = np.stack([r.limit for r in base])
-    h_shift = np.stack([r.limit for r in shifted]) / 3.0
-    disc = spectral_norms(h_shift - h_base)
-    return _build_report("uniqueness", disc, 0.0, 1.0 + norms_a, tol, norms={"a": norms_a})

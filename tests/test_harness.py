@@ -394,6 +394,44 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines() == ["diverged: 30 of 30 stabilization runs diverged"]
 
 
+class TestUniquenessLaw:
+    """recovered_exactness judges the stabilized limit against the exact base of the map."""
+
+    def test_law_measures_a_map_that_is_its_own_limit(self):
+        # f(a) = a + 0.1 ||a|| I is fixed by the backward iteration, so its
+        # limit is f itself and the law reads 0.1 ||a|| / (1 + ||a||)
+        raw = minimal_config(
+            map={
+                "kind": "perturbed",
+                "base": {"kind": "identity"},
+                "perturbation": {"mode": "power", "size": 0.1, "power": 1.0, "direction": "identity"},
+            },
+            bound={"kind": "power", "coeff": 0.5, "exp1": 0.5, "exp2": 0.5, "exp3": 0.5},
+            sampling={"seed": 5, "samples": 20, "norm_cap": 2.0},
+            stabilizer={"direction": "backward"},
+        )
+        summary = cmd_stability(parse_config(raw))
+        assert all(row["status"] == "converged" for row in summary.sample_rows)
+        norms = np.empty(20)
+        algebra.random_elements(5, 20, 3, 2.0, stream=60, norms_out=norms)
+        expected = float(np.max(0.1 * norms / (1.0 + norms)))
+        got = summary.meta["recovered_defects"]["uniqueness"]
+        assert expected > 0.05
+        assert abs(got - expected) <= 4 * np.spacing(expected)
+        exactness = next(c for c in summary.checks if c.name == "recovered_exactness")
+        assert exactness.num_samples == 5
+
+    def test_exact_map_has_zero_law(self):
+        raw = minimal_config(
+            bound={"kind": "power", "coeff": 1.0, "exp1": 2.0, "exp2": 2.0, "exp3": 2.0},
+            sampling={"seed": 60, "samples": 20, "norm_cap": 10.0},
+            stabilizer={"direction": "forward"},
+        )
+        summary = cmd_stability(parse_config(raw))
+        assert summary.exit_code == EXIT_OK
+        assert summary.meta["recovered_defects"]["uniqueness"] <= 1e-12
+
+
 class TestDeterminism:
     def test_reports_byte_identical_modulo_timestamp(self):
         for cmd, raw in (

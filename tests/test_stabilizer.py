@@ -1,4 +1,4 @@
-"""Stabilizer tests: control functions, iteration, bounds, uniqueness.
+"""Stabilizer tests: control functions, iteration, bounds, calibration.
 
 Closed-form bounds are cross-checked against high-precision partial sums
 computed with mpmath (and exact rationals where exponents allow), written
@@ -31,7 +31,6 @@ from stablab.stabilizer import (
     ITERATE_OVERFLOW_LIMIT,
     CalibrationError,
     ControlDirectionError,
-    DivergedError,
     PowerControl,
     StabilizerConfig,
     bound_closed_form,
@@ -41,7 +40,6 @@ from stablab.stabilizer import (
     make_control,
     resolve_direction,
     stabilize_batch,
-    verify_uniqueness,
 )
 
 
@@ -471,34 +469,3 @@ class TestCalibration:
         with pytest.raises(ValueError):
             calibrate_control(Transpose(2), make_control("constant", 1.0, {}), seed=55, samples=5)
 
-
-class TestUniqueness:
-    def test_exact_map_discrepancy_zero(self):
-        report = verify_uniqueness(Transpose(3), StabilizerConfig(direction=FORWARD), seed=60, samples=20)
-        assert report.verdict == "satisfied"
-        assert report.max_residual <= 1e-12
-
-    def test_backward_constant(self):
-        f = Perturbed(
-            Identity(3),
-            Perturbation(size=0.4, power=0.0, direction=unit_direction(3, "identity"), mode="constant"),
-        )
-        report = verify_uniqueness(f, StabilizerConfig(), seed=61, samples=20)
-        assert report.verdict == "satisfied"
-        assert report.max_residual <= 1e-9
-
-    def test_forward_power(self):
-        f = Perturbed(
-            Identity(3),
-            Perturbation(size=1e-2, power=2.0, direction=unit_direction(3, "identity"), mode="power", odd=True),
-        )
-        report = verify_uniqueness(f, StabilizerConfig(), seed=62, samples=20, norm_cap=1.0)
-        assert report.verdict == "satisfied"
-
-    def test_divergence_propagates(self):
-        f = Perturbed(
-            Identity(3),
-            Perturbation(size=0.4, power=0.0, direction=unit_direction(3, "identity"), mode="constant"),
-        )
-        with pytest.raises(DivergedError):
-            verify_uniqueness(f, StabilizerConfig(direction=FORWARD), seed=63, samples=5)
