@@ -11,12 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stablab.algebra import random_element
+from stablab.algebra import random_element, random_elements, spectral_norms
 from stablab.checkers import fit_loglog_slope, superstability_decay_batch
 from stablab.harness import (
     EXIT_DIVERGED,
     EXIT_OK,
     EXIT_VIOLATED,
+    build_map,
     cmd_bounds_table,
     cmd_lemma_check,
     cmd_stability,
@@ -28,8 +29,10 @@ from stablab.mappings import Perturbation, Perturbed, ZeroMap, unit_direction
 from stablab.stabilizer import (
     FORWARD,
     PowerControl,
+    StabilizerConfig,
     bound_closed_form,
     bound_series_truncated,
+    stabilize_batch,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -186,6 +189,31 @@ class TestCriterion6DivergenceDichotomy:
 
 
 class TestCriterion7Uniqueness:
+    def test_scale_shifted_runs_agree(self):
+        # h(3a)/3 and h(a) stop the rescaled sequence at different points, so
+        # a limit that depended on where the iteration stops would show here
+        cfg = StabilizerConfig(max_iter=64, tol=1e-10, direction="auto")
+        worst = []
+        for name, seed, cap in (
+            ("stability_backward_constant.json", 501, 10.0),
+            ("stability_forward_power.json", 502, 1.0),
+        ):
+            f = build_map(load(name).map_cfg, 3)
+            norms = np.empty(50)
+            A = random_elements(seed, 50, 3, cap, stream=50, norms_out=norms)
+            runs = []
+            for X in (A, 3.0 * A):
+                results = stabilize_batch(f, X, cfg)
+                assert all(r.converged for r in results)
+                runs.append(np.stack([r.limit for r in results]))
+            gap = float(np.max(spectral_norms(runs[1] / 3.0 - runs[0]) / (1.0 + norms)))
+            assert gap <= 1e-9
+            worst.append(gap)
+        report(
+            "criterion 7: scale-shifted stabilizations h(3a)/3 agree with h(a) to 1e-9 scale on all "
+            f"samples of both shipped stability maps (worst {worst[0]:.2e}, {worst[1]:.2e})"
+        )
+
     def test_limit_equals_the_exact_base(self):
         # The base of a perturbed map is an exact Jordan *-homomorphism within
         # the control distance of f, so the unique stabilized limit is that base:

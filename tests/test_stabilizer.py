@@ -14,6 +14,7 @@ import pytest
 from stablab import checkers, stabilizer
 from stablab.algebra import random_element, random_elements, spectral_norms
 from stablab.checkers import _stability_equation_values, superstability_decay_batch, superstability_shrinking_batch
+from stablab.harness import EXIT_DIVERGED, cmd_stability, parse_config
 from stablab.mappings import (
     Identity,
     Perturbation,
@@ -469,3 +470,63 @@ class TestCalibration:
         with pytest.raises(ValueError):
             calibrate_control(Transpose(2), make_control("constant", 1.0, {}), seed=55, samples=5)
 
+
+class TestUniqueness:
+    """The stabilized limit of a perturbed identity is its exact base, whatever the run's stopping point."""
+
+    @staticmethod
+    def limits_and_gaps(f, cfg, seed, samples, norm_cap):
+        norms = np.empty(samples)
+        A = random_elements(seed, samples, 3, norm_cap, stream=50, norms_out=norms)
+        results = stabilize_batch(f, A, cfg)
+        assert all(r.converged for r in results)
+        h = np.stack([r.limit for r in results])
+        shifted = stabilize_batch(f, 3.0 * A, cfg)
+        assert all(r.converged for r in shifted)
+        h_shift = np.stack([r.limit for r in shifted]) / 3.0
+        scales = 1.0 + norms
+        return spectral_norms(h - apply_array(f.base, A)) / scales, spectral_norms(h_shift - h) / scales
+
+    def test_backward_constant(self):
+        f = Perturbed(
+            Identity(3),
+            Perturbation(size=0.4, power=0.0, direction=unit_direction(3, "identity"), mode="constant"),
+        )
+        to_base, to_shift = self.limits_and_gaps(f, StabilizerConfig(), seed=61, samples=20, norm_cap=10.0)
+        assert np.max(to_base) <= 1e-9
+        assert np.max(to_shift) <= 1e-9
+
+    def test_forward_power(self):
+        f = Perturbed(
+            Identity(3),
+            Perturbation(size=1e-2, power=2.0, direction=unit_direction(3, "identity"), mode="power", odd=True),
+        )
+        to_base, to_shift = self.limits_and_gaps(f, StabilizerConfig(), seed=62, samples=20, norm_cap=1.0)
+        assert np.max(to_base) <= 1e-9
+        assert np.max(to_shift) <= 1e-9
+
+    def test_divergence_propagates(self):
+        f = Perturbed(
+            Identity(3),
+            Perturbation(size=0.4, power=0.0, direction=unit_direction(3, "identity"), mode="constant"),
+        )
+        A = random_elements(63, 5, 3, 10.0, stream=50)
+        results = stabilize_batch(f, A, StabilizerConfig(direction=FORWARD))
+        assert all(r.status == "diverged" and r.limit is None for r in results)
+        # the stability command stops at the diverged samples and judges no law on them
+        raw = {
+            "schema": 1,
+            "algebra": {"dim": 3},
+            "map": {
+                "kind": "perturbed",
+                "base": {"kind": "identity"},
+                "perturbation": {"mode": "constant", "size": 0.4, "direction": "identity"},
+            },
+            "bound": {"kind": "constant", "coeff": 0.4},
+            "sampling": {"seed": 63, "samples": 5, "norm_cap": 10.0},
+            "stabilizer": {"direction": "forward"},
+        }
+        summary = cmd_stability(parse_config(raw))
+        assert summary.exit_code == EXIT_DIVERGED
+        assert summary.meta["diverged_samples"] == 5
+        assert "recovered_defects" not in summary.meta
