@@ -430,9 +430,7 @@ def _decay_batch(f: MapSpec, A: np.ndarray, n_max: int, shrink: bool) -> np.ndar
     out = np.empty((A.shape[0], n_max))
     for n in range(1, n_max + 1):
         n2 = float(n * n)
-        if n == 1:
-            arg, fa_arg, n_arg, n_fa = Asq, A, nsq, na
-        elif shrink:
+        if shrink:
             arg, fa_arg, n_arg, n_fa = Asq / n2, A / float(n), nsq / n2, na / float(n)
         else:
             arg, fa_arg, n_arg, n_fa = n2 * Asq, float(n) * A, n2 * nsq, float(n) * na
