@@ -13,6 +13,7 @@ __all__ = [
     "DimensionMismatchError",
     "NonFiniteError",
     "spectral_norms",
+    "norm_brackets",
     "random_element",
     "random_elements",
     "derived_seed",
@@ -28,6 +29,13 @@ class NonFiniteError(ArithmeticError, ValueError):
     """A NaN or infinite value reached a computation that needs finite input."""
 
 
+def _square_stack(mats: np.ndarray) -> np.ndarray:
+    arr = np.asarray(mats, dtype=np.complex128)
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
+        raise ValueError(f"expected a (..., d, d) stack, got shape {arr.shape}")
+    return arr
+
+
 def spectral_norms(mats: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix in a (..., d, d) stack.
 
@@ -39,9 +47,7 @@ def spectral_norms(mats: np.ndarray) -> np.ndarray:
     going through the SVD, so skipping it moves no other value.  Non-finite
     entries raise NonFiniteError (a ValueError).
     """
-    arr = np.asarray(mats, dtype=np.complex128)
-    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
-        raise ValueError(f"expected a (..., d, d) stack, got shape {arr.shape}")
+    arr = _square_stack(mats)
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError("spectral_norms: non-finite entries")
     live = arr.any(axis=(-2, -1))
@@ -51,6 +57,32 @@ def spectral_norms(mats: np.ndarray) -> np.ndarray:
     if live.any():
         out[live] = np.linalg.svd(arr[live], compute_uv=False)[..., 0]
     return out[()]
+
+
+# The relative widening of a Frobenius bracket, far above the few ulps by
+# which the Frobenius sum or an SVD value can be off.
+BRACKET_MARGIN = 1e-12
+
+
+def norm_brackets(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds (lo, hi) with lo <= spectral_norms(mats) <= hi, per matrix of a (..., d, d) stack.
+
+    The spectral norm of a d x d matrix lies in [F / sqrt(d), F], F its
+    Frobenius norm; both ends are widened by BRACKET_MARGIN relative.  The
+    squares of the entries underflow or overflow when F leaves about
+    [1e-150, 1e150], so such a matrix (an all-zero one included) gets
+    [0, inf).  Non-finite entries raise NonFiniteError, as in spectral_norms.
+    """
+    arr = np.ascontiguousarray(_square_stack(mats))
+    flat = arr.reshape(*arr.shape[:-2], -1).view(np.float64)
+    with np.errstate(over="ignore", under="ignore"):
+        squares = np.einsum("...i,...i->...", flat, flat)
+    if not np.all(np.isfinite(squares)) and not np.all(np.isfinite(arr)):  # a finite sum has finite terms
+        raise NonFiniteError("norm_brackets: non-finite entries")
+    frob = np.sqrt(squares)
+    usable = (squares >= 1e-300) & (squares <= 1e300)
+    lo = np.where(usable, frob * ((1.0 - BRACKET_MARGIN) / np.sqrt(arr.shape[-1])), 0.0)
+    return lo[()], np.where(usable, frob * (1.0 + BRACKET_MARGIN), np.inf)[()]
 
 
 def derived_seed(*parts: int) -> int:

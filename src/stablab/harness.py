@@ -627,7 +627,7 @@ def cmd_lemma_check(config: ExperimentConfig) -> RunSummary:
 
 def _stabilized_evaluator(f: MapSpec, cfg: StabilizerConfig):
     def eval_fn(xs: np.ndarray) -> np.ndarray:
-        results = stabilize_batch(f, xs, cfg)
+        results = stabilize_batch(f, xs, cfg, traces=False)
         bad = sum(1 for r in results if not r.converged)
         if bad:
             raise DivergedError(f"{bad} of {len(results)} limit evaluations did not converge")
@@ -688,7 +688,7 @@ def cmd_stability(config: ExperimentConfig) -> RunSummary:
         )
     except CalibrationError as exc:
         meta["calibration_error"] = str(exc)
-        return _summary("stability", config, meta, [], [], verdict="violated")
+        return _summary("stability", config, meta, [], _sample_rows(columns), verdict="violated")
     meta["calibrated_coeff"] = calibrated.coeff
 
     limits = np.stack([r.limit for r in results])

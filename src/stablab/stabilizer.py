@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import random_elements, spectral_norms
+from .algebra import norm_brackets, random_elements, spectral_norms
 from .checkers import _stability_equation_values
 from .mappings import MapSpec, Perturbed, _safe_pow, apply_array
 
@@ -206,10 +206,11 @@ class StabilizerConfig:
 
 @dataclass
 class StabilizationResult:
-    """Trace of one stabilization run.
+    """Outcome of one stabilization run.
 
     ``limit`` is None exactly when the run diverged; a fabricated limit is
-    never reported.
+    never reported.  ``cauchy_residuals`` holds the exact residual of every
+    iteration, or is empty when the run was made with ``traces=False``.
     """
 
     limit: np.ndarray | None
@@ -220,6 +221,34 @@ class StabilizationResult:
     @property
     def converged(self) -> bool:
         return self.status == "converged"
+
+
+class _Residuals:
+    """One iteration's Cauchy residuals ||h_n - h_{n-1}|| as per-row bounds lo <= res <= hi.
+
+    An exact row has lo == hi, its spectral_norms value; otherwise the row
+    holds its norm_brackets bounds until ``refine`` norms it.
+    """
+
+    def __init__(self, diff: np.ndarray, exact: bool):
+        self.diff = diff
+        if exact:
+            self.lo = self.hi = spectral_norms(diff)
+        else:
+            self.lo, self.hi = norm_brackets(diff)
+
+    def refine(self, rows: np.ndarray) -> None:
+        rows = rows & (self.lo < self.hi)
+        if rows.any():
+            self.lo[rows] = self.hi[rows] = spectral_norms(self.diff[rows])
+
+
+def _greater(x: _Residuals, y: _Residuals, rows: np.ndarray) -> np.ndarray:
+    """Per row, x > y; exact on ``rows``, where overlapping bounds get both sides normed."""
+    undecided = rows & (x.lo <= y.hi) & (x.hi > y.lo)
+    x.refine(undecided)
+    y.refine(undecided)
+    return x.lo > y.hi
 
 
 def resolve_direction(f: MapSpec, cfg: StabilizerConfig) -> str | None:
@@ -242,7 +271,9 @@ def resolve_direction(f: MapSpec, cfg: StabilizerConfig) -> str | None:
     return None
 
 
-def stabilize_batch(f: MapSpec, A: np.ndarray, cfg: StabilizerConfig) -> list[StabilizationResult]:
+def stabilize_batch(
+    f: MapSpec, A: np.ndarray, cfg: StabilizerConfig, *, traces: bool = True
+) -> list[StabilizationResult]:
     """Lockstep stabilization of a (count, d, d) stack; pure per point.
 
     Each sample stops independently the first time its Cauchy residual meets
@@ -250,6 +281,12 @@ def stabilize_batch(f: MapSpec, A: np.ndarray, cfg: StabilizerConfig) -> list[St
     that end above the initial residual (or once an iterate entry passes
     ITERATE_OVERFLOW_LIMIT), or exhausts max_iter.  A direction "auto" that
     resolve_direction cannot resolve raises ValueError.
+
+    With ``traces=False`` the results carry no residuals, and a residual is
+    normed exactly only where its Frobenius bracket leaves one of the three
+    decisions open (converged, growing, above the first residual); an open
+    comparison norms both of its sides.  Statuses, iterations and limits are
+    the same bit for bit either way.
     """
     direction = resolve_direction(f, cfg)
     if direction is None:
@@ -257,15 +294,14 @@ def stabilize_batch(f: MapSpec, A: np.ndarray, cfg: StabilizerConfig) -> list[St
     A = np.asarray(A, dtype=np.complex128)
     count = A.shape[0]
     norms_a = spectral_norms(A)  # ||3^±n a|| is carried as norms_a scaled by 3^±n
-    scales = 1.0 + norms_a
+    tols = cfg.tol * (1.0 + norms_a)
     h_prev = apply_array(f, A, norms_a)
-    history = []  # one residual row per iteration, over the whole stack
+    history = []  # one exact residual row per iteration, over the whole stack
     active = np.ones(count, dtype=bool)
     status = np.full(count, "exhausted", dtype=object)  # the status of a row still active at max_iter
     iters = np.zeros(count, dtype=int)
     limits = np.empty_like(A)
     grow = np.zeros(count, dtype=int)
-    last_res = np.full(count, np.inf)
 
     for n in range(1, cfg.max_iter + 1):
         factor = 3.0**n
@@ -273,15 +309,21 @@ def stabilize_batch(f: MapSpec, A: np.ndarray, cfg: StabilizerConfig) -> list[St
             h = factor * apply_array(f, A / factor, norms_a / factor)
         else:
             h = apply_array(f, A * factor, norms_a * factor) / factor
-        res = spectral_norms(h - h_prev)
-        history.append(res)
+        res = _Residuals(h - h_prev, exact=traces)
+        if traces:
+            history.append(res.lo)
+        if n == 1:
+            first = res
         iters[active] = n
-        converged = active & (res <= cfg.tol * scales)
+        res.refine(active & (res.lo <= tols) & (res.hi > tols))
+        converged = active & (res.hi <= tols)
         running = active & ~converged
-        grow = np.where(res > last_res, grow + 1, 0)
-        last_res = res
+        if n > 1:
+            grow = np.where(_greater(res, last, running), grow + 1, 0)
+        last = res
         blown = np.max(np.abs(h), axis=(1, 2)) > ITERATE_OVERFLOW_LIMIT
-        diverged = running & (blown | ((grow >= DIVERGENCE_GROWTH_STEPS) & (res > history[0])))
+        suspect = running & ~blown & (grow >= DIVERGENCE_GROWTH_STEPS)
+        diverged = running & (blown | (suspect & _greater(res, first, suspect)))
         status[converged], status[diverged] = "converged", "diverged"
         active = running & ~diverged
         kept = converged | active if n == cfg.max_iter else converged  # exhausted rows keep their last iterate
@@ -290,7 +332,7 @@ def stabilize_batch(f: MapSpec, A: np.ndarray, cfg: StabilizerConfig) -> list[St
             break
         h_prev = h
 
-    residuals = np.stack(history)
+    residuals = np.stack(history) if traces else np.empty((0, count))
     return [
         StabilizationResult(
             limit=None if status[i] == "diverged" else limits[i],

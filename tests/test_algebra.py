@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stablab import algebra
-from stablab.algebra import random_element, random_elements, spectral_norms
+from stablab.algebra import NonFiniteError, norm_brackets, random_element, random_elements, spectral_norms
 from stablab.mappings import Perturbation, UnitaryConjugation, _conj_t
 
 
@@ -247,6 +247,73 @@ class TestOpNorm:
         ref = gram_norm(arr)
         got = spectral_norms(arr[np.newaxis])[0]
         assert got == pytest.approx(ref, rel=1e-12, abs=1e-280)
+
+
+BRACKET_DIMS = [1, 2, 3, 4, 8]
+
+
+def brackets_hold(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lo, norms, hi) of a stack, asserting lo <= spectral_norms <= hi and that no RuntimeWarning escapes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lo, hi = norm_brackets(stack)
+    norms = spectral_norms(stack)
+    assert np.all(lo <= norms) and np.all(norms <= hi)
+    return lo, norms, hi
+
+
+class TestNormBrackets:
+    """The Frobenius bracket [F/sqrt(d), F] holds every spectral_norms value, widened by a margin above rounding."""
+
+    @pytest.mark.parametrize("d", BRACKET_DIMS)
+    def test_random_stacks_from_1e_minus_320_to_1e300(self, d):
+        rng = np.random.default_rng(100 + d)
+        scales = np.logspace(-320, 300, 400)
+        stack = (rng.normal(size=(400, d, d)) + 1j * rng.normal(size=(400, d, d))) * scales[:, None, None]
+        lo, norms, hi = brackets_hold(stack)
+        # inside the usable range the bracket is [F/sqrt(d), F], not the trivial [0, inf)
+        usable = (norms > 1e-140) & (norms < 1e140)
+        assert usable.sum() > 150
+        assert np.all(hi[usable] <= np.sqrt(d) * lo[usable] * (1.0 + 3e-12))
+        beyond = (norms < 1e-160) | (norms > 1e160)  # F lies in [norm, sqrt(d) norm]
+        assert beyond.sum() > 150
+        assert np.all(lo[beyond] == 0.0) and np.all(hi[beyond] == np.inf)
+
+    @pytest.mark.parametrize("d", BRACKET_DIMS)
+    def test_both_ends_are_attained(self, d):
+        # a scaled identity has norm F/sqrt(d), a rank-one matrix norm F: each
+        # sits on one end of the bracket, a few ulps inside the margin
+        rng = np.random.default_rng(200 + d)
+        c = (rng.normal(size=300) + 1j * rng.normal(size=300)) * np.logspace(-140, 140, 300)
+        lo, norms, _ = brackets_hold(c[:, None, None] * np.eye(d))
+        np.testing.assert_allclose(lo, norms, rtol=2e-12, atol=0.0)
+        u, v = rng.normal(size=(2, 300, d)) + 1j * rng.normal(size=(2, 300, d))
+        _, norms, hi = brackets_hold(u[:, :, None] * v[:, None, :].conj() * np.logspace(-140, 140, 300)[:, None, None])
+        np.testing.assert_allclose(hi, norms, rtol=2e-12, atol=0.0)
+
+    @pytest.mark.parametrize("d", BRACKET_DIMS)
+    def test_zero_subnormal_and_near_overflow_matrices_are_unbounded(self, d):
+        stack = np.zeros((4, d, d), dtype=complex)
+        stack[1, 0, d - 1] = complex(0.0, 5e-324)
+        stack[2] = 3e-310 - 1e-309j
+        stack[3] = 1e154 - 1e154j  # its squares overflow
+        lo, _, hi = brackets_hold(stack)
+        assert np.all(lo == 0.0) and np.all(hi == np.inf)
+
+    def test_shape_follows_the_stack(self):
+        lo, hi = norm_brackets(np.eye(3, dtype=complex))
+        assert lo.shape == hi.shape == () and lo < 1.0 <= hi
+        lo, hi = norm_brackets(np.ones((2, 5, 3, 3)))
+        assert lo.shape == hi.shape == (2, 5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, -np.inf)])
+    def test_non_finite_entries_raise(self, bad):
+        stack = np.zeros((4, 3, 3), dtype=complex)
+        stack[2, 1, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="non-finite"):
+                norm_brackets(stack)
 
 
 def seeded_stack(first_seed: int, count: int, dim: int, norm_cap: float) -> np.ndarray:

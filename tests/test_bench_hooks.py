@@ -53,6 +53,20 @@ def test_stabilize_work_counts_points_iterations_and_converged():
     assert converged == sum(1 for r in results if r.status == "converged") == 4
 
 
+
+@pytest.mark.parametrize("direction", ["backward", "forward"])  # converged and exhausted, or diverged
+def test_stabilize_work_is_the_same_without_traces(direction):
+    # the exactness runs have no traces: stabilizer.iterations and
+    # stabilizer.converged_ratio must count them as traced runs
+    f = Perturbed(
+        Identity(3),
+        Perturbation(size=0.3, power=0.0, direction=unit_direction(3, "identity"), mode="constant"),
+    )
+    A = random_elements(5, 6, 3, 2.0, stream=1)
+    cfg = StabilizerConfig(max_iter=20, direction=direction)
+    traced, bare = (stabilize_batch(f, A, cfg, traces=t) for t in (True, False))
+    assert tracing._stabilize_work((f, A, cfg), {}, bare) == tracing._stabilize_work((f, A, cfg), {}, traced)
+
 def test_series_terms_reads_terms_from_the_bounds_table_call(monkeypatch):
     config = default_bounds_table_config()
     real = harness.bound_series_truncated

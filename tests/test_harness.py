@@ -542,6 +542,24 @@ class TestSerialization:
         assert certified[: len(diverged)] == diverged
 
 
+    def test_calibration_error_keeps_the_sample_rows(self, tmp_path):
+        # a power-3 defect outgrows a power-1.5 control: the fit at ten times the
+        # norm cap is more than 1.5 times the first one
+        raw = json.loads((README.parent / "configs" / "stability_forward_power.json").read_text())
+        raw["map"]["perturbation"]["power"] = 3.0
+        raw["bound"] = {"kind": "power", "coeff": 0.0, "exp1": 1.5, "exp2": 1.5, "exp3": 1.5}
+        raw["sampling"]["samples"] = 20
+        raw["calibration"] = {"sweep_factor": 10}
+        summary = cmd_stability(parse_config(raw))
+        assert (summary.exit_code, summary.checks) == (EXIT_VIOLATED, [])
+        assert "calibration_error" in summary.meta
+        assert [r["sample_id"] for r in summary.sample_rows] == list(range(20))
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "rows.csv"
+        cfg_path.write_text(json.dumps(raw))
+        assert cli_main(["stability", "--config", str(cfg_path), "--out", str(out), "--format", "csv"]) == EXIT_VIOLATED
+        lines = out.read_text().splitlines()
+        assert lines[0] == "sample_id,norm_a,iterations,status" and len(lines) == 21
+
 class TestSuperstabilityCommand:
     def test_exact_map_all_zero_sequence(self):
         cfg = parse_config(
@@ -640,8 +658,13 @@ class TestNormCount:
         return count[0]
 
     def test_backward_constant_stability(self, monkeypatch):
-        # 55401 when every perturbed evaluation normed its input
-        assert self.normed_matrices(monkeypatch, cmd_stability, "stability_backward_constant.json") <= 29000
+        # 55401 when every perturbed evaluation normed its input, 27881 when
+        # the exactness runs normed every Cauchy residual
+        assert self.normed_matrices(monkeypatch, cmd_stability, "stability_backward_constant.json") <= 9000
+
+    def test_forward_power_stability(self, monkeypatch):
+        # 25001 when the exactness runs normed every Cauchy residual
+        assert self.normed_matrices(monkeypatch, cmd_stability, "stability_forward_power.json") <= 9000
 
     def test_superstability_p05(self, monkeypatch):
         # 4851 when every perturbed evaluation normed its input

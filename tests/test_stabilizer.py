@@ -5,7 +5,9 @@ computed with mpmath (and exact rationals where exponents allow), written
 independently of the implementation's own series code.
 """
 
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 from stablab import checkers, stabilizer
 from stablab.algebra import random_element, random_elements, spectral_norms
 from stablab.checkers import _stability_equation_values, superstability_decay_batch, superstability_shrinking_batch
-from stablab.harness import EXIT_DIVERGED, cmd_stability, parse_config
+from stablab.harness import EXIT_DIVERGED, build_map, cmd_stability, load_config, parse_config
 from stablab.mappings import (
     Identity,
     Perturbation,
@@ -530,3 +532,103 @@ class TestUniqueness:
         assert summary.exit_code == EXIT_DIVERGED
         assert summary.meta["diverged_samples"] == 5
         assert "recovered_defects" not in summary.meta
+
+
+def perturbed_identity(d, mode, power, size=0.3, odd=False):
+    return Perturbed(
+        Identity(d), Perturbation(size=size, power=power, direction=unit_direction(d, "identity"), mode=mode, odd=odd)
+    )
+
+
+def criterion6_forward_run():
+    """The shipped backward-constant config's map and samples, iterated forward (acceptance criterion 6)."""
+    config = load_config(str(Path(__file__).resolve().parent.parent / "configs" / "stability_backward_constant.json"))
+    A = random_elements(config.seed, config.samples, config.dim, config.norm_cap, stream=60)
+    return build_map(config.map_cfg, config.dim), A, StabilizerConfig(direction=FORWARD)
+
+
+class TestTracelessRuns:
+    """traces=False decides on Frobenius brackets; statuses, iterations and limits stay the traced ones."""
+
+    @staticmethod
+    def assert_same_runs(f, A, cfg):
+        traced = stabilize_batch(f, A, cfg)
+        bare = stabilize_batch(f, A, cfg, traces=False)
+        for i, (on, off) in enumerate(zip(traced, bare, strict=True)):
+            assert (off.status, off.iterations_used, off.cauchy_residuals) == (on.status, on.iterations_used, []), i
+            assert (off.limit is None) == (on.limit is None), i
+            if on.limit is not None:
+                assert off.limit.tobytes() == on.limit.tobytes(), i
+        return traced
+
+    def test_converged_exhausted_and_diverged(self):
+        spread = random_elements(80, 40, 3, 2.0, stream=1) * np.logspace(-3, 3, 40)[:, None, None]
+        spread[7] = 0.0
+        cases = [
+            (perturbed_identity(3, "constant", 0.0), spread, StabilizerConfig(direction=BACKWARD), {"converged"}),
+            (
+                perturbed_identity(3, "power", 2.0, size=1e-2, odd=True),
+                random_elements(81, 40, 3, 1.0, stream=1),
+                StabilizerConfig(tol=1e-14),
+                {"converged"},
+            ),
+            # these samples need 20 or 21 iterations: max_iter 20 leaves two exhausted
+            (
+                perturbed_identity(3, "constant", 0.0),
+                random_elements(5, 6, 3, 2.0, stream=1),
+                StabilizerConfig(max_iter=20, direction=BACKWARD),
+                {"converged", "exhausted"},
+            ),
+            (
+                perturbed_identity(3, "power", 0.5),
+                spread,
+                StabilizerConfig(direction=FORWARD),
+                {"converged", "diverged"},
+            ),
+            (*criterion6_forward_run(), {"diverged"}),
+        ]
+        for f, A, cfg, statuses in cases:
+            assert {r.status for r in self.assert_same_runs(f, A, cfg)} == statuses
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_open_growth_comparison(self, d):
+        # Forward, a power-0.9 defect grows by 3^0.1 per step, and each residual
+        # is a multiple of the identity direction, whose Frobenius norm is
+        # sqrt(d) times its spectral norm: consecutive brackets overlap, so
+        # every growth step is decided only by norming both residuals.
+        f = perturbed_identity(d, "power", 0.9)
+        A = random_elements(82, 20, d, 4.0, stream=1)
+        traced = self.assert_same_runs(f, A, StabilizerConfig(direction=FORWARD))
+        for r in traced:
+            assert r.status == "diverged" and r.iterations_used == 1 + DIVERGENCE_GROWTH_STEPS
+            ratios = np.divide(r.cauchy_residuals[1:], r.cauchy_residuals[:-1])
+            assert np.all((ratios > 1.0) & (ratios < np.sqrt(d)))
+
+    def test_first_residual_is_normed_when_the_divergence_rule_needs_it(self, monkeypatch):
+        # A scripted backward run on one norm-1 sample: h_n = H[n], so the
+        # residuals are the norms of D[1], D[2], ...  The drop at step 2 is
+        # decided by the brackets alone, so nothing norms the first residual
+        # before step 7 asks whether the fifth growth ends above it: the
+        # rank-one D[7] (norm 1.2, bracket [1.2/sqrt(2), 1.2]) against the
+        # identity D[1] (norm 1, bracket [1/sqrt(2), sqrt(2)]).
+        d = 2
+        eye, corner = np.eye(d), np.diag([1.0, 0.0])
+        steps = [0.0 * eye, eye, *(0.01 * 2.0**k * eye for k in range(5)), 1.2 * corner, 0.0 * eye, 0.0 * eye]
+        H = np.cumsum(steps, axis=0).astype(complex)
+
+        def scripted(f, xs, norms=None):
+            n = round(math.log(norms[0]) / math.log(3.0))  # backward, xs = 3^n a with ||a|| = 1
+            return 3.0**n * H[n][np.newaxis]
+
+        monkeypatch.setattr(stabilizer, "apply_array", scripted)
+        sample = np.eye(d, dtype=complex)[np.newaxis]
+        traced = self.assert_same_runs(Identity(d), sample, StabilizerConfig(direction=BACKWARD))
+        assert (traced[0].status, traced[0].iterations_used) == ("diverged", 7)
+
+    @pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
+    @pytest.mark.parametrize("mode,power", [("constant", 0.0), ("affine", 0.0), ("power", 0.5), ("power", 2.0)])
+    def test_differences_at_extreme_scales(self, direction, mode, power):
+        # norms from 1e-200 to 1e140: residuals with subnormal entries, or whose
+        # squares overflow, get the unbounded bracket and are normed exactly
+        A = random_elements(83, 40, 3, 2.0, stream=1) * np.logspace(-200, 140, 40)[:, None, None]
+        self.assert_same_runs(perturbed_identity(3, mode, power), A, StabilizerConfig(max_iter=20, direction=direction))
