@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 DECAY_OVERFLOW_LIMIT = 1e100
+# n per batched evaluation of a decay sequence; a block's temporaries are at
+# most this many times one n's
+DECAY_BLOCK = 8
 
 
 class DecayOverflowError(OverflowError):
@@ -411,33 +414,66 @@ def phase_sweep_report(
 # ---------------------------------------------------------------------------
 
 
-def _guard_overflow(stack: np.ndarray, n: int) -> None:
-    # Frobenius proxy for the operator norm; conservative by at most sqrt(d).
-    worst = float(np.max(np.sqrt(np.sum(np.abs(stack) ** 2, axis=(-2, -1)))))
-    if worst > DECAY_OVERFLOW_LIMIT:
-        raise DecayOverflowError(
-            f"decay argument norm {worst:.3e} exceeds {DECAY_OVERFLOW_LIMIT:.0e} at n={n}"
-        )
+def _guard_overflow(args: np.ndarray, first: int) -> tuple[int, DecayOverflowError | None]:
+    """How many leading n of a block stay within the cutoff, and the error naming the next n.
+
+    ``args`` stacks the block's arguments, one (samples, d, d) row per n
+    from ``first`` on.  The Frobenius norm is a proxy for the operator
+    norm, conservative by at most sqrt(d).  An argument formed past the
+    cutoff may hold inf or NaN (an overflowed a^2, or inf times a zero
+    part), and either counts as past it.  The caller evaluates the n before
+    the first one past the cutoff and only then raises the error (None when
+    every n is within), so an error at an earlier n still wins.
+    """
+    with np.errstate(over="ignore"):
+        frob = np.sqrt(np.sum(np.abs(args) ** 2, axis=(-2, -1)))
+    worst = np.max(np.where(np.isnan(frob), np.inf, frob), axis=-1)
+    past = np.flatnonzero(worst > DECAY_OVERFLOW_LIMIT)
+    if past.size == 0:
+        return worst.size, None
+    k = int(past[0])
+    return k, DecayOverflowError(
+        f"decay argument norm {worst[k]:.3e} exceeds {DECAY_OVERFLOW_LIMIT:.0e} at n={first + k}"
+    )
 
 
 def _decay_batch(f: MapSpec, A: np.ndarray, n_max: int, shrink: bool) -> np.ndarray:
+    """The decay sequence for n = 1..n_max, evaluated DECAY_BLOCK n at a time.
+
+    A block is one (k, samples, d, d) stack per argument: one guard pass, two
+    apply_array calls, one matmul and one spectral_norms call.  Each of those
+    works elementwise or on each matrix alone, so every value equals the
+    one-n-at-a-time evaluation bit for bit.
+    """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     A = np.asarray(A, dtype=np.complex128)
-    Asq = A @ A
     # every argument is a scalar multiple of a or a^2, so its norm is carried
-    na, nsq = spectral_norms(A), spectral_norms(Asq)
+    na = spectral_norms(A)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Asq = A @ A  # an overflow here stops at the n = 1 guard, before a^2 is normed
     out = np.empty((A.shape[0], n_max))
-    for n in range(1, n_max + 1):
-        n2 = float(n * n)
+    for first in range(1, n_max + 1, DECAY_BLOCK):
+        ns = np.arange(first, min(first + DECAY_BLOCK, n_max + 1))[:, np.newaxis]
+        n1, n2 = ns.astype(float), (ns * ns).astype(float)  # (k, 1): one row per n
+        mat = (..., np.newaxis, np.newaxis)  # (k, 1, 1, 1) against a (samples, d, d) stack
+        with np.errstate(over="ignore", invalid="ignore"):  # arguments past the cutoff may overflow
+            args = Asq / n2[mat] if shrink else n2[mat] * Asq
+        k, overflow = _guard_overflow(args, first)
+        if k == 0:
+            raise overflow
+        if first == 1:
+            nsq = spectral_norms(Asq)  # finite: the n = 1 argument passed the guard
+        n1, n2 = n1[:k], n2[:k]
         if shrink:
-            arg, fa_arg, n_arg, n_fa = Asq / n2, A / float(n), nsq / n2, na / float(n)
+            fa_arg, n_arg, n_fa = A / n1[mat], nsq / n2, na / n1
         else:
-            arg, fa_arg, n_arg, n_fa = n2 * Asq, float(n) * A, n2 * nsq, float(n) * na
-        _guard_overflow(arg, n)
+            fa_arg, n_arg, n_fa = n1[mat] * A, n2 * nsq, n1 * na
         fa = apply_array(f, fa_arg, n_fa)
-        norms = spectral_norms(apply_array(f, arg, n_arg) - fa @ fa)
-        out[:, n - 1] = norms * n2 if shrink else norms / n2
+        norms = spectral_norms(apply_array(f, args[:k], n_arg) - fa @ fa)
+        out[:, first - 1 : first - 1 + k] = (norms * n2 if shrink else norms / n2).T
+        if overflow is not None:
+            raise overflow
     return out
 
 
@@ -447,7 +483,10 @@ def superstability_decay_batch(f: MapSpec, A: np.ndarray, n_max: int) -> np.ndar
     Returned verbatim with no smoothing; the n = 1 column is exactly the
     square-preservation defect.  For an additive map whose defect obeys a
     power law with exponent p < 1 the sequence is dominated by
-    size * n^(2p-2) * ||a||^(2p).
+    size * n^(2p-2) * ||a||^(2p).  The n are evaluated DECAY_BLOCK at a
+    time, with values equal bit for bit to one n at a time.  An argument
+    n^2 a^2 past DECAY_OVERFLOW_LIMIT (a^2 overflowing included) raises
+    DecayOverflowError naming its n, after every earlier n is evaluated.
     """
     return _decay_batch(f, A, n_max, shrink=False)
 
@@ -456,7 +495,9 @@ def superstability_shrinking_batch(f: MapSpec, A: np.ndarray, n_max: int) -> np.
     """d_n = n^2 ||f(a^2 / n^2) - f(a/n)^2||, the large-exponent variant.
 
     Shrinking arguments replace growing ones, which is the route that forces
-    square preservation when the defect exponent exceeds one.
+    square preservation when the defect exponent exceeds one.  Evaluated
+    and guarded as superstability_decay_batch; only a^2 itself can pass the
+    cutoff, which raises DecayOverflowError at n = 1.
     """
     return _decay_batch(f, A, n_max, shrink=True)
 

@@ -6,14 +6,16 @@ a human-readable line per check is printed either way.
 
 Exit codes: 0 all satisfied, 1 violated, 2 divergence, 3 config or usage
 error (an unwritable --out or outputs.path included), 4 numerical failure
-(overflow or non-finite values).  Exits 2-4 print one stderr line and no
-traceback.
+(overflow, non-finite values or an SVD that does not converge).  Exits 2-4
+print one stderr line and no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+
+import numpy as np
 
 from .harness import (
     EXIT_CONFIG,
@@ -103,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ArithmeticError as exc:
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
         print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     _print_summary(summary)

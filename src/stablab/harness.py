@@ -398,10 +398,14 @@ def default_bounds_table_config() -> ExperimentConfig:
 
 @contextmanager
 def _refusals_named(path: str):
-    """Re-raise a map class's refusal (a ValueError) as a ConfigError naming the field."""
+    """Re-raise a map class's refusal (a ValueError) as a ConfigError naming the field.
+
+    An SVD that does not converge (LinAlgError, also a ValueError) is a
+    numerical failure, not a refusal, and passes through.
+    """
     try:
         yield
-    except ConfigError:
+    except (ConfigError, np.linalg.LinAlgError):
         raise
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc

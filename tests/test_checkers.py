@@ -5,14 +5,20 @@ the expressions for linear maps (computed here with plain numpy, never with
 the checker under test).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
-from stablab.algebra import random_element, random_elements, spectral_norms
+from stablab import checkers
+from stablab.algebra import NonFiniteError, random_element, random_elements, spectral_norms
 from stablab.checkers import (
     CHECKS,
+    DECAY_BLOCK,
+    DECAY_OVERFLOW_LIMIT,
     Check,
     DecayOverflowError,
+    _decay_batch,
     _evaluate,
     _Inputs,
     _split_values,
@@ -27,6 +33,7 @@ from stablab.checkers import (
 )
 from stablab.mappings import (
     Identity,
+    Negation,
     Perturbation,
     Perturbed,
     Transpose,
@@ -309,6 +316,74 @@ class TestStackedGrid:
         assert np.array_equal(res, np.zeros(5)) and np.array_equal(phase, np.ones(5))
 
 
+def per_n_loop(f, A, n_max, shrink):
+    """The decay sequence one n at a time: a guard, two maps, a matmul and a norm per n."""
+    Asq = A @ A
+    na, nsq = spectral_norms(A), spectral_norms(Asq)
+    out = np.empty((A.shape[0], n_max))
+    for n in range(1, n_max + 1):
+        n2 = float(n * n)
+        if shrink:
+            arg, fa_arg, n_arg, n_fa = Asq / n2, A / float(n), nsq / n2, na / float(n)
+        else:
+            arg, fa_arg, n_arg, n_fa = n2 * Asq, float(n) * A, n2 * nsq, float(n) * na
+        worst = float(np.max(np.sqrt(np.sum(np.abs(arg) ** 2, axis=(-2, -1)))))
+        if worst > DECAY_OVERFLOW_LIMIT:
+            raise DecayOverflowError(f"decay argument norm {worst:.3e} exceeds {DECAY_OVERFLOW_LIMIT:.0e} at n={n}")
+        fa = apply_array(f, fa_arg, n_fa)
+        norms = spectral_norms(apply_array(f, arg, n_arg) - fa @ fa)
+        out[:, n - 1] = norms * n2 if shrink else norms / n2
+    return out
+
+
+def decay_maps(dim):
+    corner, u = unit_direction(dim, "corner"), phase_permutation_unitary(dim, 7)
+    return [
+        Transpose(dim),
+        UnitaryConjugation(u),
+        Perturbed(ZeroMap(dim), Perturbation(0.01, 0.5, corner, "power")),
+        Perturbed(Transpose(dim), Perturbation(0.02, 1.5, corner, "power", odd=True)),
+        Perturbed(Identity(dim), Perturbation(0.3, 0.0, unit_direction(dim, "identity"), "constant")),
+        Perturbed(UnitaryConjugation(u), Perturbation(0.1, 0.0, corner, "affine", odd=True)),
+    ]
+
+
+class TestDecayBlocks:
+    """A decay sequence is evaluated DECAY_BLOCK n at a time; it equals the per-n loop it replaced bit for bit."""
+
+    @pytest.mark.parametrize("shrink", [False, True])
+    @pytest.mark.parametrize("n_max", [2, DECAY_BLOCK, DECAY_BLOCK + 1, 37, 64])
+    def test_matches_per_n_loop(self, shrink, n_max):
+        A = random_elements(160, 7, 3, 3.0, stream=4)
+        A[2] = 0.0
+        for f in decay_maps(3):
+            out = _decay_batch(f, A, n_max, shrink)
+            assert out.tobytes() == per_n_loop(f, A, n_max, shrink).tobytes()
+
+    @pytest.mark.parametrize("scale, n", [(1e49, 9), (3e48, 29), (1e47, None)])
+    def test_overflow_names_the_per_n_loop_s_n(self, monkeypatch, scale, n):
+        # ||a^2||_F n^2 passes 1e100 at a block's first n, inside a block, or past n_max;
+        # no argument past the cutoff reaches the map
+        mapped = []
+
+        def spy(f, xs, norms=None):
+            mapped.append(float(np.max(np.sqrt(np.sum(np.abs(xs) ** 2, axis=(-2, -1))))))
+            return apply_array(f, xs, norms)
+
+        monkeypatch.setattr(checkers, "apply_array", spy)
+        A = np.stack([np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)]) * scale
+        for f in (Negation(2), Perturbed(Identity(2), Perturbation(0.01, 0.5, unit_direction(2, "corner"), "power"))):
+            if n is None:
+                assert _decay_batch(f, A, 64, False).tobytes() == per_n_loop(f, A, 64, False).tobytes()
+                continue
+            with pytest.raises(DecayOverflowError, match=f"at n={n}$") as expected:
+                per_n_loop(f, A, 64, False)
+            with pytest.raises(DecayOverflowError) as got:
+                _decay_batch(f, A, 64, False)
+            assert str(got.value) == str(expected.value)
+        assert mapped and max(mapped) <= DECAY_OVERFLOW_LIMIT
+
+
 class TestSuperstabilityDecay:
     def test_exact_map_sequence_vanishes(self):
         a = random_element(150, 3, 2.0)
@@ -378,6 +453,28 @@ class TestSuperstabilityDecay:
         big = np.eye(2)[np.newaxis] * 1e60
         with pytest.raises(DecayOverflowError):
             superstability_decay_batch(Identity(2), big, 8)
+
+    @pytest.mark.parametrize("scale, n", [(1e49, 9), (1.9e49, 5)])
+    def test_earlier_error_wins_over_a_later_overflow(self, scale, n):
+        # the argument n^2 a^2 passes the cutoff at n = 9 (the next block) or n = 5 (the same
+        # block); a power-400 term fails at n = 1 first
+        big = np.eye(2, dtype=complex)[np.newaxis] * scale
+        f = Perturbed(ZeroMap(2), Perturbation(0.01, 400.0, unit_direction(2, "corner"), "power"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="perturbation power"):
+                superstability_decay_batch(f, big, 64)
+            with pytest.raises(DecayOverflowError, match=f"at n={n}$"):
+                superstability_decay_batch(Identity(2), big, 64)
+
+    @pytest.mark.parametrize("run", [superstability_decay_batch, superstability_shrinking_batch])
+    def test_overflowing_square_stops_at_the_first_guard(self, run):
+        # a^2 overflows to inf and NaN entries; the n = 1 guard refuses it before it is normed
+        big = np.full((2, 2, 2), 1e160, dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DecayOverflowError, match=r"^decay argument norm inf exceeds 1e\+100 at n=1$"):
+                run(Identity(2), big, 8)
 
     def test_n_max_validation(self):
         with pytest.raises(ValueError):

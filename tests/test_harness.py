@@ -880,6 +880,28 @@ class TestNumericalFailure:
         assert code == EXIT_NUMERIC
         assert err == ["numerical error: NonFiniteError: perturbation power -400.0: ||x||^power is beyond the float range"]
 
+    def test_overflowing_square_exits_at_the_guard(self, tmp_path, capsys):
+        # a norm cap of 1e160 overflows a^2 itself; numpy must not warn on the way to exit 4
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(set_path(json.loads(P05_CONFIG.read_text()), "sampling.norm_cap", 1e160)))
+        code, err = run_cli(capsys, ["superstability", "--config", str(cfg_path)])
+        assert code == EXIT_NUMERIC
+        assert err == ["numerical error: DecayOverflowError: decay argument norm inf exceeds 1e+100 at n=1"]
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [("superstability", P05_CONFIG), ("lemma-check", README.parent / "configs" / "lemma_transpose.json")],
+    )
+    def test_svd_that_does_not_converge_exits_four(self, capsys, monkeypatch, command, config):
+        # the first SVD is the map's direction check in one config and a sampling norm in the other
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        code, err = run_cli(capsys, [command, "--config", str(config)])
+        assert code == EXIT_NUMERIC
+        assert err == ["numerical error: LinAlgError: SVD did not converge"]
+
     def test_control_overflow_names_the_exponent(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({**BOUNDS_TABLE, "bounds_table": {"exps_forward": [2000.0], "norms": [2.0]}}))

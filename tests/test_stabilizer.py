@@ -414,7 +414,7 @@ class TestCarriedNorms:
         f = Perturbed(ZeroMap(3), Perturbation(size=0.01, power=0.5, direction=unit_direction(3, "corner")))
         calls = self.recorded_calls(monkeypatch, checkers)
         run(f, random_elements(71, 20, 3, 4.0), 32)
-        self.assert_carried_norms_fresh(calls, 2 * 32)
+        self.assert_carried_norms_fresh(calls, 2 * (32 // checkers.DECAY_BLOCK))  # two calls per block of n
 
 
 class TestCalibration:
