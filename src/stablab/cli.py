@@ -13,6 +13,7 @@ print one stderr line and no traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -43,6 +44,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so every main() call shares one
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stablab",

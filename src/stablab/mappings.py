@@ -197,8 +197,7 @@ def phase_permutation_unitary(dim: int, seed: int) -> np.ndarray:
     perm = rng.permutation(dim)
     phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, dim))
     arr = np.zeros((dim, dim), dtype=np.complex128)
-    for col in range(dim):
-        arr[perm[col], col] = phases[col]
+    arr[perm, np.arange(dim)] = phases
     return arr
 
 

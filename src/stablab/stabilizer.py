@@ -209,8 +209,8 @@ class StabilizationResult:
     """Outcome of one stabilization run.
 
     ``limit`` is None exactly when the run diverged; a fabricated limit is
-    never reported.  ``cauchy_residuals`` holds the exact residual of every
-    iteration, or is empty when the run was made with ``traces=False``.
+    never reported.  ``cauchy_residuals`` holds the exact residual of each
+    iteration used, or is empty when the run was made with ``traces=False``.
     """
 
     limit: np.ndarray | None
@@ -226,16 +226,13 @@ class StabilizationResult:
 class _Residuals:
     """One iteration's Cauchy residuals ||h_n - h_{n-1}|| as per-row bounds lo <= res <= hi.
 
-    An exact row has lo == hi, its spectral_norms value; otherwise the row
-    holds its norm_brackets bounds until ``refine`` norms it.
+    Every row starts from its norm_brackets bounds; ``refine`` norms rows
+    with spectral_norms, after which such a row has lo == hi, its exact value.
     """
 
-    def __init__(self, diff: np.ndarray, exact: bool):
+    def __init__(self, diff: np.ndarray):
         self.diff = diff
-        if exact:
-            self.lo = self.hi = spectral_norms(diff)
-        else:
-            self.lo, self.hi = norm_brackets(diff)
+        self.lo, self.hi = norm_brackets(diff)
 
     def refine(self, rows: np.ndarray) -> None:
         rows = rows & (self.lo < self.hi)
@@ -282,11 +279,11 @@ def stabilize_batch(
     ITERATE_OVERFLOW_LIMIT), or exhausts max_iter.  A direction "auto" that
     resolve_direction cannot resolve raises ValueError.
 
-    With ``traces=False`` the results carry no residuals, and a residual is
-    normed exactly only where its Frobenius bracket leaves one of the three
-    decisions open (converged, growing, above the first residual); an open
-    comparison norms both of its sides.  Statuses, iterations and limits are
-    the same bit for bit either way.
+    Each residual starts as its Frobenius bracket.  It is normed exactly
+    where the bracket leaves a decision open (converged, growing, above the
+    first residual; an open comparison norms both sides) and, with
+    ``traces=True``, on every running sample, whose result carries its trace.
+    Statuses, iterations and limits do not depend on ``traces``, bit for bit.
     """
     direction = resolve_direction(f, cfg)
     if direction is None:
@@ -296,7 +293,7 @@ def stabilize_batch(
     norms_a = spectral_norms(A)  # ||3^±n a|| is carried as norms_a scaled by 3^±n
     tols = cfg.tol * (1.0 + norms_a)
     h_prev = apply_array(f, A, norms_a)
-    history = []  # one exact residual row per iteration, over the whole stack
+    history = []  # one residual row per iteration, exact on the rows running at it
     active = np.ones(count, dtype=bool)
     status = np.full(count, "exhausted", dtype=object)  # the status of a row still active at max_iter
     iters = np.zeros(count, dtype=int)
@@ -309,8 +306,9 @@ def stabilize_batch(
             h = factor * apply_array(f, A / factor, norms_a / factor)
         else:
             h = apply_array(f, A * factor, norms_a * factor) / factor
-        res = _Residuals(h - h_prev, exact=traces)
-        if traces:
+        res = _Residuals(h - h_prev)
+        if traces:  # the rows still running are the ones a trace reports
+            res.refine(active)
             history.append(res.lo)
         if n == 1:
             first = res

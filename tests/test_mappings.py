@@ -165,6 +165,18 @@ class TestValidation:
             )
 
 
+class TestPhasePermutationUnitary:
+    @pytest.mark.parametrize("dim,seed", [(1, 0), (3, 11), (8, 3)])
+    def test_matches_the_column_loop(self, dim, seed):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+        perm = rng.permutation(dim)
+        phases = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, dim))
+        ref = np.zeros((dim, dim), dtype=np.complex128)
+        for col in range(dim):
+            ref[perm[col], col] = phases[col]
+        assert phase_permutation_unitary(dim, seed).tobytes() == ref.tobytes()
+
+
 class TestUnitCircleGrid:
     def test_contains_mandatory_scalars_once(self):
         grid = unit_circle_grid(16)

@@ -13,8 +13,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from stablab import checkers, stabilizer
-from stablab.algebra import random_element, random_elements, spectral_norms
+from stablab import checkers, mappings, stabilizer
+from stablab.algebra import NonFiniteError, random_element, random_elements, spectral_norms
 from stablab.checkers import _stability_equation_values, superstability_decay_batch, superstability_shrinking_batch
 from stablab.harness import EXIT_DIVERGED, build_map, cmd_stability, load_config, parse_config
 from stablab.mappings import (
@@ -632,3 +632,44 @@ class TestTracelessRuns:
         # squares overflow, get the unbounded bracket and are normed exactly
         A = random_elements(83, 40, 3, 2.0, stream=1) * np.logspace(-200, 140, 40)[:, None, None]
         self.assert_same_runs(perturbed_identity(3, mode, power), A, StabilizerConfig(max_iter=20, direction=direction))
+
+
+class TestTracedRuns:
+    """A traced run norms each sample once, then each of its residuals once, and no row after it stops."""
+
+    @pytest.mark.parametrize(
+        "mode,power,cfg,statuses",
+        [
+            ("constant", 0.0, StabilizerConfig(max_iter=20, direction=BACKWARD), {"converged", "exhausted"}),
+            ("power", 0.5, StabilizerConfig(direction=FORWARD), {"converged", "diverged"}),
+        ],
+    )
+    def test_traced_run_norms_only_running_rows(self, monkeypatch, mode, power, cfg, statuses):
+        spread = random_elements(80, 40, 3, 2.0, stream=1) * np.logspace(-3, 3, 40)[:, None, None]
+        spread[7] = 0.0  # converges at the first iteration
+        f = perturbed_identity(3, mode, power)
+        count = [0]
+        real = stabilizer.spectral_norms
+
+        def counted(mats):
+            norms = real(mats)
+            count[0] += norms.size
+            return norms
+
+        for module in (stabilizer, mappings):
+            monkeypatch.setattr(module, "spectral_norms", counted)
+        results = stabilize_batch(f, spread, cfg)
+        iterations = [r.iterations_used for r in results]
+        assert {r.status for r in results} == statuses and len(set(iterations)) > 1
+        assert count[0] == len(results) + sum(iterations)
+
+    @pytest.mark.parametrize("traces", [True, False])
+    def test_non_finite_difference_raises(self, monkeypatch, traces):
+        # a map value that turns NaN at the second iterate leaves a non-finite residual
+        def jump(f, xs, norms=None):
+            return np.full(xs.shape, np.nan if norms[0] > 5.0 else 1.0, dtype=complex)
+
+        monkeypatch.setattr(stabilizer, "apply_array", jump)
+        sample = np.eye(2, dtype=complex)[np.newaxis]
+        with pytest.raises(NonFiniteError):
+            stabilize_batch(Identity(2), sample, StabilizerConfig(direction=BACKWARD), traces=traces)
