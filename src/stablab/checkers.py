@@ -44,6 +44,7 @@ DECAY_OVERFLOW_LIMIT = 1e100
 # n per batched evaluation of a decay sequence; a block's temporaries are at
 # most this many times one n's
 DECAY_BLOCK = 8
+SLOPE_START_N = 4  # a decay slope is fitted over d_n for n >= this
 
 
 class DecayOverflowError(OverflowError):
@@ -502,20 +503,19 @@ def superstability_shrinking_batch(f: MapSpec, A: np.ndarray, n_max: int) -> np.
     return _decay_batch(f, A, n_max, shrink=True)
 
 
-def fit_loglog_slope(values: list[float] | np.ndarray, start_n: int = 4):
-    """Least-squares slope of log(values[..., n]) against log(n) for n >= start_n, per row.
+def fit_loglog_slope(values: list[float] | np.ndarray):
+    """Least-squares slope of log(values[..., n]) against log(n) for n >= SLOPE_START_N, per row.
 
     ``values`` holds d_1, d_2, ... along its last axis; a sequence gives one
     slope and a (rows, n) stack one slope per row, each a dot product of the
     centred log values with the centred abscissa log n.  A row with a
-    nonpositive value at n >= start_n has no logarithm to fit and gets +inf.
+    nonpositive value at n >= SLOPE_START_N has no logarithm to fit and gets +inf.
     Fewer than two fit points raise ValueError.
     """
-    first = max(start_n, 1)
-    vals = np.asarray(values, dtype=float)[..., first - 1 :]
+    vals = np.asarray(values, dtype=float)[..., SLOPE_START_N - 1 :]
     if vals.shape[-1] < 2:
         raise ValueError("slope fit needs at least two points")
-    x = np.log(np.arange(first, first + vals.shape[-1]))
+    x = np.log(np.arange(SLOPE_START_N, SLOPE_START_N + vals.shape[-1]))
     x -= x.mean()
     positive = vals > 0.0
     y = np.log(np.where(positive, vals, 1.0))

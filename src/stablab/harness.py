@@ -15,14 +15,15 @@ overflow or a non-finite value, raised as an ArithmeticError).
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from datetime import datetime, timezone
-from types import SimpleNamespace
+from types import GenericAlias, SimpleNamespace
 from typing import Any, get_args, get_origin
 
 import numpy as np
@@ -75,7 +76,10 @@ from .stabilizer import (
 )
 
 __all__ = [
+    "BOUND_FIELDS",
     "CONFIG_FIELDS",
+    "MAP_FIELDS",
+    "PERTURBATION_FIELDS",
     "REQUIRED",
     "ConfigError",
     "ExperimentConfig",
@@ -159,31 +163,9 @@ def _field_path(attr: str) -> str:
     return next(f"config.{path}" for path, name, *_ in CONFIG_FIELDS if name == attr)
 
 
-def _require_mapping(value: Any, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}: expected an object, got {type(value).__name__}")
-    return value
-
-
-def _check_unknown(value: dict, path: str, allowed: set[str]) -> None:
-    for key in value:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}: unknown field")
-
-
-def _get(value: dict, path: str, key: str, required: bool = False, default: Any = None) -> Any:
-    if value.get(key) is not None:
-        return value[key]
-    if required:
-        raise ConfigError(f"{path}.{key}: required field missing")
-    return default
-
-
 def _in_interval(value: float, interval: str) -> bool:
     lo, hi = (float(end) for end in interval[1:-1].split(","))
-    if (interval[0] == "(" and value == lo) or (interval[-1] == ")" and value == hi):
-        return False
-    return lo <= value <= hi
+    return (lo < value if interval[0] == "(" else lo <= value) and (value < hi if interval[-1] == ")" else value <= hi)
 
 
 def _leaf(value: Any, path: str, kind: Any, allowed: Any = None) -> Any:
@@ -218,105 +200,131 @@ def _leaf(value: Any, path: str, kind: Any, allowed: Any = None) -> Any:
     return value
 
 
+def _fields(node: Any, path: str, rows: tuple, known: Any = ()) -> dict:
+    """Read one config object through its rows, each (key, kind, default, allowed), into one entry per row.
+
+    ``kind`` is a _leaf type, checked against ``allowed``, or a parser (value,
+    path) -> value.  An explicit null counts as absent, an absent key takes its
+    default (an error for REQUIRED), and a default other than None is read like
+    a given value.  A key that is neither a row nor in ``known`` is an error.
+    """
+    if not isinstance(node, dict):
+        raise ConfigError(f"{path}: expected an object, got {type(node).__name__}")
+    keys = [row[0] for row in rows]
+    for key in node:
+        if key not in keys and key not in known:
+            raise ConfigError(f"{path}.{key}: unknown field")
+    out = {}
+    for key, kind, default, allowed in rows:
+        value = default if node.get(key) is None else node[key]
+        if value is REQUIRED:
+            raise ConfigError(f"{path}.{key}: required field missing")
+        if value is not None:
+            leaf = isinstance(kind, (type, GenericAlias))  # a type such as float or list[int]
+            value = _leaf(value, f"{path}.{key}", kind, allowed) if leaf else kind(value, f"{path}.{key}")
+        out[key] = value
+    return out
+
+
 def _as_matrix(value: Any, path: str) -> list[list[list[float]]]:
     """Validate a matrix literal: rows of numbers or [re, im] pairs."""
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{path}: expected a non-empty list of rows")
-    dim = len(value)
     rows = []
     for i, row in enumerate(value):
-        if not isinstance(row, list) or len(row) != dim:
-            raise ConfigError(f"{path}[{i}]: expected a row of length {dim}")
-        out_row = []
-        for j, entry in enumerate(row):
-            pair = entry if isinstance(entry, list) and len(entry) == 2 else [entry, 0.0]
-            out_row.append([_leaf(v, f"{path}[{i}][{j}]", float) for v in pair])
-        rows.append(out_row)
+        if not isinstance(row, list) or len(row) != len(value):
+            raise ConfigError(f"{path}[{i}]: expected a row of length {len(value)}")
+        pairs = [entry if isinstance(entry, list) and len(entry) == 2 else [entry, 0.0] for entry in row]
+        rows.append([[_leaf(v, f"{path}[{i}][{j}]", float) for v in pair] for j, pair in enumerate(pairs)])
     return rows
 
 
+def _direction(value: Any, path: str) -> str | list:
+    """A perturbation direction: a name in UNIT_DIRECTIONS or a matrix literal."""
+    return _leaf(value, path, str, tuple(UNIT_DIRECTIONS)) if isinstance(value, str) else _as_matrix(value, path)
+
+
 def _parse_map(value: Any, path: str, nested: bool = False) -> dict:
-    m = _require_mapping(value, path)
-    kind = _leaf(_get(m, path, "kind", required=True), f"{path}.kind", str, tuple(MAP_KINDS))
-    cls = MAP_KINDS[kind]
-    if cls in DIM_ONLY_ACTIONS:
-        _check_unknown(m, path, {"kind"})
-        return {"kind": kind}
-    if cls is UnitaryConjugation:
-        _check_unknown(m, path, {"kind", "seed", "matrix"})
-        if m.get("matrix") is not None:
-            return {"kind": kind, "matrix": _as_matrix(m["matrix"], f"{path}.matrix")}
-        return {"kind": kind, "seed": _leaf(_get(m, path, "seed", required=True), f"{path}.seed", int, "[0, inf)")}
-    # perturbed
-    if nested:
+    kind = _fields(value, path, (_MAP_KIND,), known=value)["kind"]  # the kind picks the rows for the rest
+    if nested and MAP_KINDS[kind] is Perturbed:
         raise ConfigError(f"{path}.kind: perturbed maps do not nest")
-    _check_unknown(m, path, {"kind", "base", "perturbation"})
-    base = _parse_map(_get(m, path, "base", required=True), f"{path}.base", nested=True)
-    p_path = f"{path}.perturbation"
-    p = _require_mapping(_get(m, path, "perturbation", required=True), p_path)
-    _check_unknown(p, p_path, {"mode", "size", "power", "direction", "odd"})
-    mode = _leaf(_get(p, p_path, "mode", required=True), f"{p_path}.mode", str, PERTURBATION_MODES)
-    size = _leaf(_get(p, p_path, "size", required=True), f"{p_path}.size", float, "[0, inf)")
-    power = _leaf(_get(p, p_path, "power", default=0.0), f"{p_path}.power", float)
-    direction = _get(p, p_path, "direction", default="identity")
-    if isinstance(direction, str):
-        direction = _leaf(direction, f"{p_path}.direction", str, tuple(UNIT_DIRECTIONS))
-    else:
-        direction = _as_matrix(direction, f"{p_path}.direction")
-    odd = _leaf(_get(p, p_path, "odd", default=False), f"{p_path}.odd", bool)
-    return {
-        "kind": kind,
-        "base": base,
-        "perturbation": {"mode": mode, "size": size, "power": power, "direction": direction, "odd": odd},
-    }
-
-
-def _parse_bound(value: Any, path: str) -> dict:
-    b = _require_mapping(value, path)
-    kind = _leaf(_get(b, path, "kind", required=True), f"{path}.kind", str, tuple(BOUND_KINDS))
-    keys = bound_fields(kind)
-    _check_unknown(b, path, {"kind", "coeff", *keys})
-    out = {"kind": kind, "coeff": _leaf(_get(b, path, "coeff", required=True), f"{path}.coeff", float, "[0, inf)")}
-    for key in keys:
-        out[key] = _leaf(_get(b, path, key, required=True), f"{path}.{key}", float)
+    out = _fields(value, path, MAP_FIELDS[kind])
+    if MAP_KINDS[kind] is UnitaryConjugation:  # the canonical dict keeps only the one given
+        out = {key: v for key, v in out.items() if v is not None}
+        if len(out) != 2:
+            raise ConfigError(f"{path}: expected exactly one of seed and matrix")
     return out
 
 
+def _parse_bound(value: Any, path: str) -> dict:
+    kind = _fields(value, path, (_BOUND_KIND,), known=value)["kind"]  # the kind picks the rows for the rest
+    return _fields(value, path, BOUND_FIELDS[kind])
+
+
+def _schema(value: Any, path: str) -> int:
+    if value != 1:
+        raise ConfigError(f"{path}: unsupported version {value!r}")
+    return 1
+
+
+def _sampler(value: Any, path: str) -> str:
+    if value != SAMPLER:  # a canonical dict names its sampler; only the current one can run
+        raise ConfigError(f"{path}: unsupported sampler {value!r}, this version draws {SAMPLER!r}")
+    return SAMPLER
+
+
+PERTURBATION_FIELDS = (
+    ("mode", str, REQUIRED, PERTURBATION_MODES),
+    ("size", float, REQUIRED, "[0, inf)"),
+    ("power", float, 0.0, None),
+    ("direction", _direction, "identity", None),
+    ("odd", bool, False, None),
+)
+# map kind -> its rows, and bound kind -> its rows (the coefficient, then the
+# kind's exponent fields); every table starts with its kind row
+_MAP_KIND = ("kind", str, REQUIRED, tuple(MAP_KINDS))
+MAP_FIELDS = {kind: (_MAP_KIND,) for kind in MAP_KINDS} | {
+    UnitaryConjugation.kind: (_MAP_KIND, ("seed", int, None, "[0, inf)"), ("matrix", _as_matrix, None, None)),
+    Perturbed.kind: (
+        _MAP_KIND,
+        ("base", functools.partial(_parse_map, nested=True), REQUIRED, None),
+        ("perturbation", functools.partial(_fields, rows=PERTURBATION_FIELDS), REQUIRED, None),
+    ),
+}
+_BOUND_KIND = ("kind", str, REQUIRED, tuple(BOUND_KINDS))
+_COEFF = ("coeff", float, REQUIRED, "[0, inf)")
+BOUND_FIELDS = {k: (_BOUND_KIND, _COEFF, *((f, float, REQUIRED, None) for f in bound_fields(k))) for k in BOUND_KINDS}
+
+
+def _config_rows() -> tuple:
+    """Schema, sampler, map and bound, then a row per CONFIG_FIELDS section (absent reads as {}) and top-level field."""
+    sections: dict[str, list] = {}
+    for path, _, *spec in CONFIG_FIELDS:
+        section, _, key = path.rpartition(".")
+        sections.setdefault(section, []).append((key, *spec))
+    top = [("schema", _schema, REQUIRED, None), ("sampler", _sampler, SAMPLER, None)]
+    top += [("map", _parse_map, None, None), ("bound", _parse_bound, None, None)]
+    top += [(name, functools.partial(_fields, rows=tuple(rows)), {}, None) for name, rows in sections.items() if name]
+    return (*top, *sections[""])
+
+
+_CONFIG_ROWS = _config_rows()
+# the CONFIG_FIELDS attributes, each typed by its row (a None default admits None)
+_ConfigAttributes = make_dataclass(
+    "_ConfigAttributes",
+    [(attr, kind if default is not None else kind | None) for _, attr, kind, default, _ in CONFIG_FIELDS],
+)
+
+
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(_ConfigAttributes):
     """Parsed, defaulted experiment description; one attribute per CONFIG_FIELDS row.
 
-    ``canonical`` is the normalized dict the config digest is computed from;
-    it reflects every applied default, any seed override and the sampler
-    (algebra.SAMPLER) that draws the samples.
+    ``canonical`` is the normalized dict the attributes are read from and the
+    config digest is computed from; it reflects every applied default, any seed
+    override and the sampler (algebra.SAMPLER) that draws the samples.
     """
 
-    dim: int
-    seed: int
-    samples: int
-    norm_cap: float
-    dims: list[int]
-    stabilizer_max_iter: int
-    stabilizer_tol: float
-    stabilizer_direction: str
-    phase_grid_size: int
-    checks_tol: float
-    phase_sweep: bool
-    decay_n_max: int
-    decay_terminal_tol: float
-    decay_slope_margin: float
-    exactness_samples: int
-    exactness_tol: float
-    calibration_norm_cap: float | None
-    calibration_sweep: float | None
-    table_coeffs: list[float]
-    table_exps_forward: list[float]
-    table_exps_backward: list[float]
-    table_norms: list[float]
-    table_terms: int
-    table_profile_degree: float
-    output_format: str
-    output_path: str | None
     map_cfg: dict | None
     bound_cfg: dict | None
     canonical: dict
@@ -337,47 +345,19 @@ class ExperimentConfig:
 
 
 def parse_config(raw: Any, seed_override: int | None = None) -> ExperimentConfig:
-    """Validate a config dict against CONFIG_FIELDS; raises ConfigError naming the offending field."""
-    top = _require_mapping(raw, "config")
-    sections: dict[str, set[str]] = {}
-    for path, *_ in CONFIG_FIELDS:
-        section, _, key = path.rpartition(".")
-        sections.setdefault(section, set()).add(key)
-    top_level = sections.pop("")
-    _check_unknown(top, "config", {"schema", "sampler", "map", "bound", *top_level, *sections})
-    schema = _get(top, "config", "schema", required=True)
-    if schema != 1:
-        raise ConfigError(f"config.schema: unsupported version {schema!r}")
-    sampler = _get(top, "config", "sampler", default=SAMPLER)
-    if sampler != SAMPLER:  # a canonical dict names its sampler; only the current one can run
-        raise ConfigError(f"config.sampler: unsupported sampler {sampler!r}, this version draws {SAMPLER!r}")
-    nodes = {"": top}
-    for section, keys in sections.items():
-        nodes[section] = _require_mapping(_get(top, "config", section, default={}), f"config.{section}")
-        _check_unknown(nodes[section], f"config.{section}", keys)
-
-    map_cfg = None if top.get("map") is None else _parse_map(top["map"], "config.map")
-    bound_cfg = None if top.get("bound") is None else _parse_bound(top["bound"], "config.bound")
-    values: dict[str, Any] = {}
-    canonical: dict[str, Any] = {"schema": 1, "sampler": SAMPLER, "map": map_cfg, "bound": bound_cfg}
-    for path, attr, kind, default, allowed in CONFIG_FIELDS:
-        section, _, key = path.rpartition(".")
-        value = nodes[section].get(key)
-        if value is None:
-            if default is REQUIRED:
-                raise ConfigError(f"config.{path}: required field missing")
-            value = default
-        values[attr] = None if value is None else _leaf(value, f"config.{path}", kind, allowed)
-        if attr == "seed" and seed_override is not None:
-            values[attr] = _leaf(seed_override, f"config.{path}", kind, allowed)
-        node = canonical.setdefault(section, {}) if section else canonical
-        node[key] = values[attr]
-    if values["dims"] is None:
-        values["dims"] = canonical["sampling"]["dims"] = [values["dim"]]
-    repeated = sorted({d for d in values["dims"] if values["dims"].count(d) > 1})
+    """Validate a config dict against its row tables; raises ConfigError naming the offending field."""
+    canonical = _fields(raw, "config", _CONFIG_ROWS)
+    sampling = canonical["sampling"]
+    if seed_override is not None:  # the config's own seed is still required and checked
+        path, _, kind, _, allowed = next(row for row in CONFIG_FIELDS if row[1] == "seed")
+        sampling["seed"] = _leaf(seed_override, f"config.{path}", kind, allowed)
+    if sampling["dims"] is None:
+        sampling["dims"] = [canonical["algebra"]["dim"]]
+    repeated = sorted({d for d in sampling["dims"] if sampling["dims"].count(d) > 1})
     if repeated:  # a suite reports each dimension once, under its own name
         raise ConfigError(f"config.sampling.dims: dimension {repeated[0]} is listed more than once")
-    return ExperimentConfig(**values, map_cfg=map_cfg, bound_cfg=bound_cfg, canonical=canonical)
+    values = {attr: functools.reduce(dict.get, path.split("."), canonical) for path, attr, *_ in CONFIG_FIELDS}
+    return ExperimentConfig(**values, map_cfg=canonical["map"], bound_cfg=canonical["bound"], canonical=canonical)
 
 
 def load_config(path: str, seed_override: int | None = None) -> ExperimentConfig:
@@ -786,7 +766,7 @@ def cmd_superstability(config: ExperimentConfig) -> RunSummary:
     # slope only from a successful fit: null when it is not fitted or its fit
     # fails; a failed fit still enters the decay_slope check as +inf.
     fitted = np.flatnonzero(np.max(decay, axis=1) > 1e-9 * scales)
-    slopes = fit_loglog_slope(decay[fitted], start_n=4)
+    slopes = fit_loglog_slope(decay[fitted])
     row_slopes = np.full(config.samples, np.inf)
     row_slopes[fitted] = slopes
 

@@ -158,7 +158,7 @@ class TestCriterion5SuperstabilityDecay:
             for i in range(25):
                 a = random_element(900 + i, 3, 2.0)
                 seq = superstability_decay_batch(f, a[np.newaxis], 64)[0]
-                slope = fit_loglog_slope(seq, start_n=4)
+                slope = fit_loglog_slope(seq)
                 assert slope == pytest.approx(target, abs=0.05)
                 assert seq[63] <= seq[0] * 64.0**target * 1.1
         report(

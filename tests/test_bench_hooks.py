@@ -10,6 +10,7 @@ run.  The tracer module is loaded from its file and left unchanged.
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -66,6 +67,22 @@ def test_stabilize_work_is_the_same_without_traces(direction):
     cfg = StabilizerConfig(max_iter=20, direction=direction)
     traced, bare = (stabilize_batch(f, A, cfg, traces=t) for t in (True, False))
     assert tracing._stabilize_work((f, A, cfg), {}, bare) == tracing._stabilize_work((f, A, cfg), {}, traced)
+
+
+@pytest.mark.parametrize("traces", [True, False])
+def test_stabilize_work_counts_are_python_ints(traces):
+    # the tracer sums these into stabilizer.iterations, which the benchmark
+    # writes with json.dumps; a NumPy integer there would fail every traced run
+    f = Perturbed(
+        Identity(3),
+        Perturbation(size=0.3, power=0.0, direction=unit_direction(3, "identity"), mode="constant"),
+    )
+    A = random_elements(5, 6, 3, 2.0, stream=1)
+    results = stabilize_batch(f, A, StabilizerConfig(max_iter=20), traces=traces)
+    work = tracing._stabilize_work((f, A), {}, results)
+    assert [type(count) for count in work] == [int, int, int]
+    assert json.loads(json.dumps(work)) == list(work)
+
 
 def test_series_terms_reads_terms_from_the_bounds_table_call(monkeypatch):
     config = default_bounds_table_config()

@@ -410,7 +410,7 @@ class TestSuperstabilityDecay:
         nasq = spectral_norms((a @ a)[np.newaxis])[0]
         expected = [size * nasq**power * n ** (2 * power - 2) for n in range(1, 65)]
         assert np.allclose(seq, expected, rtol=1e-9)
-        slope = fit_loglog_slope(seq, start_n=4)
+        slope = fit_loglog_slope(seq)
         assert slope == pytest.approx(2 * power - 2, abs=0.05)
 
     def test_pointwise_domination(self):
@@ -434,7 +434,7 @@ class TestSuperstabilityDecay:
         )
         a = random_element(155, 3, 2.0)
         seq = superstability_shrinking_batch(f, a[np.newaxis], 64)[0]
-        slope = fit_loglog_slope(seq, start_n=4)
+        slope = fit_loglog_slope(seq)
         assert slope == pytest.approx(2 - 2 * power, abs=0.05)
 
     def test_star_decay_slope(self):
@@ -446,7 +446,7 @@ class TestSuperstabilityDecay:
         # s_n = ||f(n a*) - f(n a)*|| / n, the involution-defect decay
         A = random_element(156, 3, 2.0)[np.newaxis]
         seq = [spectral_norms(apply_array(f, n * _conj_t(A)) - _conj_t(apply_array(f, n * A)))[0] / n for n in range(1, 65)]
-        slope = fit_loglog_slope(seq, start_n=4)
+        slope = fit_loglog_slope(seq)
         assert slope == pytest.approx(power - 1, abs=0.05)
 
     def test_overflow_guard(self):
@@ -500,21 +500,21 @@ class TestExactMapDefectSweep:
 class TestSlopeFit:
     def test_recovers_exact_power_law(self):
         values = [3.5 * n**-1.25 for n in range(1, 40)]
-        assert fit_loglog_slope(values, start_n=4) == pytest.approx(-1.25, abs=1e-12)
+        assert fit_loglog_slope(values) == pytest.approx(-1.25, abs=1e-12)
 
     def test_rejects_nonpositive_values(self):
         # a row with a nonpositive value has no log-log fit: +inf, as the decay_slope check reads it
-        assert fit_loglog_slope([1.0, 0.0, 1.0, 1.0, 0.0, 0.5], start_n=4) == np.inf
-        rows = fit_loglog_slope([[1.0, 0.0, 1.0, 1.0, 0.0, 0.5], [1.0, 0.0, 1.0, 1.0, 2.0, 4.0]], start_n=4)
+        assert fit_loglog_slope([1.0, 0.0, 1.0, 1.0, 0.0, 0.5]) == np.inf
+        rows = fit_loglog_slope([[1.0, 0.0, 1.0, 1.0, 0.0, 0.5], [1.0, 0.0, 1.0, 1.0, 2.0, 4.0]])
         assert rows[0] == np.inf and np.isfinite(rows[1])
         with pytest.raises(ValueError, match="two points"):
-            fit_loglog_slope([1.0, 1.0, 1.0, 1.0], start_n=4)
+            fit_loglog_slope([1.0, 1.0, 1.0, 1.0])
 
     def test_stack_matches_polyfit_per_row(self):
         rng = np.random.default_rng(12)
         ns = np.arange(1, 41)
         stack = rng.uniform(0.5, 2.0, (50, 40)) * rng.uniform(1e-6, 1e3, (50, 1)) * ns ** rng.uniform(-3.0, 1.0, (50, 1))
-        slopes = fit_loglog_slope(stack, start_n=4)
+        slopes = fit_loglog_slope(stack)
         assert slopes.shape == (50,)
         for row, slope in zip(stack, slopes):
             reference = np.polyfit(np.log(ns[3:]), np.log(row[3:]), 1)[0]

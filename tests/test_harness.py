@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -13,16 +14,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablab import algebra, cli
+from stablab import algebra, cli, harness
 from stablab.algebra import SAMPLER
 from stablab.cli import main as cli_main
 from stablab.harness import (
+    BOUND_FIELDS,
     CONFIG_FIELDS,
     EXIT_CONFIG,
     EXIT_DIVERGED,
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_VIOLATED,
+    MAP_FIELDS,
+    PERTURBATION_FIELDS,
     REQUIRED,
     ConfigError,
     build_map,
@@ -194,6 +198,26 @@ class TestConfigValidation:
                     map={"kind": "perturbed", "base": inner, "perturbation": {"mode": "constant", "size": 0.1}}
                 )
             )
+
+    @pytest.mark.parametrize("path", ["map", "map.base"])
+    def test_unitary_map_gives_exactly_one_of_seed_and_matrix(self, path):
+        def config(unitary):
+            if path == "map":
+                return minimal_config(algebra={"dim": 2}, map=unitary)
+            perturbation = {"mode": "constant", "size": 0.1}
+            return minimal_config(algebra={"dim": 2}, map={"kind": "perturbed", "base": unitary, "perturbation": perturbation})
+
+        swap = [[0, 1], [1, 0]]
+        for unitary in ({"kind": "unitary_conjugation", "seed": 3, "matrix": swap}, {"kind": "unitary_conjugation"}):
+            with pytest.raises(ConfigError, match=rf"^config\.{path}: expected exactly one of seed and matrix$"):
+                parse_config(config(unitary))
+        # a seed given next to a matrix is read and checked, not dropped
+        with pytest.raises(ConfigError, match=rf"^config\.{path}\.seed: expected an integer, got str$"):
+            parse_config(config({"kind": "unitary_conjugation", "seed": "abc", "matrix": swap}))
+        # an explicit null counts as absent, and the canonical map keeps only the key given
+        for key, other, value in (("seed", "matrix", 3), ("matrix", "seed", swap)):
+            cfg = parse_config(config({"kind": "unitary_conjugation", key: value, other: None}))
+            assert sorted(cfg.map_cfg if path == "map" else cfg.map_cfg["base"]) == ["kind", key]
 
     def test_bad_matrix_literal(self):
         with pytest.raises(ConfigError, match=r"config.map.matrix\[0\]"):
@@ -817,6 +841,19 @@ class TestOutOfRangeValues:
             ),
             # a suite reports each dimension once
             ("lemma-check", {"sampling.dims": [2, 2]}, [], "sampling.dims"),
+            # a unitary map gives exactly one of seed and matrix, at the top and as a base
+            (
+                "lemma-check",
+                {"algebra.dim": 2, "map": {"kind": "unitary_conjugation", "seed": 3, "matrix": [[0, 1], [1, 0]]}},
+                [],
+                "map: expected exactly one of seed and matrix",
+            ),
+            (
+                "lemma-check",
+                {"algebra.dim": 2, "map": {"kind": "perturbed", "base": {"kind": "unitary_conjugation", "seed": 3, "matrix": [[0, 1], [1, 0]]}, "perturbation": {"mode": "constant", "size": 0.1}}},
+                [],
+                "map.base: expected exactly one of seed and matrix",
+            ),
         ],
     )
     def test_cli_exits_config_error(self, tmp_path, capsys, command, overrides, argv, path):
@@ -859,6 +896,15 @@ class TestSeedRange:
     @pytest.mark.parametrize("via", ["config", "--seed"])
     def test_largest_seed_runs(self, tmp_path, capsys, via):
         assert self._run(tmp_path, capsys, 2**64 - 1, via) == (EXIT_OK, [])
+
+    def test_seed_flag_does_not_stand_in_for_a_missing_config_seed(self, tmp_path, capsys):
+        raw = copy.deepcopy(BACKWARD_CONSTANT)
+        del raw["sampling"]["seed"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        code, err = run_cli(capsys, ["stability", "--config", str(cfg_path), "--seed", "5"])
+        assert code == EXIT_CONFIG
+        assert err == ["config error: config.sampling.seed: required field missing"]
 
 
 class TestNumericalFailure:
@@ -1058,16 +1104,20 @@ FUZZ_BASE = minimal_config(
     },
     bound={"kind": "power", "coeff": 1.0, "exp1": 2.0, "exp2": 2.0, "exp3": 2.0},
 )
+# Every CONFIG_FIELDS path and every key of the map, perturbation and bound
+# tables, so a new row is fuzzed too; map keys of any kind go on the map and
+# on its (unitary) base.
+MAP_KEYS = list(dict.fromkeys(key for rows in MAP_FIELDS.values() for key, *_ in rows))
 FUZZ_PATHS = [path for path, *_ in CONFIG_FIELDS] + [
     "schema",
+    "sampler",
     "sampling",
     "map",
-    "map.base",
-    "map.base.seed",
-    "map.perturbation",
-    *(f"map.perturbation.{key}" for key in FUZZ_BASE["map"]["perturbation"]),
+    *(f"map.{key}" for key in MAP_KEYS),
+    *(f"map.base.{key}" for key in MAP_KEYS),
+    *(f"map.perturbation.{key}" for key, *_ in PERTURBATION_FIELDS),
     "bound",
-    *(f"bound.{key}" for key in FUZZ_BASE["bound"]),
+    *dict.fromkeys(f"bound.{key}" for rows in BOUND_FIELDS.values() for key, *_ in rows),
 ]
 
 
@@ -1090,20 +1140,38 @@ class TestSchemaTable:
             assert str(exc).startswith("config")
 
     def test_readme_lists_every_field(self):
-        def row(path, attr, kind, default, allowed):
+        def cells(kind, default, allowed):
+            shown_default = "required" if default is REQUIRED else f"`{json.dumps(default)}`"
+            if kind is harness._direction:  # the one parser row a table shows
+                names = ", ".join(f"`{json.dumps(name)}`" for name in UNIT_DIRECTIONS)
+                return f"str or matrix | {shown_default} | {names} or a matrix of operator norm at most 1 |"
             if get_origin(kind) is list:
                 type_name = f"list of {get_args(kind)[0].__name__}"
             else:
                 type_name = kind.__name__
-            shown_default = "required" if default is REQUIRED else f"`{json.dumps(default)}`"
             if allowed is None:
                 shown_allowed = "any"
             elif isinstance(allowed, tuple):
                 shown_allowed = ", ".join(f"`{json.dumps(choice)}`" for choice in allowed)
             else:
                 shown_allowed = f"`{allowed}`"
-            return f"| `{path}` | {type_name} | {shown_default} | {shown_allowed} |"
+            return f"{type_name} | {shown_default} | {shown_allowed} |"
 
+        bound_rows = {}  # key -> (row, kinds that read it)
+        for kind, rows in BOUND_FIELDS.items():
+            for row in rows:
+                bound_rows.setdefault(row[0], (row, []))[1].append(f"`{kind}`")
+        expected = [f"| `{path}` | {cells(kind, default, allowed)}" for path, _, kind, default, allowed in CONFIG_FIELDS]
+        expected += [f"| `map.perturbation.{key}` | {cells(*spec)}" for key, *spec in PERTURBATION_FIELDS]
+        expected += [
+            f"| `bound.{key}` | {', '.join(kinds)} | {cells(*spec)}" for (key, *spec), kinds in bound_rows.values()
+        ]
         lines = README.read_text(encoding="utf-8").splitlines()
-        missing = [row(*field) for field in CONFIG_FIELDS if row(*field) not in lines]
-        assert not missing, "README.md schema table is out of date:\n" + "\n".join(missing)
+        missing = [line for line in expected if line not in lines]
+        assert not missing, "README.md schema tables are out of date:\n" + "\n".join(missing)
+
+    def test_readme_json_examples_parse(self):
+        blocks = re.findall(r"^```json\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
+        assert blocks
+        for block in blocks:
+            parse_config(json.loads(block))
