@@ -21,7 +21,7 @@ import io
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, make_dataclass
+from dataclasses import dataclass, fields, is_dataclass, make_dataclass
 from datetime import datetime, timezone
 from types import GenericAlias, SimpleNamespace
 from typing import Any, get_args, get_origin
@@ -31,7 +31,6 @@ import numpy as np
 from .algebra import SAMPLER, derived_seed, random_elements, spectral_norms
 from .checkers import (
     CheckReport,
-    Witness,
     _build_report,
     additivity_ladder,
     fit_loglog_slope,
@@ -73,6 +72,7 @@ from .stabilizer import (
     make_control,
     resolve_direction,
     stabilize_batch,
+    validate_control_direction,
 )
 
 __all__ = [
@@ -262,7 +262,7 @@ def _parse_bound(value: Any, path: str) -> dict:
 
 
 def _schema(value: Any, path: str) -> int:
-    if value != 1:
+    if type(value) is not int or value != 1:  # a bool or a float equal to 1 is no version number
         raise ConfigError(f"{path}: unsupported version {value!r}")
     return 1
 
@@ -331,7 +331,7 @@ class ExperimentConfig(_ConfigAttributes):
 
     @property
     def stabilizer(self) -> StabilizerConfig:
-        return StabilizerConfig(self.stabilizer_max_iter, self.stabilizer_tol, self.stabilizer_direction)
+        return StabilizerConfig(**self.canonical["stabilizer"])
 
     @property
     def algebra(self) -> SimpleNamespace:
@@ -421,9 +421,7 @@ def build_map(map_cfg: dict, dim: int, path: str = "config.map") -> MapSpec:
             direction = unit_direction(dim, p["direction"])
         else:
             direction = _matrix_element(p["direction"], dim, d_path)
-        perturbation = Perturbation(
-            size=p["size"], power=p["power"], direction=direction, mode=p["mode"], odd=p["odd"]
-        )
+        perturbation = Perturbation(**p | {"direction": direction})
     return Perturbed(base, perturbation)
 
 
@@ -452,36 +450,18 @@ def config_digest(config: ExperimentConfig) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _complex_json(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def _element_json(el: np.ndarray) -> list[list[list[float]]]:
-    return np.stack([el.real, el.imag], axis=-1).tolist()
-
-
-def _witness_json(w: Witness | None) -> dict | None:
-    if w is None:
-        return None
-    out: dict[str, Any] = {
-        "sample_index": w.sample_index,
-        "residual": w.residual,
-        "input_norms": dict(sorted(w.input_norms.items())),
-    }
-    out["phase"] = None if w.phase is None else _complex_json(w.phase)
-    out["inputs"] = {k: _element_json(v) for k, v in sorted(w.inputs.items())}
-    return out
-
-
-def _check_json(report: CheckReport) -> dict:
-    return {
-        "name": report.name,
-        "max_residual": report.max_residual,
-        "max_slack": report.max_slack,
-        "num_samples": report.num_samples,
-        "verdict": report.verdict,
-        "worst_witness": _witness_json(report.worst_witness),
-    }
+def _json_value(value: Any) -> Any:
+    """A report value as JSON: a dataclass by its fields, a dict by its values,
+    an array as rows of [re, im] pairs and a complex number as [re, im]."""
+    if is_dataclass(value):
+        return {f.name: _json_value(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {key: _json_value(v) for key, v in value.items()}
+    if isinstance(value, np.ndarray):
+        return np.stack([value.real, value.imag], axis=-1).tolist()
+    if isinstance(value, complex):
+        return [float(value.real), float(value.imag)]
+    return value
 
 
 def report_dict(summary: RunSummary, timestamp: str | None = None) -> dict:
@@ -494,7 +474,7 @@ def report_dict(summary: RunSummary, timestamp: str | None = None) -> dict:
         "timestamp": timestamp,
         "seed": summary.seed,
         "meta": summary.meta,
-        "checks": [_check_json(c) for c in summary.checks],
+        "checks": [_json_value(c) for c in summary.checks],
         "samples": summary.sample_rows,
         "verdict": summary.verdict,
         "exit_code": summary.exit_code,
@@ -634,6 +614,10 @@ def cmd_stability(config: ExperimentConfig) -> RunSummary:
             f"{_field_path('stabilizer_direction')}: set forward or backward explicitly for maps "
             "without a perturbation exponent"
         )
+    try:  # the calibrated control keeps the template's exponents, so this covers both bounds
+        validate_control_direction(template, direction)
+    except ControlDirectionError as exc:
+        raise ConfigError(f"config.bound: {exc}")
     meta: dict[str, Any] = {"map": describe(f), "direction": direction, "dim": dim}
 
     norms_a = np.empty(config.samples)
@@ -677,10 +661,7 @@ def cmd_stability(config: ExperimentConfig) -> RunSummary:
 
     limits = np.stack([r.limit for r in results])
     dists = spectral_norms(limits - apply_array(f, A, norms_a))
-    try:
-        cal_bounds = bound_closed_form(calibrated, norms_a, direction)
-    except ControlDirectionError as exc:
-        raise ConfigError(f"config.bound: {exc}")
+    cal_bounds = bound_closed_form(calibrated, norms_a, direction)
 
     declared_bounds = None
     if template.coeff > 0.0:

@@ -4,17 +4,29 @@ Usage, from the repository root:
 
     PYTHONPATH=src python -m tests.golden            # report only
     PYTHONPATH=src python -m tests.golden --write    # regenerate tests/golden/*.json
+    PYTHONPATH=src python -m tests.golden --digest   # print each case's report sha256
+
+``--digest`` prints ``<case>: <sha256>`` of each case's report bytes
+(timestamp fixed) and compares nothing; two checkouts report byte-identical
+reports exactly when their outputs are equal, so one ``diff`` shows it.
 """
 
 import argparse
+import hashlib
 
-from . import CASES, compare, dump_golden, golden_path, load_golden, moved_summary, run_case
+from . import CASES, _case_bytes, compare, dump_golden, golden_path, load_golden, moved_summary, run_case
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="python -m tests.golden", description=__doc__.splitlines()[0])
-    parser.add_argument("--write", action="store_true", help="rewrite the golden files with the fresh reports")
-    args = parser.parse_args()
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--write", action="store_true", help="rewrite the golden files with the fresh reports")
+    mode.add_argument("--digest", action="store_true", help="print the sha256 of each case's report bytes")
+    args = parser.parse_args(argv)
+    if args.digest:
+        for name in CASES:
+            print(f"{name}: {hashlib.sha256(_case_bytes(name)).hexdigest()}")
+        return 0
     failing = 0
     for name in CASES:
         report = run_case(name)

@@ -171,6 +171,7 @@ class TestCriterion6DivergenceDichotomy:
     def test_forward_diverges_backward_converges(self):
         raw = json.loads((CONFIG_DIR / "stability_backward_constant.json").read_text())
         raw["stabilizer"] = {"direction": "forward"}
+        raw["bound"] = {"kind": "profile", "coeff": 0.5, "degree": 2.0}  # a constant control is refused forward
         forward = cmd_stability(parse_config(raw))
         assert forward.exit_code == EXIT_DIVERGED
         assert forward.verdict == "diverged"

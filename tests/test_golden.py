@@ -2,13 +2,17 @@
 
 Exact on digests, exit codes, verdicts, check names, sample counts and row
 keys; floats within the tolerance stated in ``tests/golden/__init__.py``.
-Regenerate on purpose with ``PYTHONPATH=src python -m tests.golden --write``.
+Regenerate on purpose with ``PYTHONPATH=src python -m tests.golden --write``;
+``--digest`` prints the sha256 of each case's report bytes instead.
 ``run_case`` parses each fresh report strictly, so a NaN or Infinity fails too.
 """
 
+import hashlib
+
 import pytest
 
-from golden import CASES, compare, load_golden, run_case
+from golden import CASES, _case_bytes, compare, load_golden, run_case
+from golden.__main__ import main as golden_main
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -16,3 +20,9 @@ def test_report_matches_golden(name):
     problems = compare(load_golden(name), run_case(name))
     assert not problems, f"{name} moved beyond tolerance:\n" + "\n".join(problems[:20])
 
+
+def test_digest_prints_the_sha256_of_each_case_report(capsys):
+    assert golden_main(["--digest"]) == 0
+    digests = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+    assert list(digests) == list(CASES)
+    assert digests["lemma_transpose"] == hashlib.sha256(_case_bytes("lemma_transpose")).hexdigest()

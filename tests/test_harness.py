@@ -6,6 +6,7 @@ import math
 import re
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 from typing import get_args, get_origin
 
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from stablab import algebra, cli, harness
 from stablab.algebra import SAMPLER
+from stablab.checkers import CheckReport, Witness
 from stablab.cli import main as cli_main
 from stablab.harness import (
     BOUND_FIELDS,
@@ -77,6 +79,10 @@ BACKWARD_CONSTANT = {
     "sampling": {"seed": 77, "samples": 30, "norm_cap": 10.0},
     "exactness": {"samples": 12, "tol": 1e-8},
 }
+
+# A control a forward run can certify (exponents above one); the constant
+# control of BACKWARD_CONSTANT is refused for forward runs before any sampling.
+FORWARD_BOUND = {"kind": "profile", "coeff": 0.5, "degree": 2.0}
 
 BOUNDS_TABLE = {"schema": 1, "algebra": {"dim": 2}, "sampling": {"seed": 0, "samples": 1}}
 
@@ -172,9 +178,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="config.sampling.seed"):
             parse_config(cfg)
 
-    def test_bad_schema_version(self):
-        with pytest.raises(ConfigError, match="config.schema"):
-            parse_config(minimal_config(schema=2))
+    @pytest.mark.parametrize("version", [2, True, 1.0])
+    def test_bad_schema_version(self, version):
+        with pytest.raises(ConfigError, match="config.schema: unsupported version"):
+            parse_config(minimal_config(schema=version))
 
     def test_missing_schema(self):
         cfg = minimal_config()
@@ -374,7 +381,7 @@ class TestExitCodes:
         assert all(r["slack"] >= 0 for r in summary.sample_rows)
 
     def test_stability_divergence_exit_two(self):
-        cfg = dict(BACKWARD_CONSTANT)
+        cfg = dict(BACKWARD_CONSTANT, bound=FORWARD_BOUND)
         cfg["stabilizer"] = {"direction": "forward"}
         summary = cmd_stability(parse_config(cfg))
         assert summary.exit_code == EXIT_DIVERGED
@@ -393,6 +400,31 @@ class TestExitCodes:
         with pytest.raises(ConfigError, match="config.stabilizer.direction"):
             cmd_stability(parse_config(cfg))
 
+    @pytest.mark.parametrize(
+        "bound, stabilizer, message",
+        [
+            # a constant control cannot certify a forward run, whose samples all diverge
+            ({"kind": "constant", "coeff": 0.5}, {"direction": "forward"}, "forward series needs exponents > 1"),
+            # the constant map resolves to backward, which a degree-2 control cannot certify
+            (FORWARD_BOUND, {}, "backward series needs exponents < 1"),
+        ],
+        ids=["forward-constant", "backward-degree2"],
+    )
+    def test_stability_refuses_a_bound_against_the_direction_before_sampling(
+        self, tmp_path, capsys, monkeypatch, bound, stabilizer, message
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("stabilize_batch called")
+
+        monkeypatch.setattr(harness, "stabilize_batch", never)
+        cfg = dict(BACKWARD_CONSTANT, bound=bound, stabilizer=stabilizer)
+        cfg["sampling"] = dict(cfg["sampling"], samples=200)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, err = run_cli(capsys, ["stability", "--config", str(cfg_path)])
+        assert code == EXIT_CONFIG
+        assert len(err) == 1 and err[0].startswith(f"config error: config.bound: {message}")
+
     def test_cli_exit_codes(self, tmp_path, capsys):
         good = tmp_path / "good.json"
         good.write_text(json.dumps(minimal_config()))
@@ -406,7 +438,7 @@ class TestExitCodes:
         assert cli_main(["stability"]) == EXIT_CONFIG
 
         divergent = tmp_path / "div.json"
-        cfg = dict(BACKWARD_CONSTANT)
+        cfg = dict(BACKWARD_CONSTANT, bound=FORWARD_BOUND)
         cfg["stabilizer"] = {"direction": "forward"}
         divergent.write_text(json.dumps(cfg))
         capsys.readouterr()
@@ -528,6 +560,11 @@ class TestSerialization:
         assert witness is not None
         entries = witness["inputs"]["c"]
         assert len(entries) == 3 and len(entries[0]) == 3 and len(entries[0][0]) == 2
+        # every check and witness is written with exactly its dataclass's fields
+        assert all(c.keys() == {f.name for f in fields(CheckReport)} for c in report["checks"])
+        assert witness.keys() == {f.name for f in fields(Witness)}
+        phased = next(c for c in report["checks"] if c["name"].endswith("/phase_oddness"))["worst_witness"]
+        assert len(phased["phase"]) == 2 and all(type(x) is float for x in phased["phase"])
 
     def test_config_outputs_path_honoured(self, tmp_path):
         out = tmp_path / "from_config.json"
@@ -564,9 +601,12 @@ class TestSerialization:
     def test_diverged_csv_header_leads_the_certified_header(self, tmp_path):
         headers = []
         # forward rescaling diverges on the constant defect
-        for direction, code in (("backward", EXIT_OK), ("forward", EXIT_DIVERGED)):
+        for direction, bound, code in (
+            ("backward", BACKWARD_CONSTANT["bound"], EXIT_OK),
+            ("forward", FORWARD_BOUND, EXIT_DIVERGED),
+        ):
             cfg_path = tmp_path / f"{direction}.json"
-            cfg_path.write_text(json.dumps(dict(BACKWARD_CONSTANT, stabilizer={"direction": direction})))
+            cfg_path.write_text(json.dumps(dict(BACKWARD_CONSTANT, bound=bound, stabilizer={"direction": direction})))
             out = tmp_path / f"{direction}.csv"
             assert cli_main(["stability", "--config", str(cfg_path), "--out", str(out), "--format", "csv"]) == code
             headers.append(out.read_text().splitlines()[0].split(","))

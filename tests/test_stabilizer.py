@@ -524,7 +524,7 @@ class TestUniqueness:
                 "base": {"kind": "identity"},
                 "perturbation": {"mode": "constant", "size": 0.4, "direction": "identity"},
             },
-            "bound": {"kind": "constant", "coeff": 0.4},
+            "bound": {"kind": "profile", "coeff": 0.4, "degree": 2.0},  # a control that can certify forward
             "sampling": {"seed": 63, "samples": 5, "norm_cap": 10.0},
             "stabilizer": {"direction": "forward"},
         }
