@@ -5,7 +5,8 @@ Reports go to --out (or the config's output path) as JSON or CSV;
 a human-readable line per check is printed either way.
 
 Exit codes: 0 all satisfied, 1 violated, 2 divergence, 3 config or usage
-error (an unwritable --out or outputs.path included), 4 numerical failure
+error (an unwritable --out or outputs.path and a run that needs more memory
+than is available included), 4 numerical failure
 (overflow, non-finite values or an SVD that does not converge).  Exits 2-4
 print one stderr line and no traceback.
 """
@@ -106,6 +107,10 @@ def main(argv: list[str] | None = None) -> int:
         _write_output(summary, config, args.out, args.format)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # a config asking for more than the machine holds, not a violation
+        detail = str(exc) or "MemoryError"
+        print(f"config error: config: the run needs more memory than is available ({detail})", file=sys.stderr)
         return EXIT_CONFIG
     except (ArithmeticError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
         print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -8,8 +8,9 @@ from the config digest.
 
 Exit-code contract: 0 all satisfied, 1 hypothesis or bound violated,
 2 divergence (of the sampled runs or of the exactness check's), 3 config or
-usage error (an unwritable output path included), 4 numerical failure (an
-overflow or a non-finite value, raised as an ArithmeticError).
+usage error (an unwritable output path, or a run that needs more memory than
+is available, included), 4 numerical failure (an overflow or a non-finite
+value, raised as an ArithmeticError).
 """
 
 from __future__ import annotations
@@ -127,6 +128,8 @@ REQUIRED = object()  # default of a field the config must set
 # list's interval applies to each of its (at least one) items.  An explicit
 # null counts as absent.  The parser, the defaults, the canonical dict behind
 # the config digest and the ExperimentConfig attributes all come from here.
+# The check tolerances start at 1e-13: below that, an exact map's rounding
+# (near 1e-14 at dim 2) would read as a counterexample.
 CONFIG_FIELDS = (
     ("algebra.dim", "dim", int, REQUIRED, "[1, inf)"),
     ("sampling.seed", "seed", int, REQUIRED, "[0, 18446744073709551616)"),
@@ -137,13 +140,13 @@ CONFIG_FIELDS = (
     ("stabilizer.tol", "stabilizer_tol", float, 1e-10, "(0, inf)"),
     ("stabilizer.direction", "stabilizer_direction", str, "auto", ("forward", "backward", "auto")),
     ("phase_grid_size", "phase_grid_size", int, 16, "[0, inf)"),
-    ("checks.tol", "checks_tol", float, 1e-9, "(0, inf)"),
+    ("checks.tol", "checks_tol", float, 1e-9, "[1e-13, inf)"),
     ("checks.phase_sweep", "phase_sweep", bool, False, None),
     ("superstability.n_max", "decay_n_max", int, 64, "[5, inf)"),
     ("superstability.terminal_tol", "decay_terminal_tol", float, 1e-3, "(0, inf)"),
     ("superstability.slope_margin", "decay_slope_margin", float, 0.1, "(0, inf)"),
     ("exactness.samples", "exactness_samples", int, 64, "[1, inf)"),
-    ("exactness.tol", "exactness_tol", float, 1e-8, "(0, inf)"),
+    ("exactness.tol", "exactness_tol", float, 1e-8, "[1e-13, inf)"),
     ("calibration.norm_cap", "calibration_norm_cap", float, None, "(0, inf)"),
     ("calibration.sweep_factor", "calibration_sweep", float, None, "(1, inf)"),
     ("bounds_table.coeffs", "table_coeffs", list[float], [1e-3, 1.0, 10.0], "[0, inf)"),
@@ -661,28 +664,22 @@ def cmd_stability(config: ExperimentConfig) -> RunSummary:
 
     limits = np.stack([r.limit for r in results])
     dists = spectral_norms(limits - apply_array(f, A, norms_a))
-    cal_bounds = bound_closed_form(calibrated, norms_a, direction)
-
-    declared_bounds = None
+    columns["dist"] = dists
+    # check name -> (control, bound column, slack column); a declared coeff of zero declares no bound
+    certificates = {"bound_certificate": (calibrated, "bound", "slack")}
     if template.coeff > 0.0:
-        declared_bounds = bound_closed_form(template, norms_a, direction)
-
-    columns |= {"dist": dists, "bound": cal_bounds, "slack": cal_bounds - dists}
-    if declared_bounds is not None:
-        columns |= {"declared_bound": declared_bounds, "declared_slack": declared_bounds - dists}
-    rows = _sample_rows(columns)
-
+        certificates["declared_bound"] = (template, "declared_bound", "declared_slack")
     # An exhausted sample's dist is measured from its last iterate, not a
     # limit, so only converged samples are certified; witnesses keep sample ids.
     converged = np.flatnonzero(status == "converged")
-    if converged.size:
-        dists_c, scales_c = dists[converged], scales[converged]
-        witness = {"norms": {"a": norms_a[converged]}, "ids": converged}
-        checks.append(_build_report("bound_certificate", dists_c, cal_bounds[converged], scales_c, 1e-9, **witness))
-        if declared_bounds is not None:
-            checks.append(
-                _build_report("declared_bound", dists_c, declared_bounds[converged], scales_c, 1e-9, **witness)
-            )
+    dists_c, scales_c = dists[converged], scales[converged]
+    witness = {"norms": {"a": norms_a[converged]}, "ids": converged}
+    for name, (control, bound_column, slack_column) in certificates.items():
+        bounds = bound_closed_form(control, norms_a, direction)
+        columns |= {bound_column: bounds, slack_column: bounds - dists}
+        if converged.size:
+            checks.append(_build_report(name, dists_c, bounds[converged], scales_c, config.checks_tol, **witness))
+    rows = _sample_rows(columns)
 
     # Exactness of the recovered limit map, evaluated through stabilization.
     eval_fn = _stabilized_evaluator(f, config.stabilizer)

@@ -271,21 +271,13 @@ def apply_array(f: MapSpec, xs: np.ndarray, norms: np.ndarray | None = None) -> 
 
 
 def unit_circle_grid(extra: int = 16) -> list[complex]:
-    """Unit scalars 1, -1, i, -i plus ``extra`` equally spaced phases, deduplicated.
+    """Unit scalars 1, -1, i, -i plus ``extra`` equally spaced phases, each once.
 
-    The scalar 1 appears exactly once.
+    The only phases that can repeat a scalar are the quarter turns (4k a
+    multiple of ``extra``), which are 1, -1, i or -i and are left out.
     """
-    values: list[complex] = [1.0 + 0.0j, -1.0 + 0.0j, 1.0j, -1.0j]
-    for k in range(extra):
-        values.append(complex(np.exp(2j * np.pi * k / extra)))
-    seen: set[tuple[float, float]] = set()
-    grid: list[complex] = []
-    for v in values:
-        key = (round(v.real, 12), round(v.imag, 12))
-        if key not in seen:
-            seen.add(key)
-            grid.append(v)
-    return grid
+    phases = [complex(np.exp(2j * np.pi * k / extra)) for k in range(extra) if 4 * k % extra != 0]
+    return [1.0 + 0.0j, -1.0 + 0.0j, 1.0j, -1.0j, *phases]
 
 
 def _conj_t(xs: np.ndarray) -> np.ndarray:

@@ -26,3 +26,8 @@ def test_digest_prints_the_sha256_of_each_case_report(capsys):
     digests = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
     assert list(digests) == list(CASES)
     assert digests["lemma_transpose"] == hashlib.sha256(_case_bytes("lemma_transpose")).hexdigest()
+
+
+def test_every_case_reports_a_distinct_report():
+    digests = {name: hashlib.sha256(_case_bytes(name)).hexdigest() for name in CASES}
+    assert len(set(digests.values())) == len(CASES), digests

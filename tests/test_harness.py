@@ -445,6 +445,47 @@ class TestExitCodes:
         assert cli_main(["stability", "--config", str(divergent)]) == EXIT_DIVERGED
         assert capsys.readouterr().err.splitlines() == ["diverged: 30 of 30 stabilization runs diverged"]
 
+    @pytest.mark.parametrize("tol, code", [(1e-9, EXIT_VIOLATED), (1e-6, EXIT_OK)])
+    def test_stability_certificates_are_judged_at_checks_tol(self, tmp_path, capsys, tol, code):
+        # a declared coeff 5e-9 below the perturbation: declared_bound's worst excess is 4.95e-9
+        raw = json.loads(BACKWARD_CONSTANT_CONFIG.read_text())
+        set_path(raw, "bound.coeff", 0.5 - 5e-9)
+        set_path(raw, "checks.tol", tol)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert run_cli(capsys, ["stability", "--config", str(cfg_path)]) == (code, [])
+
+    @pytest.mark.parametrize(
+        "map_cfg",
+        [
+            *({"kind": k} for k, cls in MAP_KINDS.items() if cls in DIM_ONLY_ACTIONS),
+            {"kind": "unitary_conjugation", "seed": 17},
+        ],
+        ids=lambda map_cfg: map_cfg["kind"],
+    )
+    def test_exact_maps_are_satisfied_at_the_tolerance_floor(self, map_cfg):
+        for norm_cap in (10.0, 1e100):
+            raw = minimal_config(map=map_cfg, checks={"tol": 1e-13})
+            raw["sampling"] = {"seed": 20250809, "samples": 200, "norm_cap": norm_cap, "dims": [2, 3, 4, 8]}
+            summary = cmd_lemma_check(parse_config(raw))
+            assert summary.verdict == "satisfied", [c.name for c in summary.checks if c.verdict == "violated"]
+
+    @pytest.mark.parametrize("config", [BACKWARD_CONSTANT_CONFIG, FORWARD_POWER_CONFIG])
+    def test_shipped_stability_configs_are_certified_at_the_tolerance_floor(self, config):
+        raw = set_path(json.loads(config.read_text()), "checks.tol", 1e-13)
+        assert cmd_stability(parse_config(raw)).exit_code == EXIT_OK
+
+    def test_memory_error_exits_config_error(self, capsys, monkeypatch):
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.11 PiB")
+
+        monkeypatch.setattr(harness, "random_elements", too_large)
+        code, err = run_cli(capsys, ["stability", "--config", str(BACKWARD_CONSTANT_CONFIG)])
+        assert code == EXIT_CONFIG
+        assert err == [
+            "config error: config: the run needs more memory than is available (Unable to allocate 7.11 PiB)"
+        ]
+
 
 class TestUniquenessLaw:
     """recovered_exactness judges the stabilized limit against the exact base of the map."""
@@ -894,6 +935,9 @@ class TestOutOfRangeValues:
                 [],
                 "map.base: expected exactly one of seed and matrix",
             ),
+            # a tolerance below rounding would read an exact map as a counterexample
+            ("lemma-check", {"checks.tol": 1e-16}, [], "checks.tol: must be in [1e-13, inf), got 1e-16"),
+            ("stability", {"exactness.tol": 1e-16}, [], "exactness.tol: must be in [1e-13, inf), got 1e-16"),
         ],
     )
     def test_cli_exits_config_error(self, tmp_path, capsys, command, overrides, argv, path):

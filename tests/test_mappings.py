@@ -178,11 +178,14 @@ class TestPhasePermutationUnitary:
 
 
 class TestUnitCircleGrid:
-    def test_contains_mandatory_scalars_once(self):
-        grid = unit_circle_grid(16)
+    @pytest.mark.parametrize("extra", [0, 1, 2, 6, 10, 16])
+    def test_contains_mandatory_scalars_once(self, extra):
+        grid = unit_circle_grid(extra)
         for needed in (1, -1, 1j, -1j):
             assert sum(1 for v in grid if abs(v - needed) < 1e-12) == 1
-        assert len(grid) == 16  # the four mandatory scalars sit on the grid
+        quarter_turns = sum(1 for m in range(4) if extra and m * extra % 4 == 0)  # m/4 turns on the grid
+        assert len(grid) == 4 + extra - quarter_turns
+        assert all(abs(v - w) >= 1e-12 for i, v in enumerate(grid) for w in grid[:i])
 
     def test_all_unit_modulus(self):
         for v in unit_circle_grid(10):
