@@ -14,6 +14,7 @@ __all__ = [
     "NonFiniteError",
     "spectral_norms",
     "norm_brackets",
+    "extreme_norms",
     "random_element",
     "random_elements",
     "derived_seed",
@@ -68,10 +69,12 @@ def norm_brackets(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bounds (lo, hi) with lo <= spectral_norms(mats) <= hi, per matrix of a (..., d, d) stack.
 
     The spectral norm of a d x d matrix lies in [F / sqrt(d), F], F its
-    Frobenius norm; both ends are widened by BRACKET_MARGIN relative.  The
-    squares of the entries underflow or overflow when F leaves about
-    [1e-150, 1e150], so such a matrix (an all-zero one included) gets
-    [0, inf).  Non-finite entries raise NonFiniteError, as in spectral_norms.
+    Frobenius norm; both ends are widened by BRACKET_MARGIN relative.  A
+    matrix whose entries are all zero (-0.0 included) gets the exact bracket
+    [0, 0], the 0.0 spectral_norms gives it.  The squares of the entries
+    underflow or overflow when F leaves about [1e-150, 1e150], so any other
+    such matrix (a subnormal entry counts as nonzero) gets [0, inf).
+    Non-finite entries raise NonFiniteError, as in spectral_norms.
     """
     arr = np.ascontiguousarray(_square_stack(mats))
     flat = arr.reshape(*arr.shape[:-2], -1).view(np.float64)
@@ -82,7 +85,41 @@ def norm_brackets(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     frob = np.sqrt(squares)
     usable = (squares >= 1e-300) & (squares <= 1e300)
     lo = np.where(usable, frob * ((1.0 - BRACKET_MARGIN) / np.sqrt(arr.shape[-1])), 0.0)
-    return lo[()], np.where(usable, frob * (1.0 + BRACKET_MARGIN), np.inf)[()]
+    bounded = usable | ~flat.any(axis=-1)  # an all-zero matrix has frob == 0.0
+    return lo[()], np.where(bounded, frob * (1.0 + BRACKET_MARGIN), np.inf)[()]
+
+
+def extreme_norms(mats: np.ndarray, allowance: np.ndarray | None = None) -> np.ndarray:
+    """Spectral norms of a sample stack, exact wherever a report can read them.
+
+    ``mats`` is (n, d, d), one matrix per sample, or (G, n, d, d), G matrices
+    per sample whose maximum over axis 0 is the sample's value.  A report
+    reads the maximum, the minimum and, given ``allowance`` (tol * scale per
+    sample), the first argmax of value - allowance.  Each sample is
+    bracketed by norm_brackets (over G, the maximum of lo and of hi); a
+    sample whose bracket could reach one of those extremes is a candidate,
+    and each of its matrices gets its spectral_norms value (an exact bracket
+    [0, 0] without a norm call).  Every other sample carries its hi in all
+    its entries, which lies strictly below the maximum and the worst
+    excess and strictly above the minimum.  So the extremes, their first
+    indices and, for a candidate, its first maximising matrix over G are
+    those of full norms, bit for bit.
+    """
+    arr = _square_stack(mats)
+    if arr.size == 0:
+        return np.zeros(arr.shape[:-2])
+    lo, hi = norm_brackets(arr)
+    sample_lo, sample_hi = (lo, hi) if lo.ndim == 1 else (lo.max(axis=0), hi.max(axis=0))
+    candidate = (sample_hi >= sample_lo.max()) | (sample_lo <= sample_hi.min())
+    if allowance is not None:
+        candidate |= sample_hi - allowance >= np.max(sample_lo - allowance)
+    need = candidate & (lo != hi)
+    if need.all():
+        return spectral_norms(arr)
+    out = np.where(candidate, lo, sample_hi)
+    if need.any():
+        out[need] = spectral_norms(arr[need])
+    return out
 
 
 def derived_seed(*parts: int) -> int:

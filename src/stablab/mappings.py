@@ -14,7 +14,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .algebra import DimensionMismatchError, NonFiniteError, random_elements, spectral_norms
+from .algebra import DimensionMismatchError, NonFiniteError, extreme_norms, random_elements, spectral_norms
 
 __all__ = [
     "Identity",
@@ -298,7 +298,10 @@ def jordan_star_defects(
     sampled pairs, and homogeneity over the unit-scalar grid.  Returns the
     residual arrays keyed by check name plus the sample stack used.  All
     evaluation points go through a single eval_fn call, so evaluators that
-    stabilize pointwise pay one lockstep run.
+    stabilize pointwise pay one lockstep run.  Each law goes through
+    extreme_norms (homogeneity with the grid on its first axis), so a law's
+    maximum, its minimum and their first indices are exact, and every other
+    sample carries an upper bound strictly between them.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -311,9 +314,9 @@ def jordan_star_defects(
     fa, faa, fas, fab, fb = values[: 5 * samples].reshape(5, samples, dim, dim)
     f_twisted = values[5 * samples :].reshape(len(mus), samples, dim, dim)
     defects = {
-        "squares": spectral_norms(faa - fa @ fa),
-        "involution": spectral_norms(fas - _conj_t(fa)),
-        "additivity": spectral_norms(fab - fa - fb),
-        "homogeneity": np.max(spectral_norms(f_twisted - mus * fa), axis=0, initial=0.0),
+        "squares": extreme_norms(faa - fa @ fa),
+        "involution": extreme_norms(fas - _conj_t(fa)),
+        "additivity": extreme_norms(fab - fa - fb),
+        "homogeneity": np.max(extreme_norms(f_twisted - mus * fa), axis=0, initial=0.0),
     }
     return defects, A

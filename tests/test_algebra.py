@@ -12,7 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stablab import algebra
-from stablab.algebra import NonFiniteError, norm_brackets, random_element, random_elements, spectral_norms
+from stablab.algebra import (
+    NonFiniteError,
+    extreme_norms,
+    norm_brackets,
+    random_element,
+    random_elements,
+    spectral_norms,
+)
 from stablab.mappings import Perturbation, UnitaryConjugation, _conj_t
 
 
@@ -292,11 +299,21 @@ class TestNormBrackets:
         np.testing.assert_allclose(hi, norms, rtol=2e-12, atol=0.0)
 
     @pytest.mark.parametrize("d", BRACKET_DIMS)
-    def test_zero_subnormal_and_near_overflow_matrices_are_unbounded(self, d):
-        stack = np.zeros((4, d, d), dtype=complex)
-        stack[1, 0, d - 1] = complex(0.0, 5e-324)
-        stack[2] = 3e-310 - 1e-309j
-        stack[3] = 1e154 - 1e154j  # its squares overflow
+    def test_zero_matrices_are_exact(self, d):
+        # the spectral norm of an all-zero matrix is exactly 0.0, -0.0 entries included
+        stack = np.zeros((3, d, d), dtype=complex)
+        stack[1] = complex(-0.0, 0.0)
+        stack[2, 0, d - 1] = complex(-0.0, -0.0)
+        lo, norms, hi = brackets_hold(stack)
+        assert np.array_equal(lo, np.zeros(3)) and np.array_equal(hi, np.zeros(3)) and np.array_equal(norms, hi)
+        assert not np.signbit(lo).any() and not np.signbit(hi).any()
+
+    @pytest.mark.parametrize("d", BRACKET_DIMS)
+    def test_subnormal_and_near_overflow_matrices_are_unbounded(self, d):
+        stack = np.zeros((3, d, d), dtype=complex)
+        stack[0, 0, d - 1] = complex(0.0, 5e-324)
+        stack[1] = 3e-310 - 1e-309j
+        stack[2] = 1e154 - 1e154j  # its squares overflow
         lo, _, hi = brackets_hold(stack)
         assert np.all(lo == 0.0) and np.all(hi == np.inf)
 
@@ -314,6 +331,66 @@ class TestNormBrackets:
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteError, match="non-finite"):
                 norm_brackets(stack)
+
+
+class TestExtremeNorms:
+    """extreme_norms is exact wherever a report reads a sample stack and an upper bound everywhere else."""
+
+    @staticmethod
+    def norm_calls(monkeypatch) -> list:
+        calls = []
+        real = algebra.spectral_norms
+
+        def counted(mats):
+            calls.append(mats)
+            return real(mats)
+
+        monkeypatch.setattr(algebra, "spectral_norms", counted)
+        return calls
+
+    @pytest.mark.parametrize("d", BRACKET_DIMS)
+    @pytest.mark.parametrize("grid", [(), (5,)])
+    def test_extremes_are_exact(self, monkeypatch, d, grid):
+        rng = np.random.default_rng(400 + d)
+        shape = (*grid, 200, d, d)
+        # the ends of the range get [0, inf) brackets; sample 50 is all zero
+        stack = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * np.logspace(-170, 170, 200)[:, None, None]
+        stack[..., 50, :, :] = 0.0
+        full = spectral_norms(stack)
+        allowance = 1e-9 * (1.0 + rng.random(200))
+        calls = self.norm_calls(monkeypatch)
+        out = extreme_norms(stack, allowance)
+        assert 0 < sum(np.prod(c.shape[:-2]) for c in calls) < full.size
+        assert out.shape == full.shape and np.all(out >= full)
+        value, ref = (out, full) if not grid else (out.max(axis=0), full.max(axis=0))
+        assert value.max() == ref.max() and value.min() == ref.min()
+        assert np.argmax(value) == np.argmax(ref) and np.argmin(value) == np.argmin(ref)
+        assert np.argmax(value - allowance) == np.argmax(ref - allowance)
+        exact = value == ref
+        assert np.array_equal(out[..., exact], full[..., exact])  # a candidate is exact at every phase
+
+    def test_zero_matrices_take_no_norm_call(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        stack = np.zeros((3, 6, 3, 3), dtype=complex)
+        stack[:, 3:] = rng.normal(size=(3, 3, 3, 3))
+        stack[1, 4] = 0.0  # a zero matrix inside a sample that is not zero
+        calls = self.norm_calls(monkeypatch)
+        out = extreme_norms(stack)
+        assert np.array_equal(out[:, :3], np.zeros((3, 3))) and out[1, 4] == 0.0
+        assert calls and all(np.all(np.any(c, axis=(-2, -1))) for c in calls)
+        calls.clear()
+        assert np.array_equal(extreme_norms(np.zeros((4, 2, 2), dtype=complex)), np.zeros(4)) and calls == []
+
+    def test_all_candidates_norm_the_stack_as_is(self, monkeypatch):
+        # equal residuals all tie for the maximum, so the stack goes to spectral_norms unchanged
+        stack = np.repeat(np.array([[[1.0, 2.0j], [0.5, -1.0]]]), 8, axis=0)
+        calls = self.norm_calls(monkeypatch)
+        assert np.array_equal(extreme_norms(stack, np.full(8, 1e-9)), spectral_norms(stack))
+        assert len(calls) == 1 and calls[0] is stack
+
+    def test_empty_stacks(self):
+        assert extreme_norms(np.zeros((0, 3, 3), dtype=complex)).shape == (0,)
+        assert extreme_norms(np.zeros((0, 5, 3, 3), dtype=complex)).shape == (0, 5)
 
 
 def seeded_stack(first_seed: int, count: int, dim: int, norm_cap: float) -> np.ndarray:

@@ -18,6 +18,7 @@ from stablab.checkers import (
     DECAY_OVERFLOW_LIMIT,
     Check,
     DecayOverflowError,
+    _build_report,
     _decay_batch,
     _evaluate,
     _Inputs,
@@ -259,18 +260,27 @@ class TestPhaseChecks:
 
 
 def per_phase_loop(check, f, x, phases):
-    """The grid rule one phase at a time: keep a residual only where it beats the running maximum (from 0)."""
+    """The grid rule one phase at a time, in full norms: keep a residual only where it beats the running maximum (from 0)."""
     count = next(iter(x.values())).shape[0]
     res, phase = np.zeros(count), np.full(count, 1.0 + 0.0j)
     for i in range(phases.size):
         r = check.residual(f, x, phases[i : i + 1, np.newaxis, np.newaxis, np.newaxis])[0]
+        if np.iscomplexobj(r):  # a matrix stack, normed in full
+            r = spectral_norms(r)
         better = r > res
         res, phase = np.where(better, r, res), np.where(better, phases[i], phase)
     return res, phase
 
 
+def read(report):
+    """What a report carries from a row, its witness inputs aside."""
+    w = report.worst_witness
+    return (report.max_residual, report.max_slack, report.num_samples, report.verdict,
+            None if w is None else (w.sample_index, w.residual, w.input_norms, w.phase))
+
+
 class TestStackedGrid:
-    """A grid row is one residual call on the whole grid; it equals the per-phase loop it replaced."""
+    """A grid row is one residual call on the whole grid; its report equals the per-phase loop it replaced."""
 
     @pytest.mark.parametrize("name", [name for name, check in CHECKS.items() if check.phases])
     def test_matches_per_phase_loop(self, name):
@@ -282,13 +292,23 @@ class TestStackedGrid:
         )
         for g in (Transpose(3), UnitaryConjugation(phase_permutation_unitary(3, 5)), f):
             x = _Inputs(g, {k: random_elements(21, 40, 3, 4.0, stream=s) for k, s in check.streams.items()})
-            res, phase = _evaluate(check, g, x, phases)
+            norms = {k: spectral_norms(v) for k, v in x.items()}
+            scales = check.scale(norms)
+            res, phase = _evaluate(check, g, x, phases, 1e-9 * scales)
             ref_res, ref_phase = per_phase_loop(check, g, x, phases)
-            assert np.array_equal(res, ref_res) and not np.signbit(res).any()
+            assert not np.signbit(res).any()
+            # a matrix row is exact where the report reads it and an upper bound elsewhere
+            exact = res == ref_res
+            assert np.all(res >= ref_res)
+            reports = [
+                _build_report(name, r, 0.0, scales, 1e-9, norms=norms, phases=p)
+                for r, p in ((res, phase), (ref_res, ref_phase if check.phases == "worst" else None))
+            ]
+            assert read(reports[0]) == read(reports[1])
             if check.phases == "worst":
-                assert np.array_equal(phase, ref_phase)
-            else:
-                assert phase is None
+                assert np.array_equal(phase[exact], ref_phase[exact])
+            else:  # a sweep row is a difference of norms and stays exact
+                assert exact.all() and phase is None
 
     def test_first_maximum_ties_and_no_positive_residual(self):
         phases = np.array([-1.0, 1j, -1j, np.exp(0.25j * np.pi)])
@@ -314,6 +334,96 @@ class TestStackedGrid:
         assert np.array_equal(res, ref_res) and np.array_equal(phase, ref_phase)
         res, phase = _evaluate(check, Identity(2), x, [])  # an empty grid has no positive residual
         assert np.array_equal(res, np.zeros(5)) and np.array_equal(phase, np.ones(5))
+
+
+def stack_reports(stack, scales, tol):
+    """Reports of a row whose residual is ``stack`` (a grid row when 4-D), normed by the runner and in full."""
+    grid = np.exp(2j * np.pi * np.arange(stack.shape[0]) / stack.shape[0]) if stack.ndim == 4 else ()
+    mode = "worst" if stack.ndim == 4 else None
+    x = {"c": np.zeros((stack.shape[-3], 1, 1), dtype=complex)}
+    reports = []
+    for residual, allowance in ((lambda f, x, mu: stack, tol * scales), (lambda f, x, mu: spectral_norms(stack), None)):
+        res, phases = _evaluate(Check("stack", {"c": 10}, residual, phases=mode), Identity(1), x, grid, allowance)
+        reports.append(read(_build_report("stack", res, 0.0, scales, tol, norms={"c": scales}, phases=phases)))
+    return reports
+
+
+def random_stack(rng, shape, magnitudes=(1.0,)):
+    """A complex normal stack, each sample scaled by one of ``magnitudes``."""
+    scale = rng.choice(magnitudes, size=shape[-3])[:, None, None]
+    return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * scale
+
+
+class TestExtremeRows:
+    """A row that returns a matrix stack reports what full norms report: extremes, verdict and witness."""
+
+    SHAPES = [(50, 2, 2), (50, 3, 3), (6, 50, 2, 2), (6, 50, 3, 3)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("tol", [1e-9, 0.05, 1.0])
+    def test_random_stacks(self, shape, tol):
+        # a large tol moves the worst excess off the largest residual
+        rng = np.random.default_rng(len(shape) * 10 + shape[-1])
+        for _ in range(20):
+            scales = 1.0 + 10.0 * rng.random(shape[-3])
+            fast, full = stack_reports(random_stack(rng, shape), scales, tol)
+            assert fast == full
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_ties(self, shape):
+        # samples and phases repeat a few matrices, so the first of equal extremes decides
+        rng = np.random.default_rng(5)
+        base = random_stack(rng, (4, *shape[-2:]))
+        for tol in (1e-9, 0.3):
+            stack = base[rng.integers(0, 4, size=shape[:-2])]
+            scales = rng.choice([1.0, 2.0, 4.0], size=shape[-3])
+            fast, full = stack_reports(stack, scales, tol)
+            assert fast == full
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_zero_stacks(self, shape):
+        rng = np.random.default_rng(6)
+        zeros = np.zeros(shape, dtype=complex)
+        fast, full = stack_reports(zeros, np.ones(shape[-3]), 1e-9)
+        assert fast == full
+        # every third sample nonzero, and a -0.0 sample among the zeros
+        mixed = zeros.copy()
+        mixed[..., ::3, :, :] = random_stack(rng, mixed[..., ::3, :, :].shape)
+        mixed[..., 1, :, :] = -0.0
+        fast, full = stack_reports(mixed, 1.0 + rng.random(shape[-3]), 1e-9)
+        assert fast == full
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("tol", [1e-9, 0.05])
+    def test_unbounded_brackets(self, shape, tol):
+        # entries near 1e-160 or 1e160 leave their squares' range: the bracket is [0, inf)
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            stack = random_stack(rng, shape, (1e-160, 1e-3, 1.0, 1e160))
+            fast, full = stack_reports(stack, 1.0 + rng.random(shape[-3]), tol)
+            assert fast == full
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            Transpose(3),
+            UnitaryConjugation(phase_permutation_unitary(3, 4)),
+            Perturbed(Identity(3), Perturbation(size=0.3, power=0.0, direction=unit_direction(3, "identity"), mode="affine")),
+            Perturbed(
+                Transpose(3),
+                Perturbation(size=0.05, power=0.5, direction=unit_direction(3, "corner"), mode="power", odd=True),
+            ),
+        ],
+    )
+    def test_rows_report_as_full_norms(self, monkeypatch, f):
+        grid = unit_circle_grid(8)
+        runs = []
+        for full in (False, True):
+            if full:
+                monkeypatch.setattr(checkers, "extreme_norms", lambda mats, allowance=None: spectral_norms(mats))
+            reports = additivity_ladder(f, 9, 60, 1e-9) + phase_substitution_checks(f, grid, 9, 60, 1e-9)
+            runs.append([read(r) for r in reports])
+        assert runs[0] == runs[1]
 
 
 def per_n_loop(f, A, n_max, shrink):

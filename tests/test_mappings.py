@@ -7,6 +7,7 @@ apply_array, the path every command runs.
 import numpy as np
 import pytest
 
+from stablab import mappings
 from stablab.algebra import NonFiniteError, random_element, random_elements, spectral_norms
 from stablab.mappings import (
     PERTURBATION_MODES,
@@ -265,6 +266,23 @@ class TestJordanStar:
             worst = np.maximum(worst, spectral_norms(apply_array(f, mu * A) - mu * fa))
         assert np.max(worst) > 1e-3
         assert np.array_equal(defects["homogeneity"], worst)
+
+    def test_laws_exact_at_their_extremes(self, monkeypatch):
+        # each law's maximum and minimum (and their first samples) are those of
+        # full norms; every other sample carries an upper bound
+        f = Perturbed(
+            Transpose(3),
+            Perturbation(size=0.1, power=0.5, direction=unit_direction(3, "corner"), mode="power", odd=True),
+        )
+        fast, _ = jordan_star_defects(lambda xs: apply_array(f, xs), 3, 200, 39, phases=unit_circle_grid(8))
+        monkeypatch.setattr(mappings, "extreme_norms", lambda mats: spectral_norms(mats))
+        full, _ = jordan_star_defects(lambda xs: apply_array(f, xs), 3, 200, 39, phases=unit_circle_grid(8))
+        for name, ref in full.items():
+            values = fast[name]
+            assert np.all(values >= ref)
+            assert values.max() == ref.max() and values.min() == ref.min()
+            assert np.argmax(values) == np.argmax(ref) and np.argmin(values) == np.argmin(ref)
+        assert any(not np.array_equal(fast[k], full[k]) for k in full)
 
     def test_unit_phase_only_gives_zero_homogeneity(self):
         f = Perturbed(

@@ -661,7 +661,10 @@ class TestTracedRuns:
         results = stabilize_batch(f, spread, cfg)
         iterations = [r.iterations_used for r in results]
         assert {r.status for r in results} == statuses and len(set(iterations)) > 1
-        assert count[0] == len(results) + sum(iterations)
+        # sample 7's first residual is an all-zero matrix, exact as its bracket
+        # [0, 0] without a norm call: 776 (constant) and 274 (power) matrices
+        assert count[0] == len(results) + sum(iterations) - 1
+        assert count[0] == {"constant": 776, "power": 274}[mode]
 
     @pytest.mark.parametrize("traces", [True, False])
     def test_non_finite_difference_raises(self, monkeypatch, traces):
