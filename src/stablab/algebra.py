@@ -89,11 +89,16 @@ def norm_brackets(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo[()], np.where(bounded, frob * (1.0 + BRACKET_MARGIN), np.inf)[()]
 
 
-def extreme_norms(mats: np.ndarray, allowance: np.ndarray | None = None) -> np.ndarray:
+def extreme_norms(
+    mats: np.ndarray, allowance: np.ndarray | None = None, divisor: np.ndarray | None = None
+) -> np.ndarray:
     """Spectral norms of a sample stack, exact wherever a report can read them.
 
     ``mats`` is (n, d, d), one matrix per sample, or (G, n, d, d), G matrices
-    per sample whose maximum over axis 0 is the sample's value.  A report
+    per sample whose maximum over axis 0 is the sample's value.  Given
+    ``divisor`` (positive, per sample), a value is its norm divided by the
+    sample's divisor, and both ends of each bracket are divided likewise
+    (rounding is monotone, so the quotients still bracket it).  A report
     reads the maximum, the minimum and, given ``allowance`` (tol * scale per
     sample), the first argmax of value - allowance.  Each sample is
     bracketed by norm_brackets (over G, the maximum of lo and of hi); a
@@ -109,16 +114,22 @@ def extreme_norms(mats: np.ndarray, allowance: np.ndarray | None = None) -> np.n
     if arr.size == 0:
         return np.zeros(arr.shape[:-2])
     lo, hi = norm_brackets(arr)
+    need = lo != hi
+    if divisor is not None:
+        lo, hi = lo / divisor, hi / divisor
     sample_lo, sample_hi = (lo, hi) if lo.ndim == 1 else (lo.max(axis=0), hi.max(axis=0))
     candidate = (sample_hi >= sample_lo.max()) | (sample_lo <= sample_hi.min())
     if allowance is not None:
         candidate |= sample_hi - allowance >= np.max(sample_lo - allowance)
-    need = candidate & (lo != hi)
+    need &= candidate
     if need.all():
-        return spectral_norms(arr)
+        norms = spectral_norms(arr)
+        return norms if divisor is None else norms / divisor
     out = np.where(candidate, lo, sample_hi)
     if need.any():
         out[need] = spectral_norms(arr[need])
+        if divisor is not None:
+            out[need] /= np.broadcast_to(divisor, need.shape)[need]
     return out
 
 

@@ -73,15 +73,20 @@ class PowerControl:
     exponent triple of it.  A profile t^degree puts its degree in all three
     slots, and the constant control (coeff per nonzero argument) is the
     zero-exponent triple.
+
+    The exponents are scalars.  ``coeff`` is a float or an array of them,
+    such as a (k, 1) column that broadcasts against a norm array into a
+    (k, norms) grid, one row per coefficient; it multiplies the summed
+    powers, so each grid cell equals the scalar-coefficient value bit for bit.
     """
 
-    coeff: float
+    coeff: float | np.ndarray
     exp1: float
     exp2: float
     exp3: float
 
     def __post_init__(self) -> None:
-        if self.coeff < 0.0:
+        if (np.asarray(self.coeff) < 0.0).any():
             raise ValueError("coeff must be nonnegative")
 
 
@@ -136,7 +141,9 @@ def bound_closed_form(spec: PowerControl, norm_a: np.ndarray | float, direction:
 
     The sum of bound_series_truncated's series: coeff * (t^e1 g(e1) +
     (2t)^e2 g(e2)), with g(e) the geometric sum of the ratio 3^(1-e) from
-    i = 0 (forward) or of 3^(e-1) from i = 1 (backward).
+    i = 0 (forward) or of 3^(e-1) from i = 1 (backward).  The result has the
+    broadcast shape of coeff and norm_a: a (k, 1) coefficient column over a
+    (n,) norm array gives the (k, n) grid.
     """
     validate_control_direction(spec, direction)
     t = np.asarray(norm_a, dtype=float)
@@ -154,7 +161,9 @@ def bound_series_truncated(spec: PowerControl, norm_a: np.ndarray | float, direc
     """Truncated error series along (a, 2a, 0) plus a geometric tail estimate, per norm.
 
     A control sees its arguments only through their norms, so the series runs
-    on t = ||a|| directly, for a whole norm column at once.  Forward sums
+    on t = ||a|| directly, for a whole norm column at once; a coefficient
+    array broadcasts against it as in bound_closed_form, so a (k, 1) column
+    over (n,) norms gives (k, n) values and tails.  Forward sums
     3^i * phi(t/3^i, 2t/3^i, 0) from i = 0; backward sums
     3^{-i} * phi(3^i t, 2*3^i t, 0) from i = 1 (the index origins differ on
     purpose).  Each sum is one math.fsum over its terms.  The tail uses the
@@ -170,13 +179,15 @@ def bound_series_truncated(spec: PowerControl, norm_a: np.ndarray | float, direc
         raise ValueError("norm_a must be nonnegative")
     # 3^i by Python's float ** as stabilize_batch forms it (numpy's array ** is an ulp off from 3^34 on)
     powers = np.array([3.0**i for i in range(terms + 1)])
+    spec = replace(spec, coeff=np.expand_dims(spec.coeff, -1))  # one coefficient per cell, over its terms
     if direction == FORWARD:
         factor = powers[:-1]
         term_values = factor * control_value(spec, t / factor, 2.0 * t / factor, 0.0)
     else:
         factor = powers[1:]
         term_values = control_value(spec, t * factor, 2.0 * factor * t, 0.0) / factor
-    value = np.array([math.fsum(cell) for cell in term_values.reshape(-1, terms).tolist()]).reshape(t.shape[:-1])
+    sums = [math.fsum(cell) for cell in term_values.reshape(-1, terms).tolist()]
+    value = np.array(sums).reshape(term_values.shape[:-1])
     last, prev = term_values[..., -1], term_values[..., -2] if terms >= 2 else 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = last / prev

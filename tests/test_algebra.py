@@ -350,16 +350,18 @@ class TestExtremeNorms:
 
     @pytest.mark.parametrize("d", BRACKET_DIMS)
     @pytest.mark.parametrize("grid", [(), (5,)])
-    def test_extremes_are_exact(self, monkeypatch, d, grid):
+    def test_extremes_are_exact(self, monkeypatch, d, grid, divided=False):
         rng = np.random.default_rng(400 + d)
         shape = (*grid, 200, d, d)
         # the ends of the range get [0, inf) brackets; sample 50 is all zero
-        stack = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * np.logspace(-170, 170, 200)[:, None, None]
+        span = 20 if divided else 170  # a divisor must reorder samples whose brackets are finite
+        stack = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * np.logspace(-span, span, 200)[:, None, None]
         stack[..., 50, :, :] = 0.0
-        full = spectral_norms(stack)
         allowance = 1e-9 * (1.0 + rng.random(200))
+        divisor = 10.0 ** rng.uniform(0.0, 40.0, 200) if divided else None
+        full = spectral_norms(stack) if divisor is None else spectral_norms(stack) / divisor
         calls = self.norm_calls(monkeypatch)
-        out = extreme_norms(stack, allowance)
+        out = extreme_norms(stack, allowance, divisor)
         assert 0 < sum(np.prod(c.shape[:-2]) for c in calls) < full.size
         assert out.shape == full.shape and np.all(out >= full)
         value, ref = (out, full) if not grid else (out.max(axis=0), full.max(axis=0))
@@ -368,6 +370,12 @@ class TestExtremeNorms:
         assert np.argmax(value - allowance) == np.argmax(ref - allowance)
         exact = value == ref
         assert np.array_equal(out[..., exact], full[..., exact])  # a candidate is exact at every phase
+
+    @pytest.mark.parametrize("d", BRACKET_DIMS)
+    @pytest.mark.parametrize("grid", [(), (5,)])
+    def test_divided_extremes_are_exact(self, monkeypatch, d, grid):
+        # values are norms over a per-sample divisor spread over forty decades, which reorders them
+        self.test_extremes_are_exact(monkeypatch, d, grid, divided=True)
 
     def test_zero_matrices_take_no_norm_call(self, monkeypatch):
         rng = np.random.default_rng(7)
@@ -387,6 +395,19 @@ class TestExtremeNorms:
         calls = self.norm_calls(monkeypatch)
         assert np.array_equal(extreme_norms(stack, np.full(8, 1e-9)), spectral_norms(stack))
         assert len(calls) == 1 and calls[0] is stack
+
+    def test_divisor_reorders_the_candidates(self, monkeypatch):
+        # norms 1 .. 8 divided by 1 .. 8 all read 1: every sample ties, so all are normed;
+        # divided by 8 .. 1 they spread, and only the two ends are
+        stack = np.arange(1.0, 9.0)[:, None, None] * np.eye(2, dtype=complex)
+        calls = self.norm_calls(monkeypatch)
+        ties = np.arange(1.0, 9.0)
+        assert np.array_equal(extreme_norms(stack, divisor=ties), spectral_norms(stack) / ties)
+        assert len(calls) == 1 and calls[0] is stack
+        calls.clear()
+        spread = extreme_norms(stack, divisor=ties[::-1])
+        assert spread.max() == 8.0 and spread.min() == 1.0 / 8.0
+        assert sum(len(c) for c in calls) == 2
 
     def test_empty_stacks(self):
         assert extreme_norms(np.zeros((0, 3, 3), dtype=complex)).shape == (0,)

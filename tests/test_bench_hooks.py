@@ -96,7 +96,9 @@ def test_series_terms_reads_terms_from_the_bounds_table_call(monkeypatch):
 
     monkeypatch.setattr(harness, "bound_series_truncated", recorded)
     cmd_bounds_table(config)
-    assert seen == [config.table_terms] * 21  # one call per control, on its whole norm column
+    # one call per (direction, exponent) group, on its whole coefficient × norm grid
+    groups = len(config.table_exps_backward) + len(config.table_exps_forward) + 1  # + the profile degree
+    assert seen == [config.table_terms] * groups
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)

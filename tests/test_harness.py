@@ -53,7 +53,14 @@ from stablab.mappings import (
     Transpose,
     UnitaryConjugation,
 )
-from stablab.stabilizer import BOUND_KINDS, PowerControl
+from stablab.stabilizer import (
+    BOUND_KINDS,
+    PowerControl,
+    bound_closed_form,
+    bound_fields,
+    bound_series_truncated,
+    make_control,
+)
 
 
 def minimal_config(**overrides):
@@ -527,6 +534,34 @@ class TestUniquenessLaw:
         assert summary.exit_code == EXIT_OK
         assert summary.meta["recovered_defects"]["uniqueness"] <= 1e-12
 
+    def test_law_is_exact_where_the_report_reads_it(self, monkeypatch):
+        # a coarse stabilizer tolerance spreads the law's values, so some
+        # converged samples cannot reach its extremes and are not normed
+        raw = json.loads(FORWARD_POWER_CONFIG.read_text())
+        overrides = {"sampling.samples": 50, "sampling.norm_cap": 0.1, "stabilizer.tol": 1e-6, "exactness.samples": 4}
+        for path, value in overrides.items():
+            set_path(raw, path, value)
+        config = parse_config(raw)
+        normed = []
+        real_extreme, real_norms = algebra.extreme_norms, algebra.spectral_norms
+
+        def counted(mats):
+            normed.append(len(mats))
+            return real_norms(mats)
+
+        def uniqueness(mats, allowance=None, divisor=None):
+            monkeypatch.setattr(algebra, "spectral_norms", counted)
+            try:
+                return real_extreme(mats, allowance, divisor)
+            finally:
+                monkeypatch.setattr(algebra, "spectral_norms", real_norms)
+
+        monkeypatch.setattr(harness, "extreme_norms", uniqueness)
+        body = report_json_bytes(cmd_stability(config), timestamp="T")
+        assert 0 < sum(normed) < config.samples
+        monkeypatch.setattr(harness, "extreme_norms", lambda mats, divisor: real_norms(mats) / divisor)
+        assert body == report_json_bytes(cmd_stability(config), timestamp="T")
+
 
 class TestDeterminism:
     def test_reports_byte_identical_modulo_timestamp(self):
@@ -848,6 +883,91 @@ class TestBoundsTableCommand:
         assert cell("power", "forward", 1.0, 2.0, 2.0)["closed_form"] == pytest.approx(30.0, abs=1e-12)
         prof = cell("profile", "forward", 1.0, 2.0, 1.0)
         assert prof["power_rel_err"] <= 1e-12
+
+    @staticmethod
+    def per_control_rows(config):
+        """The table as one scalar-coefficient call per control made it, in that loop's order."""
+        norms_a = np.array(config.table_norms, dtype=float)
+        controls = [
+            ("power", direction, coeff, exp)
+            for direction, exps in (("backward", config.table_exps_backward), ("forward", config.table_exps_forward))
+            for coeff in config.table_coeffs
+            for exp in exps
+        ] + [("profile", "forward", coeff, config.table_profile_degree) for coeff in config.table_coeffs]
+        rows = []
+        for kind, direction, coeff, exp in controls:
+            spec = make_control(kind, coeff, dict.fromkeys(bound_fields(kind), exp))
+            closed = bound_closed_form(spec, norms_a, direction)
+            series, tail = bound_series_truncated(spec, norms_a, direction, config.table_terms)
+            rel = np.abs(closed - (series + tail)) / np.maximum(np.abs(closed), 1e-300)
+            for i, norm in enumerate(norms_a.tolist()):
+                row = {"kind": kind, "direction": direction, "coeff": coeff, "exponent": exp, "norm_a": norm}
+                row |= {"closed_form": float(closed[i]), "series": float(series[i]), "tail_estimate": float(tail[i])}
+                row |= {"rel_err": float(rel[i]), "agree": bool(rel[i] <= 1e-9)}
+                if kind == "profile":
+                    ref = bound_closed_form(PowerControl(coeff, exp, exp, exp), norm, direction)
+                    rel_ref = abs(closed[i] - ref) / max(abs(ref), 1e-300)
+                    row |= {"power_reference": float(ref), "power_rel_err": float(rel_ref)}
+                rows.append(row)
+        return rows
+
+    @pytest.mark.parametrize("terms", [2, 3, 60, 200])
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {},  # the built-in default
+            # special exponents and norms, a zero coefficient, an exponent listed twice
+            {"coeffs": [0.0, 1.0, 0.37], "exps_backward": [0.0, 0.5, 0.5], "exps_forward": [2.0, 3.0, 4.0, 2.0],
+             "norms": [0.0, 1e-8, 1.0, 1e6], "profile_degree": 2.0},
+            {"coeffs": [10.0], "exps_backward": [0.999], "exps_forward": [1.0000001], "norms": [1e6, 0.0],
+             "profile_degree": 4.0},
+            {"coeffs": [1e-3, 5.0], "exps_backward": [0.25, 0.0], "exps_forward": [1.5, 3.0], "norms": [1e-8],
+             "profile_degree": 3.0},
+        ],
+        ids=["default", "special", "edges", "one_norm"],
+    )
+    def test_grid_rows_equal_the_per_control_calls(self, grid, terms):
+        raw = copy.deepcopy(BOUNDS_TABLE)
+        for key, value in (grid | {"terms": terms}).items():
+            set_path(raw, f"bounds_table.{key}", value)
+        config = parse_config(raw)
+        summary = cmd_bounds_table(config)
+        expected = self.per_control_rows(config)
+        assert len(summary.sample_rows) == len(expected) == summary.meta["cells"]
+        for got, want in zip(summary.sample_rows, expected):
+            assert list(got) == list(want)
+            for key, value in want.items():  # bit for bit (repr keeps a float's every bit and -0.0), types included
+                assert (type(got[key]), repr(got[key])) == (type(value), repr(value)), key
+        rel_errs = [r["rel_err"] for r in expected]
+        agreement = summary.checks[0]
+        assert agreement.max_residual == max(0.0, max(rel_errs))
+        assert agreement.worst_witness.sample_index == int(np.argmax(np.array(rel_errs) - 1e-9))
+
+    @pytest.mark.parametrize("budget, code", [(63 * 60, EXIT_OK), (63 * 60 - 1, EXIT_CONFIG)])
+    def test_work_budget_bounds_cells_times_terms(self, capsys, monkeypatch, budget, code):
+        monkeypatch.setattr(harness, "TABLE_WORK_BUDGET", budget)  # the default grid: 63 cells × 60 terms
+        got, err = run_cli(capsys, ["bounds-table"])
+        assert got == code
+        if code == EXIT_CONFIG:
+            assert err == [
+                "config error: config.bounds_table: 63 cells × 60 terms exceed the work budget of 3779 series terms"
+            ]
+
+    def test_huge_terms_exit_before_any_evaluation(self, capsys, monkeypatch, tmp_path):
+        # 10**12 terms would need (coeffs, norms, 10**12) temporaries: refused before any is allocated
+        def refused(*args, **kwargs):
+            raise AssertionError("the work budget must refuse the grid before evaluating it")
+
+        for name in ("bound_closed_form", "bound_series_truncated"):
+            monkeypatch.setattr(harness, name, refused)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(set_path(copy.deepcopy(BOUNDS_TABLE), "bounds_table.terms", 10**12)))
+        code, err = run_cli(capsys, ["bounds-table", "--config", str(path)])
+        assert code == EXIT_CONFIG
+        assert err == [
+            f"config error: config.bounds_table: 63 cells × {10**12} terms exceed the work budget of "
+            f"{harness.TABLE_WORK_BUDGET} series terms"
+        ]
 
     def test_two_terms_is_strict_json(self):
         # two terms give the tail its ratio; one term wrote an Infinity tail in every row

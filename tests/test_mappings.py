@@ -265,7 +265,11 @@ class TestJordanStar:
         for mu in phases[1:]:
             worst = np.maximum(worst, spectral_norms(apply_array(f, mu * A) - mu * fa))
         assert np.max(worst) > 1e-3
-        assert np.array_equal(defects["homogeneity"], worst)
+        # exact at the law's extremes and its first argmax, an upper bound everywhere else
+        law = defects["homogeneity"]
+        assert law.max() == worst.max() and law.min() == worst.min()
+        assert np.argmax(law) == np.argmax(worst)
+        assert np.all(law >= worst)
 
     def test_laws_exact_at_their_extremes(self, monkeypatch):
         # each law's maximum and minimum (and their first samples) are those of

@@ -237,6 +237,24 @@ class TestSeriesTruncated:
                 value, tail = bound_series_truncated(spec, float(norm_a), direction, 30)
                 assert (values[i], tails[i]) == pytest.approx((value, tail), rel=1e-15)
 
+    @pytest.mark.parametrize("direction, exp", [(FORWARD, 2.0), (FORWARD, 3.0), (BACKWARD, 0.0), (BACKWARD, 0.5)])
+    def test_coefficient_column_matches_scalar_calls(self, direction, exp):
+        # a (k, 1) coefficient column over (n,) norms: each cell equals its scalar-coefficient call bit for bit
+        coeffs, norms = [0.0, 1e-3, 0.37, 10.0], np.array([0.0, 1e-8, 0.5, 1e6])
+        column = PowerControl(np.array(coeffs)[:, np.newaxis], exp, exp, exp)
+        closed = bound_closed_form(column, norms, direction)
+        values, tails = bound_series_truncated(column, norms, direction, 40)
+        assert closed.shape == values.shape == tails.shape == (4, 4)
+        for k, coeff in enumerate(coeffs):
+            spec = PowerControl(coeff, exp, exp, exp)
+            assert np.array_equal(closed[k], bound_closed_form(spec, norms, direction))
+            value, tail = bound_series_truncated(spec, norms, direction, 40)
+            assert np.array_equal(values[k], value) and np.array_equal(tails[k], tail)
+
+    def test_negative_coefficient_entry_rejected(self):
+        with pytest.raises(ValueError, match="coeff"):
+            PowerControl(np.array([[1.0], [-1e-300]]), 2.0, 2.0, 2.0)
+
     def test_consistency_grid_against_closed_form(self):
         for direction, exps in ((FORWARD, (1.5, 2.0, 3.0)), (BACKWARD, (0.0, 0.25, 0.5))):
             for exp in exps:
