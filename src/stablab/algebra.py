@@ -7,6 +7,8 @@ arithmetic runs on (..., d, d) numpy stacks.  Every function here is pure.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 __all__ = [
@@ -149,16 +151,16 @@ def _block(dim: int) -> int:
     return -(-(2 * dim * dim + 1) // 4) * 4
 
 
-def _uniforms(seed: int, stream: int, rows: int, dim: int, first: int = 0) -> np.ndarray:
-    """Rows first .. first+rows-1 of the (seed, stream) draw, one block of uniforms on [0, 1) each.
+def _uniforms(seed: int, stream: int, out: np.ndarray, first: int = 0) -> np.ndarray:
+    """Fill ``out`` (rows, block) with rows first .. first+rows-1 of the (seed, stream) draw, uniforms on [0, 1).
 
     Philox is keyed by the two uint64 words (seed, stream); each uniform uses
     one 64-bit word, and a block is a whole number of Philox outputs, so
     advancing the counter by first * block / 4 starts exactly at row first.
     """
     bits = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
-    bits.advance(first * _block(dim) // 4)
-    return np.random.Generator(bits).random((rows, _block(dim)))
+    bits.advance(first * out.shape[1] // 4)
+    return np.random.Generator(bits).random(out.shape, out=out)
 
 
 def _scaled(u: np.ndarray, dim: int, norm_cap: float) -> tuple[np.ndarray, np.ndarray]:
@@ -188,24 +190,37 @@ def _check_args(dim: int, norm_cap: float) -> None:
 
 
 def random_elements(
-    seed: int, count: int, dim: int, norm_cap: float, stream: int = 0, *, norms_out: np.ndarray | None = None
+    seed: int,
+    count: int,
+    dim: int,
+    norm_cap: float,
+    stream: int | Sequence[int] = 0,
+    *,
+    norms_out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Stack of ``count`` seeded random elements as a (count, dim, dim) array.
+    """Stack of ``count`` seeded random elements per stream as a (streams * count, dim, dim) array.
 
     Entries are i.i.d. uniform on the complex square [-1,1) + [-1,1)i; each
     matrix is then rescaled so its operator norm equals a target drawn
-    uniformly from [0, norm_cap).  One counter-based draw keyed by
-    (seed, stream), both in [0, 2^64), and one norm call for the whole stack;
-    row i does not depend on ``count`` and random_element(seed, dim,
-    norm_cap, stream, i) replays it alone.
+    uniformly from [0, norm_cap).  Each stream is one counter-based draw
+    keyed by (seed, stream), both in [0, 2^64); ``stream`` is one stream or
+    a sequence of them, whose draws are stacked in order along the first
+    axis, and the whole stack takes one norm call.  Row i of a stream's draw
+    depends neither on ``count`` nor on the other streams, and
+    random_element(seed, dim, norm_cap, stream, i) replays it alone.
 
-    ``norms_out``, a float array of shape (count,), receives each row's
-    drawn norm: its target, or exactly 0 for a zero row.  A caller that needs
-    the norms of the stack reads them here instead of norming it again; a
-    drawn norm is within 4.5 eps relative of a fresh spectral_norms value.
+    ``norms_out``, a float array of shape (streams * count,), receives each
+    row's drawn norm: its target, or exactly 0 for a zero row.  A caller
+    that needs the norms of the stack reads them here instead of norming it
+    again; a drawn norm is within 4.5 eps relative of a fresh spectral_norms
+    value.
     """
     _check_args(dim, norm_cap)
-    out, norms = _scaled(_uniforms(seed, stream, count, dim), dim, norm_cap)
+    streams = [stream] if np.ndim(stream) == 0 else list(stream)
+    u = np.empty((len(streams) * count, _block(dim)))
+    for k, s in enumerate(streams):
+        _uniforms(seed, s, u[k * count : (k + 1) * count])
+    out, norms = _scaled(u, dim, norm_cap)
     if norms_out is not None:
         norms_out[...] = norms
     return out
@@ -220,7 +235,7 @@ def random_element(
     equal bit for bit to the batch's.
     """
     _check_args(dim, norm_cap)
-    out, norms = _scaled(_uniforms(seed, stream, 1, dim, first=index), dim, norm_cap)
+    out, norms = _scaled(_uniforms(seed, stream, np.empty((1, _block(dim))), first=index), dim, norm_cap)
     if norms_out is not None:
         norms_out[...] = norms[0]
     return out[0]

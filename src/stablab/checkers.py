@@ -3,15 +3,15 @@
 Each displayed inequality/equation of the stability theory gets a residual
 evaluator; universal quantifiers are sampled with seeded stacks.  Every
 sampled check is one row of CHECKS (input streams, residual, scale, phase
-mode), run by one runner that draws each stream once per call and reads its
-norms from the draw instead of norming it; a row over the phase grid is one
-residual call on all phases at once.  Every report's worst witness is read
-from column arrays at the worst sample: its residual is lhs there, with the
-input norms, and the inputs and phase when present, so failures are
-replayable.  Tolerances are scale-relative: "scale" means 1 + max input
-norm (1 + 2||c|| and 1 + 3||c|| for doubling and tripling, the norms of
-their arguments), which keeps checks meaningful near zero and for large
-elements.
+mode), run by one runner that draws all its streams in one sampler call
+and reads their norms from the draw instead of norming them; a row over
+the phase grid is one residual call on all phases at once.  Every report's
+worst witness is read from column arrays at the worst sample: its residual
+is lhs there, with the input norms, and the inputs and phase when present,
+so failures are replayable.  Tolerances are scale-relative: "scale" means
+1 + max input norm (1 + 2||c|| and 1 + 3||c|| for doubling and tripling,
+the norms of their arguments), which keeps checks meaningful near zero and
+for large elements.
 """
 
 from __future__ import annotations
@@ -330,14 +330,14 @@ def _run_checks(
     norm_cap: float,
     grid: Sequence[complex] = (),
 ) -> list[CheckReport]:
-    """Draw each input stream once with its drawn norms, then evaluate and judge the named rows in order."""
+    """Draw every input stream with its norms in one sampler call, then evaluate and judge the named rows in order."""
     checks = [CHECKS[name] for name in names]
     streams = {k: stream for check in checks for k, stream in check.streams.items()}
     d = f.dim
-    norms = {k: np.empty(samples) for k in streams}
-    x = _Inputs(
-        f, {k: random_elements(seed, samples, d, norm_cap, stream=s, norms_out=norms[k]) for k, s in streams.items()}
-    )
+    drawn = np.empty(len(streams) * samples)
+    stacks = random_elements(seed, samples, d, norm_cap, stream=list(streams.values()), norms_out=drawn)
+    norms = dict(zip(streams, drawn.reshape(len(streams), samples)))
+    x = _Inputs(f, dict(zip(streams, stacks.reshape(len(streams), samples, d, d))))
     reports = []
     for check in checks:
         row_norms = {k: norms[k] for k in check.streams}

@@ -61,6 +61,7 @@ from .stabilizer import (
     BACKWARD,
     BOUND_KINDS,
     FORWARD,
+    SERIES_TERMS_MAX,
     CalibrationError,
     ControlDirectionError,
     DivergedError,
@@ -153,7 +154,7 @@ CONFIG_FIELDS = (
     ("bounds_table.exps_forward", "table_exps_forward", list[float], [1.5, 2.0, 3.0], "(1, inf)"),
     ("bounds_table.exps_backward", "table_exps_backward", list[float], [0.0, 0.25, 0.5], "[0, 1)"),
     ("bounds_table.norms", "table_norms", list[float], [0.5, 1.0, 2.0], "[0, inf)"),
-    ("bounds_table.terms", "table_terms", int, 60, "[2, inf)"),
+    ("bounds_table.terms", "table_terms", int, 60, f"[2, {SERIES_TERMS_MAX}]"),
     ("bounds_table.profile_degree", "table_profile_degree", float, 2.0, "(1, inf)"),
     ("outputs.format", "output_format", str, "json", ("json", "csv")),
     ("outputs.path", "output_path", str, None, None),

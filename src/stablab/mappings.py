@@ -9,7 +9,7 @@ map adds a controlled defect term to an exact base.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
@@ -79,10 +79,18 @@ def _read_only_matrix(value, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class UnitaryConjugation:
-    """x -> u x u* for a fixed unitary u; multiplicative, star- and square-preserving."""
+    """x -> u x u* for a fixed unitary u; multiplicative, star- and square-preserving.
+
+    A u with exactly one nonzero entry per row and per column (a permutation
+    with unit phases, as phase_permutation_unitary builds) keeps that entry's
+    column ``perm[i]`` and value ``ph[i]`` of each row i, and apply_array
+    conjugates by it as a gather; for any other u both are None.
+    """
 
     kind = "unitary_conjugation"
     u: np.ndarray
+    perm: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
+    ph: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         u = _read_only_matrix(self.u, "u")
@@ -92,6 +100,11 @@ class UnitaryConjugation:
             defect = u.conj().T @ u - np.eye(u.shape[0])
         if float(spectral_norms(defect[np.newaxis])[0]) > 1e-10:
             raise ValueError("u is not unitary within 1e-10")
+        nonzero = u != 0
+        if np.all(nonzero.sum(axis=0) == 1) and np.all(nonzero.sum(axis=1) == 1):
+            perm = np.argmax(nonzero, axis=1)
+            object.__setattr__(self, "perm", perm)
+            object.__setattr__(self, "ph", u[np.arange(u.shape[0]), perm])
 
     @property
     def dim(self) -> int:
@@ -266,8 +279,13 @@ def apply_array(f: MapSpec, xs: np.ndarray, norms: np.ndarray | None = None) -> 
         return apply_array(f.base, xs) + _perturbation_term(f.perturbation, xs, norms)
     if type(f) in DIM_ONLY_ACTIONS:
         return DIM_ONLY_ACTIONS[type(f)](xs)
-    u = f.u  # unitary conjugation
-    return u @ xs @ u.conj().T
+    if f.perm is None:  # unitary conjugation
+        return f.u @ xs @ f.u.conj().T
+    # (u x u*)[i, j] = ph[i] x[perm[i], perm[j]] conj(ph[j]), multiplied in the order of (u @ x) @ u*;
+    # the operand order matters too, as numpy's complex product is not commutative bit for bit
+    out = xs[..., f.perm[:, np.newaxis], f.perm[np.newaxis, :]]  # a gather makes a new array
+    np.multiply(f.ph[:, np.newaxis], out, out=out)
+    return np.multiply(out, f.ph.conj(), out=out)
 
 
 def unit_circle_grid(extra: int = 16) -> list[complex]:
@@ -308,8 +326,7 @@ def jordan_star_defects(
     if phases is None:
         phases = unit_circle_grid()
     mus = np.array([mu for mu in phases if mu != 1], dtype=np.complex128)[:, None, None, None]
-    A = random_elements(seed, samples, dim, norm_cap, stream=1)
-    B = random_elements(seed, samples, dim, norm_cap, stream=2)
+    A, B = random_elements(seed, samples, dim, norm_cap, stream=(1, 2)).reshape(2, samples, dim, dim)
     values = eval_fn(np.concatenate([A, A @ A, _conj_t(A), A + B, B, *(mus * A)], axis=0))
     fa, faa, fas, fab, fb = values[: 5 * samples].reshape(5, samples, dim, dim)
     f_twisted = values[5 * samples :].reshape(len(mus), samples, dim, dim)

@@ -16,16 +16,18 @@ from __future__ import annotations
 
 import functools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import norm_brackets, random_elements, spectral_norms
+from .algebra import NonFiniteError, norm_brackets, random_elements, spectral_norms
 from .checkers import _stability_equation_values
 from .mappings import MapSpec, Perturbed, _safe_pow, apply_array
 
 __all__ = [
     "BOUND_KINDS",
+    "SERIES_TERMS_MAX",
     "CalibrationError",
     "ControlDirectionError",
     "DivergedError",
@@ -46,6 +48,8 @@ FORWARD = "forward"
 BACKWARD = "backward"
 DIVERGENCE_GROWTH_STEPS = 5
 ITERATE_OVERFLOW_LIMIT = 1e150
+# The longest truncated bound series: its factors 3^i, i <= terms, are finite floats up to 3^646
+SERIES_TERMS_MAX = 646
 
 
 class ControlDirectionError(ValueError):
@@ -136,6 +140,16 @@ def validate_control_direction(spec: PowerControl, direction: str) -> None:
         )
 
 
+@contextmanager
+def _within_float_range(what: str):
+    """Raise NonFiniteError naming ``what`` where its arithmetic overflows, instead of an infinity and a warning."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except (FloatingPointError, OverflowError):  # OverflowError: a math.fsum beyond the float range
+        raise NonFiniteError(f"{what}: a value is beyond the float range") from None
+
+
 def bound_closed_form(spec: PowerControl, norm_a: np.ndarray | float, direction: str):
     """Closed-form distance bound ||f(a) - h(a)|| for the admissible direction, per norm.
 
@@ -154,7 +168,8 @@ def bound_closed_form(spec: PowerControl, norm_a: np.ndarray | float, direction:
         return 1.0 - 3.0 ** (1.0 - e) if direction == FORWARD else 3.0 ** (1.0 - e) - 1.0
 
     c, e1, e2 = spec.coeff, spec.exp1, spec.exp2
-    return c * _control_pow(t, e1) / denominator(e1) + c * _control_pow(2.0 * t, e2) / denominator(e2)
+    with _within_float_range(f"{direction} closed-form bound"):
+        return c * _control_pow(t, e1) / denominator(e1) + c * _control_pow(2.0 * t, e2) / denominator(e2)
 
 
 def bound_series_truncated(spec: PowerControl, norm_a: np.ndarray | float, direction: str, terms: int):
@@ -168,25 +183,27 @@ def bound_series_truncated(spec: PowerControl, norm_a: np.ndarray | float, direc
     3^{-i} * phi(3^i t, 2*3^i t, 0) from i = 1 (the index origins differ on
     purpose).  Each sum is one math.fsum over its terms.  The tail uses the
     empirical ratio of the last two terms and is infinite when that ratio
-    fails to certify convergence.
+    fails to certify convergence.  ``terms`` runs from 1 to SERIES_TERMS_MAX;
+    a term or sum beyond the float range raises NonFiniteError.
     """
     if direction not in (FORWARD, BACKWARD):
         raise ValueError(f"direction must be '{FORWARD}' or '{BACKWARD}', got {direction!r}")
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
+    if not 1 <= terms <= SERIES_TERMS_MAX:
+        raise ValueError(f"terms must be in [1, {SERIES_TERMS_MAX}]")
     t = np.asarray(norm_a, dtype=float)[..., np.newaxis]  # the terms of each norm run along the last axis
     if np.any(t < 0.0):
         raise ValueError("norm_a must be nonnegative")
     # 3^i by Python's float ** as stabilize_batch forms it (numpy's array ** is an ulp off from 3^34 on)
     powers = np.array([3.0**i for i in range(terms + 1)])
     spec = replace(spec, coeff=np.expand_dims(spec.coeff, -1))  # one coefficient per cell, over its terms
-    if direction == FORWARD:
-        factor = powers[:-1]
-        term_values = factor * control_value(spec, t / factor, 2.0 * t / factor, 0.0)
-    else:
-        factor = powers[1:]
-        term_values = control_value(spec, t * factor, 2.0 * factor * t, 0.0) / factor
-    sums = [math.fsum(cell) for cell in term_values.reshape(-1, terms).tolist()]
+    with _within_float_range(f"{direction} bound series of {terms} terms"):
+        if direction == FORWARD:
+            factor = powers[:-1]
+            term_values = factor * control_value(spec, t / factor, 2.0 * t / factor, 0.0)
+        else:
+            factor = powers[1:]
+            term_values = control_value(spec, t * factor, 2.0 * factor * t, 0.0) / factor
+        sums = [math.fsum(cell) for cell in term_values.reshape(-1, terms).tolist()]
     value = np.array(sums).reshape(term_values.shape[:-1])
     last, prev = term_values[..., -1], term_values[..., -2] if terms >= 2 else 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -362,10 +379,10 @@ def _calibrated_coeff(
     f: MapSpec, template: PowerControl, seed: int, samples: int, norm_cap: float, stream: int
 ) -> float:
     d = f.dim
-    na, nb, nc = np.empty((3, samples))
-    A = random_elements(seed, samples, d, norm_cap, stream=stream, norms_out=na)
-    B = random_elements(seed, samples, d, norm_cap, stream=stream + 1, norms_out=nb)
-    C = random_elements(seed, samples, d, norm_cap, stream=stream + 2, norms_out=nc)
+    norms = np.empty(3 * samples)
+    streams = (stream, stream + 1, stream + 2)
+    A, B, C = random_elements(seed, samples, d, norm_cap, stream=streams, norms_out=norms).reshape(3, samples, d, d)
+    na, nb, nc = norms.reshape(3, samples)
     residuals = _stability_equation_values(f, A, B, C, phase=1.0, na=na, nc=nc)
     base = control_value(replace(template, coeff=1.0), na, nb, nc)
     zero = base == 0.0

@@ -528,3 +528,49 @@ class TestRandomElement:
     def test_streams_differ(self):
         a, b = (random_elements(8, 4, 2, 1.0, stream=s) for s in (0, 1))
         assert not np.array_equal(a, b)
+
+
+class TestBatchedDraw:
+    """random_elements over a sequence of streams: one flat stack, rows as drawn one stream at a time."""
+
+    STREAMS = (10, 11, 12, 13, 20, 21, 22, 35, 36)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("k", [1, 2, 3, 9])
+    def test_equals_the_single_stream_calls(self, dim, k):
+        streams = self.STREAMS[:k]
+        norms = np.empty(k * 40)
+        stack = random_elements(91, 40, dim, 10.0, stream=streams, norms_out=norms)
+        assert stack.shape == (k * 40, dim, dim) and stack.dtype == np.complex128
+        singles, single_norms = [], []
+        for s in streams:
+            n = np.empty(40)
+            singles.append(random_elements(91, 40, dim, 10.0, stream=s, norms_out=n))
+            single_norms.append(n)
+        assert np.array_equal(stack, np.concatenate(singles))
+        assert np.array_equal(norms, np.concatenate(single_norms))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
+    def test_random_element_replays_any_row(self, dim):
+        streams = self.STREAMS[:4]
+        norms = np.empty(4 * 25)
+        stack = random_elements(92, 25, dim, 3.0, stream=streams, norms_out=norms)
+        for k, s in enumerate(streams):
+            for i in (0, 1, 12, 24):
+                norm = np.empty(())
+                assert np.array_equal(random_element(92, dim, 3.0, stream=s, index=i, norms_out=norm), stack[k * 25 + i])
+                assert norm == norms[k * 25 + i]
+
+    def test_one_norm_call_for_all_streams(self, monkeypatch):
+        calls = []
+
+        def counting(mats):
+            calls.append(np.shape(mats))
+            return spectral_norms(mats)
+
+        monkeypatch.setattr(algebra, "spectral_norms", counting)
+        random_elements(8, 300, 4, 1.0, stream=[3, 4, 5])
+        assert calls == [(900, 4, 4)]
+
+    def test_empty_stream_sequence_draws_nothing(self):
+        assert random_elements(8, 5, 3, 1.0, stream=()).shape == (0, 3, 3)

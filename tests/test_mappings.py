@@ -24,6 +24,7 @@ from stablab.mappings import (
     unit_circle_grid,
     unit_direction,
 )
+from test_algebra import haar_unitary
 
 
 class TestEvaluate:
@@ -176,6 +177,65 @@ class TestPhasePermutationUnitary:
         for col in range(dim):
             ref[perm[col], col] = phases[col]
         assert phase_permutation_unitary(dim, seed).tobytes() == ref.tobytes()
+
+
+class TestPhasePermutationGather:
+    """A unitary with one nonzero entry per row and column conjugates as a gather; any other by matmul."""
+
+    MONOMIAL = np.array([[0, 1j, 0], [0, 0, -1], [1, 0, 0]], dtype=np.complex128)
+
+    @staticmethod
+    def stacks(dim: int, seed: int) -> list[np.ndarray]:
+        # 3-D and 4-D (phase-grid) stacks, with norms over 200 decades
+        x = random_elements(seed, 60, dim, 3.0, stream=7) * np.logspace(-100, 100, 60)[:, None, None]
+        return [x, np.asarray(unit_circle_grid(), dtype=np.complex128)[:, None, None, None] * x]
+
+    def test_seed_built_and_monomial_matrices_take_the_gather(self):
+        for dim in (1, 2, 3, 4, 8):
+            f = UnitaryConjugation(phase_permutation_unitary(dim, 5))
+            assert f.perm is not None and f.ph is not None
+        f = UnitaryConjugation(self.MONOMIAL)
+        assert f.perm.tolist() == [1, 2, 0]
+        assert f.ph.tolist() == [1j, -1, 1]
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_gather_agrees_with_the_matmul(self, dim, seed):
+        u = phase_permutation_unitary(dim, seed)
+        f = UnitaryConjugation(u)
+        for xs in self.stacks(dim, seed):
+            got, ref = apply_array(f, xs), u @ xs @ u.conj().T
+            assert got.shape == xs.shape
+            # each entry is one product ph[i] x conj(ph[j]); |ph| = 1, so it keeps the entry's size
+            assert np.all(np.abs(got - ref) <= 4 * np.finfo(float).eps * np.abs(ref)), (dim, seed)
+
+    def test_monomial_matrix_agrees_with_the_matmul(self):
+        u = self.MONOMIAL
+        for xs in self.stacks(3, 9):
+            got = apply_array(UnitaryConjugation(u), xs)
+            assert np.all(np.abs(got - u @ xs @ u.conj().T) <= 4 * np.finfo(float).eps * np.abs(got))
+
+    @pytest.mark.parametrize("dim,seed", [(3, None), (3, 4), (4, 1), (8, 2)])
+    def test_entries_follow_the_product_order(self, dim, seed):
+        # (u x u*)[i, j] = (u[i, p(i)] x[p(i), p(j)]) conj(u[j, p(j)]), the order of (u @ x) @ u*;
+        # the monomial matrix's p = (1, 2, 0) is a 3-cycle, so p and its inverse differ
+        u = self.MONOMIAL if seed is None else phase_permutation_unitary(dim, seed)
+        p = np.argmax(u != 0, axis=1)
+        for xs in self.stacks(dim, 9):
+            got = apply_array(UnitaryConjugation(u), xs)
+            for i in range(dim):
+                for j in range(dim):
+                    left = np.full(xs.shape[:-2], u[i, p[i]])
+                    right = np.full(xs.shape[:-2], np.conj(u[j, p[j]]))
+                    assert np.array_equal(got[..., i, j], (left * xs[..., p[i], p[j]]) * right), (i, j)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    def test_general_unitary_keeps_the_matmul(self, dim):
+        u = haar_unitary(np.random.default_rng(dim), dim)
+        f = UnitaryConjugation(u)
+        assert f.perm is None and f.ph is None
+        for xs in self.stacks(dim, 11):
+            assert np.array_equal(apply_array(f, xs), f.u @ xs @ f.u.conj().T)
 
 
 class TestUnitCircleGrid:
