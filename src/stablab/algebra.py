@@ -16,6 +16,7 @@ __all__ = [
     "NonFiniteError",
     "spectral_norms",
     "norm_brackets",
+    "NormBracket",
     "extreme_norms",
     "random_element",
     "random_elements",
@@ -46,20 +47,13 @@ def spectral_norms(mats: np.ndarray) -> np.ndarray:
     to a few ulps of the norm even when the top singular values are nearly
     degenerate.  Each matrix is decomposed independently: a value does not
     depend on the rest of the stack.  A matrix whose entries are all zero
-    (-0.0 included; a subnormal entry is nonzero) gets exactly 0.0 without
-    going through the SVD, so skipping it moves no other value.  Non-finite
-    entries raise NonFiniteError (a ValueError).
+    (-0.0 included) gets +0.0.  Non-finite entries raise NonFiniteError (a
+    ValueError).
     """
     arr = _square_stack(mats)
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError("spectral_norms: non-finite entries")
-    live = arr.any(axis=(-2, -1))
-    if live.all():
-        return np.linalg.svd(arr, compute_uv=False)[..., 0]
-    out = np.zeros(live.shape)
-    if live.any():
-        out[live] = np.linalg.svd(arr[live], compute_uv=False)[..., 0]
-    return out[()]
+    return np.linalg.svd(arr, compute_uv=False)[..., 0]
 
 
 # The relative widening of a Frobenius bracket, far above the few ulps by
@@ -91,23 +85,39 @@ def norm_brackets(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo[()], np.where(bounded, frob * (1.0 + BRACKET_MARGIN), np.inf)[()]
 
 
-def extreme_norms(
-    mats: np.ndarray, allowance: np.ndarray | None = None, divisor: np.ndarray | None = None
-) -> np.ndarray:
+class NormBracket:
+    """Bounds lo <= spectral_norms(mats) <= hi per matrix of a (..., d, d) stack, exact where refined.
+
+    Every matrix starts from its norm_brackets bounds; ``refine`` norms the
+    selected matrices whose bracket is still open with spectral_norms, after
+    which each has lo == hi, its exact value.  An all-zero matrix starts
+    exact, at [0, 0], so it is never normed, and no matrix is normed twice.
+    """
+
+    def __init__(self, mats: np.ndarray):
+        self.mats = mats
+        self.lo, self.hi = norm_brackets(mats)
+
+    def refine(self, rows: np.ndarray) -> None:
+        """Norm the open matrices among ``rows`` (a mask of lo's shape); the stack as it is when all are selected."""
+        rows = rows & (self.lo < self.hi)
+        if rows.all():
+            self.lo[...] = self.hi[...] = spectral_norms(self.mats)
+        elif rows.any():
+            self.lo[rows] = self.hi[rows] = spectral_norms(self.mats[rows])
+
+
+def extreme_norms(mats: np.ndarray, allowance: np.ndarray | None = None) -> np.ndarray:
     """Spectral norms of a sample stack, exact wherever a report can read them.
 
     ``mats`` is (n, d, d), one matrix per sample, or (G, n, d, d), G matrices
-    per sample whose maximum over axis 0 is the sample's value.  Given
-    ``divisor`` (positive, per sample), a value is its norm divided by the
-    sample's divisor, and both ends of each bracket are divided likewise
-    (rounding is monotone, so the quotients still bracket it).  A report
+    per sample whose maximum over axis 0 is the sample's norm.  A report
     reads the maximum, the minimum and, given ``allowance`` (tol * scale per
-    sample), the first argmax of value - allowance.  Each sample is
-    bracketed by norm_brackets (over G, the maximum of lo and of hi); a
-    sample whose bracket could reach one of those extremes is a candidate,
-    and each of its matrices gets its spectral_norms value (an exact bracket
-    [0, 0] without a norm call).  Every other sample carries its hi in all
-    its entries, which lies strictly below the maximum and the worst
+    sample), the first argmax of norm - allowance.  Each sample is bracketed
+    by a NormBracket (over G, the maximum of lo and of hi); a sample whose
+    bracket could reach one of those extremes is a candidate, and the
+    bracket refines all its matrices.  Every other sample carries its hi in
+    all its entries, which lies strictly below the maximum and the worst
     excess and strictly above the minimum.  So the extremes, their first
     indices and, for a candidate, its first maximising matrix over G are
     those of full norms, bit for bit.
@@ -115,24 +125,14 @@ def extreme_norms(
     arr = _square_stack(mats)
     if arr.size == 0:
         return np.zeros(arr.shape[:-2])
-    lo, hi = norm_brackets(arr)
-    need = lo != hi
-    if divisor is not None:
-        lo, hi = lo / divisor, hi / divisor
-    sample_lo, sample_hi = (lo, hi) if lo.ndim == 1 else (lo.max(axis=0), hi.max(axis=0))
+    bracket = NormBracket(arr)
+    lo, hi = bracket.lo, bracket.hi
+    sample_lo, sample_hi = (lo, hi) if arr.ndim == 3 else (lo.max(axis=0), hi.max(axis=0))
     candidate = (sample_hi >= sample_lo.max()) | (sample_lo <= sample_hi.min())
     if allowance is not None:
         candidate |= sample_hi - allowance >= np.max(sample_lo - allowance)
-    need &= candidate
-    if need.all():
-        norms = spectral_norms(arr)
-        return norms if divisor is None else norms / divisor
-    out = np.where(candidate, lo, sample_hi)
-    if need.any():
-        out[need] = spectral_norms(arr[need])
-        if divisor is not None:
-            out[need] /= np.broadcast_to(divisor, need.shape)[need]
-    return out
+    bracket.refine(np.broadcast_to(candidate, lo.shape))
+    return np.where(candidate, lo, sample_hi)
 
 
 def derived_seed(*parts: int) -> int:

@@ -29,7 +29,7 @@ from typing import Any, get_args, get_origin
 
 import numpy as np
 
-from .algebra import SAMPLER, derived_seed, extreme_norms, random_elements, spectral_norms
+from .algebra import SAMPLER, derived_seed, random_elements, spectral_norms
 from .checkers import (
     CheckReport,
     _build_report,
@@ -703,7 +703,7 @@ def cmd_stability(config: ExperimentConfig) -> RunSummary:
     if converged.size:
         base = f.base if isinstance(f, Perturbed) else f
         residuals = limits[converged] - apply_array(base, A[converged])
-        defects["uniqueness"] = extreme_norms(residuals, divisor=scales[converged])  # exact where the checks read it
+        defects["uniqueness"] = spectral_norms(residuals) / scales[converged]
     names = sorted(defects)
     meta["recovered_defects"] = {k: float(np.max(defects[k])) for k in names}
     # One value per law and sample, judged together; the values come from two

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import NonFiniteError, norm_brackets, random_elements, spectral_norms
+from .algebra import NonFiniteError, NormBracket, random_elements, spectral_norms
 from .checkers import _stability_equation_values
 from .mappings import MapSpec, Perturbed, _safe_pow, apply_array
 
@@ -251,25 +251,8 @@ class StabilizationResult:
         return self.status == "converged"
 
 
-class _Residuals:
-    """One iteration's Cauchy residuals ||h_n - h_{n-1}|| as per-row bounds lo <= res <= hi.
-
-    Every row starts from its norm_brackets bounds; ``refine`` norms rows
-    with spectral_norms, after which such a row has lo == hi, its exact value.
-    """
-
-    def __init__(self, diff: np.ndarray):
-        self.diff = diff
-        self.lo, self.hi = norm_brackets(diff)
-
-    def refine(self, rows: np.ndarray) -> None:
-        rows = rows & (self.lo < self.hi)
-        if rows.any():
-            self.lo[rows] = self.hi[rows] = spectral_norms(self.diff[rows])
-
-
-def _greater(x: _Residuals, y: _Residuals, rows: np.ndarray) -> np.ndarray:
-    """Per row, x > y; exact on ``rows``, where overlapping bounds get both sides normed."""
+def _greater(x: NormBracket, y: NormBracket, rows: np.ndarray) -> np.ndarray:
+    """Per row, x > y between two NormBrackets; exact on ``rows``, where overlapping bounds refine both sides."""
     undecided = rows & (x.lo <= y.hi) & (x.hi > y.lo)
     x.refine(undecided)
     y.refine(undecided)
@@ -307,10 +290,11 @@ def stabilize_batch(
     ITERATE_OVERFLOW_LIMIT), or exhausts max_iter.  A direction "auto" that
     resolve_direction cannot resolve raises ValueError.
 
-    Each residual starts as its Frobenius bracket.  It is normed exactly
-    where the bracket leaves a decision open (converged, growing, above the
-    first residual; an open comparison norms both sides) and, with
-    ``traces=True``, on every running sample, whose result carries its trace.
+    Each iteration's residuals are one NormBracket, starting from their
+    Frobenius brackets.  It refines a residual where the bracket leaves a
+    decision open (converged, growing, above the first residual; an open
+    comparison refines both sides) and, with ``traces=True``, on every
+    running sample, whose result carries its trace.
     Statuses, iterations and limits do not depend on ``traces``, bit for bit.
     """
     direction = resolve_direction(f, cfg)
@@ -334,7 +318,7 @@ def stabilize_batch(
             h = factor * apply_array(f, A / factor, norms_a / factor)
         else:
             h = apply_array(f, A * factor, norms_a * factor) / factor
-        res = _Residuals(h - h_prev)
+        res = NormBracket(h - h_prev)  # one iteration's Cauchy residuals ||h_n - h_{n-1}||
         if traces:  # the rows still running are the ones a trace reports
             res.refine(active)
             history.append(res.lo)

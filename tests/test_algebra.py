@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from stablab import algebra
 from stablab.algebra import (
     NonFiniteError,
+    NormBracket,
     extreme_norms,
     norm_brackets,
     random_element,
@@ -199,7 +200,7 @@ class TestOpNorm:
             for i in range(stack.shape[0]):
                 assert np.array_equal(batch[i], spectral_norms(stack[i][np.newaxis])[0])
 
-    def test_zero_rows_skip_without_moving_a_value(self):
+    def test_zero_matrices_norm_to_positive_zero(self):
         # zero, -0.0-only, subnormal-entry and random rows mixed in one stack
         rng = np.random.default_rng(13)
         stack = rng.normal(size=(9, 3, 3)) + 1j * rng.normal(size=(9, 3, 3))
@@ -215,17 +216,16 @@ class TestOpNorm:
             assert np.array_equal(got[i], ref) and np.signbit(got[i]) == np.signbit(ref), i
         assert got[1] == got[4] == 0.0 and not np.signbit(got[[1, 4]]).any()
         assert got[5] > 0.0 and got[7] > 0.0  # a subnormal entry is a nonzero matrix
-
-    def test_all_zero_stack_makes_no_svd_call(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("SVD called on a zero matrix")
-
-        monkeypatch.setattr(np.linalg, "svd", refuse)
-        stack = np.zeros((6, 4, 4), dtype=complex)
-        stack[2] = complex(-0.0, 0.0)
-        got = spectral_norms(stack)
+        zeros = np.zeros((6, 4, 4), dtype=complex)
+        zeros[2] = complex(-0.0, 0.0)
+        got = spectral_norms(zeros)
         assert got.shape == (6,) and np.array_equal(got, np.zeros(6)) and not np.signbit(got).any()
         assert spectral_norms(np.zeros((2, 2), dtype=complex)) == 0.0
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3), (2, 3, 1)])
+    def test_non_square_stack_raises(self, shape):
+        with pytest.raises(ValueError, match=r"expected a \(\.\.\., d, d\) stack"):
+            spectral_norms(np.ones(shape, dtype=complex))
 
     def test_extreme_scales(self):
         x = np.array([[1e200, 0], [0, 0]], dtype=complex)
@@ -333,35 +333,95 @@ class TestNormBrackets:
                 norm_brackets(stack)
 
 
+def norm_calls(monkeypatch) -> list:
+    """The stacks passed to algebra.spectral_norms from now on, in call order."""
+    calls = []
+    real = algebra.spectral_norms
+
+    def counted(mats):
+        calls.append(mats)
+        return real(mats)
+
+    monkeypatch.setattr(algebra, "spectral_norms", counted)
+    return calls
+
+
+class TestNormBracket:
+    """A NormBracket norms each open matrix at most once, only where refined, and there equals spectral_norms."""
+
+    @staticmethod
+    def mixed_stack(shape: tuple, d: int = 3) -> np.ndarray:
+        """A random stack over 340 decades (the ends get [0, inf) brackets) with zero matrices at every 4th place."""
+        rng = np.random.default_rng(500 + d)
+        stack = rng.normal(size=(*shape, d, d)) + 1j * rng.normal(size=(*shape, d, d))
+        stack *= np.logspace(-170, 170, shape[-1])[:, None, None]
+        stack[..., ::4, :, :] = 0.0
+        return stack
+
+    @pytest.mark.parametrize("shape", [(12,), (3, 12)])
+    def test_refining_every_open_row_norms_the_stack_itself(self, monkeypatch, shape):
+        stack = self.mixed_stack(shape)
+        stack[..., ::4, 0, 0] = 1.0  # no zero matrix, so every row is open
+        norms = NormBracket(stack)
+        calls = norm_calls(monkeypatch)
+        norms.refine(np.ones(shape, dtype=bool))
+        assert len(calls) == 1 and calls[0] is stack
+        assert np.array_equal(norms.lo, spectral_norms(stack)) and np.array_equal(norms.hi, norms.lo)
+
+    @pytest.mark.parametrize("shape", [(12,), (3, 12)])
+    def test_masked_refine_norms_only_the_selected_open_rows(self, monkeypatch, shape):
+        stack = self.mixed_stack(shape)
+        rows = np.random.default_rng(9).random(shape) < 0.5
+        norms = NormBracket(stack)
+        calls = norm_calls(monkeypatch)
+        norms.refine(rows)
+        open_rows = stack.any(axis=(-2, -1))
+        assert len(calls) == 1 and np.array_equal(calls[0], stack[rows & open_rows])
+        assert np.all(norms.lo[~rows & open_rows] < norms.hi[~rows & open_rows])
+
+    def test_zero_and_refined_rows_are_never_normed_again(self, monkeypatch):
+        stack = self.mixed_stack((12,))
+        norms = NormBracket(stack)
+        calls = norm_calls(monkeypatch)
+        first = np.arange(12) < 6
+        norms.refine(first)
+        norms.refine(np.ones(12, dtype=bool))
+        norms.refine(np.ones(12, dtype=bool))
+        normed = [[1, 2, 3, 5], [6, 7, 9, 10, 11]]  # rows 0, 4 and 8 are zero
+        assert len(calls) == 2 and all(np.array_equal(c, stack[rows]) for c, rows in zip(calls, normed))
+        calls.clear()
+        NormBracket(np.zeros((5, 2, 2), dtype=complex)).refine(np.ones(5, dtype=bool))
+        assert calls == []
+
+    @pytest.mark.parametrize("d", BRACKET_DIMS)
+    def test_refined_rows_hold_the_full_norm(self, d):
+        stack = self.mixed_stack((3, 40), d)
+        full = spectral_norms(stack)
+        norms = NormBracket(stack)
+        rng = np.random.default_rng(d)
+        for _ in range(3):
+            norms.refine(rng.random((3, 40)) < 0.3)
+            exact = norms.lo == norms.hi
+            assert np.array_equal(norms.lo[exact], full[exact])
+            assert np.all(norms.lo <= full) and np.all(full <= norms.hi)
+        assert exact.sum() > 40 and not exact.all()
+
+
 class TestExtremeNorms:
     """extreme_norms is exact wherever a report reads a sample stack and an upper bound everywhere else."""
 
-    @staticmethod
-    def norm_calls(monkeypatch) -> list:
-        calls = []
-        real = algebra.spectral_norms
-
-        def counted(mats):
-            calls.append(mats)
-            return real(mats)
-
-        monkeypatch.setattr(algebra, "spectral_norms", counted)
-        return calls
-
     @pytest.mark.parametrize("d", BRACKET_DIMS)
     @pytest.mark.parametrize("grid", [(), (5,)])
-    def test_extremes_are_exact(self, monkeypatch, d, grid, divided=False):
+    def test_extremes_are_exact(self, monkeypatch, d, grid):
         rng = np.random.default_rng(400 + d)
         shape = (*grid, 200, d, d)
         # the ends of the range get [0, inf) brackets; sample 50 is all zero
-        span = 20 if divided else 170  # a divisor must reorder samples whose brackets are finite
-        stack = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * np.logspace(-span, span, 200)[:, None, None]
+        stack = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * np.logspace(-170, 170, 200)[:, None, None]
         stack[..., 50, :, :] = 0.0
         allowance = 1e-9 * (1.0 + rng.random(200))
-        divisor = 10.0 ** rng.uniform(0.0, 40.0, 200) if divided else None
-        full = spectral_norms(stack) if divisor is None else spectral_norms(stack) / divisor
-        calls = self.norm_calls(monkeypatch)
-        out = extreme_norms(stack, allowance, divisor)
+        full = spectral_norms(stack)
+        calls = norm_calls(monkeypatch)
+        out = extreme_norms(stack, allowance)
         assert 0 < sum(np.prod(c.shape[:-2]) for c in calls) < full.size
         assert out.shape == full.shape and np.all(out >= full)
         value, ref = (out, full) if not grid else (out.max(axis=0), full.max(axis=0))
@@ -371,18 +431,12 @@ class TestExtremeNorms:
         exact = value == ref
         assert np.array_equal(out[..., exact], full[..., exact])  # a candidate is exact at every phase
 
-    @pytest.mark.parametrize("d", BRACKET_DIMS)
-    @pytest.mark.parametrize("grid", [(), (5,)])
-    def test_divided_extremes_are_exact(self, monkeypatch, d, grid):
-        # values are norms over a per-sample divisor spread over forty decades, which reorders them
-        self.test_extremes_are_exact(monkeypatch, d, grid, divided=True)
-
     def test_zero_matrices_take_no_norm_call(self, monkeypatch):
         rng = np.random.default_rng(7)
         stack = np.zeros((3, 6, 3, 3), dtype=complex)
         stack[:, 3:] = rng.normal(size=(3, 3, 3, 3))
         stack[1, 4] = 0.0  # a zero matrix inside a sample that is not zero
-        calls = self.norm_calls(monkeypatch)
+        calls = norm_calls(monkeypatch)
         out = extreme_norms(stack)
         assert np.array_equal(out[:, :3], np.zeros((3, 3))) and out[1, 4] == 0.0
         assert calls and all(np.all(np.any(c, axis=(-2, -1))) for c in calls)
@@ -392,22 +446,9 @@ class TestExtremeNorms:
     def test_all_candidates_norm_the_stack_as_is(self, monkeypatch):
         # equal residuals all tie for the maximum, so the stack goes to spectral_norms unchanged
         stack = np.repeat(np.array([[[1.0, 2.0j], [0.5, -1.0]]]), 8, axis=0)
-        calls = self.norm_calls(monkeypatch)
+        calls = norm_calls(monkeypatch)
         assert np.array_equal(extreme_norms(stack, np.full(8, 1e-9)), spectral_norms(stack))
         assert len(calls) == 1 and calls[0] is stack
-
-    def test_divisor_reorders_the_candidates(self, monkeypatch):
-        # norms 1 .. 8 divided by 1 .. 8 all read 1: every sample ties, so all are normed;
-        # divided by 8 .. 1 they spread, and only the two ends are
-        stack = np.arange(1.0, 9.0)[:, None, None] * np.eye(2, dtype=complex)
-        calls = self.norm_calls(monkeypatch)
-        ties = np.arange(1.0, 9.0)
-        assert np.array_equal(extreme_norms(stack, divisor=ties), spectral_norms(stack) / ties)
-        assert len(calls) == 1 and calls[0] is stack
-        calls.clear()
-        spread = extreme_norms(stack, divisor=ties[::-1])
-        assert spread.max() == 8.0 and spread.min() == 1.0 / 8.0
-        assert sum(len(c) for c in calls) == 2
 
     def test_empty_stacks(self):
         assert extreme_norms(np.zeros((0, 3, 3), dtype=complex)).shape == (0,)

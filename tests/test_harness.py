@@ -93,6 +93,9 @@ FORWARD_BOUND = {"kind": "profile", "coeff": 0.5, "degree": 2.0}
 
 BOUNDS_TABLE = {"schema": 1, "algebra": {"dim": 2}, "sampling": {"seed": 0, "samples": 1}}
 
+# A config file that names no map, which every command but bounds-table needs.
+NO_MAP = json.dumps({"schema": 1, "algebra": {"dim": 3}, "sampling": {"seed": 7, "samples": 5}}).encode()
+
 # A growing decay whose slope fit starts at n = 4 and needs two points, so n_max >= 5.
 POWER_DECAY = {
     "schema": 1,
@@ -452,6 +455,32 @@ class TestExitCodes:
         assert cli_main(["stability", "--config", str(divergent)]) == EXIT_DIVERGED
         assert capsys.readouterr().err.splitlines() == ["diverged: 30 of 30 stabilization runs diverged"]
 
+    @pytest.mark.parametrize(
+        "argv, body, line",
+        [
+            (["lemma-check"], b'{"schema": 1,', "config error: config: invalid JSON: "),
+            (
+                ["lemma-check"],
+                b'{"schema": 1, "x": "\xff"}',
+                "config error: config: invalid JSON: 'utf-8' codec can't decode byte 0xff in position 20",
+            ),
+            *(
+                ([command], NO_MAP, "config error: config.map: required for this command")
+                for command in ("lemma-check", "stability", "superstability")
+            ),
+            (["bounds-table", "--seed", "1"], None, "config error: config: --seed needs --config"),
+        ],
+        ids=["malformed-json", "not-utf8", "lemma-no-map", "stability-no-map", "superstability-no-map", "seed-no-config"],
+    )
+    def test_cli_config_errors_print_one_line(self, tmp_path, capsys, argv, body, line):
+        if body is not None:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_bytes(body)
+            argv = [*argv, "--config", str(cfg_path)]
+        code, err = run_cli(capsys, argv)
+        assert code == EXIT_CONFIG
+        assert len(err) == 1 and err[0].startswith(line)
+
     @pytest.mark.parametrize("tol, code", [(1e-9, EXIT_VIOLATED), (1e-6, EXIT_OK)])
     def test_stability_certificates_are_judged_at_checks_tol(self, tmp_path, capsys, tol, code):
         # a declared coeff 5e-9 below the perturbation: declared_bound's worst excess is 4.95e-9
@@ -533,34 +562,6 @@ class TestUniquenessLaw:
         summary = cmd_stability(parse_config(raw))
         assert summary.exit_code == EXIT_OK
         assert summary.meta["recovered_defects"]["uniqueness"] <= 1e-12
-
-    def test_law_is_exact_where_the_report_reads_it(self, monkeypatch):
-        # a coarse stabilizer tolerance spreads the law's values, so some
-        # converged samples cannot reach its extremes and are not normed
-        raw = json.loads(FORWARD_POWER_CONFIG.read_text())
-        overrides = {"sampling.samples": 50, "sampling.norm_cap": 0.1, "stabilizer.tol": 1e-6, "exactness.samples": 4}
-        for path, value in overrides.items():
-            set_path(raw, path, value)
-        config = parse_config(raw)
-        normed = []
-        real_extreme, real_norms = algebra.extreme_norms, algebra.spectral_norms
-
-        def counted(mats):
-            normed.append(len(mats))
-            return real_norms(mats)
-
-        def uniqueness(mats, allowance=None, divisor=None):
-            monkeypatch.setattr(algebra, "spectral_norms", counted)
-            try:
-                return real_extreme(mats, allowance, divisor)
-            finally:
-                monkeypatch.setattr(algebra, "spectral_norms", real_norms)
-
-        monkeypatch.setattr(harness, "extreme_norms", uniqueness)
-        body = report_json_bytes(cmd_stability(config), timestamp="T")
-        assert 0 < sum(normed) < config.samples
-        monkeypatch.setattr(harness, "extreme_norms", lambda mats, divisor: real_norms(mats) / divisor)
-        assert body == report_json_bytes(cmd_stability(config), timestamp="T")
 
 
 class TestDeterminism:
@@ -1090,6 +1091,8 @@ class TestOutOfRangeValues:
             # a tolerance below rounding would read an exact map as a counterexample
             ("lemma-check", {"checks.tol": 1e-16}, [], "checks.tol: must be in [1e-13, inf), got 1e-16"),
             ("stability", {"exactness.tol": 1e-16}, [], "exactness.tol: must be in [1e-13, inf), got 1e-16"),
+            # an integer beyond the float range reads as inf
+            ("lemma-check", {"sampling.norm_cap": 10**400}, [], "sampling.norm_cap: expected a finite number, got inf"),
         ],
     )
     def test_cli_exits_config_error(self, tmp_path, capsys, command, overrides, argv, path):
@@ -1220,7 +1223,7 @@ class TestNumericalFailure:
 
 
 class TestRunFailures:
-    """An exhausted exactness run exits 2 and an unwritable output exits 3, each with one stderr line."""
+    """Exhausted samples exit 1, an exhausted exactness run exits 2 and an unwritable output exits 3."""
 
     @staticmethod
     def _exhausted_run(tmp_path, capsys, max_iter):
@@ -1253,6 +1256,26 @@ class TestRunFailures:
         report = self._exhausted_run(tmp_path, capsys, 2)
         assert report["meta"]["exhausted_samples"] == len(report["samples"]) == 200
         assert report["checks"] == []
+
+    def test_exhausted_samples_are_reported_and_left_out_of_the_certificates(self, tmp_path, capsys):
+        # 38 of 50 samples exhaust 18 iterations; the run still judges the 12 that converged
+        raw = json.loads(FORWARD_POWER_CONFIG.read_text())
+        for path, value in {"sampling.samples": 50, "sampling.norm_cap": 10, "stabilizer.max_iter": 18}.items():
+            set_path(raw, path, value)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "report.json"
+        assert run_cli(capsys, ["stability", "--config", str(cfg_path), "--out", str(out)]) == (EXIT_VIOLATED, [])
+        report = json.loads(out.read_text())
+        assert (report["verdict"], report["meta"]["exhausted_samples"]) == ("violated", 38)
+        checks = {c["name"]: c for c in report["checks"]}
+        unconverged = checks["all_samples_converged"]
+        assert (unconverged["verdict"], unconverged["max_residual"]) == ("violated", 38.0)
+        assert checks["bound_certificate"]["num_samples"] == checks["declared_bound"]["num_samples"] == 12
+        # four laws on each of the 48 exactness samples, plus uniqueness on each converged sample
+        assert checks["recovered_exactness"]["num_samples"] == 4 * 48 + 12
+        certified = ("bound_certificate", "declared_bound", "recovered_exactness")
+        assert all(checks[name]["verdict"] == "satisfied" for name in certified)
 
     @pytest.mark.parametrize("via", ["--out", "config.outputs.path"])
     def test_unwritable_output_exits_config_error(self, tmp_path, capsys, via):

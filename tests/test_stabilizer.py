@@ -13,7 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from stablab import checkers, mappings, stabilizer
+from stablab import algebra, checkers, mappings, stabilizer
 from stablab.algebra import NonFiniteError, random_element, random_elements, spectral_norms
 from stablab.checkers import _stability_equation_values, superstability_decay_batch, superstability_shrinking_batch
 from stablab.harness import EXIT_DIVERGED, build_map, cmd_stability, load_config, parse_config
@@ -674,7 +674,8 @@ class TestTracedRuns:
             count[0] += norms.size
             return norms
 
-        for module in (stabilizer, mappings):
+        # the samples are normed in stabilizer, the residuals in NormBracket.refine
+        for module in (algebra, stabilizer, mappings):
             monkeypatch.setattr(module, "spectral_norms", counted)
         results = stabilize_batch(f, spread, cfg)
         iterations = [r.iterations_used for r in results]
