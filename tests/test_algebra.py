@@ -200,8 +200,9 @@ class TestOpNorm:
             for i in range(stack.shape[0]):
                 assert np.array_equal(batch[i], spectral_norms(stack[i][np.newaxis])[0])
 
-    def test_zero_matrices_norm_to_positive_zero(self):
-        # zero, -0.0-only, subnormal-entry and random rows mixed in one stack
+    def test_zero_rows_skip_without_moving_a_value(self):
+        # zero, -0.0-only, subnormal-entry and random rows mixed in one stack: zero rows
+        # go through the one SVD with the rest, and no row's value moves from a per-matrix call
         rng = np.random.default_rng(13)
         stack = rng.normal(size=(9, 3, 3)) + 1j * rng.normal(size=(9, 3, 3))
         stack[1] = 0.0
@@ -216,11 +217,26 @@ class TestOpNorm:
             assert np.array_equal(got[i], ref) and np.signbit(got[i]) == np.signbit(ref), i
         assert got[1] == got[4] == 0.0 and not np.signbit(got[[1, 4]]).any()
         assert got[5] > 0.0 and got[7] > 0.0  # a subnormal entry is a nonzero matrix
-        zeros = np.zeros((6, 4, 4), dtype=complex)
-        zeros[2] = complex(-0.0, 0.0)
-        got = spectral_norms(zeros)
+
+    def test_all_zero_stack_makes_no_svd_call(self, monkeypatch):
+        # spectral_norms gives a zero matrix +0.0 through the SVD; the bracketed paths
+        # (NormBracket, extreme_norms) are what keep an all-zero stack away from it
+        stack = np.zeros((6, 4, 4), dtype=complex)
+        stack[2] = complex(-0.0, 0.0)
+        got = spectral_norms(stack)
         assert got.shape == (6,) and np.array_equal(got, np.zeros(6)) and not np.signbit(got).any()
         assert spectral_norms(np.zeros((2, 2), dtype=complex)) == 0.0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("SVD called on a zero matrix")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        norms = NormBracket(stack)
+        norms.refine(np.ones(6, dtype=bool))
+        assert np.array_equal(norms.lo, np.zeros(6)) and np.array_equal(norms.hi, norms.lo)
+        assert not np.signbit(norms.hi).any()
+        out = extreme_norms(stack.reshape(2, 3, 4, 4))
+        assert np.array_equal(out, np.zeros((2, 3))) and not np.signbit(out).any()
 
     @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3), (2, 3, 1)])
     def test_non_square_stack_raises(self, shape):
