@@ -448,19 +448,23 @@ def _guard_overflow(args: np.ndarray, first: int) -> tuple[int, DecayOverflowErr
     )
 
 
-def _decay_batch(f: MapSpec, A: np.ndarray, n_max: int, shrink: bool) -> np.ndarray:
+def _decay_batch(
+    f: MapSpec, A: np.ndarray, n_max: int, shrink: bool, norms: np.ndarray | None = None
+) -> np.ndarray:
     """The decay sequence for n = 1..n_max, evaluated DECAY_BLOCK n at a time.
 
     A block is one (k, samples, d, d) stack per argument: one guard pass, two
     apply_array calls, one matmul and one spectral_norms call.  Each of those
     works elementwise or on each matrix alone, so every value equals the
-    one-n-at-a-time evaluation bit for bit.
+    one-n-at-a-time evaluation bit for bit.  ``norms`` are the norms of A
+    when the caller holds them (a sampled stack's drawn norms); without
+    them A is normed here.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     A = np.asarray(A, dtype=np.complex128)
     # every argument is a scalar multiple of a or a^2, so its norm is carried
-    na = spectral_norms(A)
+    na = spectral_norms(A) if norms is None else norms
     with np.errstate(over="ignore", invalid="ignore"):
         Asq = A @ A  # an overflow here stops at the n = 1 guard, before a^2 is normed
     out = np.empty((A.shape[0], n_max))
@@ -488,7 +492,7 @@ def _decay_batch(f: MapSpec, A: np.ndarray, n_max: int, shrink: bool) -> np.ndar
     return out
 
 
-def superstability_decay_batch(f: MapSpec, A: np.ndarray, n_max: int) -> np.ndarray:
+def superstability_decay_batch(f: MapSpec, A: np.ndarray, n_max: int, norms: np.ndarray | None = None) -> np.ndarray:
     """d_n = ||f(n^2 a^2) - f(n a)^2|| / n^2 for n = 1..n_max, per sample.
 
     Returned verbatim with no smoothing; the n = 1 column is exactly the
@@ -498,11 +502,12 @@ def superstability_decay_batch(f: MapSpec, A: np.ndarray, n_max: int) -> np.ndar
     time, with values equal bit for bit to one n at a time.  An argument
     n^2 a^2 past DECAY_OVERFLOW_LIMIT (a^2 overflowing included) raises
     DecayOverflowError naming its n, after every earlier n is evaluated.
+    ``norms``, the norms of A when the caller holds them, save norming A.
     """
-    return _decay_batch(f, A, n_max, shrink=False)
+    return _decay_batch(f, A, n_max, shrink=False, norms=norms)
 
 
-def superstability_shrinking_batch(f: MapSpec, A: np.ndarray, n_max: int) -> np.ndarray:
+def superstability_shrinking_batch(f: MapSpec, A: np.ndarray, n_max: int, norms: np.ndarray | None = None) -> np.ndarray:
     """d_n = n^2 ||f(a^2 / n^2) - f(a/n)^2||, the large-exponent variant.
 
     Shrinking arguments replace growing ones, which is the route that forces
@@ -510,7 +515,7 @@ def superstability_shrinking_batch(f: MapSpec, A: np.ndarray, n_max: int) -> np.
     and guarded as superstability_decay_batch; only a^2 itself can pass the
     cutoff, which raises DecayOverflowError at n = 1.
     """
-    return _decay_batch(f, A, n_max, shrink=True)
+    return _decay_batch(f, A, n_max, shrink=True, norms=norms)
 
 
 def fit_loglog_slope(values: list[float] | np.ndarray):

@@ -31,6 +31,7 @@ import numpy as np
 
 from .algebra import SAMPLER, derived_seed, random_elements, spectral_norms
 from .checkers import (
+    CHECKS,
     CheckReport,
     _build_report,
     additivity_ladder,
@@ -570,9 +571,32 @@ def _require_map(config: ExperimentConfig) -> dict:
     return config.map_cfg
 
 
+# The work budgets; a config beyond one exits 3 before any array is allocated.
+# A sampled command may draw at most SAMPLE_WORK_BUDGET matrix entries:
+# samples × the sum of dim² over its dimensions × the streams it draws.
+# 10**7 complex entries are 160 MB for the drawn stacks alone.
+SAMPLE_WORK_BUDGET = 10**7
+# The most series terms (cells × terms) a bounds table may evaluate.  A
+# (direction, exponent) group holds (coeffs, norms, terms) floats in each of
+# its temporaries, so none exceeds 10**7 floats (80 MB).
+TABLE_WORK_BUDGET = 10**7
+
+
+def _refuse_oversized_draws(rows: int, dims: list[int]) -> None:
+    """Raise ConfigError when ``rows`` sampled matrices per dimension of ``dims`` exceed SAMPLE_WORK_BUDGET entries."""
+    entries = sum(d * d for d in dims)
+    if rows * entries > SAMPLE_WORK_BUDGET:
+        raise ConfigError(
+            f"config.sampling: {rows} sampled matrices × {entries} entries exceed the work budget of "
+            f"{SAMPLE_WORK_BUDGET} sampled entries"
+        )
+
+
 def cmd_lemma_check(config: ExperimentConfig) -> RunSummary:
     """Additivity proof ladder plus the telescoping equality, per dimension."""
     map_cfg = _require_map(config)
+    streams = {s for c in CHECKS.values() if config.phase_sweep or c.phases != "sweep" for s in c.streams.values()}
+    _refuse_oversized_draws(config.samples * len(streams), config.dims)
     grid = unit_circle_grid(config.phase_grid_size)
     checks: list[CheckReport] = []
     meta: dict[str, Any] = {"dims": config.dims, "maps": {}}
@@ -611,6 +635,10 @@ def cmd_stability(config: ExperimentConfig) -> RunSummary:
     if template is None:
         raise ConfigError("config.bound: required for the stability command")
     dim = config.dim
+    # the samples, the calibration draws (three streams, six with a sweep) and the two exactness streams
+    calib_samples = max(config.samples, 10)
+    calib_streams = 3 if config.calibration_sweep is None else 6
+    _refuse_oversized_draws(config.samples + calib_streams * calib_samples + 2 * config.exactness_samples, [dim])
     f = build_map(map_cfg, dim)
     direction = resolve_direction(f, config.stabilizer)
     if direction is None:
@@ -626,7 +654,7 @@ def cmd_stability(config: ExperimentConfig) -> RunSummary:
 
     norms_a = np.empty(config.samples)
     A = random_elements(config.seed, config.samples, dim, config.norm_cap, stream=60, norms_out=norms_a)
-    results = stabilize_batch(f, A, config.stabilizer)
+    results = stabilize_batch(f, A, config.stabilizer, norms=norms_a)
     scales = 1.0 + norms_a
     status = np.array([r.status for r in results])
     columns: dict[str, Any] = {
@@ -654,7 +682,7 @@ def cmd_stability(config: ExperimentConfig) -> RunSummary:
             f,
             template,
             derived_seed(config.seed, 7),
-            max(config.samples, 10),
+            calib_samples,
             norm_cap=calib_cap,
             sweep_factor=config.calibration_sweep,
         )
@@ -720,6 +748,7 @@ def cmd_superstability(config: ExperimentConfig) -> RunSummary:
     """Decay-sequence experiment: slope and terminal-value assertions."""
     map_cfg = _require_map(config)
     dim = config.dim
+    _refuse_oversized_draws(config.samples, [dim])
     f = build_map(map_cfg, dim)
     meta: dict[str, Any] = {"map": describe(f), "dim": dim, "n_max": config.decay_n_max}
 
@@ -734,10 +763,8 @@ def cmd_superstability(config: ExperimentConfig) -> RunSummary:
     norms_a = np.empty(config.samples)
     A = random_elements(config.seed, config.samples, dim, config.norm_cap, stream=70, norms_out=norms_a)
     scales = 1.0 + norms_a
-    if shrink:
-        decay = superstability_shrinking_batch(f, A, config.decay_n_max)
-    else:
-        decay = superstability_decay_batch(f, A, config.decay_n_max)
+    decay_batch = superstability_shrinking_batch if shrink else superstability_decay_batch
+    decay = decay_batch(f, A, config.decay_n_max, norms=norms_a)
 
     tol = config.decay_terminal_tol
     checks = [_build_report("terminal_decay", decay[:, -1], 0.0, scales, tol, norms={"a": norms_a})]
@@ -768,13 +795,6 @@ def cmd_superstability(config: ExperimentConfig) -> RunSummary:
         "sequence": decay,
     }
     return _summary("superstability", config, meta, checks, _sample_rows(columns))
-
-
-# The most series terms (cells × terms) a bounds table may evaluate.  A
-# (direction, exponent) group holds (coeffs, norms, terms) floats in each of
-# its temporaries, so none exceeds 10**7 floats (80 MB); a larger grid exits 3
-# before any array is allocated.
-TABLE_WORK_BUDGET = 10**7
 
 
 def cmd_bounds_table(config: ExperimentConfig) -> RunSummary:

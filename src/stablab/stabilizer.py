@@ -280,7 +280,7 @@ def resolve_direction(f: MapSpec, cfg: StabilizerConfig) -> str | None:
 
 
 def stabilize_batch(
-    f: MapSpec, A: np.ndarray, cfg: StabilizerConfig, *, traces: bool = True
+    f: MapSpec, A: np.ndarray, cfg: StabilizerConfig, *, traces: bool = True, norms: np.ndarray | None = None
 ) -> list[StabilizationResult]:
     """Lockstep stabilization of a (count, d, d) stack; pure per point.
 
@@ -296,13 +296,15 @@ def stabilize_batch(
     comparison refines both sides) and, with ``traces=True``, on every
     running sample, whose result carries its trace.
     Statuses, iterations and limits do not depend on ``traces``, bit for bit.
+    ``norms`` are the operator norms of A when the caller holds them, as the
+    drawn norms of a sampled stack; without them the stack is normed here.
     """
     direction = resolve_direction(f, cfg)
     if direction is None:
         raise ValueError("stabilizer direction 'auto' does not resolve for this map: set forward or backward")
     A = np.asarray(A, dtype=np.complex128)
     count = A.shape[0]
-    norms_a = spectral_norms(A)  # ||3^±n a|| is carried as norms_a scaled by 3^±n
+    norms_a = spectral_norms(A) if norms is None else norms  # ||3^±n a|| is carried as norms_a scaled by 3^±n
     tols = cfg.tol * (1.0 + norms_a)
     h_prev = apply_array(f, A, norms_a)
     history = []  # one residual row per iteration, exact on the rows running at it

@@ -520,7 +520,7 @@ class TestRandomElement:
         assert not np.array_equal(a, b)
 
     def test_batch_replays_single(self):
-        # 2 dim^2 + 1 words per sample = 3, 9, 19, 33, ... : every padding to 4 words occurs
+        # 5 dim words per sample = 5, 10, 15, 20, ... : every padding to 4 words occurs
         for dim in range(1, 9):
             batch = random_elements(77, 23, dim, 2.0, stream=4)
             for i in range(23):
@@ -541,19 +541,47 @@ class TestRandomElement:
         assert not np.any(np.signbit(stack.real)) and not np.any(np.signbit(stack.imag))
         assert np.array_equal(stack, np.zeros((50, 3, 3)))
 
-    def test_one_norm_call_per_stack(self, monkeypatch):
-        calls = []
+    def test_no_norm_call(self, monkeypatch):
+        def refused(mats):
+            raise AssertionError("a drawn element's norm is known by construction")
 
-        def counting(mats):
-            calls.append(np.shape(mats))
-            return spectral_norms(mats)
+        monkeypatch.setattr(algebra, "spectral_norms", refused)
+        for dim in (1, 2, 4):
+            random_elements(8, 300, dim, 1.0, stream=3)
+            random_element(8, dim, 1.0, stream=3, index=5)
 
-        monkeypatch.setattr(algebra, "spectral_norms", counting)
-        random_elements(8, 300, 4, 1.0, stream=3)
-        assert calls == [(300, 4, 4)]
+    def test_singular_values_are_the_drawn_ones(self):
+        # row i is target * H1 diag(1, s_2 .. s_dim) H2: its singular values are target * (1, s) to rounding
+        for dim in range(1, 9):
+            u = np.empty((500, algebra._block(dim)))
+            algebra._uniforms(6, 3, u)
+            norms = np.empty(500)
+            stack = random_elements(6, 500, dim, 10.0, stream=3, norms_out=norms)
+            drawn = norms[:, np.newaxis] * np.concatenate([np.ones((500, 1)), u[:, 4 * dim : 5 * dim - 1]], axis=1)
+            want = -np.sort(-drawn, axis=1)
+            got = np.linalg.svd(stack, compute_uv=False)
+            assert np.all(np.abs(got - want) <= 8 * np.spacing(norms)[:, np.newaxis]), dim
+
+    def test_dim_one_draws_are_phases_times_the_target(self):
+        norms = np.empty(400)
+        stack = random_elements(12, 400, 1, 10.0, stream=3, norms_out=norms)[:, 0, 0]
+        assert np.all(np.abs(np.abs(stack) - norms) <= 8 * np.spacing(norms))
+        # a bare 1 x 1 reflection is -1, so the phase comes from v1: spread round the circle, not +-1
+        phases = stack / norms
+        assert np.mean(np.abs(phases.imag) > 0.1) > 0.8 and 0.3 < np.mean(phases.real < 0.0) < 0.7
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_draws_are_not_normal(self, dim):
+        # a Hermitian, unitary-diagonalisable or diagonal draw would commute with its adjoint and leave
+        # the transpose and unitary lemma checks nothing to catch
+        norms = np.empty(500)
+        a = random_elements(7, 500, dim, 1.0, stream=5, norms_out=norms)
+        adj = _conj_t(a)
+        defect = spectral_norms(a @ adj - adj @ a) / norms**2
+        assert defect.min() > 1e-6 and np.median(defect) > 0.1
 
     def test_drawn_norms_agree_with_a_fresh_svd(self):
-        # a drawn norm is the target its row was rescaled to; the worst gap seen here is 7 ulps
+        # a drawn norm is the target its row was built with; the worst gap seen here is 6 ulps
         for dim in range(1, 9):
             for seed in range(20):
                 norms = np.empty(500)
@@ -574,13 +602,35 @@ class TestRandomElement:
         norms = np.full(50, np.nan)
         random_elements(3, 50, 3, 0.0, stream=2, norms_out=norms)
         assert np.array_equal(norms, np.zeros(50)) and not np.signbit(norms).any()
-        # a zero target, and a zero base matrix under a positive target
-        u = np.random.default_rng(4).random((3, algebra._block(2)))
-        u[1, 8] = 0.0
-        u[2, :8] = 0.5
+        # a zero target is a +0.0 row; a positive one is the row's drawn norm
+        u = np.random.default_rng(4).random((2, algebra._block(2)))
+        u[1, 9] = 0.0
         stack, drawn = algebra._scaled(u, 2, 5.0)
-        assert np.array_equal(stack[1:], np.zeros((2, 2, 2))) and np.array_equal(drawn[1:], [0.0, 0.0])
-        assert drawn[0] == 5.0 * u[0, 8]
+        assert np.array_equal(drawn, [5.0 * u[0, 9], 0.0]) and not np.signbit(drawn).any()
+        assert np.array_equal(stack[1], np.zeros((2, 2))) and not np.signbit(stack[1].view(float)).any()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_null_reflection_vector_is_the_identity(self, dim):
+        # uniforms of 0.5 map to the zero vector, whose reflection would divide by v* v = 0
+        u = np.random.default_rng(5).random((3, algebra._block(dim)))
+        u[0, : 4 * dim] = 0.5  # v1 = v2 = 0: the bare diagonal
+        u[1, : 2 * dim] = 0.5  # v1 = 0: diag @ H2
+        u[2, 2 * dim : 4 * dim] = 0.5  # v2 = 0: H1 @ diag
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stack, drawn = algebra._scaled(u, dim, 5.0)
+        diag = drawn[:, np.newaxis] * np.concatenate([np.ones((3, 1)), u[:, 4 * dim : 5 * dim - 1]], axis=1)
+        assert np.array_equal(stack[0], np.diag(diag[0]).astype(complex))
+        if dim == 1:  # a null v1 gives the phase 1
+            assert np.array_equal(stack[:2, 0, 0], drawn[:2].astype(complex))
+            return
+        for i, side in ((1, 2), (2, 0)):
+            v = 2.0 * u[i, side * dim : (side + 2) * dim] - 1.0
+            v = v[:dim] + 1j * v[dim:]
+            h = np.eye(dim) - 2.0 * np.outer(v, v.conj()) / np.vdot(v, v).real
+            want = np.diag(diag[i]) @ h if side == 2 else h @ np.diag(diag[i])
+            assert np.allclose(stack[i], want, rtol=0.0, atol=1e-6 * drawn[i])
+        assert np.all(np.abs(spectral_norms(stack) - drawn) <= 8 * np.spacing(drawn))
 
     def test_streams_differ(self):
         a, b = (random_elements(8, 4, 2, 1.0, stream=s) for s in (0, 1))
@@ -592,7 +642,7 @@ class TestBatchedDraw:
 
     STREAMS = (10, 11, 12, 13, 20, 21, 22, 35, 36)
 
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("dim", range(1, 9))
     @pytest.mark.parametrize("k", [1, 2, 3, 9])
     def test_equals_the_single_stream_calls(self, dim, k):
         streams = self.STREAMS[:k]
@@ -607,7 +657,7 @@ class TestBatchedDraw:
         assert np.array_equal(stack, np.concatenate(singles))
         assert np.array_equal(norms, np.concatenate(single_norms))
 
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("dim", range(1, 9))
     def test_random_element_replays_any_row(self, dim):
         streams = self.STREAMS[:4]
         norms = np.empty(4 * 25)
@@ -618,16 +668,13 @@ class TestBatchedDraw:
                 assert np.array_equal(random_element(92, dim, 3.0, stream=s, index=i, norms_out=norm), stack[k * 25 + i])
                 assert norm == norms[k * 25 + i]
 
-    def test_one_norm_call_for_all_streams(self, monkeypatch):
-        calls = []
+    def test_no_norm_call_for_all_streams(self, monkeypatch):
+        def refused(mats):
+            raise AssertionError("a drawn element's norm is known by construction")
 
-        def counting(mats):
-            calls.append(np.shape(mats))
-            return spectral_norms(mats)
-
-        monkeypatch.setattr(algebra, "spectral_norms", counting)
-        random_elements(8, 300, 4, 1.0, stream=[3, 4, 5])
-        assert calls == [(900, 4, 4)]
+        monkeypatch.setattr(algebra, "spectral_norms", refused)
+        norms = np.empty(900)
+        random_elements(8, 300, 4, 1.0, stream=[3, 4, 5], norms_out=norms)
 
     def test_empty_stream_sequence_draws_nothing(self):
         assert random_elements(8, 5, 3, 1.0, stream=()).shape == (0, 3, 3)

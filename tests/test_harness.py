@@ -523,6 +523,62 @@ class TestExitCodes:
         ]
 
 
+class TestSampleWorkBudget:
+    """A sampled command draws at most SAMPLE_WORK_BUDGET matrix entries, and refuses a larger config before any draw."""
+
+    # command, config, matrices drawn per dimension and the sum of dim^2 over the dimensions
+    CASES = {
+        "lemma-check": (minimal_config(sampling={"seed": 7, "samples": 5, "dims": [2, 3]}), 5 * 9, 4 + 9),
+        # 30 samples, 3 calibration streams of 30, 2 exactness streams of 12
+        "stability": (BACKWARD_CONSTANT, 30 + 3 * 30 + 2 * 12, 9),
+        "superstability": (POWER_DECAY, 5, 9),
+    }
+
+    @staticmethod
+    def _run(tmp_path, capsys, command, raw):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        return run_cli(capsys, [command, "--config", str(cfg_path)])
+
+    @pytest.mark.parametrize("command", CASES)
+    @pytest.mark.parametrize("over", [False, True], ids=["at", "over"])
+    def test_budget_bounds_drawn_entries(self, tmp_path, capsys, monkeypatch, command, over):
+        raw, rows, entries = self.CASES[command]
+        monkeypatch.setattr(harness, "SAMPLE_WORK_BUDGET", rows * entries - over)
+        if over:
+            def refused(*args, **kwargs):
+                raise AssertionError("the config must be refused before any draw")
+
+            monkeypatch.setattr(algebra, "_uniforms", refused)
+        code, err = self._run(tmp_path, capsys, command, raw)
+        if over:
+            assert (code, err) == (EXIT_CONFIG, [
+                f"config error: config.sampling: {rows} sampled matrices × {entries} entries exceed the work "
+                f"budget of {rows * entries - 1} sampled entries"
+            ])
+        else:
+            assert code != EXIT_CONFIG
+
+    def test_huge_samples_exit_before_any_allocation(self, tmp_path, capsys, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("the config must be refused before any draw")
+
+        monkeypatch.setattr(algebra, "_uniforms", refused)
+        raw = minimal_config(sampling={"seed": 7, "samples": 10**12})
+        code, err = self._run(tmp_path, capsys, "lemma-check", raw)
+        assert (code, err) == (EXIT_CONFIG, [
+            f"config error: config.sampling: {9 * 10**12} sampled matrices × 9 entries exceed the work budget "
+            f"of {harness.SAMPLE_WORK_BUDGET} sampled entries"
+        ])
+
+    def test_a_config_naming_the_previous_sampler_exits_config_error(self, tmp_path, capsys):
+        # a config written for the draw before the Householder one names "philox4x64/1"
+        code, err = self._run(tmp_path, capsys, "lemma-check", minimal_config(sampler="philox4x64/1"))
+        assert code == EXIT_CONFIG
+        assert err == [f"config error: config.sampler: unsupported sampler 'philox4x64/1', this version draws {SAMPLER!r}"]
+        assert SAMPLER != "philox4x64/1"
+
+
 class TestUniquenessLaw:
     """recovered_exactness judges the stabilized limit against the exact base of the map."""
 
@@ -827,29 +883,34 @@ class TestNormCount:
         # 55401 when every perturbed evaluation normed its input, 27881 when
         # the exactness runs normed every Cauchy residual, 8368 when the
         # samples' own run normed the residuals of finished samples too, 8157
-        # when zero residuals and every Jordan *-law value were normed (8109 now)
-        assert self.normed_matrices(monkeypatch, cmd_stability, "stability_backward_constant.json") <= 8150
+        # when zero residuals and every Jordan *-law value were normed, 8109
+        # when the sampler and stabilize_batch normed each drawn sample (7071 now)
+        assert self.normed_matrices(monkeypatch, cmd_stability, "stability_backward_constant.json") <= 7150
 
     def test_forward_power_stability(self, monkeypatch):
         # 25001 when the exactness runs normed every Cauchy residual, 8284 when
         # the samples' own run normed the residuals of finished samples too, 8009
-        # when zero residuals and every Jordan *-law value were normed (7234 now)
-        assert self.normed_matrices(monkeypatch, cmd_stability, "stability_forward_power.json") <= 7300
+        # when zero residuals and every Jordan *-law value were normed, 7234
+        # when the sampler and stabilize_batch normed each drawn sample (6085 now)
+        assert self.normed_matrices(monkeypatch, cmd_stability, "stability_forward_power.json") <= 6150
 
     def test_superstability_p05(self, monkeypatch):
-        # 4851 when every perturbed evaluation normed its input
-        assert self.normed_matrices(monkeypatch, cmd_superstability, "superstability_p05.json") <= 1800
+        # 4851 when every perturbed evaluation normed its input, 1676 when the
+        # sampler and the decay batch normed each drawn sample (1626 now)
+        assert self.normed_matrices(monkeypatch, cmd_superstability, "superstability_p05.json") <= 1650
 
     def test_lemma_transpose(self, monkeypatch):
         # 171003 when the runner normed every stack the sampler had just drawn (144003 with drawn norms),
-        # 144003 when every residual of a matrix row was normed (41771 now)
-        assert self.normed_matrices(monkeypatch, cmd_lemma_check, "lemma_transpose.json") <= 42000
+        # 144003 when every residual of a matrix row was normed, 41771 when the
+        # sampler normed every draw to rescale it (11604 now)
+        assert self.normed_matrices(monkeypatch, cmd_lemma_check, "lemma_transpose.json") <= 11700
 
     def test_lemma_unitary(self, monkeypatch):
         # 144006 when every residual of a matrix row was normed, 47658 before the
         # phase-permutation gather moved the d = 4 residuals at rounding level,
-        # which puts more phase-row samples among the candidates (49618 now)
-        assert self.normed_matrices(monkeypatch, cmd_lemma_check, "lemma_unitary.json") <= 50000
+        # which puts more phase-row samples among the candidates, 49618 when
+        # the sampler normed every draw to rescale it (16208 now)
+        assert self.normed_matrices(monkeypatch, cmd_lemma_check, "lemma_unitary.json") <= 16400
 
 
 class TestBoundsTableCommand:
@@ -1226,39 +1287,39 @@ class TestRunFailures:
     """Exhausted samples exit 1, an exhausted exactness run exits 2 and an unwritable output exits 3."""
 
     @staticmethod
-    def _exhausted_run(tmp_path, capsys, max_iter):
+    def _exhausted_run(tmp_path, capsys, max_iter, unconverged):
         raw = set_path(json.loads(FORWARD_POWER_CONFIG.read_text()), "stabilizer.max_iter", max_iter)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(raw))
         out = tmp_path / "report.json"
         code, err = run_cli(capsys, ["stability", "--config", str(cfg_path), "--out", str(out)])
         assert code == EXIT_DIVERGED
-        assert err == ["diverged: exactness check: 959 of 960 limit evaluations did not converge"]
+        assert err == [f"diverged: exactness check: {unconverged} of 960 limit evaluations did not converge"]
         report = json.loads(out.read_text())
         assert (report["verdict"], report["exit_code"]) == ("diverged", EXIT_DIVERGED)
-        assert report["meta"]["exactness_error"] == "959 of 960 limit evaluations did not converge"
+        assert report["meta"]["exactness_error"] == f"{unconverged} of 960 limit evaluations did not converge"
         return report
 
     def test_exhausted_exactness_run_exits_diverged_with_report(self, tmp_path, capsys):
-        report = self._exhausted_run(tmp_path, capsys, 3)
+        report = self._exhausted_run(tmp_path, capsys, 5, 957)
         assert len(report["samples"]) == 200
         assert report["meta"]["exhausted_samples"] == 199
         # Only the one converged sample is certified; its witness keeps its sample id.
         converged = [row["sample_id"] for row in report["samples"] if row["status"] == "converged"]
-        assert converged == [130]
+        assert converged == [134]
         checks = {c["name"]: c for c in report["checks"]}
         assert sorted(checks) == ["bound_certificate", "declared_bound"]
         for check in checks.values():
             assert check["num_samples"] == 1
-            assert check["worst_witness"]["sample_index"] == 130
+            assert check["worst_witness"]["sample_index"] == 134
 
     def test_no_converged_sample_gets_no_certificate(self, tmp_path, capsys):
-        report = self._exhausted_run(tmp_path, capsys, 2)
+        report = self._exhausted_run(tmp_path, capsys, 2, 960)
         assert report["meta"]["exhausted_samples"] == len(report["samples"]) == 200
         assert report["checks"] == []
 
     def test_exhausted_samples_are_reported_and_left_out_of_the_certificates(self, tmp_path, capsys):
-        # 38 of 50 samples exhaust 18 iterations; the run still judges the 12 that converged
+        # 39 of 50 samples exhaust 18 iterations; the run still judges the 11 that converged
         raw = json.loads(FORWARD_POWER_CONFIG.read_text())
         for path, value in {"sampling.samples": 50, "sampling.norm_cap": 10, "stabilizer.max_iter": 18}.items():
             set_path(raw, path, value)
@@ -1267,13 +1328,13 @@ class TestRunFailures:
         out = tmp_path / "report.json"
         assert run_cli(capsys, ["stability", "--config", str(cfg_path), "--out", str(out)]) == (EXIT_VIOLATED, [])
         report = json.loads(out.read_text())
-        assert (report["verdict"], report["meta"]["exhausted_samples"]) == ("violated", 38)
+        assert (report["verdict"], report["meta"]["exhausted_samples"]) == ("violated", 39)
         checks = {c["name"]: c for c in report["checks"]}
         unconverged = checks["all_samples_converged"]
-        assert (unconverged["verdict"], unconverged["max_residual"]) == ("violated", 38.0)
-        assert checks["bound_certificate"]["num_samples"] == checks["declared_bound"]["num_samples"] == 12
+        assert (unconverged["verdict"], unconverged["max_residual"]) == ("violated", 39.0)
+        assert checks["bound_certificate"]["num_samples"] == checks["declared_bound"]["num_samples"] == 11
         # four laws on each of the 48 exactness samples, plus uniqueness on each converged sample
-        assert checks["recovered_exactness"]["num_samples"] == 4 * 48 + 12
+        assert checks["recovered_exactness"]["num_samples"] == 4 * 48 + 11
         certified = ("bound_certificate", "declared_bound", "recovered_exactness")
         assert all(checks[name]["verdict"] == "satisfied" for name in certified)
 

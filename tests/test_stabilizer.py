@@ -434,6 +434,41 @@ class TestCarriedNorms:
         run(f, random_elements(71, 20, 3, 4.0), 32)
         self.assert_carried_norms_fresh(calls, 2 * (32 // checkers.DECAY_BLOCK))  # two calls per block of n
 
+    def test_stabilizer_takes_the_drawn_norms(self, monkeypatch):
+        # a sampled stack comes with its drawn norms, so stabilize_batch never norms it
+        f = Perturbed(ZeroMap(3), Perturbation(size=0.01, power=2.0, direction=unit_direction(3, "corner")))
+        drawn = np.empty(20)
+        A = random_elements(70, 20, 3, 4.0, norms_out=drawn)
+        cfg = StabilizerConfig(direction=FORWARD)
+        plain = stabilize_batch(f, A, cfg)
+        given = stabilize_batch(f, A, cfg, norms=spectral_norms(A))
+        assert [r.limit.tobytes() for r in given] == [r.limit.tobytes() for r in plain]  # the same norms, bit for bit
+        calls = self.recorded_calls(monkeypatch, stabilizer)
+
+        def refused(mats):
+            raise AssertionError("a stack with drawn norms is normed again")
+
+        monkeypatch.setattr(stabilizer, "spectral_norms", refused)
+        carried = stabilize_batch(f, A, cfg, norms=drawn)
+        assert calls[0][1] is drawn
+        self.assert_carried_norms_fresh(calls, 1 + max(r.iterations_used for r in plain))
+        assert [(r.status, r.iterations_used) for r in carried] == [(r.status, r.iterations_used) for r in plain]
+
+    @pytest.mark.parametrize("run", [superstability_decay_batch, superstability_shrinking_batch])
+    def test_decay_takes_the_drawn_norms(self, monkeypatch, run):
+        f = Perturbed(ZeroMap(3), Perturbation(size=0.01, power=0.5, direction=unit_direction(3, "corner")))
+        drawn = np.empty(20)
+        A = random_elements(71, 20, 3, 4.0, norms_out=drawn)
+        assert np.array_equal(run(f, A, 32, norms=spectral_norms(A)), run(f, A, 32))
+        normed = []
+        real = checkers.spectral_norms
+        monkeypatch.setattr(checkers, "spectral_norms", lambda mats: normed.append(mats.shape) or real(mats))
+        calls = self.recorded_calls(monkeypatch, checkers)
+        run(f, A, 32, norms=drawn)
+        assert np.array_equal(calls[0][1][0], drawn)  # f(n a) at n = 1 reads the drawn norms
+        self.assert_carried_norms_fresh(calls, 2 * (32 // checkers.DECAY_BLOCK))
+        assert len(normed) == 1 + 32 // checkers.DECAY_BLOCK  # a^2 once, then one call per block; never a itself
+
 
 class TestCalibration:
     def test_exact_map_calibrates_to_zero(self):
@@ -681,9 +716,9 @@ class TestTracedRuns:
         iterations = [r.iterations_used for r in results]
         assert {r.status for r in results} == statuses and len(set(iterations)) > 1
         # sample 7's first residual is an all-zero matrix, exact as its bracket
-        # [0, 0] without a norm call: 776 (constant) and 274 (power) matrices
+        # [0, 0] without a norm call: 775 (constant) and 274 (power) matrices
         assert count[0] == len(results) + sum(iterations) - 1
-        assert count[0] == {"constant": 776, "power": 274}[mode]
+        assert count[0] == {"constant": 775, "power": 274}[mode]
 
     @pytest.mark.parametrize("traces", [True, False])
     def test_non_finite_difference_raises(self, monkeypatch, traces):
