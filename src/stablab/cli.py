@@ -82,7 +82,9 @@ def _write_output(summary: RunSummary, config: ExperimentConfig, out: str | None
     if chosen == "json":
         payload = report_json_bytes(summary)
     else:
-        body = rows_to_csv(summary.sample_rows) if summary.sample_rows else checks_to_csv(summary.checks)
+        body = checks_to_csv(summary.checks)  # the checks lead; sample rows follow after one blank line
+        if summary.sample_rows:
+            body += "\n" + rows_to_csv(summary.sample_rows)
         payload = body.encode("utf-8")
     try:
         with open(path, "wb") as fh:

@@ -2,9 +2,10 @@
 
 Configs are versioned (top-level "schema": 1) and strictly validated:
 unknown fields are errors, not warnings, and every error names the field
-path.  A run is fully determined by the config plus its seed; reports are
-byte-identical across runs except for the timestamp field, which is excluded
-from the config digest.
+path.  Reports carry their own version (REPORT_SCHEMA).  A run is fully
+determined by the config plus its seed; reports are byte-identical across
+runs except for the timestamp field, which is excluded from the config
+digest.
 
 Exit-code contract: 0 all satisfied, 1 hypothesis or bound violated,
 2 divergence (of the sampled runs or of the exactness check's), 3 config or
@@ -67,6 +68,7 @@ from .stabilizer import (
     ControlDirectionError,
     DivergedError,
     PowerControl,
+    StabilizationResult,
     StabilizerConfig,
     bound_closed_form,
     bound_fields,
@@ -112,6 +114,8 @@ EXIT_DIVERGED = 2
 EXIT_CONFIG = 3
 EXIT_NUMERIC = 4
 EXIT_CODES = {"satisfied": EXIT_OK, "violated": EXIT_VIOLATED, "diverged": EXIT_DIVERGED}
+# The report format version, written as the report's "schema"
+REPORT_SCHEMA = 2
 
 
 class ConfigError(ValueError):
@@ -473,7 +477,7 @@ def report_dict(summary: RunSummary, timestamp: str | None = None) -> dict:
     if timestamp is None:
         timestamp = datetime.now(timezone.utc).isoformat()
     return {
-        "schema": 1,
+        "schema": REPORT_SCHEMA,
         "command": summary.command,
         "config_digest": summary.config_digest,
         "timestamp": timestamp,
@@ -515,7 +519,7 @@ def checks_to_csv(checks: list[CheckReport]) -> str:
 
 
 def rows_to_csv(rows: list[dict]) -> str:
-    """Summary-row CSV: list-valued columns (full traces) stay JSON-only."""
+    """Summary-row CSV: list-valued columns (the decay sequences) stay JSON-only."""
     buf = io.StringIO()
     if not rows:
         return ""
@@ -618,14 +622,23 @@ def cmd_lemma_check(config: ExperimentConfig) -> RunSummary:
 
 
 def _stabilized_evaluator(f: MapSpec, cfg: StabilizerConfig):
-    def eval_fn(xs: np.ndarray) -> np.ndarray:
-        results = stabilize_batch(f, xs, cfg, traces=False)
+    def eval_fn(xs: np.ndarray, norms: np.ndarray) -> np.ndarray:
+        results = stabilize_batch(f, xs, cfg, norms=norms)
         bad = sum(1 for r in results if not r.converged)
         if bad:
             raise DivergedError(f"{bad} of {len(results)} limit evaluations did not converge")
         return np.stack([r.limit for r in results])
 
     return eval_fn
+
+
+def _stopping_residuals(results: list[StabilizationResult]) -> tuple[np.ndarray, np.ndarray]:
+    """Each run's last two Cauchy residuals (r_prev, r_last) from one spectral_norms call.
+
+    r_prev is None for a run that stopped at n = 1, which has one residual.
+    """
+    r_prev, r_last = spectral_norms(np.stack([r.differences for r in results])).T
+    return np.where([r.iterations_used > 1 for r in results], r_prev, None), r_last
 
 
 def cmd_stability(config: ExperimentConfig) -> RunSummary:
@@ -657,12 +670,14 @@ def cmd_stability(config: ExperimentConfig) -> RunSummary:
     results = stabilize_batch(f, A, config.stabilizer, norms=norms_a)
     scales = 1.0 + norms_a
     status = np.array([r.status for r in results])
+    r_prev, r_last = _stopping_residuals(results)
     columns: dict[str, Any] = {
         "sample_id": range(config.samples),
         "norm_a": norms_a,
         "iterations": [r.iterations_used for r in results],
         "status": status,
-        "trace": [r.cauchy_residuals for r in results],
+        "r_prev": r_prev,
+        "r_last": r_last,
     }
 
     diverged = int(np.count_nonzero(status == "diverged"))
@@ -802,10 +817,11 @@ def cmd_bounds_table(config: ExperimentConfig) -> RunSummary:
 
     Each (direction, exponent) group is one bound_closed_form and one
     bound_series_truncated call over its whole coefficient × norm grid (a
-    coefficient column against the norm array); the rows run direction,
-    coefficient, exponent, norm, the order of one call per control.  A row
-    agrees when the truncated series plus its tail estimate meets the closed
-    form, so a short series is not read as a wrong closed form.
+    coefficient column against the norm array); the rows run in that
+    computed order: group (backward exponents, forward exponents, the
+    profile degree), coefficient, norm.  A row agrees when the truncated
+    series plus its tail estimate meets the closed form, so a short series
+    is not read as a wrong closed form.
     """
     blocks = [  # (kind, direction, exponents), one group per exponent
         ("power", BACKWARD, config.table_exps_backward),
@@ -827,12 +843,8 @@ def cmd_bounds_table(config: ExperimentConfig) -> RunSummary:
         spec = make_control(kind, coeffs[:, np.newaxis], dict.fromkeys(bound_fields(kind), exp))
         closed = bound_closed_form(spec, norms_a, direction)
         values.append((closed, *bound_series_truncated(spec, norms_a, direction, config.table_terms)))
-    # Cells are (group, coeff, norm); within each block the rows run coeff, group, norm.
-    cell = np.arange(cells).reshape(grid)
-    ends = np.cumsum([len(exps) for *_, exps in blocks])
-    order = np.concatenate([cell[a:b].transpose(1, 0, 2).ravel() for a, b in zip([0, *ends[:-1]], ends)])
-    group, coeff, norm = np.unravel_index(order, grid)
-    closed, series, tail = (np.array(v).ravel()[order] for v in zip(*values))
+    group, coeff, norm = np.unravel_index(np.arange(cells), grid)
+    closed, series, tail = (np.array(v).ravel() for v in zip(*values))
     rel = np.abs(closed - (series + tail)) / np.maximum(np.abs(closed), 1e-300)
     kinds, directions, exps = (np.array(column)[group].tolist() for column in zip(*groups))
     columns = {"kind": kinds, "direction": directions, "coeff": coeffs[coeff], "exponent": exps}

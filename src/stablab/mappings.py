@@ -303,7 +303,7 @@ def _conj_t(xs: np.ndarray) -> np.ndarray:
 
 
 def jordan_star_defects(
-    eval_fn: Callable[[np.ndarray], np.ndarray],
+    eval_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     dim: int,
     samples: int,
     seed: int,
@@ -315,19 +315,27 @@ def jordan_star_defects(
     Checks, in order: squares (f(a^2) vs f(a)^2), involution, additivity on
     sampled pairs, and homogeneity over the unit-scalar grid.  Returns the
     residual arrays keyed by check name plus the sample stack used.  All
-    evaluation points go through a single eval_fn call, so evaluators that
-    stabilize pointwise pay one lockstep run.  Each law goes through
-    extreme_norms (homogeneity with the grid on its first axis), so a law's
-    maximum, its minimum and their first indices are exact, and every other
-    sample carries an upper bound strictly between them.
+    evaluation points go through a single eval_fn(points, norms) call, so
+    evaluators that stabilize pointwise pay one lockstep run.  ``norms`` are
+    the points' operator norms: the drawn ones for A and B, the norm of A
+    again for A* and each mu A (|mu| = 1), so only A^2 and A + B are normed
+    here.  Each law goes through extreme_norms (homogeneity with the grid on
+    its first axis), so a law's maximum, its minimum and their first indices
+    are exact, and every other sample carries an upper bound strictly
+    between them.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if phases is None:
         phases = unit_circle_grid()
     mus = np.array([mu for mu in phases if mu != 1], dtype=np.complex128)[:, None, None, None]
-    A, B = random_elements(seed, samples, dim, norm_cap, stream=(1, 2)).reshape(2, samples, dim, dim)
-    values = eval_fn(np.concatenate([A, A @ A, _conj_t(A), A + B, B, *(mus * A)], axis=0))
+    drawn = np.empty(2 * samples)
+    A, B = random_elements(seed, samples, dim, norm_cap, stream=(1, 2), norms_out=drawn).reshape(2, samples, dim, dim)
+    na, nb = drawn.reshape(2, samples)
+    squares, sums = A @ A, A + B
+    n_squares, n_sums = spectral_norms(np.stack([squares, sums]))
+    points = np.concatenate([A, squares, _conj_t(A), sums, B, *(mus * A)], axis=0)
+    values = eval_fn(points, np.concatenate([na, n_squares, na, n_sums, nb, np.tile(na, len(mus))]))
     fa, faa, fas, fab, fb = values[: 5 * samples].reshape(5, samples, dim, dim)
     f_twisted = values[5 * samples :].reshape(len(mus), samples, dim, dim)
     defects = {

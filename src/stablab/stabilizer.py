@@ -237,14 +237,16 @@ class StabilizationResult:
     """Outcome of one stabilization run.
 
     ``limit`` is None exactly when the run diverged; a fabricated limit is
-    never reported.  ``cauchy_residuals`` holds the exact residual of each
-    iteration used, or is empty when the run was made with ``traces=False``.
+    never reported.  ``differences`` holds h_{n-1} - h_{n-2} and
+    h_n - h_{n-1} at the n where the run stopped, whatever its status; the
+    first is zero when n = 1.  Their norms are the run's last two Cauchy
+    residuals.
     """
 
     limit: np.ndarray | None
     iterations_used: int
-    cauchy_residuals: list[float]
     status: str  # converged | diverged | exhausted
+    differences: np.ndarray  # (2, d, d)
 
     @property
     def converged(self) -> bool:
@@ -280,7 +282,7 @@ def resolve_direction(f: MapSpec, cfg: StabilizerConfig) -> str | None:
 
 
 def stabilize_batch(
-    f: MapSpec, A: np.ndarray, cfg: StabilizerConfig, *, traces: bool = True, norms: np.ndarray | None = None
+    f: MapSpec, A: np.ndarray, cfg: StabilizerConfig, *, norms: np.ndarray | None = None
 ) -> list[StabilizationResult]:
     """Lockstep stabilization of a (count, d, d) stack; pure per point.
 
@@ -291,11 +293,10 @@ def stabilize_batch(
     resolve_direction cannot resolve raises ValueError.
 
     Each iteration's residuals are one NormBracket, starting from their
-    Frobenius brackets.  It refines a residual where the bracket leaves a
-    decision open (converged, growing, above the first residual; an open
-    comparison refines both sides) and, with ``traces=True``, on every
-    running sample, whose result carries its trace.
-    Statuses, iterations and limits do not depend on ``traces``, bit for bit.
+    Frobenius brackets.  It refines a residual only where the bracket leaves
+    a decision open (converged, growing, above the first residual; an open
+    comparison refines both sides).  Each result keeps its last two
+    differences, for a caller that reports the stopping residuals to norm.
     ``norms`` are the operator norms of A when the caller holds them, as the
     drawn norms of a sampled stack; without them the stack is normed here.
     """
@@ -307,7 +308,8 @@ def stabilize_batch(
     norms_a = spectral_norms(A) if norms is None else norms  # ||3^±n a|| is carried as norms_a scaled by 3^±n
     tols = cfg.tol * (1.0 + norms_a)
     h_prev = apply_array(f, A, norms_a)
-    history = []  # one residual row per iteration, exact on the rows running at it
+    diffs = np.empty((count, 2, *A.shape[1:]), dtype=A.dtype)  # each row's last two differences
+    diff_prev = np.zeros_like(A)  # the first of the two for a row that stops at n = 1
     active = np.ones(count, dtype=bool)
     status = np.full(count, "exhausted", dtype=object)  # the status of a row still active at max_iter
     iters = np.zeros(count, dtype=int)
@@ -320,10 +322,8 @@ def stabilize_batch(
             h = factor * apply_array(f, A / factor, norms_a / factor)
         else:
             h = apply_array(f, A * factor, norms_a * factor) / factor
-        res = NormBracket(h - h_prev)  # one iteration's Cauchy residuals ||h_n - h_{n-1}||
-        if traces:  # the rows still running are the ones a trace reports
-            res.refine(active)
-            history.append(res.lo)
+        diff = h - h_prev
+        res = NormBracket(diff)  # one iteration's Cauchy residuals ||h_n - h_{n-1}||
         if n == 1:
             first = res
         iters[active] = n
@@ -340,18 +340,14 @@ def stabilize_batch(
         active = running & ~diverged
         kept = converged | active if n == cfg.max_iter else converged  # exhausted rows keep their last iterate
         limits[kept] = h[kept]
+        stopped = kept | diverged
+        diffs[stopped, 0], diffs[stopped, 1] = diff_prev[stopped], diff[stopped]
         if not active.any():
             break
-        h_prev = h
+        h_prev, diff_prev = h, diff
 
-    residuals = np.stack(history) if traces else np.empty((0, count))
     return [
-        StabilizationResult(
-            limit=None if status[i] == "diverged" else limits[i],
-            iterations_used=int(iters[i]),
-            cauchy_residuals=residuals[: iters[i], i].tolist(),
-            status=status[i],
-        )
+        StabilizationResult(None if status[i] == "diverged" else limits[i], int(iters[i]), status[i], diffs[i])
         for i in range(count)
     ]
 

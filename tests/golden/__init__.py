@@ -9,8 +9,9 @@ against its golden file:
   ``num_samples``, row keys, and every other string, integer, boolean and
   null (dict keys and list lengths included);
 - floats: within REL_TOL relative when the larger magnitude is above
-  SMALL, otherwise within ABS_TOL absolute (trace entries near 1e-6 are
-  dominated by cancellation, so only their absolute change is meaningful);
+  SMALL, otherwise within ABS_TOL absolute (stopping residuals and other
+  values below 1e-6 are dominated by cancellation, so only their absolute
+  change is meaningful);
   NaN matches NaN and an infinity only itself;
 - a worst witness may name another sample only when its residual ties the
   golden one within the float tolerance; its other fields then belong to a

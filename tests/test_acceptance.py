@@ -35,6 +35,8 @@ from stablab.stabilizer import (
     stabilize_batch,
 )
 
+from test_stabilizer import reference_stabilize
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 # Endpoint comparisons on computed norms allow one part in 1e12 of rounding;
@@ -172,11 +174,18 @@ class TestCriterion6DivergenceDichotomy:
         raw = json.loads((CONFIG_DIR / "stability_backward_constant.json").read_text())
         raw["stabilizer"] = {"direction": "forward"}
         raw["bound"] = {"kind": "profile", "coeff": 0.5, "degree": 2.0}  # a constant control is refused forward
-        forward = cmd_stability(parse_config(raw))
+        config = parse_config(raw)
+        forward = cmd_stability(config)
         assert forward.exit_code == EXIT_DIVERGED
         assert forward.verdict == "diverged"
-        for row in forward.sample_rows:
-            trace = row["trace"]
+        # each sample's residual history comes from the scalar reference run;
+        # the report's last two residuals are its end
+        f = build_map(config.map_cfg, config.dim)
+        A = random_elements(config.seed, config.samples, config.dim, config.norm_cap, stream=60)
+        for a, row in zip(A, forward.sample_rows, strict=True):
+            status, iterations, trace, _ = reference_stabilize(f, a[np.newaxis], config.stabilizer)
+            assert (row["status"], row["iterations"]) == (status, iterations) == ("diverged", len(trace))
+            assert (row["r_prev"], row["r_last"]) == (trace[-2], trace[-1])
             ratios = [trace[i + 1] / trace[i] for i in range(len(trace) - 1)][-5:]
             assert len(ratios) >= 1
             assert all(r >= 2.5 for r in ratios)

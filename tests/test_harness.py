@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablab import algebra, cli, harness
+from stablab import algebra, cli, harness, mappings, stabilizer
 from stablab.algebra import SAMPLER
 from stablab.checkers import CheckReport, Witness
 from stablab.cli import main as cli_main
@@ -727,9 +727,29 @@ class TestSerialization:
             )
             == EXIT_OK
         )
-        lines = out.read_text().splitlines()
-        assert lines[0].startswith("sample_id,norm_a,iterations")
-        assert len(lines) == 31
+        checks, rows = (section.splitlines() for section in out.read_text().split("\n\n"))
+        assert checks[0] == "name,max_residual,max_slack,num_samples,verdict,witness_norms"
+        assert [(c.split(",")[0], c.split(",")[4]) for c in checks[1:]] == [
+            ("bound_certificate", "satisfied"),
+            ("declared_bound", "satisfied"),
+            ("recovered_exactness", "satisfied"),
+        ]
+        assert rows[0].startswith("sample_id,norm_a,iterations,status,r_prev,r_last,dist")
+        assert len(rows) == 31
+
+    @pytest.mark.parametrize("command", ["stability", "superstability", "bounds-table", "lemma-check"])
+    def test_csv_checks_lead_the_sample_rows(self, tmp_path, command):
+        # the checks section, then, for a command with sample rows, one blank line and the rows
+        raw = {"stability": BACKWARD_CONSTANT, "superstability": POWER_DECAY, "bounds-table": BOUNDS_TABLE}
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "report.csv"
+        cfg_path.write_text(json.dumps(raw.get(command, minimal_config())))
+        summary = cli._COMMANDS[command](load_config(str(cfg_path)))
+        assert cli_main([command, "--config", str(cfg_path), "--out", str(out), "--format", "csv"]) == summary.exit_code
+        expected = checks_to_csv(summary.checks)
+        if summary.sample_rows:
+            expected += "\n" + rows_to_csv(summary.sample_rows)
+        assert out.read_text() == expected
+        assert summary.checks and bool(summary.sample_rows) == (command != "lemma-check")
 
     def test_diverged_csv_header_leads_the_certified_header(self, tmp_path):
         headers = []
@@ -742,10 +762,12 @@ class TestSerialization:
             cfg_path.write_text(json.dumps(dict(BACKWARD_CONSTANT, bound=bound, stabilizer={"direction": direction})))
             out = tmp_path / f"{direction}.csv"
             assert cli_main(["stability", "--config", str(cfg_path), "--out", str(out), "--format", "csv"]) == code
-            headers.append(out.read_text().splitlines()[0].split(","))
+            checks, rows = out.read_text().split("\n\n")
+            headers.append(rows.splitlines()[0].split(","))
         certified, diverged = headers
-        assert diverged == ["sample_id", "norm_a", "iterations", "status"]
+        assert diverged == ["sample_id", "norm_a", "iterations", "status", "r_prev", "r_last"]
         assert certified[: len(diverged)] == diverged
+        assert checks == "name,max_residual,max_slack,num_samples,verdict,witness_norms"  # no check is judged
 
 
     def test_calibration_error_keeps_the_sample_rows(self, tmp_path):
@@ -763,8 +785,9 @@ class TestSerialization:
         cfg_path, out = tmp_path / "cfg.json", tmp_path / "rows.csv"
         cfg_path.write_text(json.dumps(raw))
         assert cli_main(["stability", "--config", str(cfg_path), "--out", str(out), "--format", "csv"]) == EXIT_VIOLATED
-        lines = out.read_text().splitlines()
-        assert lines[0] == "sample_id,norm_a,iterations,status" and len(lines) == 21
+        checks, rows = (section.splitlines() for section in out.read_text().split("\n\n"))
+        assert len(checks) == 1  # the header alone: no check is judged
+        assert rows[0] == "sample_id,norm_a,iterations,status,r_prev,r_last" and len(rows) == 21
 
 class TestSuperstabilityCommand:
     def test_exact_map_all_zero_sequence(self):
@@ -884,15 +907,19 @@ class TestNormCount:
         # the exactness runs normed every Cauchy residual, 8368 when the
         # samples' own run normed the residuals of finished samples too, 8157
         # when zero residuals and every Jordan *-law value were normed, 8109
-        # when the sampler and stabilize_batch normed each drawn sample (7071 now)
-        assert self.normed_matrices(monkeypatch, cmd_stability, "stability_backward_constant.json") <= 7150
+        # when the sampler and stabilize_batch normed each drawn sample, 7071
+        # when the samples' run normed every running residual for its trace and
+        # the exactness run normed its points (2730 now)
+        assert self.normed_matrices(monkeypatch, cmd_stability, "stability_backward_constant.json") <= 2800
 
     def test_forward_power_stability(self, monkeypatch):
         # 25001 when the exactness runs normed every Cauchy residual, 8284 when
         # the samples' own run normed the residuals of finished samples too, 8009
         # when zero residuals and every Jordan *-law value were normed, 7234
-        # when the sampler and stabilize_batch normed each drawn sample (6085 now)
-        assert self.normed_matrices(monkeypatch, cmd_stability, "stability_forward_power.json") <= 6150
+        # when the sampler and stabilize_batch normed each drawn sample, 6085
+        # when the samples' run normed every running residual for its trace and
+        # the exactness run normed its points (2578 now)
+        assert self.normed_matrices(monkeypatch, cmd_stability, "stability_forward_power.json") <= 2650
 
     def test_superstability_p05(self, monkeypatch):
         # 4851 when every perturbed evaluation normed its input, 1676 when the
@@ -911,6 +938,44 @@ class TestNormCount:
         # which puts more phase-row samples among the candidates, 49618 when
         # the sampler normed every draw to rescale it (16208 now)
         assert self.normed_matrices(monkeypatch, cmd_lemma_check, "lemma_unitary.json") <= 16400
+
+
+class TestExactnessNorms:
+    """The exactness run carries its points' norms from the draw and norms only A^2 and A + B."""
+
+    @pytest.mark.parametrize("path", [BACKWARD_CONSTANT_CONFIG, FORWARD_POWER_CONFIG], ids=lambda p: p.stem)
+    def test_exactness_run_norms_two_inputs_per_sample(self, monkeypatch, path):
+        config = load_config(str(path))
+        # input matrices normed in mappings (A^2 and A + B, or a point in apply_array) or by stabilize_batch
+        inputs, exactness = [], []
+        for module in (mappings, stabilizer):
+            real = module.spectral_norms
+            monkeypatch.setattr(module, "spectral_norms", lambda mats, real=real: inputs.append(mats.shape) or real(mats))
+        runs, real_stabilize, real_defects = [], stabilizer.stabilize_batch, harness.jordan_star_defects
+
+        def recorded(f, xs, cfg, *, norms=None):
+            runs.append((f, xs, cfg, norms, real_stabilize(f, xs, cfg, norms=norms)))
+            return runs[-1][-1]
+
+        def exactness_stage(*args, **kwargs):
+            inputs.clear()
+            result = real_defects(*args, **kwargs)
+            exactness.extend(inputs)
+            return result
+
+        monkeypatch.setattr(harness, "stabilize_batch", recorded)
+        monkeypatch.setattr(harness, "jordan_star_defects", exactness_stage)
+        assert cmd_stability(config).exit_code == EXIT_OK
+        assert sum(math.prod(shape[:-2]) for shape in exactness) == 2 * config.exactness_samples  # not 20 ·
+        (_, (f, xs, cfg, norms, results)) = runs  # the samples' run, then the exactness run
+        assert xs.shape[0] == 20 * config.exactness_samples
+        monkeypatch.undo()
+        np.testing.assert_allclose(norms, algebra.spectral_norms(xs), rtol=2e-15, atol=0.0)
+        plain = real_stabilize(f, xs, cfg)  # normed here
+        assert [r.status for r in plain] == [r.status for r in results] == ["converged"] * xs.shape[0]
+        np.testing.assert_allclose(
+            np.stack([r.limit for r in results]), np.stack([r.limit for r in plain]), rtol=2e-15, atol=0.0
+        )
 
 
 class TestBoundsTableCommand:
@@ -950,13 +1015,13 @@ class TestBoundsTableCommand:
 
     @staticmethod
     def per_control_rows(config):
-        """The table as one scalar-coefficient call per control made it, in that loop's order."""
+        """The table as one scalar-coefficient call per control made it, in the (group, coeff, norm) order."""
         norms_a = np.array(config.table_norms, dtype=float)
         controls = [
             ("power", direction, coeff, exp)
             for direction, exps in (("backward", config.table_exps_backward), ("forward", config.table_exps_forward))
-            for coeff in config.table_coeffs
             for exp in exps
+            for coeff in config.table_coeffs
         ] + [("profile", "forward", coeff, config.table_profile_degree) for coeff in config.table_coeffs]
         rows = []
         for kind, direction, coeff, exp in controls:

@@ -265,7 +265,7 @@ class TestJordanStar:
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         assert np.allclose((a.conj().T).T, (a.T).conj().T)
         assert np.allclose((a @ a).T, a.T @ a.T)
-        defects, _ = jordan_star_defects(lambda xs: apply_array(Transpose(3), xs), 3, 100, 31)
+        defects, _ = jordan_star_defects(lambda xs, norms: apply_array(Transpose(3), xs), 3, 100, 31)
         assert max(float(np.max(v)) for v in defects.values()) <= 1e-9
 
     def test_unitary_conjugation_is_jordan_star(self):
@@ -276,11 +276,11 @@ class TestJordanStar:
         ua = u @ a @ u.conj().T
         assert np.allclose(ua @ ua, u @ (a @ a) @ u.conj().T, atol=1e-12)
         f = UnitaryConjugation(u)
-        defects, _ = jordan_star_defects(lambda xs: apply_array(f, xs), 3, 100, 32)
+        defects, _ = jordan_star_defects(lambda xs, norms: apply_array(f, xs), 3, 100, 32)
         assert max(float(np.max(v)) for v in defects.values()) <= 1e-9
 
     def test_zero_map_is_jordan_star(self):
-        defects, _ = jordan_star_defects(lambda xs: apply_array(ZeroMap(3), xs), 3, 20, 33)
+        defects, _ = jordan_star_defects(lambda xs, norms: apply_array(ZeroMap(3), xs), 3, 20, 33)
         assert max(float(np.max(v)) for v in defects.values()) <= 1e-12
 
     def test_constant_perturbation_fails_with_witness(self):
@@ -288,7 +288,7 @@ class TestJordanStar:
             Identity(3),
             Perturbation(size=0.1, power=0.0, direction=unit_direction(3, "identity"), mode="constant"),
         )
-        defects, A = jordan_star_defects(lambda xs: apply_array(f, xs), 3, 100, 34)
+        defects, A = jordan_star_defects(lambda xs, norms: apply_array(f, xs), 3, 100, 34)
         worst = max(defects, key=lambda name: np.max(defects[name]))
         assert float(np.max(defects[worst])) > 1e-6
         # the witness replays: its square defect recomputed alone is the sampled one
@@ -299,7 +299,7 @@ class TestJordanStar:
         assert 0.01 <= float(np.max(defects[worst])) <= 1.0
 
     def test_negation_is_additive_but_not_jordan(self):
-        defects, _ = jordan_star_defects(lambda xs: apply_array(Negation(3), xs), 3, 100, 35)
+        defects, _ = jordan_star_defects(lambda xs, norms: apply_array(Negation(3), xs), 3, 100, 35)
         assert float(np.max(defects["squares"])) > 1e-9
         assert max(defects, key=lambda name: np.max(defects[name])) == "squares"
         assert np.max(defects["additivity"]) <= 1e-12
@@ -308,7 +308,7 @@ class TestJordanStar:
 
     def test_exact_kinds_additive_and_homogeneous(self):
         for f in (Identity(3), Transpose(3), Negation(3), UnitaryConjugation(phase_permutation_unitary(3, 1))):
-            defects, _ = jordan_star_defects(lambda xs: apply_array(f, xs), 3, 150, 36)
+            defects, _ = jordan_star_defects(lambda xs, norms: apply_array(f, xs), 3, 150, 36)
             assert np.max(defects["additivity"]) <= 1e-10
             assert np.max(defects["homogeneity"]) <= 1e-10
 
@@ -319,7 +319,7 @@ class TestJordanStar:
             Perturbation(size=0.1, power=0.5, direction=unit_direction(3, "corner"), mode="power"),
         )
         phases = unit_circle_grid(8)
-        defects, A = jordan_star_defects(lambda xs: apply_array(f, xs), 3, 30, 37, phases=phases)
+        defects, A = jordan_star_defects(lambda xs, norms: apply_array(f, xs), 3, 30, 37, phases=phases)
         fa = apply_array(f, A)
         worst = np.zeros(30)
         for mu in phases[1:]:
@@ -338,9 +338,9 @@ class TestJordanStar:
             Transpose(3),
             Perturbation(size=0.1, power=0.5, direction=unit_direction(3, "corner"), mode="power", odd=True),
         )
-        fast, _ = jordan_star_defects(lambda xs: apply_array(f, xs), 3, 200, 39, phases=unit_circle_grid(8))
+        fast, _ = jordan_star_defects(lambda xs, norms: apply_array(f, xs), 3, 200, 39, phases=unit_circle_grid(8))
         monkeypatch.setattr(mappings, "extreme_norms", lambda mats: spectral_norms(mats))
-        full, _ = jordan_star_defects(lambda xs: apply_array(f, xs), 3, 200, 39, phases=unit_circle_grid(8))
+        full, _ = jordan_star_defects(lambda xs, norms: apply_array(f, xs), 3, 200, 39, phases=unit_circle_grid(8))
         for name, ref in full.items():
             values = fast[name]
             assert np.all(values >= ref)
@@ -355,7 +355,7 @@ class TestJordanStar:
         )
         seen = []
 
-        def eval_fn(xs):
+        def eval_fn(xs, norms):
             seen.append(xs.shape[0])
             return apply_array(f, xs)
 

@@ -13,10 +13,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from stablab import algebra, checkers, mappings, stabilizer
+from stablab import algebra, checkers, harness, mappings, stabilizer
 from stablab.algebra import NonFiniteError, random_element, random_elements, spectral_norms
 from stablab.checkers import _stability_equation_values, superstability_decay_batch, superstability_shrinking_batch
-from stablab.harness import EXIT_DIVERGED, build_map, cmd_stability, load_config, parse_config
+from stablab.harness import EXIT_DIVERGED, _stopping_residuals, build_map, cmd_stability, load_config, parse_config
 from stablab.mappings import (
     Identity,
     Perturbation,
@@ -69,7 +69,7 @@ def reference_stabilize(f, a, cfg):
     trace, grow, last = [], 0, float("inf")
     for n in range(1, cfg.max_iter + 1):
         factor = 3.0**n
-        if cfg.direction == FORWARD:
+        if resolve_direction(f, cfg) == FORWARD:
             h = factor * apply_array(f, a / factor, norm / factor)
         else:
             h = apply_array(f, a * factor, norm * factor) / factor
@@ -83,6 +83,23 @@ def reference_stabilize(f, a, cfg):
             return "diverged", n, trace, None
         h_prev = h
     return "exhausted", cfg.max_iter, trace, h[0]
+
+
+def assert_matches_reference(f, A, cfg, results):
+    """Each run equals reference_stabilize on its row: status, iterations and limit, and its stopping
+    residuals (r_prev, r_last) are the last two entries of the reference trace, bit for bit.  Returns the traces."""
+    r_prev, r_last = _stopping_residuals(results)
+    traces = []
+    for i, r in enumerate(results):
+        status, iterations, trace, limit = reference_stabilize(f, A[i : i + 1], cfg)
+        assert (r.status, r.iterations_used) == (status, iterations), i
+        assert (r_prev[i], r_last[i]) == (trace[-2] if len(trace) > 1 else None, trace[-1]), i
+        if limit is None:
+            assert r.limit is None, i
+        else:
+            assert r.limit.tobytes() == limit.tobytes(), i
+        traces.append(trace)
+    return traces
 
 
 def mp_series(coeff, exponent, norm_a, direction, terms=200):
@@ -306,13 +323,13 @@ class TestStabilizePoint:
             Perturbation(size=0.3, power=0.0, direction=unit_direction(3, "identity"), mode="constant"),
         )
         a = random_element(203, 3, 2.0)[np.newaxis]
-        res = stabilize_batch(f, a, StabilizerConfig(direction=FORWARD))[0]
-        assert res.status == "diverged"
-        assert res.limit is None
-        ratios = [
-            res.cauchy_residuals[i + 1] / res.cauchy_residuals[i]
-            for i in range(len(res.cauchy_residuals) - 1)
-        ]
+        cfg = StabilizerConfig(direction=FORWARD)
+        results = stabilize_batch(f, a, cfg)
+        assert results[0].status == "diverged"
+        assert results[0].limit is None
+        (trace,) = assert_matches_reference(f, a, cfg, results)
+        ratios = [trace[i + 1] / trace[i] for i in range(len(trace) - 1)]
+        assert len(ratios) >= DIVERGENCE_GROWTH_STEPS
         assert all(r == pytest.approx(3.0, rel=1e-9) for r in ratios)
 
     def test_zero_map_stabilizes_to_zero(self):
@@ -357,7 +374,8 @@ class TestStabilizePoint:
             stabilize_batch(f, random_element(205, 3, 1.0)[np.newaxis], StabilizerConfig())
 
     def test_batch_matches_point(self):
-        """Each row of a stack, whatever its status, equals the row run alone and the scalar reference."""
+        """Each row of a stack, whatever its status, equals the row run alone and the scalar reference,
+        stopping residuals included."""
         seeded = np.stack([random_element(210 + i, 3, 2.0) for i in range(5)])
         zero_row = seeded.copy()
         zero_row[2] = 0.0
@@ -378,6 +396,7 @@ class TestStabilizePoint:
                 {"converged", "exhausted"},
             ),
         ]
+        first_step_stops = 0
         for mode, power, size, A, cfg, statuses in cases:
             f = Perturbed(
                 Identity(3),
@@ -385,15 +404,11 @@ class TestStabilizePoint:
             )
             batch = stabilize_batch(f, A, cfg)
             assert {r.status for r in batch} == statuses
-            for i, row in enumerate(batch):
-                single = stabilize_batch(f, A[i : i + 1], cfg)[0]
-                status, iterations, trace, limit = reference_stabilize(f, A[i : i + 1], cfg)
-                for r in (row, single):
-                    assert (r.status, r.iterations_used, r.cauchy_residuals) == (status, iterations, trace)
-                    if limit is None:
-                        assert r.limit is None
-                    else:
-                        assert r.limit.tobytes() == limit.tobytes()
+            assert_matches_reference(f, A, cfg, batch)
+            for i in range(len(A)):
+                assert_matches_reference(f, A[i : i + 1], cfg, stabilize_batch(f, A[i : i + 1], cfg))
+            first_step_stops += sum(r.iterations_used == 1 for r in batch)
+        assert first_step_stops > 0  # a zero row stops at n = 1, with r_prev None
 
 
 class TestCarriedNorms:
@@ -601,18 +616,14 @@ def criterion6_forward_run():
 
 
 class TestTracelessRuns:
-    """traces=False decides on Frobenius brackets; statuses, iterations and limits stay the traced ones."""
+    """A run decides on Frobenius brackets and keeps no trace; its statuses, iterations, limits and
+    stopping residuals are those of the exactly normed scalar reference, bit for bit."""
 
     @staticmethod
     def assert_same_runs(f, A, cfg):
-        traced = stabilize_batch(f, A, cfg)
-        bare = stabilize_batch(f, A, cfg, traces=False)
-        for i, (on, off) in enumerate(zip(traced, bare, strict=True)):
-            assert (off.status, off.iterations_used, off.cauchy_residuals) == (on.status, on.iterations_used, []), i
-            assert (off.limit is None) == (on.limit is None), i
-            if on.limit is not None:
-                assert off.limit.tobytes() == on.limit.tobytes(), i
-        return traced
+        """The run's results, checked against reference_stabilize, and the reference traces."""
+        results = stabilize_batch(f, A, cfg)
+        return results, assert_matches_reference(f, A, cfg, results)
 
     def test_converged_exhausted_and_diverged(self):
         spread = random_elements(80, 40, 3, 2.0, stream=1) * np.logspace(-3, 3, 40)[:, None, None]
@@ -641,7 +652,7 @@ class TestTracelessRuns:
             (*criterion6_forward_run(), {"diverged"}),
         ]
         for f, A, cfg, statuses in cases:
-            assert {r.status for r in self.assert_same_runs(f, A, cfg)} == statuses
+            assert {r.status for r in self.assert_same_runs(f, A, cfg)[0]} == statuses
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_open_growth_comparison(self, d):
@@ -651,10 +662,10 @@ class TestTracelessRuns:
         # every growth step is decided only by norming both residuals.
         f = perturbed_identity(d, "power", 0.9)
         A = random_elements(82, 20, d, 4.0, stream=1)
-        traced = self.assert_same_runs(f, A, StabilizerConfig(direction=FORWARD))
-        for r in traced:
+        results, traces = self.assert_same_runs(f, A, StabilizerConfig(direction=FORWARD))
+        for r, trace in zip(results, traces, strict=True):
             assert r.status == "diverged" and r.iterations_used == 1 + DIVERGENCE_GROWTH_STEPS
-            ratios = np.divide(r.cauchy_residuals[1:], r.cauchy_residuals[:-1])
+            ratios = np.divide(trace[1:], trace[:-1])
             assert np.all((ratios > 1.0) & (ratios < np.sqrt(d)))
 
     def test_first_residual_is_normed_when_the_divergence_rule_needs_it(self, monkeypatch):
@@ -674,9 +685,10 @@ class TestTracelessRuns:
             return 3.0**n * H[n][np.newaxis]
 
         monkeypatch.setattr(stabilizer, "apply_array", scripted)
+        monkeypatch.setitem(globals(), "apply_array", scripted)  # the reference runs the same script
         sample = np.eye(d, dtype=complex)[np.newaxis]
-        traced = self.assert_same_runs(Identity(d), sample, StabilizerConfig(direction=BACKWARD))
-        assert (traced[0].status, traced[0].iterations_used) == ("diverged", 7)
+        results, _ = self.assert_same_runs(Identity(d), sample, StabilizerConfig(direction=BACKWARD))
+        assert (results[0].status, results[0].iterations_used) == ("diverged", 7)
 
     @pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
     @pytest.mark.parametrize("mode,power", [("constant", 0.0), ("affine", 0.0), ("power", 0.5), ("power", 2.0)])
@@ -688,7 +700,9 @@ class TestTracelessRuns:
 
 
 class TestTracedRuns:
-    """A traced run norms each sample once, then each of its residuals once, and no row after it stops."""
+    """The samples' own run in `stability`, whose report shows each row's stopping residuals: the run norms
+    each sample once and a residual only where the bracket leaves a decision open, never after its row
+    stops; the report then norms every row's last two differences in one call."""
 
     @pytest.mark.parametrize(
         "mode,power,cfg,statuses",
@@ -701,32 +715,39 @@ class TestTracedRuns:
         spread = random_elements(80, 40, 3, 2.0, stream=1) * np.logspace(-3, 3, 40)[:, None, None]
         spread[7] = 0.0  # converges at the first iteration
         f = perturbed_identity(3, mode, power)
-        count = [0]
+        calls = []
         real = stabilizer.spectral_norms
 
         def counted(mats):
             norms = real(mats)
-            count[0] += norms.size
+            calls.append(norms.size)
             return norms
 
-        # the samples are normed in stabilizer, the residuals in NormBracket.refine
-        for module in (algebra, stabilizer, mappings):
+        # the samples are normed in stabilizer, the residuals in NormBracket.refine, the stopping residuals in harness
+        for module in (algebra, stabilizer, mappings, harness):
             monkeypatch.setattr(module, "spectral_norms", counted)
         results = stabilize_batch(f, spread, cfg)
+        in_run = sum(calls)
         iterations = [r.iterations_used for r in results]
         assert {r.status for r in results} == statuses and len(set(iterations)) > 1
-        # sample 7's first residual is an all-zero matrix, exact as its bracket
-        # [0, 0] without a norm call: 775 (constant) and 274 (power) matrices
-        assert count[0] == len(results) + sum(iterations) - 1
-        assert count[0] == {"constant": 775, "power": 274}[mode]
+        # at most each running row's residual once (sample 7's first residual is the exact zero bracket)
+        assert in_run <= len(results) + sum(iterations) - 1
+        # 775 (constant) and 274 (power) when every running row's residual was normed for a trace; the
+        # power rows' decisions still need all 274, the constant rows' only 14 beyond their 40 samples
+        assert in_run == {"constant": 54, "power": 274}[mode]
+        before = len(calls)
+        _stopping_residuals(results)
+        assert calls[before:] == [2 * len(results)]
 
-    @pytest.mark.parametrize("traces", [True, False])
-    def test_non_finite_difference_raises(self, monkeypatch, traces):
-        # a map value that turns NaN at the second iterate leaves a non-finite residual
+    @pytest.mark.parametrize("given_norms", [True, False])
+    def test_non_finite_difference_raises(self, monkeypatch, given_norms):
+        # a map value that turns NaN at the second iterate leaves a non-finite residual,
+        # whether the caller passes the sample's norm or the stack is normed here
         def jump(f, xs, norms=None):
             return np.full(xs.shape, np.nan if norms[0] > 5.0 else 1.0, dtype=complex)
 
         monkeypatch.setattr(stabilizer, "apply_array", jump)
         sample = np.eye(2, dtype=complex)[np.newaxis]
+        norms = np.ones(1) if given_norms else None
         with pytest.raises(NonFiniteError):
-            stabilize_batch(Identity(2), sample, StabilizerConfig(direction=BACKWARD), traces=traces)
+            stabilize_batch(Identity(2), sample, StabilizerConfig(direction=BACKWARD), norms=norms)
