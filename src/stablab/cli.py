@@ -1,12 +1,13 @@
 """Command-line entry point.
 
-Subcommands: lemma-check, stability, superstability, bounds-table.
-Reports go to --out (or the config's output path) as JSON or CSV;
-a human-readable line per check is printed either way.
+Subcommands: lemma-check, stability, superstability, bounds-table.  Every
+command reads its experiment from --config (required) and writes its report
+to --out, as JSON or, with --format csv, as CSV; without --out no report
+file is written.  A human-readable line per check is printed either way.
 
 Exit codes: 0 all satisfied, 1 violated, 2 divergence, 3 config or usage
-error (an unwritable --out or outputs.path and a run that needs more memory
-than is available included), 4 numerical failure
+error (no --config, --format without --out, an unwritable --out and a run
+that needs more memory than is available included), 4 numerical failure
 (overflow, non-finite values or an SVD that does not converge).  Exits 2-4
 print one stderr line and no traceback.
 """
@@ -23,15 +24,12 @@ from .harness import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
     ConfigError,
-    ExperimentConfig,
     RunSummary,
-    _field_path,
     checks_to_csv,
     cmd_bounds_table,
     cmd_lemma_check,
     cmd_stability,
     cmd_superstability,
-    default_bounds_table_config,
     load_config,
     report_json_bytes,
     rows_to_csv,
@@ -54,11 +52,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         cmd = sub.add_parser(name)
-        cmd.add_argument("--config", help="experiment config JSON path")
-        cmd.add_argument("--out", help="report output path (overrides the config's output path)")
-        cmd.add_argument(
-            "--format", choices=("json", "csv"), help="report format (overrides the config's output format)"
-        )
+        cmd.add_argument("--config", help="experiment config JSON path (required)")
+        cmd.add_argument("--out", help="report output path")
+        cmd.add_argument("--format", choices=("json", "csv"), help="report format (default json; needs --out)")
         cmd.add_argument("--seed", type=int, help="seed override for the config's sampling seed")
     return parser
 
@@ -73,13 +69,10 @@ def _print_summary(summary: RunSummary) -> None:
     print(f"verdict: {summary.verdict} (exit {summary.exit_code})")
 
 
-def _write_output(summary: RunSummary, config: ExperimentConfig, out: str | None, fmt: str | None) -> None:
-    path = out if out is not None else config.output_path
-    if path is None:
+def _write_output(summary: RunSummary, out: str | None, fmt: str | None) -> None:
+    if out is None:
         return
-    source = "--out" if out is not None else _field_path("output_path")
-    chosen = fmt if fmt is not None else config.output_format
-    if chosen == "json":
+    if fmt != "csv":
         payload = report_json_bytes(summary)
     else:
         body = checks_to_csv(summary.checks)  # the checks lead; sample rows follow after one blank line
@@ -87,26 +80,23 @@ def _write_output(summary: RunSummary, config: ExperimentConfig, out: str | None
             body += "\n" + rows_to_csv(summary.sample_rows)
         payload = body.encode("utf-8")
     try:
-        with open(path, "wb") as fh:
+        with open(out, "wb") as fh:
             fh.write(payload)
     except OSError as exc:
-        raise ConfigError(f"{source}: cannot write {path}: {exc.strerror or exc}")
-    print(f"report written: {path}")
+        raise ConfigError(f"--out: cannot write {out}: {exc.strerror or exc}")
+    print(f"report written: {out}")
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.config is None:
-            if args.command != "bounds-table":
-                raise ConfigError("config: --config is required for this command")
-            config = default_bounds_table_config()
-            if args.seed is not None:
-                raise ConfigError("config: --seed needs --config")
-        else:
-            config = load_config(args.config, seed_override=args.seed)
+            raise ConfigError("--config: required by every command")
+        if args.format is not None and args.out is None:  # a format with nowhere to write would do nothing
+            raise ConfigError("--format: needs --out")
+        config = load_config(args.config, seed_override=args.seed)
         summary = _COMMANDS[args.command](config)
-        _write_output(summary, config, args.out, args.format)
+        _write_output(summary, args.out, args.format)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -2,14 +2,16 @@
 
 Configs are versioned (top-level "schema": 1) and strictly validated:
 unknown fields are errors, not warnings, and every error names the field
-path.  Reports carry their own version (REPORT_SCHEMA).  A run is fully
-determined by the config plus its seed; reports are byte-identical across
-runs except for the timestamp field, which is excluded from the config
-digest.
+path.  A config holds the experiment and nothing else: where a report goes
+and in which format are run options (the CLI's --out and --format), so the
+config digest names only the experiment.  Reports carry their own version
+(REPORT_SCHEMA).  A run is fully determined by the config plus its seed;
+reports are byte-identical across runs except for the timestamp field,
+which is excluded from the config digest.
 
 Exit-code contract: 0 all satisfied, 1 hypothesis or bound violated,
 2 divergence (of the sampled runs or of the exactness check's), 3 config or
-usage error (an unwritable output path, or a run that needs more memory than
+usage error (an unwritable --out path, or a run that needs more memory than
 is available, included), 4 numerical failure (an overflow or a non-finite
 value, raised as an ArithmeticError).
 """
@@ -99,7 +101,6 @@ __all__ = [
     "cmd_lemma_check",
     "cmd_stability",
     "cmd_superstability",
-    "default_bounds_table_config",
     "load_config",
     "parse_config",
     "report_dict",
@@ -153,7 +154,6 @@ CONFIG_FIELDS = (
     ("superstability.slope_margin", "decay_slope_margin", float, 0.1, "(0, inf)"),
     ("exactness.samples", "exactness_samples", int, 64, "[1, inf)"),
     ("exactness.tol", "exactness_tol", float, 1e-8, "[1e-13, inf)"),
-    ("calibration.norm_cap", "calibration_norm_cap", float, None, "(0, inf)"),
     ("calibration.sweep_factor", "calibration_sweep", float, None, "(1, inf)"),
     ("bounds_table.coeffs", "table_coeffs", list[float], [1e-3, 1.0, 10.0], "[0, inf)"),
     ("bounds_table.exps_forward", "table_exps_forward", list[float], [1.5, 2.0, 3.0], "(1, inf)"),
@@ -161,8 +161,6 @@ CONFIG_FIELDS = (
     ("bounds_table.norms", "table_norms", list[float], [0.5, 1.0, 2.0], "[0, inf)"),
     ("bounds_table.terms", "table_terms", int, 60, f"[2, {SERIES_TERMS_MAX}]"),
     ("bounds_table.profile_degree", "table_profile_degree", float, 2.0, "(1, inf)"),
-    ("outputs.format", "output_format", str, "json", ("json", "csv")),
-    ("outputs.path", "output_path", str, None, None),
 )
 
 _TYPE_NAMES = {int: "an integer", float: "a number", bool: "true/false", str: "a string"}
@@ -378,11 +376,6 @@ def load_config(path: str, seed_override: int | None = None) -> ExperimentConfig
     except ValueError as exc:  # malformed JSON or text that is not UTF-8
         raise ConfigError(f"config: invalid JSON: {exc}")
     return parse_config(raw, seed_override=seed_override)
-
-
-def default_bounds_table_config() -> ExperimentConfig:
-    """Built-in config for the bounds-table command when none is supplied."""
-    return parse_config({"schema": 1, "algebra": {"dim": 2}, "sampling": {"seed": 0, "samples": 1}})
 
 
 @contextmanager
@@ -691,14 +684,13 @@ def cmd_stability(config: ExperimentConfig) -> RunSummary:
         meta["exhausted_samples"] = exhausted
     checks: list[CheckReport] = []
 
-    calib_cap = config.calibration_norm_cap if config.calibration_norm_cap is not None else config.norm_cap
     try:
         calibrated = calibrate_control(
             f,
             template,
             derived_seed(config.seed, 7),
             calib_samples,
-            norm_cap=calib_cap,
+            norm_cap=config.norm_cap,
             sweep_factor=config.calibration_sweep,
         )
     except CalibrationError as exc:

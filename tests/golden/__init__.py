@@ -1,9 +1,8 @@
 """Golden reports: the committed report of every shipped config, and how to compare one.
 
-Each case is one command run on one config in ``configs/`` (or the built-in
-``bounds-table`` default) with the timestamp fixed; its report must be strict
-JSON (no NaN or Infinity constants).  ``compare`` holds a fresh report
-against its golden file:
+Each case is one command run on one config in ``configs/`` with the
+timestamp fixed; its report must be strict JSON (no NaN or Infinity
+constants).  ``compare`` holds a fresh report against its golden file:
 
 - exactly: the config digest, exit code and verdicts, check names,
   ``num_samples``, row keys, and every other string, integer, boolean and
@@ -33,7 +32,7 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from stablab.cli import _COMMANDS
-from stablab.harness import ExperimentConfig, default_bounds_table_config, load_config, report_json_bytes
+from stablab.harness import ExperimentConfig, load_config, report_json_bytes
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 CONFIG_DIR = GOLDEN_DIR.parent.parent / "configs"
@@ -42,10 +41,10 @@ REL_TOL = 3e-14
 ABS_TOL = 5e-16
 SMALL = 1e-6
 
-# golden file stem -> (command, config file in configs/, or None for the built-in default)
+# golden file stem -> (command, config file in configs/)
 CASES = {
     "bounds_table": ("bounds-table", "bounds_table.json"),
-    "bounds_table_default": ("bounds-table", None),
+    "bounds_table_default": ("bounds-table", "bounds_table_default.json"),
     "lemma_affine_counterexample": ("lemma-check", "lemma_affine_counterexample.json"),
     "lemma_phase_sweep": ("lemma-check", "lemma_phase_sweep.json"),
     "lemma_transpose": ("lemma-check", "lemma_transpose.json"),
@@ -67,8 +66,7 @@ def _case_bytes(name: str) -> bytes:
 
 
 def case_config(name: str) -> ExperimentConfig:
-    config_name = CASES[name][1]
-    return default_bounds_table_config() if config_name is None else load_config(str(CONFIG_DIR / config_name))
+    return load_config(str(CONFIG_DIR / CASES[name][1]))
 
 
 def _reject_constant(constant: str):

@@ -17,7 +17,7 @@ import pytest
 
 from stablab.algebra import random_elements
 from stablab import harness
-from stablab.harness import build_map, cmd_bounds_table, default_bounds_table_config, load_config
+from stablab.harness import build_map, cmd_bounds_table, load_config
 from stablab.mappings import Identity, Perturbation, Perturbed, unit_direction
 from stablab.stabilizer import StabilizerConfig, stabilize_batch
 
@@ -75,7 +75,7 @@ def test_stabilize_work_counts_are_python_ints(direction, statuses):
 
 
 def test_series_terms_reads_terms_from_the_bounds_table_call(monkeypatch):
-    config = default_bounds_table_config()
+    config = load_config(ROOT / "configs" / "bounds_table_default.json")
     real = harness.bound_series_truncated
     seen = []
 

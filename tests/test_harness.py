@@ -112,6 +112,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 P05_CONFIG = README.parent / "configs" / "superstability_p05.json"
 FORWARD_POWER_CONFIG = README.parent / "configs" / "stability_forward_power.json"
 BACKWARD_CONSTANT_CONFIG = README.parent / "configs" / "stability_backward_constant.json"
+DEFAULT_TABLE_CONFIG = README.parent / "configs" / "bounds_table_default.json"
 
 
 def run_cli(capsys, argv):
@@ -263,8 +264,8 @@ class TestConfigValidation:
         assert cfg.stabilizer.max_iter == 64
         assert cfg.phase_grid_size == 16
         assert cfg.dims == [3]
-        assert cfg.output_format == "json"
-        nulls = minimal_config(bound=None, calibration={"norm_cap": None}, outputs={"path": None})
+        assert cfg.calibration_sweep is None
+        nulls = minimal_config(bound=None, calibration={"sweep_factor": None}, stabilizer={"tol": None})
         nulls["sampling"]["dims"] = None
         assert parse_config(nulls).canonical == cfg.canonical
 
@@ -468,9 +469,20 @@ class TestExitCodes:
                 ([command], NO_MAP, "config error: config.map: required for this command")
                 for command in ("lemma-check", "stability", "superstability")
             ),
-            (["bounds-table", "--seed", "1"], None, "config error: config: --seed needs --config"),
+            (["bounds-table"], None, "config error: --config: required by every command"),
+            (["bounds-table", "--seed", "1"], None, "config error: --config: required by every command"),
+            (["lemma-check", "--format", "csv"], NO_MAP, "config error: --format: needs --out"),
         ],
-        ids=["malformed-json", "not-utf8", "lemma-no-map", "stability-no-map", "superstability-no-map", "seed-no-config"],
+        ids=[
+            "malformed-json",
+            "not-utf8",
+            "lemma-no-map",
+            "stability-no-map",
+            "superstability-no-map",
+            "no-config",
+            "seed-no-config",
+            "format-no-out",
+        ],
     )
     def test_cli_config_errors_print_one_line(self, tmp_path, capsys, argv, body, line):
         if body is not None:
@@ -699,22 +711,16 @@ class TestSerialization:
         phased = next(c for c in report["checks"] if c["name"].endswith("/phase_oddness"))["worst_witness"]
         assert len(phased["phase"]) == 2 and all(type(x) is float for x in phased["phase"])
 
-    def test_config_outputs_path_honoured(self, tmp_path):
-        out = tmp_path / "from_config.json"
-        raw = minimal_config(outputs={"format": "json", "path": str(out)})
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(raw))
-        assert cli_main(["lemma-check", "--config", str(cfg_path)]) == EXIT_OK
-        assert out.exists()
-        assert json.loads(out.read_text())["command"] == "lemma-check"
-
     def test_cli_calls_share_one_parser_and_no_flags(self, tmp_path):
-        out, flagged, cfg_path = tmp_path / "from_config.json", tmp_path / "flagged.csv", tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(minimal_config(outputs={"format": "json", "path": str(out)})))
+        # a call's --format csv does not carry over to the next call's --out, and a call without --out writes nothing
+        flagged, plain, cfg_path = tmp_path / "flagged.csv", tmp_path / "plain.json", tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(minimal_config()))
         assert cli_main(["lemma-check", "--config", str(cfg_path), "--out", str(flagged), "--format", "csv"]) == EXIT_OK
+        assert cli_main(["lemma-check", "--config", str(cfg_path), "--out", str(plain)]) == EXIT_OK
         assert cli_main(["lemma-check", "--config", str(cfg_path)]) == EXIT_OK
         assert flagged.read_text().startswith("name,")
-        assert json.loads(out.read_text())["command"] == "lemma-check"
+        assert json.loads(plain.read_text())["command"] == "lemma-check"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "flagged.csv", "plain.json"]
         assert cli._build_parser() is cli._build_parser()
 
     def test_csv_output_via_cli(self, tmp_path):
@@ -1075,7 +1081,7 @@ class TestBoundsTableCommand:
     @pytest.mark.parametrize("budget, code", [(63 * 60, EXIT_OK), (63 * 60 - 1, EXIT_CONFIG)])
     def test_work_budget_bounds_cells_times_terms(self, capsys, monkeypatch, budget, code):
         monkeypatch.setattr(harness, "TABLE_WORK_BUDGET", budget)  # the default grid: 63 cells × 60 terms
-        got, err = run_cli(capsys, ["bounds-table"])
+        got, err = run_cli(capsys, ["bounds-table", "--config", str(DEFAULT_TABLE_CONFIG)])
         assert got == code
         if code == EXIT_CONFIG:
             assert err == [
@@ -1219,6 +1225,10 @@ class TestOutOfRangeValues:
             ("stability", {"exactness.tol": 1e-16}, [], "exactness.tol: must be in [1e-13, inf), got 1e-16"),
             # an integer beyond the float range reads as inf
             ("lemma-check", {"sampling.norm_cap": 10**400}, [], "sampling.norm_cap: expected a finite number, got inf"),
+            # where a report goes is a run option (--out, --format), not part of the experiment
+            ("bounds-table", {"outputs.path": "x.json"}, [], "outputs: unknown field"),
+            # calibration draws at sampling.norm_cap
+            ("stability", {"calibration.norm_cap": 5.0}, [], "calibration.norm_cap: unknown field"),
         ],
     )
     def test_cli_exits_config_error(self, tmp_path, capsys, command, overrides, argv, path):
@@ -1236,7 +1246,7 @@ class TestOutOfRangeValues:
         assert cli_main([command, "--config", str(cfg_path), *argv]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"config error: config.{path}")
-        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 class TestSeedRange:
@@ -1403,19 +1413,11 @@ class TestRunFailures:
         certified = ("bound_certificate", "declared_bound", "recovered_exactness")
         assert all(checks[name]["verdict"] == "satisfied" for name in certified)
 
-    @pytest.mark.parametrize("via", ["--out", "config.outputs.path"])
-    def test_unwritable_output_exits_config_error(self, tmp_path, capsys, via):
+    def test_unwritable_output_exits_config_error(self, tmp_path, capsys):
         target = tmp_path / "missing" / "x.json"
-        raw = copy.deepcopy(BOUNDS_TABLE)
-        argv = ["--out", str(target)]
-        if via != "--out":
-            raw["outputs"] = {"path": str(target)}
-            argv = []
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(raw))
-        code, err = run_cli(capsys, ["bounds-table", "--config", str(cfg_path), *argv])
+        code, err = run_cli(capsys, ["bounds-table", "--config", str(DEFAULT_TABLE_CONFIG), "--out", str(target)])
         assert code == EXIT_CONFIG
-        assert err == [f"config error: {via}: cannot write {target}: No such file or directory"]
+        assert err == [f"config error: --out: cannot write {target}: No such file or directory"]
 
 
 def _valid_values(kind, allowed):
@@ -1555,6 +1557,16 @@ class TestSchemaTable:
         lines = README.read_text(encoding="utf-8").splitlines()
         missing = [line for line in expected if line not in lines]
         assert not missing, "README.md schema tables are out of date:\n" + "\n".join(missing)
+        documented, header = [], None  # the body rows of every README table headed "| path |"
+        for line in lines:
+            if not line.startswith("|"):
+                header = None
+            elif header is None:
+                header = line
+            elif header.startswith("| path |") and not line.startswith("| ---"):
+                documented.append(line)
+        stale = [line for line in documented if line not in expected]
+        assert not stale, "README.md schema tables document fields no table holds:\n" + "\n".join(stale)
 
     def test_readme_json_examples_parse(self):
         blocks = re.findall(r"^```json\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
