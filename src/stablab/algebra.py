@@ -113,26 +113,42 @@ def extreme_norms(mats: np.ndarray, allowance: np.ndarray | None = None) -> np.n
     ``mats`` is (n, d, d), one matrix per sample, or (G, n, d, d), G matrices
     per sample whose maximum over axis 0 is the sample's norm.  A report
     reads the maximum, the minimum and, given ``allowance`` (tol * scale per
-    sample), the first argmax of norm - allowance.  Each sample is bracketed
-    by a NormBracket (over G, the maximum of lo and of hi); a sample whose
-    bracket could reach one of those extremes is a candidate, and the
-    bracket refines all its matrices.  Every other sample carries its hi in
-    all its entries, which lies strictly below the maximum and the worst
-    excess and strictly above the minimum.  So the extremes, their first
-    indices and, for a candidate, its first maximising matrix over G are
-    those of full norms, bit for bit.
+    sample), the first argmax of norm - allowance.  Each matrix is bracketed
+    by a NormBracket, and a sample's bracket is the maximum of lo and of hi
+    over G.  Two rounds refine samples.  The first norms the samples that
+    set the thresholds: the first argmax of lo, the first argmin of hi and,
+    given ``allowance``, the first argmax of lo - allowance.  The second
+    norms every sample whose bracket, as it stands then, could still reach
+    the maximum, the minimum or the worst excess.  Within a refined sample,
+    only the matrices whose hi reaches the sample's lo are normed: any other
+    lies strictly below the sample's maximum.  The result is the bracket's
+    hi per matrix, an upper bound everywhere and exact where normed.  An
+    unrefined sample's norm is its hi, strictly below the maximum and the
+    worst excess and strictly above the minimum.  So the extremes, their
+    first indices and, for a refined sample, its first maximising matrix
+    over G are those of full norms, bit for bit.
     """
     arr = _square_stack(mats)
     if arr.size == 0:
         return np.zeros(arr.shape[:-2])
     bracket = NormBracket(arr)
     lo, hi = bracket.lo, bracket.hi
-    sample_lo, sample_hi = (lo, hi) if arr.ndim == 3 else (lo.max(axis=0), hi.max(axis=0))
+
+    def sample_bounds() -> tuple[np.ndarray, np.ndarray]:
+        return (lo, hi) if arr.ndim == 3 else (lo.max(axis=0), hi.max(axis=0))
+
+    sample_lo, sample_hi = sample_bounds()
+    seeds = np.zeros(sample_lo.shape, dtype=bool)
+    seeds[[np.argmax(sample_lo), np.argmin(sample_hi)]] = True
+    if allowance is not None:
+        seeds[np.argmax(sample_lo - allowance)] = True
+    bracket.refine(seeds & (hi >= sample_lo))
+    sample_lo, sample_hi = sample_bounds()
     candidate = (sample_hi >= sample_lo.max()) | (sample_lo <= sample_hi.min())
     if allowance is not None:
         candidate |= sample_hi - allowance >= np.max(sample_lo - allowance)
-    bracket.refine(np.broadcast_to(candidate, lo.shape))
-    return np.where(candidate, lo, sample_hi)
+    bracket.refine(candidate & (hi >= sample_lo))
+    return hi
 
 
 def derived_seed(*parts: int) -> int:

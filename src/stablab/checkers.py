@@ -165,12 +165,12 @@ def _stability_equation_values(
     na: np.ndarray | None = None,
     nc: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Batched residual of the master stability equation.
+    """Batched residual matrices of the master stability equation; their norms are its residuals.
 
-    ||f((mu*b-a)/3) + f((a-3c)/3) + mu*f((3a-b)/3 + c) - f(a) + f(c^2) - f(c)^2||.
+    f((mu*b-a)/3) + f((a-3c)/3) + mu*f((3a-b)/3 + c) - f(a) + f(c^2) - f(c)^2.
     The third argument is kept in the proof's form (3a-b)/3 + c, which agrees
     with (3a+3c-b)/3 up to rounding.  ``phase`` is the scalar mu or a
-    (G, 1, 1, 1) column of them, which gives a (G, n) residual.  ``na`` and
+    (G, 1, 1, 1) column of them, which gives a (G, n, d, d) stack.  ``na`` and
     ``nc``, when the caller holds them, are the norms of A and C, passed on to
     f(a) and f(c).
     """
@@ -179,11 +179,11 @@ def _stability_equation_values(
     t2 = apply_array(f, (A - 3.0 * C) / 3.0)
     fa = apply_array(f, A, na)
     fc = apply_array(f, C, nc)
-    # c^2 and f(c)^2 overflow at huge norms; the non-finite value is refused below
-    # (NonFiniteError) instead of numpy warning first
+    # c^2 and f(c)^2 overflow at huge norms; the caller's norm refuses the non-finite
+    # value (NonFiniteError) instead of numpy warning first
     with np.errstate(over="ignore", invalid="ignore"):
         fcc = apply_array(f, C @ C)
-        return spectral_norms(t1 + t2 + t3 - fa + fcc - fc @ fc)
+        return t1 + t2 + t3 - fa + fcc - fc @ fc
 
 
 def _split_gap(f: MapSpec, x: dict[str, np.ndarray], mu: complex | np.ndarray) -> np.ndarray:

@@ -322,7 +322,9 @@ def jordan_star_defects(
     here.  Each law goes through extreme_norms (homogeneity with the grid on
     its first axis), so a law's maximum, its minimum and their first indices
     are exact, and every other sample carries an upper bound strictly
-    between them.
+    between them.  Its two rounds refine the samples that set those extremes
+    first, then only the samples, and of homogeneity only the phases, that
+    can still reach them.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")

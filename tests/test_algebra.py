@@ -423,6 +423,45 @@ class TestNormBracket:
         assert exact.sum() > 40 and not exact.all()
 
 
+def read_extremes(norms: np.ndarray, allowance: np.ndarray | None) -> tuple:
+    """What a report reads from per-matrix norms of an (n,) or (G, n) stack.
+
+    The maximum, the minimum, their first indices, the first worst excess
+    and its value, and the first maximising matrix over G of the sample at
+    the maximum and of the sample at the worst excess.
+    """
+    value = norms if norms.ndim == 1 else norms.max(axis=0)
+    excess = value - (0.0 if allowance is None else allowance)
+    top, worst = int(np.argmax(value)), int(np.argmax(excess))
+    phases = () if norms.ndim == 1 else (int(np.argmax(norms[:, top])), int(np.argmax(norms[:, worst])))
+    return value.max(), value.min(), top, int(np.argmin(value)), worst, excess[worst], phases
+
+
+@st.composite
+def adversarial_stacks(draw):
+    """A (G, n, d, d) stack (G = 0 for an (n, d, d) one) with repeated samples and phases, zero matrices,
+    overlapping brackets and brackets [0, inf), with an allowance (or None) of one of four sizes."""
+    grid, n, d = draw(st.integers(0, 4)), draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = max(grid, 1)
+    stack = rng.normal(size=(g, n, d, d)) + 1j * rng.normal(size=(g, n, d, d))
+    if draw(st.booleans()):  # equal Frobenius norms: every bracket overlaps every other
+        stack /= np.linalg.norm(stack, axis=(-2, -1), keepdims=True)
+    # two decades whose brackets overlap within and not across; 10^+-170 and 10^+-200 leave the Frobenius
+    # sum's range, so those matrices get [0, inf)
+    exponents = [0.0, 1.0] + ([-200.0, -170.0, 170.0, 200.0] if draw(st.booleans()) else [])
+    stack *= 10.0 ** rng.choice(exponents, size=(g, n, 1, 1))
+    for _ in range(draw(st.integers(0, 2 * n))):  # whole samples repeated, matrices repeated within a sample
+        if rng.random() < 0.5:
+            stack[:, rng.integers(n)] = stack[:, rng.integers(n)]
+        else:
+            stack[rng.integers(g), rng.integers(n)] = stack[rng.integers(g), rng.integers(n)]
+    stack[rng.random((g, n)) < draw(st.sampled_from([0.0, 0.2, 1.0]))] = 0.0
+    size = draw(st.sampled_from([None, 0.0, 1e-9, 1.0]))
+    allowance = None if size is None else size * (1.0 + np.floor(4.0 * rng.random(n)))  # ties in the allowance too
+    return (stack[0] if grid == 0 else stack), allowance
+
+
 class TestExtremeNorms:
     """extreme_norms is exact wherever a report reads a sample stack and an upper bound everywhere else."""
 
@@ -440,31 +479,50 @@ class TestExtremeNorms:
         out = extreme_norms(stack, allowance)
         assert 0 < sum(np.prod(c.shape[:-2]) for c in calls) < full.size
         assert out.shape == full.shape and np.all(out >= full)
+        assert read_extremes(out, allowance) == read_extremes(full, allowance)
         value, ref = (out, full) if not grid else (out.max(axis=0), full.max(axis=0))
-        assert value.max() == ref.max() and value.min() == ref.min()
-        assert np.argmax(value) == np.argmax(ref) and np.argmin(value) == np.argmin(ref)
-        assert np.argmax(value - allowance) == np.argmax(ref - allowance)
-        exact = value == ref
-        assert np.array_equal(out[..., exact], full[..., exact])  # a candidate is exact at every phase
+        exact = value == ref  # the samples whose norm is exact, every extreme's among them
+        # a sample with an exact norm is exact at every phase that ties it, and strictly below it elsewhere
+        ties = (full == ref)[..., exact]
+        assert np.array_equal(out[..., exact][ties], full[..., exact][ties])
+        assert np.all(out[..., exact][~ties] < np.broadcast_to(ref[exact], ties.shape)[~ties])
+
+    @settings(max_examples=300, deadline=None)
+    @given(adversarial_stacks())
+    def test_extremes_match_full_norms_on_adversarial_stacks(self, case):
+        stack, allowance = case
+        full = spectral_norms(stack)
+        out = extreme_norms(stack, allowance)
+        assert out.shape == full.shape and np.all(out >= full)
+        assert read_extremes(out, allowance) == read_extremes(full, allowance)
 
     def test_zero_matrices_take_no_norm_call(self, monkeypatch):
         rng = np.random.default_rng(7)
         stack = np.zeros((3, 6, 3, 3), dtype=complex)
         stack[:, 3:] = rng.normal(size=(3, 3, 3, 3))
         stack[1, 4] = 0.0  # a zero matrix inside a sample that is not zero
+        allowance = np.full(6, 1e-9)
         calls = norm_calls(monkeypatch)
-        out = extreme_norms(stack)
+        out = extreme_norms(stack, allowance)
         assert np.array_equal(out[:, :3], np.zeros((3, 3))) and out[1, 4] == 0.0
         assert calls and all(np.all(np.any(c, axis=(-2, -1))) for c in calls)
+        assert read_extremes(out, allowance) == read_extremes(spectral_norms(stack), allowance)
         calls.clear()
         assert np.array_equal(extreme_norms(np.zeros((4, 2, 2), dtype=complex)), np.zeros(4)) and calls == []
 
     def test_all_candidates_norm_the_stack_as_is(self, monkeypatch):
-        # equal residuals all tie for the maximum, so the stack goes to spectral_norms unchanged
-        stack = np.repeat(np.array([[[1.0, 2.0j], [0.5, -1.0]]]), 8, axis=0)
+        # three samples that are the three seeds (the first argmax of lo, the first argmin of hi and the
+        # first argmax of lo - allowance) are every sample, so the seed round passes the stack unchanged
+        stack = np.array([[[1.0, 2.0j], [0.5, -1.0]]]) * np.array([1.0, 2.0, 3.0])[:, None, None]
         calls = norm_calls(monkeypatch)
-        assert np.array_equal(extreme_norms(stack, np.full(8, 1e-9)), spectral_norms(stack))
+        assert np.array_equal(extreme_norms(stack, np.array([0.0, 0.0, 10.0])), spectral_norms(stack))
         assert len(calls) == 1 and calls[0] is stack
+        # equal residuals all tie for the maximum: the seed round norms sample 0 and the second round the
+        # rest, so every matrix is normed once, and the result equals full norms
+        calls.clear()
+        stack = np.repeat(stack[:1], 8, axis=0)
+        assert np.array_equal(extreme_norms(stack, np.full(8, 1e-9)), spectral_norms(stack))
+        assert [len(c) for c in calls] == [1, 7]
 
     def test_empty_stacks(self):
         assert extreme_norms(np.zeros((0, 3, 3), dtype=complex)).shape == (0,)

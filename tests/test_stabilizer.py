@@ -526,7 +526,7 @@ class TestCalibration:
         exps = (0.5, 0.25, 1.5)
         spec = calibrate_control(f, PowerControl(1.0, *exps), seed=56, samples=40, norm_cap=3.0)
         A, B, C = (random_elements(56, 40, 3, 3.0, stream=40 + k) for k in range(3))
-        residuals = _stability_equation_values(f, A, B, C)
+        residuals = spectral_norms(_stability_equation_values(f, A, B, C))
         worst = 0.0
         for a, b, c, r in zip(A, B, C, residuals):
             norms = spectral_norms(np.stack([a, b, c]))
