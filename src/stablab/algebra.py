@@ -15,7 +15,6 @@ __all__ = [
     "DimensionMismatchError",
     "NonFiniteError",
     "spectral_norms",
-    "norm_brackets",
     "NormBracket",
     "extreme_norms",
     "random_element",
@@ -61,42 +60,34 @@ def spectral_norms(mats: np.ndarray) -> np.ndarray:
 BRACKET_MARGIN = 1e-12
 
 
-def norm_brackets(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds (lo, hi) with lo <= spectral_norms(mats) <= hi, per matrix of a (..., d, d) stack.
-
-    The spectral norm of a d x d matrix lies in [F / sqrt(d), F], F its
-    Frobenius norm; both ends are widened by BRACKET_MARGIN relative.  A
-    matrix whose entries are all zero (-0.0 included) gets the exact bracket
-    [0, 0], the 0.0 spectral_norms gives it.  The squares of the entries
-    underflow or overflow when F leaves about [1e-150, 1e150], so any other
-    such matrix (a subnormal entry counts as nonzero) gets [0, inf).
-    Non-finite entries raise NonFiniteError, as in spectral_norms.
-    """
-    arr = np.ascontiguousarray(_square_stack(mats))
-    flat = arr.reshape(*arr.shape[:-2], -1).view(np.float64)
-    with np.errstate(over="ignore", under="ignore"):
-        squares = np.einsum("...i,...i->...", flat, flat)
-    if not np.all(np.isfinite(squares)) and not np.all(np.isfinite(arr)):  # a finite sum has finite terms
-        raise NonFiniteError("norm_brackets: non-finite entries")
-    frob = np.sqrt(squares)
-    usable = (squares >= 1e-300) & (squares <= 1e300)
-    lo = np.where(usable, frob * ((1.0 - BRACKET_MARGIN) / np.sqrt(arr.shape[-1])), 0.0)
-    bounded = usable | ~flat.any(axis=-1)  # an all-zero matrix has frob == 0.0
-    return lo[()], np.where(bounded, frob * (1.0 + BRACKET_MARGIN), np.inf)[()]
-
-
 class NormBracket:
     """Bounds lo <= spectral_norms(mats) <= hi per matrix of a (..., d, d) stack, exact where refined.
 
-    Every matrix starts from its norm_brackets bounds; ``refine`` norms the
-    selected matrices whose bracket is still open with spectral_norms, after
-    which each has lo == hi, its exact value.  An all-zero matrix starts
-    exact, at [0, 0], so it is never normed, and no matrix is normed twice.
+    Every matrix starts from its Frobenius bracket: the spectral norm of a
+    d x d matrix lies in [F / sqrt(d), F], F its Frobenius norm, and both
+    ends are widened by BRACKET_MARGIN relative.  A matrix whose entries are
+    all zero (-0.0 included) starts exact, at [0, 0], the 0.0 spectral_norms
+    gives it.  The squares of the entries underflow or overflow when F
+    leaves about [1e-150, 1e150], so any other such matrix (a subnormal
+    entry counts as nonzero) starts at [0, inf).  Non-finite entries raise
+    NonFiniteError, as in spectral_norms.  ``refine`` norms the selected
+    matrices whose bracket is still open with spectral_norms, after which
+    each has lo == hi, its exact value, so no matrix is normed twice.
     """
 
     def __init__(self, mats: np.ndarray):
         self.mats = mats
-        self.lo, self.hi = norm_brackets(mats)
+        arr = np.ascontiguousarray(_square_stack(mats))
+        flat = arr.reshape(*arr.shape[:-2], -1).view(np.float64)
+        with np.errstate(over="ignore", under="ignore"):
+            squares = np.einsum("...i,...i->...", flat, flat)
+        if not np.all(np.isfinite(squares)) and not np.all(np.isfinite(arr)):  # a finite sum has finite terms
+            raise NonFiniteError("NormBracket: non-finite entries")
+        frob = np.sqrt(squares)
+        usable = (squares >= 1e-300) & (squares <= 1e300)
+        self.lo = np.where(usable, frob * ((1.0 - BRACKET_MARGIN) / np.sqrt(arr.shape[-1])), 0.0)
+        bounded = usable | ~flat.any(axis=-1)  # an all-zero matrix has frob == 0.0
+        self.hi = np.where(bounded, frob * (1.0 + BRACKET_MARGIN), np.inf)
 
     def refine(self, rows: np.ndarray) -> None:
         """Norm the open matrices among ``rows`` (a mask of lo's shape); the stack as it is when all are selected."""
@@ -107,26 +98,26 @@ class NormBracket:
             self.lo[rows] = self.hi[rows] = spectral_norms(self.mats[rows])
 
 
-def extreme_norms(mats: np.ndarray, allowance: np.ndarray | None = None) -> np.ndarray:
+def extreme_norms(mats: np.ndarray, allowance: np.ndarray) -> np.ndarray:
     """Spectral norms of a sample stack, exact wherever a report can read them.
 
     ``mats`` is (n, d, d), one matrix per sample, or (G, n, d, d), G matrices
     per sample whose maximum over axis 0 is the sample's norm.  A report
-    reads the maximum, the minimum and, given ``allowance`` (tol * scale per
+    reads the maximum, the minimum and, with ``allowance`` (tol * scale per
     sample), the first argmax of norm - allowance.  Each matrix is bracketed
     by a NormBracket, and a sample's bracket is the maximum of lo and of hi
     over G.  Two rounds refine samples.  The first norms the samples that
-    set the thresholds: the first argmax of lo, the first argmin of hi and,
-    given ``allowance``, the first argmax of lo - allowance.  The second
-    norms every sample whose bracket, as it stands then, could still reach
-    the maximum, the minimum or the worst excess.  Within a refined sample,
-    only the matrices whose hi reaches the sample's lo are normed: any other
-    lies strictly below the sample's maximum.  The result is the bracket's
-    hi per matrix, an upper bound everywhere and exact where normed.  An
-    unrefined sample's norm is its hi, strictly below the maximum and the
-    worst excess and strictly above the minimum.  So the extremes, their
-    first indices and, for a refined sample, its first maximising matrix
-    over G are those of full norms, bit for bit.
+    set the thresholds: the first argmax of lo, the first argmin of hi and
+    the first argmax of lo - allowance.  The second norms every sample whose
+    bracket, as it stands then, could still reach the maximum, the minimum
+    or the worst excess.  Within a refined sample, only the matrices whose
+    hi reaches the sample's lo are normed: any other lies strictly below the
+    sample's maximum.  The result is the bracket's hi per matrix, an upper
+    bound everywhere and exact where normed.  An unrefined sample's norm is
+    its hi, strictly below the maximum and the worst excess and strictly
+    above the minimum.  So the extremes, their first indices and, for a
+    refined sample, its first maximising matrix over G are those of full
+    norms, bit for bit.
     """
     arr = _square_stack(mats)
     if arr.size == 0:
@@ -139,14 +130,14 @@ def extreme_norms(mats: np.ndarray, allowance: np.ndarray | None = None) -> np.n
 
     sample_lo, sample_hi = sample_bounds()
     seeds = np.zeros(sample_lo.shape, dtype=bool)
-    seeds[[np.argmax(sample_lo), np.argmin(sample_hi)]] = True
-    if allowance is not None:
-        seeds[np.argmax(sample_lo - allowance)] = True
+    seeds[[np.argmax(sample_lo), np.argmin(sample_hi), np.argmax(sample_lo - allowance)]] = True
     bracket.refine(seeds & (hi >= sample_lo))
     sample_lo, sample_hi = sample_bounds()
-    candidate = (sample_hi >= sample_lo.max()) | (sample_lo <= sample_hi.min())
-    if allowance is not None:
-        candidate |= sample_hi - allowance >= np.max(sample_lo - allowance)
+    candidate = (
+        (sample_hi >= sample_lo.max())
+        | (sample_lo <= sample_hi.min())
+        | (sample_hi - allowance >= np.max(sample_lo - allowance))
+    )
     bracket.refine(candidate & (hi >= sample_lo))
     return hi
 

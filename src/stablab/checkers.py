@@ -291,7 +291,7 @@ class _Inputs(dict):
 
 
 def _evaluate(
-    check: Check, f: MapSpec, x: _Inputs, grid: Sequence[complex], allowance: np.ndarray | None = None
+    check: Check, f: MapSpec, x: _Inputs, grid: Sequence[complex], allowance: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Per-sample residual of a row and, for an asserted grid row, the first phase attaining it.
 
@@ -300,10 +300,10 @@ def _evaluate(
     is the maximum over the grid and zero; a sample whose residual never
     exceeds zero keeps the phase 1.  A sweep row's witness names no phase.
     A matrix stack goes through extreme_norms with ``allowance`` (tol * scale
-    per sample, None to leave out the excess): the maximum, the minimum, the
-    first sample of the worst excess and its first maximising phase are
-    exact, and every other sample carries an upper bound that reaches none
-    of them, so its phase is arbitrary.  _build_report reads nothing else.
+    per sample): the maximum, the minimum, the first sample of the worst
+    excess and its first maximising phase are exact, and every other sample
+    carries an upper bound that reaches none of them, so its phase is
+    arbitrary.  _build_report reads nothing else.
     """
     phases = np.asarray(grid, dtype=np.complex128)
     if check.phases is not None and phases.size == 0:
@@ -425,70 +425,53 @@ def phase_sweep_report(
 # ---------------------------------------------------------------------------
 
 
-def _guard_overflow(args: np.ndarray, first: int) -> tuple[int, DecayOverflowError | None]:
-    """How many leading n of a block stay within the cutoff, and the error naming the next n.
-
-    ``args`` stacks the block's arguments, one (samples, d, d) row per n
-    from ``first`` on.  The Frobenius norm is a proxy for the operator
-    norm, conservative by at most sqrt(d).  An argument formed past the
-    cutoff may hold inf or NaN (an overflowed a^2, or inf times a zero
-    part), and either counts as past it.  The caller evaluates the n before
-    the first one past the cutoff and only then raises the error (None when
-    every n is within), so an error at an earlier n still wins.
-    """
-    with np.errstate(over="ignore"):
-        frob = np.sqrt(np.sum(np.abs(args) ** 2, axis=(-2, -1)))
-    worst = np.max(np.where(np.isnan(frob), np.inf, frob), axis=-1)
-    past = np.flatnonzero(worst > DECAY_OVERFLOW_LIMIT)
-    if past.size == 0:
-        return worst.size, None
-    k = int(past[0])
-    return k, DecayOverflowError(
-        f"decay argument norm {worst[k]:.3e} exceeds {DECAY_OVERFLOW_LIMIT:.0e} at n={first + k}"
-    )
-
-
 def _decay_batch(
     f: MapSpec, A: np.ndarray, n_max: int, shrink: bool, norms: np.ndarray | None = None
 ) -> np.ndarray:
     """The decay sequence for n = 1..n_max, evaluated DECAY_BLOCK n at a time.
 
-    A block is one (k, samples, d, d) stack per argument: one guard pass, two
-    apply_array calls, one matmul and one spectral_norms call.  Each of those
-    works elementwise or on each matrix alone, so every value equals the
+    A block is one (k, samples, d, d) stack per argument: two apply_array
+    calls, one matmul and one spectral_norms call.  Each of those works
+    elementwise or on each matrix alone, so every value equals the
     one-n-at-a-time evaluation bit for bit.  ``norms`` are the norms of A
     when the caller holds them (a sampled stack's drawn norms); without
-    them A is normed here.
+    them A is normed here.  Every argument is a scalar multiple of a or
+    a^2, so its norm is carried from ||a|| and ||a^2||, and the first n
+    whose argument norm passes DECAY_OVERFLOW_LIMIT is known before any
+    block runs: the n before it are evaluated, then DecayOverflowError
+    names it, so an error at an earlier n still wins.  An a^2 holding inf
+    or NaN counts as past the cutoff at n = 1.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     A = np.asarray(A, dtype=np.complex128)
-    # every argument is a scalar multiple of a or a^2, so its norm is carried
     na = spectral_norms(A) if norms is None else norms
     with np.errstate(over="ignore", invalid="ignore"):
-        Asq = A @ A  # an overflow here stops at the n = 1 guard, before a^2 is normed
+        Asq = A @ A
+    if not np.all(np.isfinite(Asq)):
+        raise DecayOverflowError(f"decay argument norm inf exceeds {DECAY_OVERFLOW_LIMIT:.0e} at n=1")
+    nsq = spectral_norms(Asq)
+    top, squares = np.max(nsq, initial=0.0), np.arange(1, n_max + 1, dtype=float) ** 2
+    with np.errstate(over="ignore"):  # an argument norm past the cutoff may overflow to inf
+        worst = top / squares if shrink else squares * top  # the largest argument norm at each n
+    past = np.flatnonzero(worst > DECAY_OVERFLOW_LIMIT)
+    stop = n_max if past.size == 0 else int(past[0])  # the n evaluated before the error
     out = np.empty((A.shape[0], n_max))
-    for first in range(1, n_max + 1, DECAY_BLOCK):
-        ns = np.arange(first, min(first + DECAY_BLOCK, n_max + 1))[:, np.newaxis]
+    for first in range(1, stop + 1, DECAY_BLOCK):
+        ns = np.arange(first, min(first + DECAY_BLOCK, stop + 1))[:, np.newaxis]
         n1, n2 = ns.astype(float), (ns * ns).astype(float)  # (k, 1): one row per n
         mat = (..., np.newaxis, np.newaxis)  # (k, 1, 1, 1) against a (samples, d, d) stack
-        with np.errstate(over="ignore", invalid="ignore"):  # arguments past the cutoff may overflow
-            args = Asq / n2[mat] if shrink else n2[mat] * Asq
-        k, overflow = _guard_overflow(args, first)
-        if k == 0:
-            raise overflow
-        if first == 1:
-            nsq = spectral_norms(Asq)  # finite: the n = 1 argument passed the guard
-        n1, n2 = n1[:k], n2[:k]
         if shrink:
-            fa_arg, n_arg, n_fa = A / n1[mat], nsq / n2, na / n1
+            arg, fa_arg, n_arg, n_fa = Asq / n2[mat], A / n1[mat], nsq / n2, na / n1
         else:
-            fa_arg, n_arg, n_fa = n1[mat] * A, n2 * nsq, n1 * na
+            arg, fa_arg, n_arg, n_fa = n2[mat] * Asq, n1[mat] * A, n2 * nsq, n1 * na
         fa = apply_array(f, fa_arg, n_fa)
-        norms = spectral_norms(apply_array(f, args[:k], n_arg) - fa @ fa)
-        out[:, first - 1 : first - 1 + k] = (norms * n2 if shrink else norms / n2).T
-        if overflow is not None:
-            raise overflow
+        block = spectral_norms(apply_array(f, arg, n_arg) - fa @ fa)
+        out[:, first - 1 : first - 1 + len(ns)] = (block * n2 if shrink else block / n2).T
+    if stop < n_max:
+        raise DecayOverflowError(
+            f"decay argument norm {worst[stop]:.3e} exceeds {DECAY_OVERFLOW_LIMIT:.0e} at n={stop + 1}"
+        )
     return out
 
 
@@ -500,8 +483,9 @@ def superstability_decay_batch(f: MapSpec, A: np.ndarray, n_max: int, norms: np.
     power law with exponent p < 1 the sequence is dominated by
     size * n^(2p-2) * ||a||^(2p).  The n are evaluated DECAY_BLOCK at a
     time, with values equal bit for bit to one n at a time.  An argument
-    n^2 a^2 past DECAY_OVERFLOW_LIMIT (a^2 overflowing included) raises
-    DecayOverflowError naming its n, after every earlier n is evaluated.
+    n^2 a^2 whose operator norm passes DECAY_OVERFLOW_LIMIT (a^2 overflowing
+    included) raises DecayOverflowError naming its n, after every earlier n
+    is evaluated.
     ``norms``, the norms of A when the caller holds them, save norming A.
     """
     return _decay_batch(f, A, n_max, shrink=False, norms=norms)

@@ -14,7 +14,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .algebra import DimensionMismatchError, NonFiniteError, extreme_norms, random_elements, spectral_norms
+from .algebra import DimensionMismatchError, NonFiniteError, random_elements, spectral_norms
 
 __all__ = [
     "Identity",
@@ -319,12 +319,9 @@ def jordan_star_defects(
     evaluators that stabilize pointwise pay one lockstep run.  ``norms`` are
     the points' operator norms: the drawn ones for A and B, the norm of A
     again for A* and each mu A (|mu| = 1), so only A^2 and A + B are normed
-    here.  Each law goes through extreme_norms (homogeneity with the grid on
-    its first axis), so a law's maximum, its minimum and their first indices
-    are exact, and every other sample carries an upper bound strictly
-    between them.  Its two rounds refine the samples that set those extremes
-    first, then only the samples, and of homogeneity only the phases, that
-    can still reach them.
+    here.  Every law matrix (squares, involution, additivity and each twist
+    mu != 1) goes through one spectral_norms call, so every law value is
+    exact; homogeneity is the maximum over the twists, zero without any.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -340,10 +337,12 @@ def jordan_star_defects(
     values = eval_fn(points, np.concatenate([na, n_squares, na, n_sums, nb, np.tile(na, len(mus))]))
     fa, faa, fas, fab, fb = values[: 5 * samples].reshape(5, samples, dim, dim)
     f_twisted = values[5 * samples :].reshape(len(mus), samples, dim, dim)
+    untwisted = np.stack([faa - fa @ fa, fas - _conj_t(fa), fab - fa - fb])
+    laws = spectral_norms(np.concatenate([untwisted, f_twisted - mus * fa]))
     defects = {
-        "squares": extreme_norms(faa - fa @ fa),
-        "involution": extreme_norms(fas - _conj_t(fa)),
-        "additivity": extreme_norms(fab - fa - fb),
-        "homogeneity": np.max(extreme_norms(f_twisted - mus * fa), axis=0, initial=0.0),
+        "squares": laws[0],
+        "involution": laws[1],
+        "additivity": laws[2],
+        "homogeneity": np.max(laws[3:], axis=0, initial=0.0),
     }
     return defects, A

@@ -16,7 +16,6 @@ from stablab.algebra import (
     NonFiniteError,
     NormBracket,
     extreme_norms,
-    norm_brackets,
     random_element,
     random_elements,
     spectral_norms,
@@ -235,7 +234,7 @@ class TestOpNorm:
         norms.refine(np.ones(6, dtype=bool))
         assert np.array_equal(norms.lo, np.zeros(6)) and np.array_equal(norms.hi, norms.lo)
         assert not np.signbit(norms.hi).any()
-        out = extreme_norms(stack.reshape(2, 3, 4, 4))
+        out = extreme_norms(stack.reshape(2, 3, 4, 4), np.zeros(3))
         assert np.array_equal(out, np.zeros((2, 3))) and not np.signbit(out).any()
 
     @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3), (2, 3, 1)])
@@ -279,8 +278,8 @@ def brackets_hold(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """(lo, norms, hi) of a stack, asserting lo <= spectral_norms <= hi and that no RuntimeWarning escapes."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        lo, hi = norm_brackets(stack)
-    norms = spectral_norms(stack)
+        bracket = NormBracket(stack)
+    lo, hi, norms = bracket.lo, bracket.hi, spectral_norms(stack)
     assert np.all(lo <= norms) and np.all(norms <= hi)
     return lo, norms, hi
 
@@ -334,10 +333,10 @@ class TestNormBrackets:
         assert np.all(lo == 0.0) and np.all(hi == np.inf)
 
     def test_shape_follows_the_stack(self):
-        lo, hi = norm_brackets(np.eye(3, dtype=complex))
-        assert lo.shape == hi.shape == () and lo < 1.0 <= hi
-        lo, hi = norm_brackets(np.ones((2, 5, 3, 3)))
-        assert lo.shape == hi.shape == (2, 5)
+        bracket = NormBracket(np.eye(3, dtype=complex))
+        assert bracket.lo.shape == bracket.hi.shape == () and bracket.lo < 1.0 <= bracket.hi
+        bracket = NormBracket(np.ones((2, 5, 3, 3)))
+        assert bracket.lo.shape == bracket.hi.shape == (2, 5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, -np.inf)])
     def test_non_finite_entries_raise(self, bad):
@@ -346,7 +345,7 @@ class TestNormBrackets:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteError, match="non-finite"):
-                norm_brackets(stack)
+                NormBracket(stack)
 
 
 def norm_calls(monkeypatch) -> list:
@@ -423,7 +422,7 @@ class TestNormBracket:
         assert exact.sum() > 40 and not exact.all()
 
 
-def read_extremes(norms: np.ndarray, allowance: np.ndarray | None) -> tuple:
+def read_extremes(norms: np.ndarray, allowance: np.ndarray) -> tuple:
     """What a report reads from per-matrix norms of an (n,) or (G, n) stack.
 
     The maximum, the minimum, their first indices, the first worst excess
@@ -431,7 +430,7 @@ def read_extremes(norms: np.ndarray, allowance: np.ndarray | None) -> tuple:
     the maximum and of the sample at the worst excess.
     """
     value = norms if norms.ndim == 1 else norms.max(axis=0)
-    excess = value - (0.0 if allowance is None else allowance)
+    excess = value - allowance
     top, worst = int(np.argmax(value)), int(np.argmax(excess))
     phases = () if norms.ndim == 1 else (int(np.argmax(norms[:, top])), int(np.argmax(norms[:, worst])))
     return value.max(), value.min(), top, int(np.argmin(value)), worst, excess[worst], phases
@@ -440,7 +439,7 @@ def read_extremes(norms: np.ndarray, allowance: np.ndarray | None) -> tuple:
 @st.composite
 def adversarial_stacks(draw):
     """A (G, n, d, d) stack (G = 0 for an (n, d, d) one) with repeated samples and phases, zero matrices,
-    overlapping brackets and brackets [0, inf), with an allowance (or None) of one of four sizes."""
+    overlapping brackets and brackets [0, inf), with an allowance of one of three sizes."""
     grid, n, d = draw(st.integers(0, 4)), draw(st.integers(1, 12)), draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     g = max(grid, 1)
@@ -457,8 +456,8 @@ def adversarial_stacks(draw):
         else:
             stack[rng.integers(g), rng.integers(n)] = stack[rng.integers(g), rng.integers(n)]
     stack[rng.random((g, n)) < draw(st.sampled_from([0.0, 0.2, 1.0]))] = 0.0
-    size = draw(st.sampled_from([None, 0.0, 1e-9, 1.0]))
-    allowance = None if size is None else size * (1.0 + np.floor(4.0 * rng.random(n)))  # ties in the allowance too
+    size = draw(st.sampled_from([0.0, 1e-9, 1.0]))
+    allowance = size * (1.0 + np.floor(4.0 * rng.random(n)))  # ties in the allowance too
     return (stack[0] if grid == 0 else stack), allowance
 
 
@@ -508,7 +507,8 @@ class TestExtremeNorms:
         assert calls and all(np.all(np.any(c, axis=(-2, -1))) for c in calls)
         assert read_extremes(out, allowance) == read_extremes(spectral_norms(stack), allowance)
         calls.clear()
-        assert np.array_equal(extreme_norms(np.zeros((4, 2, 2), dtype=complex)), np.zeros(4)) and calls == []
+        assert np.array_equal(extreme_norms(np.zeros((4, 2, 2), dtype=complex), np.zeros(4)), np.zeros(4))
+        assert calls == []
 
     def test_all_candidates_norm_the_stack_as_is(self, monkeypatch):
         # three samples that are the three seeds (the first argmax of lo, the first argmin of hi and the
@@ -525,8 +525,8 @@ class TestExtremeNorms:
         assert [len(c) for c in calls] == [1, 7]
 
     def test_empty_stacks(self):
-        assert extreme_norms(np.zeros((0, 3, 3), dtype=complex)).shape == (0,)
-        assert extreme_norms(np.zeros((0, 5, 3, 3), dtype=complex)).shape == (0, 5)
+        assert extreme_norms(np.zeros((0, 3, 3), dtype=complex), np.zeros(0)).shape == (0,)
+        assert extreme_norms(np.zeros((0, 5, 3, 3), dtype=complex), np.zeros(5)).shape == (0, 5)
 
 
 def seeded_stack(first_seed: int, count: int, dim: int, norm_cap: float) -> np.ndarray:

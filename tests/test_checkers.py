@@ -327,12 +327,12 @@ class TestStackedGrid:
 
         check = Check("table", {"c": 10}, residual, phases="worst")
         x = {"c": np.zeros((5, 2, 2), dtype=complex)}
-        res, phase = _evaluate(check, Identity(2), x, phases)
+        res, phase = _evaluate(check, Identity(2), x, phases, np.zeros(5))
         assert np.array_equal(res, [0.0, 2.0, 0.0, 0.4, 0.0]) and not np.signbit(res).any()
         assert np.array_equal(phase, [1.0, 1j, 1.0, phases[3], 1.0])  # the first of two maxima; 1 when none is positive
         ref_res, ref_phase = per_phase_loop(check, Identity(2), x, phases)
         assert np.array_equal(res, ref_res) and np.array_equal(phase, ref_phase)
-        res, phase = _evaluate(check, Identity(2), x, [])  # an empty grid has no positive residual
+        res, phase = _evaluate(check, Identity(2), x, [], np.zeros(5))  # an empty grid has no positive residual
         assert np.array_equal(res, np.zeros(5)) and np.array_equal(phase, np.ones(5))
 
 
@@ -420,14 +420,14 @@ class TestExtremeRows:
         runs = []
         for full in (False, True):
             if full:
-                monkeypatch.setattr(checkers, "extreme_norms", lambda mats, allowance=None: spectral_norms(mats))
+                monkeypatch.setattr(checkers, "extreme_norms", lambda mats, allowance: spectral_norms(mats))
             reports = additivity_ladder(f, 9, 60, 1e-9) + phase_substitution_checks(f, grid, 9, 60, 1e-9)
             runs.append([read(r) for r in reports])
         assert runs[0] == runs[1]
 
 
 def per_n_loop(f, A, n_max, shrink):
-    """The decay sequence one n at a time: a guard, two maps, a matmul and a norm per n."""
+    """The decay sequence one n at a time: a cutoff on the carried argument norm, two maps, a matmul and a norm per n."""
     Asq = A @ A
     na, nsq = spectral_norms(A), spectral_norms(Asq)
     out = np.empty((A.shape[0], n_max))
@@ -437,7 +437,7 @@ def per_n_loop(f, A, n_max, shrink):
             arg, fa_arg, n_arg, n_fa = Asq / n2, A / float(n), nsq / n2, na / float(n)
         else:
             arg, fa_arg, n_arg, n_fa = n2 * Asq, float(n) * A, n2 * nsq, float(n) * na
-        worst = float(np.max(np.sqrt(np.sum(np.abs(arg) ** 2, axis=(-2, -1)))))
+        worst = float(np.max(n_arg))
         if worst > DECAY_OVERFLOW_LIMIT:
             raise DecayOverflowError(f"decay argument norm {worst:.3e} exceeds {DECAY_OVERFLOW_LIMIT:.0e} at n={n}")
         fa = apply_array(f, fa_arg, n_fa)
@@ -470,14 +470,15 @@ class TestDecayBlocks:
             out = _decay_batch(f, A, n_max, shrink)
             assert out.tobytes() == per_n_loop(f, A, n_max, shrink).tobytes()
 
-    @pytest.mark.parametrize("scale, n", [(1e49, 9), (3e48, 29), (1e47, None)])
+    @pytest.mark.parametrize("scale, n", [(1.2e49, 9), (3e48, 34), (1e47, None)])
     def test_overflow_names_the_per_n_loop_s_n(self, monkeypatch, scale, n):
-        # ||a^2||_F n^2 passes 1e100 at a block's first n, inside a block, or past n_max;
-        # no argument past the cutoff reaches the map
+        # ||a^2|| n^2 passes 1e100 at a block's first n, inside a block, or past n_max, each n at
+        # least 4% from the cutoff (at 1e49, n = 10 lands within rounding of it); no argument past
+        # the cutoff reaches the map
         mapped = []
 
         def spy(f, xs, norms=None):
-            mapped.append(float(np.max(np.sqrt(np.sum(np.abs(xs) ** 2, axis=(-2, -1))))))
+            mapped.append(float(np.max(spectral_norms(xs))))
             return apply_array(f, xs, norms)
 
         monkeypatch.setattr(checkers, "apply_array", spy)
@@ -564,9 +565,9 @@ class TestSuperstabilityDecay:
         with pytest.raises(DecayOverflowError):
             superstability_decay_batch(Identity(2), big, 8)
 
-    @pytest.mark.parametrize("scale, n", [(1e49, 9), (1.9e49, 5)])
+    @pytest.mark.parametrize("scale, n", [(1.2e49, 9), (1.9e49, 6)])
     def test_earlier_error_wins_over_a_later_overflow(self, scale, n):
-        # the argument n^2 a^2 passes the cutoff at n = 9 (the next block) or n = 5 (the same
+        # the argument n^2 a^2 passes the cutoff at n = 9 (the next block) or n = 6 (the same
         # block); a power-400 term fails at n = 1 first
         big = np.eye(2, dtype=complex)[np.newaxis] * scale
         f = Perturbed(ZeroMap(2), Perturbation(0.01, 400.0, unit_direction(2, "corner"), "power"))
@@ -585,6 +586,40 @@ class TestSuperstabilityDecay:
             warnings.simplefilter("error")
             with pytest.raises(DecayOverflowError, match=r"^decay argument norm inf exceeds 1e\+100 at n=1$"):
                 run(Identity(2), big, 8)
+
+    @pytest.mark.parametrize("run", [superstability_decay_batch, superstability_shrinking_batch])
+    def test_non_finite_square_is_past_the_cutoff_before_any_norm(self, monkeypatch, run):
+        # one sample's a^2 overflows; the finiteness check on a^2 names the n = 1 cutoff, so the
+        # square is never normed (spectral_norms would raise NonFiniteError) and nothing is mapped
+        A = random_elements(157, 3, 2, 2.0, stream=4)
+        A[1] = np.full((2, 2), 1e160)
+        calls = []
+        monkeypatch.setattr(checkers, "spectral_norms", lambda mats: calls.append(mats) or spectral_norms(mats))
+        monkeypatch.setattr(checkers, "apply_array", lambda *args: calls.append(args) or apply_array(*args))
+        with pytest.raises(DecayOverflowError, match=r"^decay argument norm inf exceeds 1e\+100 at n=1$"):
+            run(Identity(2), A, 8, norms=np.ones(3))
+        assert calls == []
+
+    @pytest.mark.parametrize("shrink", [False, True])
+    @pytest.mark.parametrize("cap, n, n_shrink", [(1e40, None, None), (1e49, 46, None), (1e154, 1, 1), (1e300, 1, 1)])
+    def test_no_runtime_warning_at_norms_up_to_1e300(self, shrink, cap, n, n_shrink):
+        # norms from 1e-300 up to cap: a^2 underflows, passes the cutoff at n = 46 (only a^2 itself can
+        # when shrinking), at n = 1 while finite, so that the carried norms n^2 ||a^2|| overflow, or
+        # overflows itself; none of it may warn. n is where the cutoff falls, None if it never does
+        drawn = np.empty(40)
+        A = random_elements(158, 40, 3, 1.0, stream=4, norms_out=drawn)
+        scales = np.logspace(-300, np.log10(cap), 40)
+        A *= scales[:, np.newaxis, np.newaxis]
+        run, n = (superstability_shrinking_batch, n_shrink) if shrink else (superstability_decay_batch, n)
+        f = Perturbed(ZeroMap(3), Perturbation(0.01, 0.5, unit_direction(3, "corner"), "power"))
+        for g in (Identity(3), f):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if n is None:
+                    assert np.all(np.isfinite(run(g, A, 64, norms=drawn * scales)))
+                else:
+                    with pytest.raises(DecayOverflowError, match=f"at n={n}$"):
+                        run(g, A, 64, norms=drawn * scales)
 
     def test_n_max_validation(self):
         with pytest.raises(ValueError):

@@ -52,6 +52,7 @@ from stablab.mappings import (
     Perturbed,
     Transpose,
     UnitaryConjugation,
+    unit_circle_grid,
 )
 from stablab.stabilizer import (
     BOUND_KINDS,
@@ -892,7 +893,8 @@ class TestNormCount:
     """Matrices normed by one run of a shipped config; a per-call SVD of a carried norm fails these.
 
     The lemma_unitary and stability counts are exact, so any change to which
-    residuals extreme_norms refines moves them.
+    residuals extreme_norms refines (lemma) or which matrices a stability run
+    norms moves them.
     """
 
     @staticmethod
@@ -920,8 +922,9 @@ class TestNormCount:
         # when the sampler and stabilize_batch normed each drawn sample, 7071
         # when the samples' run normed every running residual for its trace and
         # the exactness run normed its points, 2730 when extreme_norms refined
-        # the Jordan *-laws in one round, every phase of a candidate
-        assert self.normed_matrices(monkeypatch, cmd_stability, "stability_backward_constant.json") == 2405
+        # the Jordan *-laws in one round, every phase of a candidate, 2405 in
+        # two rounds; every law value is normed now (864 law matrices)
+        assert self.normed_matrices(monkeypatch, cmd_stability, "stability_backward_constant.json") == 2778
 
     def test_forward_power_stability(self, monkeypatch):
         # 25001 when the exactness runs normed every Cauchy residual, 8284 when
@@ -930,8 +933,9 @@ class TestNormCount:
         # when the sampler and stabilize_batch normed each drawn sample, 6085
         # when the samples' run normed every running residual for its trace and
         # the exactness run normed its points, 2578 when extreme_norms refined
-        # the Jordan *-laws in one round, every phase of a candidate
-        assert self.normed_matrices(monkeypatch, cmd_stability, "stability_forward_power.json") == 2471
+        # the Jordan *-laws in one round, every phase of a candidate, 2471 in
+        # two rounds; every law value is normed now (864 law matrices)
+        assert self.normed_matrices(monkeypatch, cmd_stability, "stability_forward_power.json") == 3281
 
     def test_superstability_p05(self, monkeypatch):
         # 4851 when every perturbed evaluation normed its input, 1676 when the
@@ -955,7 +959,7 @@ class TestNormCount:
 
 
 class TestExactnessNorms:
-    """The exactness run carries its points' norms from the draw and norms only A^2 and A + B."""
+    """The exactness run carries its points' norms from the draw: it norms A^2 and A + B, then every law matrix."""
 
     @pytest.mark.parametrize("path", [BACKWARD_CONSTANT_CONFIG, FORWARD_POWER_CONFIG], ids=lambda p: p.stem)
     def test_exactness_run_norms_two_inputs_per_sample(self, monkeypatch, path):
@@ -980,7 +984,9 @@ class TestExactnessNorms:
         monkeypatch.setattr(harness, "stabilize_batch", recorded)
         monkeypatch.setattr(harness, "jordan_star_defects", exactness_stage)
         assert cmd_stability(config).exit_code == EXIT_OK
-        assert sum(math.prod(shape[:-2]) for shape in exactness) == 2 * config.exactness_samples  # not 20 ·
+        # two input norms per sample (not 20), then 3 + G - 1 law matrices per sample in a second call
+        laws, samples = 3 + len(unit_circle_grid(config.phase_grid_size)) - 1, config.exactness_samples
+        assert [math.prod(shape[:-2]) for shape in exactness] == [2 * samples, laws * samples]
         (_, (f, xs, cfg, norms, results)) = runs  # the samples' run, then the exactness run
         assert xs.shape[0] == 20 * config.exactness_samples
         monkeypatch.undo()

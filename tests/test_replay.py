@@ -51,7 +51,9 @@ def test_every_witness_replays_bit_for_bit(name):
             assert norm == witness["input_norms"][k]
             # the drawn norm is the row's target, a few ulps from a fresh SVD
             assert abs(spectral_norms(stack)[0] - norm) <= 8 * np.spacing(norm)
-        # a sweep row maximises over the grid; a row at mu = 1 ignores it
+        # a sweep row maximises over the grid, judged at tol 0; a row at mu = 1 ignores the grid
         phases = [complex(*witness["phase"])] if check.phases == "worst" else grid
-        residual, _ = _evaluate(check, f, x, phases)
+        tol = 0.0 if check.phases == "sweep" else config.checks_tol
+        scale = check.scale({k: np.array([v]) for k, v in witness["input_norms"].items()})
+        residual, _ = _evaluate(check, f, x, phases, tol * scale)
         assert residual[0] == witness["residual"], entry["name"]
