@@ -142,10 +142,14 @@ class TestCriterion4AdditivityLadder:
         assert first.name == "dim3/zero_at_zero"
         assert first.verdict == "violated"
         assert first.max_residual == pytest.approx(1.0, abs=1e-12)
+        # the three split terms carry the shift I once each and f(a) once: a 2I defect
+        telescoping = next(c for c in counter.checks if c.name == "dim3/telescoping_equality")
+        assert telescoping.max_residual == pytest.approx(2.0, abs=1e-12)
         report(
             "criterion 4: transpose and unitary-conjugation pass all ladder steps and the "
             "telescoping equality at 1e-9 scale over 1000 samples in dims 2-4; the affine "
-            "shift is rejected at the zero-value step with witness residual exactly 1"
+            "shift is rejected at the zero-value step with witness residual exactly 1 and at the "
+            "telescoping equality with residual exactly 2"
         )
 
 

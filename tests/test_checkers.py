@@ -22,7 +22,7 @@ from stablab.checkers import (
     _decay_batch,
     _evaluate,
     _Inputs,
-    _split_values,
+    _split_sum,
     _stability_equation_values,
     additivity_ladder,
     fit_loglog_slope,
@@ -60,6 +60,10 @@ def constant_perturbed(dim=3, size=0.5, direction="identity"):
     )
 
 
+def split_inputs(a, b, c):
+    return {"a": a, "b": b, "c": c}
+
+
 class TestTripleSplit:
     def test_arguments_telescope_to_a(self):
         a, b, c = sample_triple(60)
@@ -68,42 +72,40 @@ class TestTripleSplit:
 
     def test_identity_map_gives_equality(self):
         a, b, c = sample_triple(61)
-        lhs, rhs = _split_values(Identity(3), a, b, c)
-        assert lhs[0] == pytest.approx(rhs[0], rel=1e-12)
-        assert rhs[0] == pytest.approx(spectral_norms(a)[0], rel=1e-12)
+        total = _split_sum(Identity(3), split_inputs(a, b, c), 1.0)
+        assert np.allclose(total, a, rtol=0.0, atol=1e-13)
 
-    def test_zero_map_gives_zero_pair(self):
+    def test_zero_map_gives_zero_matrix(self):
         a, b, c = sample_triple(62)
-        lhs, rhs = _split_values(ZeroMap(3), a, b, c)
-        assert (lhs[0], rhs[0]) == (0.0, 0.0)
+        assert np.array_equal(_split_sum(ZeroMap(3), split_inputs(a, b, c), 1.0), np.zeros_like(a))
 
-    def test_constant_perturbation_stays_within_triangle_budget(self):
-        # each of the three evaluated terms moves by at most size*||dir||
+    def test_constant_perturbation_residual_is_twice_the_shift(self):
+        # each of the three evaluated terms carries size*D and f(a) one, so the
+        # residual matrix is 2*size*D
         f = constant_perturbed(size=0.5)
+        shift = 2.0 * 0.5 * spectral_norms(unit_direction(3, "identity")[np.newaxis])[0]
         for seed in range(63, 75):
-            lhs, rhs = _split_values(f, *sample_triple(seed))
-            assert abs(lhs[0] - rhs[0]) <= 3 * 0.5 * 1.0 + 1e-9
+            a, b, c = sample_triple(seed)
+            residual = spectral_norms(_split_sum(f, split_inputs(a, b, c), 1.0) - apply_array(f, a))[0]
+            assert residual == pytest.approx(shift, rel=0.0, abs=1e-12)
 
     def test_phase_one_reduces_bitwise(self):
         f = Transpose(3)
-        a, b, c = sample_triple(80)
-        phased = _split_values(f, a, b, c, phase=complex(1.0))
-        plain = _split_values(f, a, b, c)
-        assert all(np.array_equal(x, y) for x, y in zip(phased, plain))
+        x = split_inputs(*sample_triple(80))
+        assert np.array_equal(_split_sum(f, x, complex(1.0)), _split_sum(f, x, 1.0))
 
     def test_proof_substitution_vanishes(self):
-        # a = b = 0 collapses the twisted inequality to f(-mu c) + mu f(c)
+        # a = b = 0 collapses the twisted sum to f(-mu c) + mu f(c)
         c = random_element(90, 3, 2.0)[np.newaxis]
         z = np.zeros_like(c)
-        lhs, _ = _split_values(Identity(3), z, z, c, phase=1j)
-        assert lhs[0] <= 1e-14
+        assert spectral_norms(_split_sum(Identity(3), split_inputs(z, z, c), 1j))[0] <= 1e-14
 
     def test_phase_minus_one_expansion_oracle(self):
         # for the identity map the twisted sum collapses to (1-mu)b/3 + mu*a
         a, b, c = sample_triple(91)
-        lhs, _ = _split_values(Identity(3), a, b, c, phase=complex(-1.0))
+        lhs = spectral_norms(_split_sum(Identity(3), split_inputs(a, b, c), complex(-1.0)))[0]
         expected = spectral_norms((2.0 * b[0] / 3.0 - a[0])[np.newaxis])[0]
-        assert lhs[0] == pytest.approx(expected, rel=1e-10)
+        assert lhs == pytest.approx(expected, rel=1e-10)
 
 
 class TestStabilityEquation:
@@ -237,8 +239,10 @@ class TestAdditivityLadder:
 
     def test_split_inequality_check_for_exact_map(self):
         # lhs <= rhs at scale-relative tolerance on the sampled triples
+        f = Transpose(2)
         A, B, C = (random_elements(12, 200, 2, 10.0, stream=s) for s in (30, 31, 32))
-        lhs, rhs = _split_values(Transpose(2), A, B, C)
+        lhs = spectral_norms(_split_sum(f, split_inputs(A, B, C), 1.0))
+        rhs = spectral_norms(apply_array(f, A))
         scales = 1.0 + np.maximum(np.maximum(spectral_norms(A), spectral_norms(B)), spectral_norms(C))
         assert np.all(lhs - rhs <= 1e-9 * scales)
 
@@ -336,6 +340,17 @@ class TestStackedGrid:
         assert np.array_equal(res, np.zeros(5)) and np.array_equal(phase, np.ones(5))
 
 
+@pytest.mark.parametrize("name", [name for name, check in CHECKS.items() if check.phases != "sweep"])
+def test_asserted_rows_return_matrix_stacks(name):
+    # every asserted row is one matrix norm, taken by the runner through extreme_norms
+    check = CHECKS[name]
+    f = Transpose(2)
+    x = _Inputs(f, {k: random_elements(23, 5, 2, 4.0, stream=s) for k, s in check.streams.items()})
+    mu = 1.0 if check.phases is None else np.array(unit_circle_grid(4))[:, np.newaxis, np.newaxis, np.newaxis]
+    r = check.residual(f, x, mu)
+    assert np.iscomplexobj(r) and r.shape == np.shape(mu)[:-3] + (5, 2, 2)
+
+
 def stack_reports(stack, scales, tol):
     """Reports of a row whose residual is ``stack`` (a grid row when 4-D), normed by the runner and in full."""
     grid = np.exp(2j * np.pi * np.arange(stack.shape[0]) / stack.shape[0]) if stack.ndim == 4 else ()
@@ -421,7 +436,11 @@ class TestExtremeRows:
         for full in (False, True):
             if full:
                 monkeypatch.setattr(checkers, "extreme_norms", lambda mats, allowance: spectral_norms(mats))
-            reports = additivity_ladder(f, 9, 60, 1e-9) + phase_substitution_checks(f, grid, 9, 60, 1e-9)
+            reports = [
+                *additivity_ladder(f, 9, 60, 1e-9),
+                telescoping_check(f, 9, 60, 1e-9),
+                *phase_substitution_checks(f, grid, 9, 60, 1e-9),
+            ]
             runs.append([read(r) for r in reports])
         assert runs[0] == runs[1]
 

@@ -892,7 +892,7 @@ class TestSuperstabilityCommand:
 class TestNormCount:
     """Matrices normed by one run of a shipped config; a per-call SVD of a carried norm fails these.
 
-    The lemma_unitary and stability counts are exact, so any change to which
+    The lemma and stability counts are exact, so any change to which
     residuals extreme_norms refines (lemma) or which matrices a stability run
     norms moves them.
     """
@@ -943,19 +943,12 @@ class TestNormCount:
         assert self.normed_matrices(monkeypatch, cmd_superstability, "superstability_p05.json") <= 1650
 
     def test_lemma_transpose(self, monkeypatch):
-        # 171003 when the runner normed every stack the sampler had just drawn (144003 with drawn norms),
-        # 144003 when every residual of a matrix row was normed, 41771 when the
-        # sampler normed every draw to rescale it (11604 now)
-        assert self.normed_matrices(monkeypatch, cmd_lemma_check, "lemma_transpose.json") <= 11700
+        # every asserted lemma row is a matrix stack, so extreme_norms norms only its extremes' candidates
+        assert self.normed_matrices(monkeypatch, cmd_lemma_check, "lemma_transpose.json") == 269
 
     def test_lemma_unitary(self, monkeypatch):
-        # 144006 when every residual of a matrix row was normed, 47658 before the
-        # phase-permutation gather moved the d = 4 residuals at rounding level,
-        # which puts more phase-row samples among the candidates, 49618 when
-        # the sampler normed every draw to rescale it, 16208 when extreme_norms
-        # refined in one round, every phase of a candidate (13725 with only the
-        # phases that reach the sample's lower end)
-        assert self.normed_matrices(monkeypatch, cmd_lemma_check, "lemma_unitary.json") == 6422
+        # every asserted lemma row is a matrix stack, so extreme_norms norms only its extremes' candidates
+        assert self.normed_matrices(monkeypatch, cmd_lemma_check, "lemma_unitary.json") == 454
 
 
 class TestExactnessNorms:
