@@ -103,21 +103,20 @@ def extreme_norms(mats: np.ndarray, allowance: np.ndarray) -> np.ndarray:
 
     ``mats`` is (n, d, d), one matrix per sample, or (G, n, d, d), G matrices
     per sample whose maximum over axis 0 is the sample's norm.  A report
-    reads the maximum, the minimum and, with ``allowance`` (tol * scale per
-    sample), the first argmax of norm - allowance.  Each matrix is bracketed
-    by a NormBracket, and a sample's bracket is the maximum of lo and of hi
-    over G.  Two rounds refine samples.  The first norms the samples that
-    set the thresholds: the first argmax of lo, the first argmin of hi and
-    the first argmax of lo - allowance.  The second norms every sample whose
-    bracket, as it stands then, could still reach the maximum, the minimum
-    or the worst excess.  Within a refined sample, only the matrices whose
-    hi reaches the sample's lo are normed: any other lies strictly below the
-    sample's maximum.  The result is the bracket's hi per matrix, an upper
-    bound everywhere and exact where normed.  An unrefined sample's norm is
-    its hi, strictly below the maximum and the worst excess and strictly
-    above the minimum.  So the extremes, their first indices and, for a
-    refined sample, its first maximising matrix over G are those of full
-    norms, bit for bit.
+    reads the maximum and, with ``allowance`` (tol * scale per sample), the
+    first argmax of norm - allowance.  Each matrix is bracketed by a
+    NormBracket, and a sample's bracket is the maximum of lo and of hi over
+    G.  Two rounds refine samples.  The first norms the samples that set the
+    thresholds: the first argmax of lo and the first argmax of lo -
+    allowance.  The second norms every sample whose bracket, as it stands
+    then, could still reach the maximum or the worst excess.  Within a
+    refined sample, only the matrices whose hi reaches the sample's lo are
+    normed: any other lies strictly below the sample's maximum.  The result
+    is the bracket's hi per matrix, an upper bound everywhere and exact
+    where normed.  An unrefined sample's norm is its hi, strictly below the
+    maximum and the worst excess.  So the two extremes, their first indices
+    and, for a refined sample, its first maximising matrix over G are those
+    of full norms, bit for bit.
     """
     arr = _square_stack(mats)
     if arr.size == 0:
@@ -130,14 +129,10 @@ def extreme_norms(mats: np.ndarray, allowance: np.ndarray) -> np.ndarray:
 
     sample_lo, sample_hi = sample_bounds()
     seeds = np.zeros(sample_lo.shape, dtype=bool)
-    seeds[[np.argmax(sample_lo), np.argmin(sample_hi), np.argmax(sample_lo - allowance)]] = True
+    seeds[[np.argmax(sample_lo), np.argmax(sample_lo - allowance)]] = True
     bracket.refine(seeds & (hi >= sample_lo))
     sample_lo, sample_hi = sample_bounds()
-    candidate = (
-        (sample_hi >= sample_lo.max())
-        | (sample_lo <= sample_hi.min())
-        | (sample_hi - allowance >= np.max(sample_lo - allowance))
-    )
+    candidate = (sample_hi >= sample_lo.max()) | (sample_hi - allowance >= np.max(sample_lo - allowance))
     bracket.refine(candidate & (hi >= sample_lo))
     return hi
 

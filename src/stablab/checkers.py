@@ -66,16 +66,16 @@ class Witness:
 class CheckReport:
     """Outcome of one sampled check.
 
-    For an inequality lhs <= rhs the residual is lhs - rhs (clamped at zero
-    for the reported maximum) and slack is rhs - lhs; the verdict is
-    "satisfied" when every sampled excess lhs - rhs stays within the
-    scale-relative tolerance.  Equation checks use rhs = 0.  A "vacuous"
-    verdict marks report-only output that asserts nothing.
+    For an inequality lhs <= rhs the residual is lhs - rhs, clamped at zero
+    for the reported maximum; the verdict is "satisfied" when every sampled
+    excess lhs - rhs stays within the scale-relative tolerance.  Equation
+    checks use rhs = 0.  A row depends only on its worst sample: the
+    maximum residual, the verdict and the witness.  A "vacuous" verdict
+    marks report-only output that asserts nothing.
     """
 
     name: str
     max_residual: float
-    max_slack: float
     num_samples: int
     verdict: str
     worst_witness: Witness | None = None
@@ -96,17 +96,18 @@ def _build_report(
 ) -> CheckReport:
     """Judge lhs - rhs per sample and read the worst sample's witness from columns.
 
-    The witness is position ``worst`` of every column: its residual is
-    lhs[worst], its input norms come from ``norms`` (no norms, no witness),
-    its input matrices from the ``inputs`` stacks and its phase from
-    ``phases``.  ``ids`` maps positions to sample ids when only a subset of
+    The report reads only the maximum of lhs - rhs and the first maximum of
+    the excess lhs - rhs - tol * scales.  The witness is position ``worst``
+    of every column: its residual is lhs[worst], its input norms come from
+    ``norms`` (no norms, no witness), its input matrices from the ``inputs``
+    stacks and its phase from ``phases``.  ``ids`` maps positions to sample ids when only a subset of
     the samples is checked.
     """
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     n = lhs.size
     if n == 0:
-        return CheckReport(name, 0.0, 0.0, 0, "vacuous")
+        return CheckReport(name, 0.0, 0, "vacuous")
     excess = lhs - rhs - tol * np.asarray(scales, dtype=float)
     worst = int(np.argmax(excess))
     if assertive:
@@ -125,7 +126,6 @@ def _build_report(
     return CheckReport(
         name=name,
         max_residual=float(max(0.0, np.max(lhs - rhs))),
-        max_slack=float(np.max(rhs - lhs)),
         num_samples=int(n),
         verdict=verdict,
         worst_witness=witness,
@@ -296,10 +296,10 @@ def _evaluate(
     is the maximum over the grid and zero; a sample whose residual never
     exceeds zero keeps the phase 1.  A sweep row's witness names no phase.
     A matrix stack goes through extreme_norms with ``allowance`` (tol * scale
-    per sample): the maximum, the minimum, the first sample of the worst
-    excess and its first maximising phase are exact, and every other sample
-    carries an upper bound that reaches none of them, so its phase is
-    arbitrary.  _build_report reads nothing else.
+    per sample): the maximum, the first sample of the worst excess and its
+    first maximising phase are exact, and every other sample carries an
+    upper bound that reaches neither, so its phase is arbitrary.
+    _build_report reads nothing else.
     """
     phases = np.asarray(grid, dtype=np.complex128)
     if check.phases is not None and phases.size == 0:

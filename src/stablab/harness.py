@@ -116,7 +116,7 @@ EXIT_CONFIG = 3
 EXIT_NUMERIC = 4
 EXIT_CODES = {"satisfied": EXIT_OK, "violated": EXIT_VIOLATED, "diverged": EXIT_DIVERGED}
 # The report format version, written as the report's "schema"
-REPORT_SCHEMA = 2
+REPORT_SCHEMA = 3
 
 
 class ConfigError(ValueError):
@@ -502,12 +502,12 @@ def _fmt(value: Any) -> str:
 def checks_to_csv(checks: list[CheckReport]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["name", "max_residual", "max_slack", "num_samples", "verdict", "witness_norms"])
+    writer.writerow(["name", "max_residual", "num_samples", "verdict", "witness_norms"])
     for c in checks:
         norms = ""
         if c.worst_witness is not None:
             norms = ";".join(f"{k}={_fmt(v)}" for k, v in sorted(c.worst_witness.input_norms.items()))
-        writer.writerow([c.name, _fmt(c.max_residual), _fmt(c.max_slack), c.num_samples, c.verdict, norms])
+        writer.writerow([c.name, _fmt(c.max_residual), c.num_samples, c.verdict, norms])
     return buf.getvalue()
 
 
@@ -570,7 +570,10 @@ def _require_map(config: ExperimentConfig) -> dict:
 
 # The work budgets; a config beyond one exits 3 before any array is allocated.
 # A sampled command may draw at most SAMPLE_WORK_BUDGET matrix entries:
-# samples × the sum of dim² over its dimensions × the streams it draws.
+# samples × the sum of dim² over its dimensions × the streams it draws.  Its
+# phase grid, of G <= 4 + phase_grid_size phases, is held to the same budget:
+# a lemma grid row stacks samples × G matrices per dimension, and the
+# stability exactness run stabilizes (4 + G) points per exactness sample.
 # 10**7 complex entries are 160 MB for the drawn stacks alone.
 SAMPLE_WORK_BUDGET = 10**7
 # The most series terms (cells × terms) a bounds table may evaluate.  A
@@ -579,14 +582,24 @@ SAMPLE_WORK_BUDGET = 10**7
 TABLE_WORK_BUDGET = 10**7
 
 
-def _refuse_oversized_draws(rows: int, dims: list[int]) -> None:
-    """Raise ConfigError when ``rows`` sampled matrices per dimension of ``dims`` exceed SAMPLE_WORK_BUDGET entries."""
+def _refuse_oversized_draws(rows: int, dims: list[int], path: str = "config.sampling", kind: str = "sampled") -> None:
+    """Raise ConfigError at ``path`` when ``rows`` matrices per dimension of ``dims`` exceed the budget."""
     entries = sum(d * d for d in dims)
     if rows * entries > SAMPLE_WORK_BUDGET:
         raise ConfigError(
-            f"config.sampling: {rows} sampled matrices × {entries} entries exceed the work budget of "
+            f"{path}: {rows} {kind} matrices × {entries} entries exceed the work budget of "
             f"{SAMPLE_WORK_BUDGET} sampled entries"
         )
+
+
+def _single_dim(config: ExperimentConfig) -> int:
+    """algebra.dim, for a command that runs at no other dimension; a sampling.dims naming others is refused."""
+    if config.dims != [config.dim]:
+        raise ConfigError(
+            f"{_field_path('dims')}: this command runs at algebra.dim only, so it must be [{config.dim}] or absent, "
+            f"got {config.dims}"
+        )
+    return config.dim
 
 
 def cmd_lemma_check(config: ExperimentConfig) -> RunSummary:
@@ -594,6 +607,8 @@ def cmd_lemma_check(config: ExperimentConfig) -> RunSummary:
     map_cfg = _require_map(config)
     streams = {s for c in CHECKS.values() if config.phase_sweep or c.phases != "sweep" for s in c.streams.values()}
     _refuse_oversized_draws(config.samples * len(streams), config.dims)
+    grid_rows = config.samples * (4 + config.phase_grid_size)  # G phases per sample, checked before the grid is built
+    _refuse_oversized_draws(grid_rows, config.dims, _field_path("phase_grid_size"), "phase-grid")
     grid = unit_circle_grid(config.phase_grid_size)
     checks: list[CheckReport] = []
     meta: dict[str, Any] = {"dims": config.dims, "maps": {}}
@@ -640,11 +655,13 @@ def cmd_stability(config: ExperimentConfig) -> RunSummary:
     template = config.bound_spec()
     if template is None:
         raise ConfigError("config.bound: required for the stability command")
-    dim = config.dim
+    dim = _single_dim(config)
     # the samples, the calibration draws (three streams, six with a sweep) and the two exactness streams
     calib_samples = max(config.samples, 10)
     calib_streams = 3 if config.calibration_sweep is None else 6
     _refuse_oversized_draws(config.samples + calib_streams * calib_samples + 2 * config.exactness_samples, [dim])
+    grid_rows = config.exactness_samples * (8 + config.phase_grid_size)  # 4 + G exactness points per sample
+    _refuse_oversized_draws(grid_rows, [dim], _field_path("phase_grid_size"), "phase-grid")
     f = build_map(map_cfg, dim)
     direction = resolve_direction(f, config.stabilizer)
     if direction is None:
@@ -747,14 +764,14 @@ def cmd_stability(config: ExperimentConfig) -> RunSummary:
     checks.append(_build_report("recovered_exactness", law_values, 0.0, 1.0, config.exactness_tol))
 
     if exhausted:
-        checks.append(CheckReport("all_samples_converged", float(exhausted), 0.0, len(results), "violated"))
+        checks.append(CheckReport("all_samples_converged", float(exhausted), len(results), "violated"))
     return _summary("stability", config, meta, checks, rows)
 
 
 def cmd_superstability(config: ExperimentConfig) -> RunSummary:
     """Decay-sequence experiment: slope and terminal-value assertions."""
     map_cfg = _require_map(config)
-    dim = config.dim
+    dim = _single_dim(config)
     _refuse_oversized_draws(config.samples, [dim])
     f = build_map(map_cfg, dim)
     meta: dict[str, Any] = {"map": describe(f), "dim": dim, "n_max": config.decay_n_max}
@@ -791,7 +808,7 @@ def cmd_superstability(config: ExperimentConfig) -> RunSummary:
         checks.append(_build_report("decay_slope", slopes, bound, 1.0, 0.0, norms={"a": norms_a[fitted]}, ids=fitted))
     elif fitted.size:  # no exponent to aim at: any fitted slope violates
         meta["steepest_slope"] = float(np.max(slopes))
-        checks.append(CheckReport("decay_slope", max(0.0, meta["steepest_slope"]), 0.0, fitted.size, "violated"))
+        checks.append(CheckReport("decay_slope", max(0.0, meta["steepest_slope"]), fitted.size, "violated"))
 
     columns = {
         "sample_id": range(config.samples),

@@ -425,15 +425,15 @@ class TestNormBracket:
 def read_extremes(norms: np.ndarray, allowance: np.ndarray) -> tuple:
     """What a report reads from per-matrix norms of an (n,) or (G, n) stack.
 
-    The maximum, the minimum, their first indices, the first worst excess
-    and its value, and the first maximising matrix over G of the sample at
-    the maximum and of the sample at the worst excess.
+    The maximum and its first index, the first worst excess and its value,
+    and the first maximising matrix over G of the sample at the maximum and
+    of the sample at the worst excess.
     """
     value = norms if norms.ndim == 1 else norms.max(axis=0)
     excess = value - allowance
     top, worst = int(np.argmax(value)), int(np.argmax(excess))
     phases = () if norms.ndim == 1 else (int(np.argmax(norms[:, top])), int(np.argmax(norms[:, worst])))
-    return value.max(), value.min(), top, int(np.argmin(value)), worst, excess[worst], phases
+    return value.max(), top, worst, excess[worst], phases
 
 
 @st.composite
@@ -510,12 +510,29 @@ class TestExtremeNorms:
         assert np.array_equal(extreme_norms(np.zeros((4, 2, 2), dtype=complex), np.zeros(4)), np.zeros(4))
         assert calls == []
 
-    def test_all_candidates_norm_the_stack_as_is(self, monkeypatch):
-        # three samples that are the three seeds (the first argmax of lo, the first argmin of hi and the
-        # first argmax of lo - allowance) are every sample, so the seed round passes the stack unchanged
-        stack = np.array([[[1.0, 2.0j], [0.5, -1.0]]]) * np.array([1.0, 2.0, 3.0])[:, None, None]
+    @pytest.mark.parametrize("grid", [(), (3,)])
+    def test_minimum_sample_is_not_normed(self, monkeypatch, grid):
+        # sample 1 is the minimum, sample 2 the maximum and sample 3 the worst excess, since sample 2's
+        # allowance exceeds its norm; the samples lie a decade or more apart, so no bracket overlaps another
+        rng = np.random.default_rng(11)
+        shape = (*grid, 4, 3, 3)
+        stack = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * np.array([10.0, 1.0, 1e4, 1e2])[:, None, None]
+        allowance = np.array([0.0, 0.0, 1e6, 0.0])
+        full = spectral_norms(stack)
         calls = norm_calls(monkeypatch)
-        assert np.array_equal(extreme_norms(stack, np.array([0.0, 0.0, 10.0])), spectral_norms(stack))
+        out = extreme_norms(stack, allowance)
+        assert read_extremes(out, allowance) == read_extremes(full, allowance)
+        normed = np.concatenate([c.reshape(-1, 3, 3) for c in calls])
+        minimum = stack[..., 1, :, :].reshape(-1, 3, 3)
+        assert not np.any(np.all(normed[:, np.newaxis] == minimum[np.newaxis], axis=(-2, -1)))
+        assert np.all(out[..., 1] > full[..., 1])  # its bracket stays open
+
+    def test_all_candidates_norm_the_stack_as_is(self, monkeypatch):
+        # two samples that are the two seeds (the first argmax of lo and the first argmax of lo - allowance)
+        # are every sample, so the seed round passes the stack unchanged
+        stack = np.array([[[1.0, 2.0j], [0.5, -1.0]]]) * np.array([1.0, 2.0])[:, None, None]
+        calls = norm_calls(monkeypatch)
+        assert np.array_equal(extreme_norms(stack, np.array([0.0, 10.0])), spectral_norms(stack))
         assert len(calls) == 1 and calls[0] is stack
         # equal residuals all tie for the maximum: the seed round norms sample 0 and the second round the
         # rest, so every matrix is normed once, and the result equals full norms

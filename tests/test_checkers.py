@@ -279,7 +279,7 @@ def per_phase_loop(check, f, x, phases):
 def read(report):
     """What a report carries from a row, its witness inputs aside."""
     w = report.worst_witness
-    return (report.max_residual, report.max_slack, report.num_samples, report.verdict,
+    return (report.max_residual, report.num_samples, report.verdict,
             None if w is None else (w.sample_index, w.residual, w.input_norms, w.phase))
 
 

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import sys
+import time
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -537,14 +538,28 @@ class TestExitCodes:
 
 
 class TestSampleWorkBudget:
-    """A sampled command draws at most SAMPLE_WORK_BUDGET matrix entries, and refuses a larger config before any draw."""
+    """A sampled command draws at most SAMPLE_WORK_BUDGET matrix entries, and refuses a larger config before any draw.
+
+    Its phase grid is held to the same budget, so the draw cases run on the
+    smallest grid, whose matrices stay below the draws'.
+    """
 
     # command, config, matrices drawn per dimension and the sum of dim^2 over the dimensions
     CASES = {
-        "lemma-check": (minimal_config(sampling={"seed": 7, "samples": 5, "dims": [2, 3]}), 5 * 9, 4 + 9),
+        "lemma-check": (
+            minimal_config(sampling={"seed": 7, "samples": 5, "dims": [2, 3]}, phase_grid_size=0), 5 * 9, 4 + 9
+        ),
         # 30 samples, 3 calibration streams of 30, 2 exactness streams of 12
-        "stability": (BACKWARD_CONSTANT, 30 + 3 * 30 + 2 * 12, 9),
+        "stability": (dict(BACKWARD_CONSTANT, phase_grid_size=0), 30 + 3 * 30 + 2 * 12, 9),
         "superstability": (POWER_DECAY, 5, 9),
+    }
+    # command, config, the phase-grid matrices per dimension and the sum of dim^2 over the dimensions:
+    # 5 samples on each of at most 4 + 8 phases, and 12 exactness samples of 4 + (4 + 8) points each
+    GRID_CASES = {
+        "lemma-check": (
+            minimal_config(sampling={"seed": 7, "samples": 5, "dims": [2, 3]}, phase_grid_size=8), 5 * 12, 4 + 9
+        ),
+        "stability": (dict(BACKWARD_CONSTANT, phase_grid_size=8), 12 * 16, 9),
     }
 
     @staticmethod
@@ -571,6 +586,34 @@ class TestSampleWorkBudget:
             ])
         else:
             assert code != EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", GRID_CASES)
+    @pytest.mark.parametrize("over", [False, True], ids=["at", "over"])
+    def test_budget_bounds_phase_grid_entries(self, tmp_path, capsys, monkeypatch, command, over):
+        raw, rows, entries = self.GRID_CASES[command]
+        monkeypatch.setattr(harness, "SAMPLE_WORK_BUDGET", rows * entries - over)
+        if over:
+            def refused(*args, **kwargs):
+                raise AssertionError("the config must be refused before any draw or grid")
+
+            monkeypatch.setattr(algebra, "_uniforms", refused)
+            monkeypatch.setattr(harness, "unit_circle_grid", refused)
+        code, err = self._run(tmp_path, capsys, command, raw)
+        if over:
+            assert (code, err) == (EXIT_CONFIG, [
+                f"config error: config.phase_grid_size: {rows} phase-grid matrices × {entries} entries exceed the "
+                f"work budget of {rows * entries - 1} sampled entries"
+            ])
+        else:
+            assert code != EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", GRID_CASES)
+    def test_huge_phase_grid_exits_within_a_second(self, tmp_path, capsys, command):
+        raw = dict(self.GRID_CASES[command][0], phase_grid_size=10**9)
+        start = time.perf_counter()
+        code, err = self._run(tmp_path, capsys, command, raw)
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_CONFIG and len(err) == 1 and err[0].startswith("config error: config.phase_grid_size: ")
 
     def test_huge_samples_exit_before_any_allocation(self, tmp_path, capsys, monkeypatch):
         def refused(*args, **kwargs):
@@ -682,7 +725,6 @@ class TestSerialization:
         assert header.split(",") == [
             "name",
             "max_residual",
-            "max_slack",
             "num_samples",
             "verdict",
             "witness_norms",
@@ -735,8 +777,8 @@ class TestSerialization:
             == EXIT_OK
         )
         checks, rows = (section.splitlines() for section in out.read_text().split("\n\n"))
-        assert checks[0] == "name,max_residual,max_slack,num_samples,verdict,witness_norms"
-        assert [(c.split(",")[0], c.split(",")[4]) for c in checks[1:]] == [
+        assert checks[0] == "name,max_residual,num_samples,verdict,witness_norms"
+        assert [(c.split(",")[0], c.split(",")[3]) for c in checks[1:]] == [
             ("bound_certificate", "satisfied"),
             ("declared_bound", "satisfied"),
             ("recovered_exactness", "satisfied"),
@@ -774,7 +816,7 @@ class TestSerialization:
         certified, diverged = headers
         assert diverged == ["sample_id", "norm_a", "iterations", "status", "r_prev", "r_last"]
         assert certified[: len(diverged)] == diverged
-        assert checks == "name,max_residual,max_slack,num_samples,verdict,witness_norms"  # no check is judged
+        assert checks == "name,max_residual,num_samples,verdict,witness_norms"  # no check is judged
 
 
     def test_calibration_error_keeps_the_sample_rows(self, tmp_path):
@@ -943,12 +985,14 @@ class TestNormCount:
         assert self.normed_matrices(monkeypatch, cmd_superstability, "superstability_p05.json") <= 1650
 
     def test_lemma_transpose(self, monkeypatch):
-        # every asserted lemma row is a matrix stack, so extreme_norms norms only its extremes' candidates
-        assert self.normed_matrices(monkeypatch, cmd_lemma_check, "lemma_transpose.json") == 269
+        # every asserted lemma row is a matrix stack, so extreme_norms norms only its extremes' candidates;
+        # 269 when it kept each row's minimum exact too
+        assert self.normed_matrices(monkeypatch, cmd_lemma_check, "lemma_transpose.json") == 265
 
     def test_lemma_unitary(self, monkeypatch):
-        # every asserted lemma row is a matrix stack, so extreme_norms norms only its extremes' candidates
-        assert self.normed_matrices(monkeypatch, cmd_lemma_check, "lemma_unitary.json") == 454
+        # every asserted lemma row is a matrix stack, so extreme_norms norms only its extremes' candidates;
+        # 454 when it kept each row's minimum exact too
+        assert self.normed_matrices(monkeypatch, cmd_lemma_check, "lemma_unitary.json") == 427
 
 
 class TestExactnessNorms:
@@ -1236,6 +1280,9 @@ class TestOutOfRangeValues:
             ("bounds-table", {"outputs.path": "x.json"}, [], "outputs: unknown field"),
             # calibration draws at sampling.norm_cap
             ("stability", {"calibration.norm_cap": 5.0}, [], "calibration.norm_cap: unknown field"),
+            # stability and superstability run at algebra.dim only
+            ("stability", {"sampling.dims": [2, 3]}, [], "sampling.dims: this command runs at algebra.dim only"),
+            ("superstability", {"sampling.dims": [2]}, [], "sampling.dims: this command runs at algebra.dim only"),
         ],
     )
     def test_cli_exits_config_error(self, tmp_path, capsys, command, overrides, argv, path):
