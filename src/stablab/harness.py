@@ -773,6 +773,7 @@ def cmd_superstability(config: ExperimentConfig) -> RunSummary:
     map_cfg = _require_map(config)
     dim = _single_dim(config)
     _refuse_oversized_draws(config.samples, [dim])
+    _refuse_oversized_draws(config.samples * config.decay_n_max, [dim], _field_path("decay_n_max"), "decay-sequence")
     f = build_map(map_cfg, dim)
     meta: dict[str, Any] = {"map": describe(f), "dim": dim, "n_max": config.decay_n_max}
 
@@ -824,20 +825,18 @@ def cmd_superstability(config: ExperimentConfig) -> RunSummary:
 def cmd_bounds_table(config: ExperimentConfig) -> RunSummary:
     """Closed-form vs truncated-series bound table over a parameter grid.
 
-    Each (direction, exponent) group is one bound_closed_form and one
-    bound_series_truncated call over its whole coefficient × norm grid (a
-    coefficient column against the norm array); the rows run in that
-    computed order: group (backward exponents, forward exponents, the
-    profile degree), coefficient, norm.  A row agrees when the truncated
-    series plus its tail estimate meets the closed form, so a short series
-    is not read as a wrong closed form.
+    Each (direction, exponent) group is the PowerControl with that exponent
+    in all three slots: one bound_closed_form and one bound_series_truncated
+    call over its whole coefficient × norm grid (a coefficient column against
+    the norm array).  The rows run in that order: group (backward exponents,
+    then forward exponents), coefficient, norm.  A row agrees when the
+    truncated series plus its tail estimate meets the closed form, so a short
+    series is not read as a wrong closed form.  The profile degree feeds only
+    profile_power_consistency: the forward closed forms of the catalog's
+    profile and power kinds at that degree, on the same coefficient × norm grid.
     """
-    blocks = [  # (kind, direction, exponents), one group per exponent
-        ("power", BACKWARD, config.table_exps_backward),
-        ("power", FORWARD, config.table_exps_forward),
-        ("profile", FORWARD, [config.table_profile_degree]),
-    ]
-    groups = [(kind, direction, exp) for kind, direction, exps in blocks for exp in exps]
+    groups = [(BACKWARD, exp) for exp in config.table_exps_backward]
+    groups += [(FORWARD, exp) for exp in config.table_exps_forward]
     grid = (len(groups), len(config.table_coeffs), len(config.table_norms))
     cells = math.prod(grid)
     if cells * config.table_terms > TABLE_WORK_BUDGET:
@@ -846,26 +845,25 @@ def cmd_bounds_table(config: ExperimentConfig) -> RunSummary:
             f"{TABLE_WORK_BUDGET} series terms"
         )
     norms_a = np.array(config.table_norms, dtype=float)
-    coeffs = np.array(config.table_coeffs, dtype=float)
+    coeffs = np.array(config.table_coeffs, dtype=float)[:, np.newaxis]
     values = []
-    for kind, direction, exp in groups:
-        spec = make_control(kind, coeffs[:, np.newaxis], dict.fromkeys(bound_fields(kind), exp))
+    for direction, exp in groups:
+        spec = PowerControl(coeffs, exp, exp, exp)
         closed = bound_closed_form(spec, norms_a, direction)
         values.append((closed, *bound_series_truncated(spec, norms_a, direction, config.table_terms)))
     group, coeff, norm = np.unravel_index(np.arange(cells), grid)
     closed, series, tail = (np.array(v).ravel() for v in zip(*values))
     rel = np.abs(closed - (series + tail)) / np.maximum(np.abs(closed), 1e-300)
-    kinds, directions, exps = (np.array(column)[group].tolist() for column in zip(*groups))
-    columns = {"kind": kinds, "direction": directions, "coeff": coeffs[coeff], "exponent": exps}
-    columns |= {"norm_a": norms_a[norm], "closed_form": closed, "series": series, "tail_estimate": tail}
-    columns |= {"rel_err": rel, "agree": rel <= 1e-9}
-    split = cells - grid[1] * grid[2]  # the profile block comes last, and its rows carry two more columns
-    power = {name: column[:split] for name, column in columns.items()}
-    profile = {name: column[split:] for name, column in columns.items()}
-    ref = profile["closed_form"]  # the power reference is the same PowerControl: its closed form, bit for bit
-    profile |= {"power_reference": ref, "power_rel_err": np.abs(closed[split:] - ref) / np.maximum(np.abs(ref), 1e-300)}
-    rows = _sample_rows(power) + _sample_rows(profile)
+    directions, exps = (np.array(column)[group].tolist() for column in zip(*groups))
+    columns = {"direction": directions, "coeff": coeffs[coeff, 0], "exponent": exps, "norm_a": norms_a[norm]}
+    columns |= {"closed_form": closed, "series": series, "tail_estimate": tail, "rel_err": rel, "agree": rel <= 1e-9}
 
+    degree = config.table_profile_degree  # the catalog's profile and power kinds, every exponent at this degree
+    profile, power = (
+        bound_closed_form(make_control(kind, coeffs, dict.fromkeys(bound_fields(kind), degree)), norms_a, FORWARD)
+        for kind in ("profile", "power")
+    )
+    consistency = (np.abs(profile - power) / np.maximum(np.abs(power), 1e-300)).ravel()
     checks = [_build_report("series_closed_form_agreement", rel, 0.0, 1.0, 1e-9, norms={"norm_a": columns["norm_a"]})]
-    checks.append(_build_report("profile_power_consistency", profile["power_rel_err"], 0.0, 1.0, 1e-12))
-    return _summary("bounds-table", config, {"cells": len(rows), "terms": config.table_terms}, checks, rows)
+    checks.append(_build_report("profile_power_consistency", consistency, 0.0, 1.0, 1e-12))
+    return _summary("bounds-table", config, {"cells": cells, "terms": config.table_terms}, checks, _sample_rows(columns))

@@ -107,18 +107,16 @@ class TestCriterion3BoundDualityGrid:
         config = load("bounds_table.json")
         summary = cmd_bounds_table(config)
         assert summary.exit_code == EXIT_OK
-        power_rows = [r for r in summary.sample_rows if r["kind"] == "power"]
-        assert len(power_rows) == 3 * 3 * 3 * 2
-        assert all(r["rel_err"] <= 1e-9 for r in power_rows)
+        rows = summary.sample_rows
+        assert len(rows) == 3 * 3 * 3 * 2
+        assert all(r["rel_err"] <= 1e-9 for r in rows)
 
-        profile_rows = [r for r in summary.sample_rows if r["kind"] == "profile"]
-        assert len(profile_rows) == 9
-        for row in profile_rows:
-            assert row["rel_err"] <= 1e-9  # series vs closed form
-            assert row["power_rel_err"] <= 1e-12  # cell-for-cell against power exp 2
+        consistency = next(c for c in summary.checks if c.name == "profile_power_consistency")
+        assert (consistency.num_samples, consistency.verdict) == (9, "satisfied")
+        assert consistency.max_residual <= 1e-12  # the square profile against the power control (2, 2, 2), per cell
         report(
             "criterion 3: closed form and 60-term series agree to 1e-9 on all "
-            f"{len(power_rows)} grid cells; square profile matches power cells to 1e-12"
+            f"{len(rows)} grid cells; square profile matches power cells to 1e-12"
         )
 
 

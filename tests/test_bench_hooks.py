@@ -87,7 +87,7 @@ def test_series_terms_reads_terms_from_the_bounds_table_call(monkeypatch):
     monkeypatch.setattr(harness, "bound_series_truncated", recorded)
     cmd_bounds_table(config)
     # one call per (direction, exponent) group, on its whole coefficient × norm grid
-    groups = len(config.table_exps_backward) + len(config.table_exps_forward) + 1  # + the profile degree
+    groups = len(config.table_exps_backward) + len(config.table_exps_forward)
     assert seen == [config.table_terms] * groups
 
 

@@ -59,9 +59,7 @@ from stablab.stabilizer import (
     BOUND_KINDS,
     PowerControl,
     bound_closed_form,
-    bound_fields,
     bound_series_truncated,
-    make_control,
 )
 
 
@@ -544,14 +542,19 @@ class TestSampleWorkBudget:
     smallest grid, whose matrices stay below the draws'.
     """
 
-    # command, config, matrices drawn per dimension and the sum of dim^2 over the dimensions
+    # command, config, matrices per dimension, the sum of dim^2 over the dimensions, and the refusal's
+    # field and kind; superstability's 5 samples × 64 decay-sequence terms bind before its 5 draws do
     CASES = {
         "lemma-check": (
-            minimal_config(sampling={"seed": 7, "samples": 5, "dims": [2, 3]}, phase_grid_size=0), 5 * 9, 4 + 9
+            minimal_config(sampling={"seed": 7, "samples": 5, "dims": [2, 3]}, phase_grid_size=0),
+            5 * 9,
+            4 + 9,
+            "sampling",
+            "sampled",
         ),
         # 30 samples, 3 calibration streams of 30, 2 exactness streams of 12
-        "stability": (dict(BACKWARD_CONSTANT, phase_grid_size=0), 30 + 3 * 30 + 2 * 12, 9),
-        "superstability": (POWER_DECAY, 5, 9),
+        "stability": (dict(BACKWARD_CONSTANT, phase_grid_size=0), 30 + 3 * 30 + 2 * 12, 9, "sampling", "sampled"),
+        "superstability": (POWER_DECAY, 5 * 64, 9, "superstability.n_max", "decay-sequence"),
     }
     # command, config, the phase-grid matrices per dimension and the sum of dim^2 over the dimensions:
     # 5 samples on each of at most 4 + 8 phases, and 12 exactness samples of 4 + (4 + 8) points each
@@ -571,7 +574,7 @@ class TestSampleWorkBudget:
     @pytest.mark.parametrize("command", CASES)
     @pytest.mark.parametrize("over", [False, True], ids=["at", "over"])
     def test_budget_bounds_drawn_entries(self, tmp_path, capsys, monkeypatch, command, over):
-        raw, rows, entries = self.CASES[command]
+        raw, rows, entries, path, kind = self.CASES[command]
         monkeypatch.setattr(harness, "SAMPLE_WORK_BUDGET", rows * entries - over)
         if over:
             def refused(*args, **kwargs):
@@ -581,7 +584,7 @@ class TestSampleWorkBudget:
         code, err = self._run(tmp_path, capsys, command, raw)
         if over:
             assert (code, err) == (EXIT_CONFIG, [
-                f"config error: config.sampling: {rows} sampled matrices × {entries} entries exceed the work "
+                f"config error: config.{path}: {rows} {kind} matrices × {entries} entries exceed the work "
                 f"budget of {rows * entries - 1} sampled entries"
             ])
         else:
@@ -1040,7 +1043,7 @@ class TestBoundsTableCommand:
         cfg = parse_config({"schema": 1, "algebra": {"dim": 2}, "sampling": {"seed": 0, "samples": 1}})
         summary = cmd_bounds_table(cfg)
         assert summary.exit_code == EXIT_OK
-        assert len(summary.sample_rows) == 63
+        assert len(summary.sample_rows) == 54
         assert all(r["agree"] for r in summary.sample_rows)
 
     @pytest.mark.parametrize("terms", [2, 10, 20, 30])
@@ -1053,47 +1056,57 @@ class TestBoundsTableCommand:
 
     def test_reference_cells(self):
         cfg = parse_config({"schema": 1, "algebra": {"dim": 2}, "sampling": {"seed": 0, "samples": 1}})
-        rows = cmd_bounds_table(cfg).sample_rows
-        def cell(kind, direction, coeff, exp, norm):
+        summary = cmd_bounds_table(cfg)
+        rows = summary.sample_rows
+        def cell(direction, coeff, exp, norm):
             return next(
                 r
                 for r in rows
-                if r["kind"] == kind
-                and r["direction"] == direction
-                and r["coeff"] == coeff
-                and r["exponent"] == exp
-                and r["norm_a"] == norm
+                if r["direction"] == direction and r["coeff"] == coeff and r["exponent"] == exp and r["norm_a"] == norm
             )
-        assert cell("power", "backward", 1.0, 0.0, 1.0)["closed_form"] == pytest.approx(1.0, abs=1e-12)
-        assert cell("power", "forward", 1.0, 2.0, 1.0)["closed_form"] == pytest.approx(7.5, abs=1e-12)
-        assert cell("power", "forward", 1.0, 2.0, 2.0)["closed_form"] == pytest.approx(30.0, abs=1e-12)
-        prof = cell("profile", "forward", 1.0, 2.0, 1.0)
-        assert prof["power_rel_err"] <= 1e-12
+        assert cell("backward", 1.0, 0.0, 1.0)["closed_form"] == pytest.approx(1.0, abs=1e-12)
+        assert cell("forward", 1.0, 2.0, 1.0)["closed_form"] == pytest.approx(7.5, abs=1e-12)
+        assert cell("forward", 1.0, 2.0, 2.0)["closed_form"] == pytest.approx(30.0, abs=1e-12)
+        consistency = summary.checks[1]  # the profile of degree 2 against the power control (2, 2, 2)
+        assert (consistency.name, consistency.num_samples, consistency.verdict) == (
+            "profile_power_consistency", 9, "satisfied"
+        )
+        assert consistency.max_residual <= 1e-12
+
+    def test_each_control_cell_is_listed_once(self):
+        rows = cmd_bounds_table(load_config(str(DEFAULT_TABLE_CONFIG))).sample_rows
+        keys = [(r["direction"], r["coeff"], r["exponent"], r["norm_a"]) for r in rows]
+        assert len(keys) == len(set(keys)) == 54
+
+    def test_profile_power_consistency_reads_the_catalog(self, capsys, monkeypatch):
+        # a profile whose middle slot is fixed at 3.0 is not the power control of the profile degree 2.0
+        monkeypatch.setitem(stabilizer.BOUND_KINDS, "profile", ("degree", 3.0, "degree"))
+        summary = cmd_bounds_table(load_config(str(DEFAULT_TABLE_CONFIG)))
+        consistency = next(c for c in summary.checks if c.name == "profile_power_consistency")
+        assert consistency.verdict == "violated" and consistency.max_residual > 1e-12
+        code, _ = run_cli(capsys, ["bounds-table", "--config", str(DEFAULT_TABLE_CONFIG)])
+        assert code == EXIT_VIOLATED
 
     @staticmethod
     def per_control_rows(config):
         """The table as one scalar-coefficient call per control made it, in the (group, coeff, norm) order."""
         norms_a = np.array(config.table_norms, dtype=float)
         controls = [
-            ("power", direction, coeff, exp)
+            (direction, coeff, exp)
             for direction, exps in (("backward", config.table_exps_backward), ("forward", config.table_exps_forward))
             for exp in exps
             for coeff in config.table_coeffs
-        ] + [("profile", "forward", coeff, config.table_profile_degree) for coeff in config.table_coeffs]
+        ]
         rows = []
-        for kind, direction, coeff, exp in controls:
-            spec = make_control(kind, coeff, dict.fromkeys(bound_fields(kind), exp))
+        for direction, coeff, exp in controls:
+            spec = PowerControl(coeff, exp, exp, exp)
             closed = bound_closed_form(spec, norms_a, direction)
             series, tail = bound_series_truncated(spec, norms_a, direction, config.table_terms)
             rel = np.abs(closed - (series + tail)) / np.maximum(np.abs(closed), 1e-300)
             for i, norm in enumerate(norms_a.tolist()):
-                row = {"kind": kind, "direction": direction, "coeff": coeff, "exponent": exp, "norm_a": norm}
+                row = {"direction": direction, "coeff": coeff, "exponent": exp, "norm_a": norm}
                 row |= {"closed_form": float(closed[i]), "series": float(series[i]), "tail_estimate": float(tail[i])}
                 row |= {"rel_err": float(rel[i]), "agree": bool(rel[i] <= 1e-9)}
-                if kind == "profile":
-                    ref = bound_closed_form(PowerControl(coeff, exp, exp, exp), norm, direction)
-                    rel_ref = abs(closed[i] - ref) / max(abs(ref), 1e-300)
-                    row |= {"power_reference": float(ref), "power_rel_err": float(rel_ref)}
                 rows.append(row)
         return rows
 
@@ -1129,14 +1142,14 @@ class TestBoundsTableCommand:
         assert agreement.max_residual == max(0.0, max(rel_errs))
         assert agreement.worst_witness.sample_index == int(np.argmax(np.array(rel_errs) - 1e-9))
 
-    @pytest.mark.parametrize("budget, code", [(63 * 60, EXIT_OK), (63 * 60 - 1, EXIT_CONFIG)])
+    @pytest.mark.parametrize("budget, code", [(54 * 60, EXIT_OK), (54 * 60 - 1, EXIT_CONFIG)])
     def test_work_budget_bounds_cells_times_terms(self, capsys, monkeypatch, budget, code):
-        monkeypatch.setattr(harness, "TABLE_WORK_BUDGET", budget)  # the default grid: 63 cells × 60 terms
+        monkeypatch.setattr(harness, "TABLE_WORK_BUDGET", budget)  # the default grid: 54 cells × 60 terms
         got, err = run_cli(capsys, ["bounds-table", "--config", str(DEFAULT_TABLE_CONFIG)])
         assert got == code
         if code == EXIT_CONFIG:
             assert err == [
-                "config error: config.bounds_table: 63 cells × 60 terms exceed the work budget of 3779 series terms"
+                "config error: config.bounds_table: 54 cells × 60 terms exceed the work budget of 3239 series terms"
             ]
 
     def test_huge_terms_exit_before_any_evaluation(self, capsys, monkeypatch, tmp_path):
@@ -1182,7 +1195,7 @@ class TestBoundsTableCommand:
         # two terms give the tail its ratio; one term wrote an Infinity tail in every row
         cfg = parse_config(set_path(copy.deepcopy(BOUNDS_TABLE), "bounds_table.terms", 2))
         rows = strict_json(report_json_bytes(cmd_bounds_table(cfg)))["samples"]
-        assert len(rows) == 63
+        assert len(rows) == 54
         assert all(math.isfinite(r["tail_estimate"]) for r in rows)
 
 
@@ -1283,6 +1296,13 @@ class TestOutOfRangeValues:
             # stability and superstability run at algebra.dim only
             ("stability", {"sampling.dims": [2, 3]}, [], "sampling.dims: this command runs at algebra.dim only"),
             ("superstability", {"sampling.dims": [2]}, [], "sampling.dims: this command runs at algebra.dim only"),
+            # the decay sequences of 5 samples × 10**9 terms exceed the sampled-entry budget
+            (
+                "superstability",
+                {"superstability.n_max": 10**9},
+                [],
+                f"superstability.n_max: {5 * 10**9} decay-sequence matrices × 9 entries exceed the work budget",
+            ),
         ],
     )
     def test_cli_exits_config_error(self, tmp_path, capsys, command, overrides, argv, path):
