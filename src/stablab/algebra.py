@@ -55,9 +55,14 @@ def spectral_norms(mats: np.ndarray) -> np.ndarray:
     return np.linalg.svd(arr, compute_uv=False)[..., 0]
 
 
-# The relative widening of a Frobenius bracket, far above the few ulps by
-# which the Frobenius sum or an SVD value can be off.
+# The relative widening of every bracket end, far above the few ulps by which
+# the Frobenius sum or an SVD value can be off, and above the entrywise
+# stage's rounding at every dimension the work budget admits (see tighten).
 BRACKET_MARGIN = 1e-12
+# tighten trusts its bounds only where a matrix's largest entry reaches this:
+# rounding a subnormal modulus is absolute, not relative, and above this
+# floor no such error exceeds 1e-20 relative.
+ENTRYWISE_FLOOR = 1e-300
 
 
 class NormBracket:
@@ -70,9 +75,10 @@ class NormBracket:
     gives it.  The squares of the entries underflow or overflow when F
     leaves about [1e-150, 1e150], so any other such matrix (a subnormal
     entry counts as nonzero) starts at [0, inf).  Non-finite entries raise
-    NonFiniteError, as in spectral_norms.  ``refine`` norms the selected
-    matrices whose bracket is still open with spectral_norms, after which
-    each has lo == hi, its exact value, so no matrix is normed twice.
+    NonFiniteError, as in spectral_norms.  ``tighten`` narrows the selected
+    open brackets with entrywise bounds, no SVD.  ``refine`` norms the
+    selected matrices whose bracket is still open with spectral_norms, after
+    which each has lo == hi, its exact value, so no matrix is normed twice.
     """
 
     def __init__(self, mats: np.ndarray):
@@ -86,8 +92,37 @@ class NormBracket:
         frob = np.sqrt(squares)
         usable = (squares >= 1e-300) & (squares <= 1e300)
         self.lo = np.where(usable, frob * ((1.0 - BRACKET_MARGIN) / np.sqrt(arr.shape[-1])), 0.0)
-        bounded = usable | ~flat.any(axis=-1)  # an all-zero matrix has frob == 0.0
+        bounded = usable if usable.all() else usable | ~flat.any(axis=-1)  # an all-zero matrix has frob == 0.0
         self.hi = np.where(bounded, frob * (1.0 + BRACKET_MARGIN), np.inf)
+
+    def tighten(self, rows: np.ndarray) -> None:
+        """Narrow the open brackets among ``rows`` (a mask of lo's shape) to entrywise bounds.
+
+        max |a_ij| <= ||a|| <= sqrt(||a||_1) sqrt(||a||_inf), the 1- and
+        inf-norms being the largest column and row sums of |a_ij|; the two
+        roots are taken apart, so no product overflows.  Each end is widened
+        by BRACKET_MARGIN and kept only where it narrows the bracket.  The
+        rounding it covers: each |a_ij| is a hypot, within an ulp (2^-52
+        relative); a sum of d of them is within (d - 1) 2^-53 in any order;
+        the roots and their product add three half-ulps.  At d = 3162, the
+        largest dimension whose d^2 entries the work budget admits, that is
+        below 4e-13, which leaves the few ulps by which the SVD value can be
+        off well inside the margin.  A matrix whose largest entry is below
+        ENTRYWISE_FLOOR, or whose upper bound overflows, keeps its bracket.
+        On a scalar multiple of the identity or of one matrix unit both ends
+        meet the norm to within the margin.
+        """
+        rows = rows & (self.lo < self.hi)
+        if not rows.any():
+            return
+        with np.errstate(over="ignore", under="ignore"):
+            mags = np.abs(self.mats[rows])
+            top = mags.max(axis=(-2, -1))
+            upper = np.sqrt(mags.sum(axis=-2).max(axis=-1)) * np.sqrt(mags.sum(axis=-1).max(axis=-1))
+        usable = (top >= ENTRYWISE_FLOOR) & (upper < np.inf)
+        lo, hi = self.lo[rows], self.hi[rows]
+        self.lo[rows] = np.where(usable, np.maximum(lo, top * (1.0 - BRACKET_MARGIN)), lo)
+        self.hi[rows] = np.where(usable, np.minimum(hi, upper * (1.0 + BRACKET_MARGIN)), hi)
 
     def refine(self, rows: np.ndarray) -> None:
         """Norm the open matrices among ``rows`` (a mask of lo's shape); the stack as it is when all are selected."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
@@ -253,12 +254,30 @@ class StabilizationResult:
         return self.status == "converged"
 
 
+def _settle(open_rows: Callable[[], np.ndarray], *brackets: NormBracket) -> None:
+    """Close the decisions ``open_rows()`` leaves open: tighten the brackets there, then refine the rest."""
+    rows = open_rows()
+    if rows.any():
+        for bracket in brackets:
+            bracket.tighten(rows)
+        rows = open_rows()
+        if rows.any():
+            for bracket in brackets:
+                bracket.refine(rows)
+
+
 def _greater(x: NormBracket, y: NormBracket, rows: np.ndarray) -> np.ndarray:
-    """Per row, x > y between two NormBrackets; exact on ``rows``, where overlapping bounds refine both sides."""
-    undecided = rows & (x.lo <= y.hi) & (x.hi > y.lo)
-    x.refine(undecided)
-    y.refine(undecided)
+    """Per row, x > y between two NormBrackets; exact on ``rows``, where overlapping bounds settle both sides."""
+    _settle(lambda: rows & (x.lo <= y.hi) & (x.hi > y.lo), x, y)
     return x.lo > y.hi
+
+
+def _blown(h: np.ndarray) -> np.ndarray:
+    """Per matrix of an (n, d, d) stack, whether an entry's modulus passes ITERATE_OVERFLOW_LIMIT."""
+    parts = np.ascontiguousarray(h).view(np.float64)  # real and imaginary parts
+    if np.abs(parts).max() <= ITERATE_OVERFLOW_LIMIT / 2:  # |z| <= sqrt(2) max(|Re z|, |Im z|)
+        return np.zeros(len(h), dtype=bool)
+    return np.max(np.abs(h), axis=(1, 2)) > ITERATE_OVERFLOW_LIMIT
 
 
 def resolve_direction(f: MapSpec, cfg: StabilizerConfig) -> str | None:
@@ -293,12 +312,13 @@ def stabilize_batch(
     resolve_direction cannot resolve raises ValueError.
 
     Each iteration's residuals are one NormBracket, starting from their
-    Frobenius brackets.  It refines a residual only where the bracket leaves
-    a decision open (converged, growing, above the first residual; an open
-    comparison refines both sides).  Each result keeps its last two
-    differences, for a caller that reports the stopping residuals to norm.
-    ``norms`` are the operator norms of A when the caller holds them, as the
-    drawn norms of a sampled stack; without them the stack is normed here.
+    Frobenius brackets.  Where a bracket leaves a decision open (converged,
+    growing, above the first residual; an open comparison settles both
+    sides), it is tightened to its entrywise bounds, and a residual still
+    open is refined.  Each result keeps its last two differences, for a
+    caller that reports the stopping residuals to norm.  ``norms`` are the
+    operator norms of A when the caller holds them, as the drawn norms of a
+    sampled stack; without them the stack is normed here.
     """
     direction = resolve_direction(f, cfg)
     if direction is None:
@@ -326,29 +346,31 @@ def stabilize_batch(
         res = NormBracket(diff)  # one iteration's Cauchy residuals ||h_n - h_{n-1}||
         if n == 1:
             first = res
-        iters[active] = n
-        res.refine(active & (res.lo <= tols) & (res.hi > tols))
+        _settle(lambda: active & (res.lo <= tols) & (res.hi > tols), res)
         converged = active & (res.hi <= tols)
         running = active & ~converged
         if n > 1:
             grow = np.where(_greater(res, last, running), grow + 1, 0)
         last = res
-        blown = np.max(np.abs(h), axis=(1, 2)) > ITERATE_OVERFLOW_LIMIT
-        suspect = running & ~blown & (grow >= DIVERGENCE_GROWTH_STEPS)
-        diverged = running & (blown | (suspect & _greater(res, first, suspect)))
-        status[converged], status[diverged] = "converged", "diverged"
+        diverged = running & _blown(h)
+        suspect = running & ~diverged & (grow >= DIVERGENCE_GROWTH_STEPS)
+        if suspect.any():
+            diverged |= suspect & _greater(res, first, suspect)
         active = running & ~diverged
         kept = converged | active if n == cfg.max_iter else converged  # exhausted rows keep their last iterate
-        limits[kept] = h[kept]
         stopped = kept | diverged
-        diffs[stopped, 0], diffs[stopped, 1] = diff_prev[stopped], diff[stopped]
+        if stopped.any():
+            status[converged], status[diverged] = "converged", "diverged"
+            iters[stopped] = n
+            limits[kept] = h[kept]
+            diffs[stopped, 0], diffs[stopped, 1] = diff_prev[stopped], diff[stopped]
         if not active.any():
             break
         h_prev, diff_prev = h, diff
 
     return [
-        StabilizationResult(None if status[i] == "diverged" else limits[i], int(iters[i]), status[i], diffs[i])
-        for i in range(count)
+        StabilizationResult(None if s == "diverged" else limit, used, s, pair)
+        for limit, used, s, pair in zip(limits, iters.tolist(), status.tolist(), diffs)
     ]
 
 

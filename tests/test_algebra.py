@@ -274,11 +274,16 @@ class TestOpNorm:
 BRACKET_DIMS = [1, 2, 3, 4, 8]
 
 
-def brackets_hold(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lo, norms, hi) of a stack, asserting lo <= spectral_norms <= hi and that no RuntimeWarning escapes."""
-    with warnings.catch_warnings():
+def brackets_hold(stack: np.ndarray, tighten: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lo, norms, hi) of a stack, every bracket tightened if asked, asserting lo <= spectral_norms <= hi
+    and that no RuntimeWarning escapes and no matrix is normed on the way."""
+    with pytest.MonkeyPatch.context() as monkeypatch, warnings.catch_warnings():
         warnings.simplefilter("error")
+        calls = norm_calls(monkeypatch)
         bracket = NormBracket(stack)
+        if tighten:
+            bracket.tighten(np.ones(bracket.lo.shape, dtype=bool))
+    assert calls == []
     lo, hi, norms = bracket.lo, bracket.hi, spectral_norms(stack)
     assert np.all(lo <= norms) and np.all(norms <= hi)
     return lo, norms, hi
@@ -420,6 +425,71 @@ class TestNormBracket:
             assert np.array_equal(norms.lo[exact], full[exact])
             assert np.all(norms.lo <= full) and np.all(full <= norms.hi)
         assert exact.sum() > 40 and not exact.all()
+
+
+class TestNormBracketTighten:
+    """tighten narrows open brackets to max|a_ij| <= ||a|| <= sqrt(||a||_1) sqrt(||a||_inf), widened by the
+    margin, without an SVD; it holds every spectral_norms value and leaves other rows as they were."""
+
+    @pytest.mark.parametrize("d", BRACKET_DIMS)
+    def test_random_stacks_from_1e_minus_300_to_1e300(self, d):
+        rng = np.random.default_rng(700 + d)
+        stack = (rng.normal(size=(400, d, d)) + 1j * rng.normal(size=(400, d, d))) * np.logspace(-300, 300, 400)[
+            :, None, None
+        ]
+        lo, _, hi = brackets_hold(stack, tighten=True)
+        # wherever the largest entry reaches the floor, Frobenius range or not, the bracket is at most d wide
+        reached = np.abs(stack).max(axis=(-2, -1)) >= algebra.ENTRYWISE_FLOOR
+        assert reached.sum() > 390
+        assert np.all(hi[reached] <= d * lo[reached] * (1.0 + 3e-12))
+
+    @pytest.mark.parametrize("d", BRACKET_DIMS)
+    def test_both_ends_are_attained(self, d):
+        # a scaled identity and a scaled matrix unit have max|a_ij| = ||a||_1 = ||a||_inf = ||a||, so both
+        # ends meet the norm a few ulps inside the margin, also where the Frobenius bracket is [0, inf)
+        rng = np.random.default_rng(800 + d)
+        c = (rng.normal(size=300) + 1j * rng.normal(size=300)) * np.logspace(-290, 290, 300)
+        corner = np.zeros((d, d))
+        corner[0, d - 1] = 1.0
+        for unit in (np.eye(d), corner):
+            lo, norms, hi = brackets_hold(c[:, None, None] * unit, tighten=True)
+            np.testing.assert_allclose(lo, norms, rtol=2e-12, atol=0.0)
+            np.testing.assert_allclose(hi, norms, rtol=2e-12, atol=0.0)
+
+    @pytest.mark.parametrize("d", BRACKET_DIMS)
+    def test_subnormal_and_near_overflow_entries(self, d):
+        stack = np.zeros((3, d, d), dtype=complex)
+        stack[0, 0, d - 1] = complex(0.0, 5e-324)
+        stack[1] = 3e-310 - 1e-309j
+        stack[2] = 1e154 - 1e154j  # its squares overflow, its entrywise bounds do not
+        lo, norms, hi = brackets_hold(stack, tighten=True)
+        assert np.all(lo[:2] == 0.0) and np.all(hi[:2] == np.inf)  # below the floor, the bracket stays
+        # a constant matrix: max|a_ij| is ||a|| / d, and the 1- and inf-norms are ||a||
+        np.testing.assert_allclose([lo[2], hi[2]], [norms[2] / d, norms[2]], rtol=2e-12)
+
+    def test_an_overflowing_modulus_keeps_its_bracket(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bracket = NormBracket(np.full((1, 2, 2), 1.5e308 + 1.5e308j))  # |z| is beyond the float range
+            bracket.tighten(np.ones(1, dtype=bool))
+        assert bracket.lo[0] == 0.0 and bracket.hi[0] == np.inf
+
+    @pytest.mark.parametrize("shape", [(12,), (3, 12)])
+    def test_closed_and_unselected_rows_are_untouched(self, shape):
+        stack = TestNormBracket.mixed_stack(shape)
+        rng = np.random.default_rng(11)
+        bracket = NormBracket(stack)
+        bracket.refine(rng.random(shape) < 0.3)
+        before_lo, before_hi = bracket.lo.copy(), bracket.hi.copy()
+        rows = rng.random(shape) < 0.5
+        bracket.tighten(rows)
+        moved = rows & (before_lo < before_hi)  # open before and selected
+        assert np.array_equal(bracket.lo[~moved], before_lo[~moved])
+        assert np.array_equal(bracket.hi[~moved], before_hi[~moved])
+        assert np.all(bracket.lo[moved] >= before_lo[moved]) and np.all(bracket.hi[moved] <= before_hi[moved])
+        assert np.all(bracket.hi[moved] < np.inf)  # the rows at 1e+-170 leave [0, inf) too
+        full = spectral_norms(stack)
+        assert np.all(bracket.lo <= full) and np.all(full <= bracket.hi)
 
 
 def read_extremes(norms: np.ndarray, allowance: np.ndarray) -> tuple:

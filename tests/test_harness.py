@@ -968,8 +968,10 @@ class TestNormCount:
         # when the samples' run normed every running residual for its trace and
         # the exactness run normed its points, 2730 when extreme_norms refined
         # the Jordan *-laws in one round, every phase of a candidate, 2405 in
-        # two rounds; every law value is normed now (864 law matrices)
-        assert self.normed_matrices(monkeypatch, cmd_stability, "stability_backward_constant.json") == 2778
+        # two rounds, 2778 when every law value was normed (864 law matrices)
+        # and the stabilization runs refined residuals their Frobenius
+        # brackets left open; the entrywise brackets settle those now
+        assert self.normed_matrices(monkeypatch, cmd_stability, "stability_backward_constant.json") == 1961
 
     def test_forward_power_stability(self, monkeypatch):
         # 25001 when the exactness runs normed every Cauchy residual, 8284 when
@@ -979,8 +981,36 @@ class TestNormCount:
         # when the samples' run normed every running residual for its trace and
         # the exactness run normed its points, 2578 when extreme_norms refined
         # the Jordan *-laws in one round, every phase of a candidate, 2471 in
-        # two rounds; every law value is normed now (864 law matrices)
-        assert self.normed_matrices(monkeypatch, cmd_stability, "stability_forward_power.json") == 3281
+        # two rounds, 3281 when every law value was normed (864 law matrices)
+        # and the stabilization runs refined residuals their Frobenius
+        # brackets left open; the entrywise brackets settle those now
+        assert self.normed_matrices(monkeypatch, cmd_stability, "stability_forward_power.json") == 2761
+
+    @pytest.mark.parametrize("config_name", ["stability_backward_constant.json", "stability_forward_power.json"])
+    def test_stabilization_norms_nothing(self, monkeypatch, config_name):
+        # both stabilization runs of a shipped config (samples, exactness points) settle every residual
+        # decision with their Frobenius and entrywise brackets, and are handed their points' norms
+        runs, inside, normed = [], [False], []  # normed: the stacks spectral_norms gets inside stabilize_batch
+        real_norms, real_stabilize = algebra.spectral_norms, harness.stabilize_batch
+
+        def counted(mats):
+            if inside[0]:
+                normed.append(mats.shape)
+            return real_norms(mats)
+
+        def stabilize(f, A, *args, **kwargs):
+            runs.append(len(A))
+            inside[0] = True
+            try:
+                return real_stabilize(f, A, *args, **kwargs)
+            finally:
+                inside[0] = False
+
+        for module in (algebra, stabilizer):
+            monkeypatch.setattr(module, "spectral_norms", counted)
+        monkeypatch.setattr(harness, "stabilize_batch", stabilize)
+        assert cmd_stability(load_config(str(README.parent / "configs" / config_name))).exit_code == EXIT_OK
+        assert len(runs) == 2 and normed == []
 
     def test_superstability_p05(self, monkeypatch):
         # 4851 when every perturbed evaluation normed its input, 1676 when the

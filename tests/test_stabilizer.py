@@ -690,6 +690,25 @@ class TestTracelessRuns:
         results, _ = self.assert_same_runs(Identity(d), sample, StabilizerConfig(direction=BACKWARD))
         assert (results[0].status, results[0].iterations_used) == ("diverged", 7)
 
+    def test_overflow_with_both_parts_below_the_limit(self, monkeypatch):
+        # A scripted backward run on one norm-1 sample whose third iterate has
+        # the entry 0.75e150 (1 + 1j): its modulus, about 1.06e150, passes
+        # ITERATE_OVERFLOW_LIMIT while its real and imaginary parts stay below
+        # it, so the run diverges at step 3 only if the modulus is tested.
+        d = 2
+        eye, corner = np.eye(d), np.diag([1.0, 0.0])
+        H = np.stack([0.0 * eye, eye, 2.0 * eye, 2.0 * eye + 0.75e150 * (1.0 + 1.0j) * corner, 2.0 * eye])
+
+        def scripted(f, xs, norms=None):
+            n = round(math.log(norms[0]) / math.log(3.0))  # backward, xs = 3^n a with ||a|| = 1
+            return 3.0**n * H[n][np.newaxis]
+
+        monkeypatch.setattr(stabilizer, "apply_array", scripted)
+        monkeypatch.setitem(globals(), "apply_array", scripted)  # the reference runs the same script
+        sample = np.eye(d, dtype=complex)[np.newaxis]
+        results, _ = self.assert_same_runs(Identity(d), sample, StabilizerConfig(max_iter=4, direction=BACKWARD))
+        assert (results[0].status, results[0].iterations_used) == ("diverged", 3)
+
     @pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
     @pytest.mark.parametrize("mode,power", [("constant", 0.0), ("affine", 0.0), ("power", 0.5), ("power", 2.0)])
     def test_differences_at_extreme_scales(self, direction, mode, power):
@@ -701,8 +720,9 @@ class TestTracelessRuns:
 
 class TestTracedRuns:
     """The samples' own run in `stability`, whose report shows each row's stopping residuals: the run norms
-    each sample once and a residual only where the bracket leaves a decision open, never after its row
-    stops; the report then norms every row's last two differences in one call."""
+    each sample once, reads a residual's entries (tighten) or norms it (refine) only where the bracket
+    leaves a decision open, never after its row stops; the report then norms every row's last two
+    differences in one call."""
 
     @pytest.mark.parametrize(
         "mode,power,cfg,statuses",
@@ -726,15 +746,39 @@ class TestTracedRuns:
         # the samples are normed in stabilizer, the residuals in NormBracket.refine, the stopping residuals in harness
         for module in (algebra, stabilizer, mappings, harness):
             monkeypatch.setattr(module, "spectral_norms", counted)
+        # the open rows each stage reads, with the iteration it reads them at: the brackets made so far
+        brackets, reads = [], {"tighten": [], "refine": []}
+
+        class Recorded(algebra.NormBracket):
+            def __init__(self, mats):
+                super().__init__(mats)
+                brackets.append(self)
+
+            def tighten(self, rows):
+                reads["tighten"].append((len(brackets), rows & (self.lo < self.hi)))
+                super().tighten(rows)
+
+            def refine(self, rows):
+                reads["refine"].append((len(brackets), rows & (self.lo < self.hi)))
+                super().refine(rows)
+
+        monkeypatch.setattr(stabilizer, "NormBracket", Recorded)
         results = stabilize_batch(f, spread, cfg)
         in_run = sum(calls)
-        iterations = [r.iterations_used for r in results]
+        iterations = np.array([r.iterations_used for r in results])
         assert {r.status for r in results} == statuses and len(set(iterations)) > 1
+        # neither stage reads a row at an iteration after the one where it stopped
+        for stage in reads.values():
+            assert all(np.all(iterations[rows] >= n) for n, rows in stage)
         # at most each running row's residual once (sample 7's first residual is the exact zero bracket)
         assert in_run <= len(results) + sum(iterations) - 1
-        # 775 (constant) and 274 (power) when every running row's residual was normed for a trace; the
-        # power rows' decisions still need all 274, the constant rows' only 14 beyond their 40 samples
-        assert in_run == {"constant": 54, "power": 274}[mode]
+        # 775 (constant) and 274 (power) when every running row's residual was normed for a trace, 54 and
+        # 274 when the Frobenius bracket alone settled decisions; the entrywise bracket settles every
+        # decision of both runs now, so only the 40 samples are normed, and 14 (constant) and 234
+        # (power) residuals are tightened
+        assert in_run == len(results)
+        tightened = sum(int(rows.sum()) for _, rows in reads["tighten"])
+        assert tightened == {"constant": 14, "power": 234}[mode]
         before = len(calls)
         _stopping_residuals(results)
         assert calls[before:] == [2 * len(results)]
