@@ -7,17 +7,18 @@ mode), run by one runner that draws all its streams in one sampler call
 and reads their norms from the draw instead of norming them; a row over
 the phase grid is one residual call on all phases at once.  Every report's
 worst witness is read from column arrays at the worst sample: its residual
-is lhs there, with the input norms, and the inputs and phase when present,
-so failures are replayable.  Tolerances are scale-relative: "scale" means
-1 + max input norm (1 + 2||c|| and 1 + 3||c|| for doubling and tripling,
-the norms of their arguments), which keeps checks meaningful near zero and
-for large elements.
+is lhs there, with the input norms and the phase when present.  A witness
+names its sample, not its matrices: seed, stream and ``sample_index`` redraw
+its inputs, so failures are replayable.  Tolerances are scale-relative:
+"scale" means 1 + max input norm (1 + 2||c|| and 1 + 3||c|| for doubling and
+tripling, the norms of their arguments), which keeps checks meaningful near
+zero and for large elements.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,13 +54,12 @@ class DecayOverflowError(OverflowError):
 
 @dataclass
 class Witness:
-    """Worst sample of a check: index, residual, input norms, optional inputs."""
+    """Worst sample of a check: index, residual, input norms and, for a grid row, its phase."""
 
     sample_index: int
     residual: float
     input_norms: dict[str, float]
     phase: complex | None = None
-    inputs: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 @dataclass
@@ -90,7 +90,6 @@ def _build_report(
     *,
     assertive: bool = True,
     norms: dict[str, np.ndarray] | None = None,
-    inputs: dict[str, np.ndarray] | None = None,
     phases: np.ndarray | None = None,
     ids: list[int] | None = None,
 ) -> CheckReport:
@@ -99,9 +98,10 @@ def _build_report(
     The report reads only the maximum of lhs - rhs and the first maximum of
     the excess lhs - rhs - tol * scales.  The witness is position ``worst``
     of every column: its residual is lhs[worst], its input norms come from
-    ``norms`` (no norms, no witness), its input matrices from the ``inputs``
-    stacks and its phase from ``phases``.  ``ids`` maps positions to sample ids when only a subset of
-    the samples is checked.
+    ``norms`` (no norms, no witness) and its phase from ``phases``.  It holds
+    no matrix: the caller's seed and streams redraw its inputs from the
+    sample index.  ``ids`` maps positions to sample ids when only a subset
+    of the samples is checked.
     """
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -121,7 +121,6 @@ def _build_report(
             float(lhs[worst]),
             {k: float(v[worst]) for k, v in norms.items()},
             None if phases is None else complex(phases[worst]),
-            {k: v[worst].copy() for k, v in (inputs or {}).items()},
         )
     return CheckReport(
         name=name,
@@ -339,11 +338,9 @@ def _run_checks(
         row_norms = {k: norms[k] for k in check.streams}
         scales = check.scale(row_norms)
         res, phases = _evaluate(check, f, x, grid, tol * scales)
-        inputs = {k: x[k] for k in check.streams}
         reports.append(
             _build_report(
-                check.name, res, 0.0, scales, tol,
-                assertive=check.phases != "sweep", norms=row_norms, inputs=inputs, phases=phases,
+                check.name, res, 0.0, scales, tol, assertive=check.phases != "sweep", norms=row_norms, phases=phases
             )
         )
     return reports
@@ -504,10 +501,12 @@ def fit_loglog_slope(values: list[float] | np.ndarray):
     """Least-squares slope of log(values[..., n]) against log(n) for n >= SLOPE_START_N, per row.
 
     ``values`` holds d_1, d_2, ... along its last axis; a sequence gives one
-    slope and a (rows, n) stack one slope per row, each a dot product of the
-    centred log values with the centred abscissa log n.  A row with a
-    nonpositive value at n >= SLOPE_START_N has no logarithm to fit and gets +inf.
-    Fewer than two fit points raise ValueError.
+    slope and a (rows, n) stack one slope per row: the sum along the row of
+    the centred log values times the centred abscissa log n, which reads that
+    row alone (a matmul's blocking depends on the row count), so a row fitted
+    alone gets its stack slope bit for bit.  A row with a nonpositive value at
+    n >= SLOPE_START_N has no logarithm to fit and gets +inf.  Fewer than two
+    fit points raise ValueError.
     """
     vals = np.asarray(values, dtype=float)[..., SLOPE_START_N - 1 :]
     if vals.shape[-1] < 2:
@@ -516,5 +515,5 @@ def fit_loglog_slope(values: list[float] | np.ndarray):
     x -= x.mean()
     positive = vals > 0.0
     y = np.log(np.where(positive, vals, 1.0))
-    slopes = (y - y.mean(axis=-1, keepdims=True)) @ x / (x @ x)
+    slopes = np.sum((y - y.mean(axis=-1, keepdims=True)) * x, axis=-1) / (x @ x)
     return np.where(np.all(positive, axis=-1), slopes, np.inf)[()]

@@ -453,14 +453,12 @@ def config_digest(config: ExperimentConfig) -> str:
 
 
 def _json_value(value: Any) -> Any:
-    """A report value as JSON: a dataclass by its fields, a dict by its values,
-    an array as rows of [re, im] pairs and a complex number as [re, im]."""
+    """A report value as JSON: a dataclass by its fields, a dict by its values
+    and a complex number as [re, im]."""
     if is_dataclass(value):
         return {f.name: _json_value(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, dict):
         return {key: _json_value(v) for key, v in value.items()}
-    if isinstance(value, np.ndarray):
-        return np.stack([value.real, value.imag], axis=-1).tolist()
     if isinstance(value, complex):
         return [float(value.real), float(value.imag)]
     return value
@@ -603,7 +601,8 @@ def _single_dim(config: ExperimentConfig) -> int:
 
 
 def cmd_lemma_check(config: ExperimentConfig) -> RunSummary:
-    """Additivity proof ladder plus the telescoping equality, per dimension."""
+    """Per dimension: the additivity proof ladder, the telescoping equality, the
+    unit-scalar substitution checks over the phase grid and, with phase_sweep, the report-only sweep."""
     map_cfg = _require_map(config)
     streams = {s for c in CHECKS.values() if config.phase_sweep or c.phases != "sweep" for s in c.streams.values()}
     _refuse_oversized_draws(config.samples * len(streams), config.dims)

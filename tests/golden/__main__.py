@@ -4,9 +4,9 @@ Usage, from the repository root:
 
     PYTHONPATH=src python -m tests.golden            # report only
     PYTHONPATH=src python -m tests.golden --write    # regenerate tests/golden/*.json
-    PYTHONPATH=src python -m tests.golden --digest   # print each case's report sha256
+    PYTHONPATH=src python -m tests.golden --digest   # print each case's report sha256 and size
 
-``--digest`` prints ``<case>: <sha256>`` of each case's report bytes
+``--digest`` prints ``<case>: <sha256> <bytes>`` of each case's report bytes
 (timestamp fixed) and compares nothing; two checkouts report byte-identical
 reports exactly when their outputs are equal, so one ``diff`` shows it.
 """
@@ -21,11 +21,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="python -m tests.golden", description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--write", action="store_true", help="rewrite the golden files with the fresh reports")
-    mode.add_argument("--digest", action="store_true", help="print the sha256 of each case's report bytes")
+    mode.add_argument("--digest", action="store_true", help="print the sha256 and size of each case's report bytes")
     args = parser.parse_args(argv)
     if args.digest:
         for name in CASES:
-            print(f"{name}: {hashlib.sha256(_case_bytes(name)).hexdigest()}")
+            body = _case_bytes(name)
+            print(f"{name}: {hashlib.sha256(body).hexdigest()} {len(body)}")
         return 0
     failing = 0
     for name in CASES:

@@ -683,3 +683,14 @@ class TestSlopeFit:
         for row, slope in zip(stack, slopes):
             reference = np.polyfit(np.log(ns[3:]), np.log(row[3:]), 1)[0]
             assert slope == pytest.approx(reference, rel=1e-12, abs=1e-12)
+
+    def test_row_fitted_alone_matches_its_stack(self):
+        # a row's slope reads that row only, so a witness's one-row refit replays it bit for bit
+        rng = np.random.default_rng(5)
+        ns = np.arange(1, 65)
+        stack = rng.uniform(0.5, 2.0, (200, 64)) * rng.uniform(1e-6, 1e3, (200, 1)) * ns ** rng.uniform(-3.0, 1.0, (200, 1))
+        slopes = fit_loglog_slope(stack)
+        alone = np.array([fit_loglog_slope(row[np.newaxis])[0] for row in stack])
+        assert np.array_equal(slopes, alone)
+        assert np.array_equal(slopes[:7], fit_loglog_slope(stack[:7]))
+        assert fit_loglog_slope(stack[3]) == slopes[3]

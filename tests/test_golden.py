@@ -3,7 +3,7 @@
 Exact on digests, exit codes, verdicts, check names, sample counts and row
 keys; floats within the tolerance stated in ``tests/golden/__init__.py``.
 Regenerate on purpose with ``PYTHONPATH=src python -m tests.golden --write``;
-``--digest`` prints the sha256 of each case's report bytes instead.
+``--digest`` prints the sha256 and size of each case's report bytes instead.
 ``run_case`` parses each fresh report strictly, so a NaN or Infinity fails too.
 """
 
@@ -25,9 +25,25 @@ def test_digest_prints_the_sha256_of_each_case_report(capsys):
     assert golden_main(["--digest"]) == 0
     digests = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
     assert list(digests) == list(CASES)
-    assert digests["lemma_transpose"] == hashlib.sha256(_case_bytes("lemma_transpose")).hexdigest()
+    body = _case_bytes("lemma_transpose")
+    assert digests["lemma_transpose"] == f"{hashlib.sha256(body).hexdigest()} {len(body)}"
 
 
 def test_every_case_reports_a_distinct_report():
     digests = {name: hashlib.sha256(_case_bytes(name)).hexdigest() for name in CASES}
     assert len(set(digests.values())) == len(CASES), digests
+
+
+def _nesting(value) -> int:
+    """How deep lists nest in a JSON value: 1 for a row of numbers, 3 for a matrix of [re, im] pairs."""
+    if isinstance(value, dict):
+        return max(map(_nesting, value.values()), default=0)
+    if isinstance(value, list):
+        return 1 + max(map(_nesting, value), default=0)
+    return 0
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_no_report_holds_a_matrix(name):
+    # a witness names its sample; the longest nesting left is a decay sequence per row
+    assert _nesting(run_case(name)) <= 2

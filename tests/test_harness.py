@@ -733,7 +733,7 @@ class TestSerialization:
             "witness_norms",
         ]
 
-    def test_report_json_contains_witness_matrices(self):
+    def test_report_json_witness_names_its_sample_without_matrices(self):
         cfg = parse_config(
             minimal_config(
                 map={
@@ -749,8 +749,9 @@ class TestSerialization:
         odd = next(c for c in report["checks"] if c["name"].endswith("oddness"))
         witness = odd["worst_witness"]
         assert witness is not None
-        entries = witness["inputs"]["c"]
-        assert len(entries) == 3 and len(entries[0]) == 3 and len(entries[0][0]) == 2
+        # the seed, stream and sample index redraw the inputs, so the witness carries their norms only
+        assert witness.keys() == {"sample_index", "residual", "input_norms", "phase"}
+        assert witness["input_norms"].keys() == {"c"} and type(witness["input_norms"]["c"]) is float
         # every check and witness is written with exactly its dataclass's fields
         assert all(c.keys() == {f.name for f in fields(CheckReport)} for c in report["checks"])
         assert witness.keys() == {f.name for f in fields(Witness)}

@@ -1,12 +1,23 @@
-"""Every lemma-check witness replays from its serialized report alone.
+"""Every sampled witness replays from its config and serialized report alone.
 
-For each check of each shipped lemma config, the witness inputs are read
-back from the report as one-matrix stacks and the check's CHECKS residual is
-rerun: at the witness phase for a grid row, as the maximum over the grid for
-a sweep row.  The result must equal ``worst_witness.residual`` bit for bit.
-The inputs must also be the rows the sampler draws for (seed, stream,
-sample_index), and the input norms the norms the sampler drew for them (bit
-for bit), which agree with a fresh spectral norm to 8 ulps.
+A witness names its sample, not its matrices: each input is row
+``sample_index`` of its sampling stream at the report's seed, which
+``random_element`` redraws alone.  For every check of every shipped lemma,
+stability and superstability config, the inputs are redrawn, each drawn
+norm must equal ``input_norms`` bit for bit (and a fresh spectral norm to 8
+ulps), and the recomputed residual must equal ``worst_witness.residual``
+bit for bit:
+
+- a lemma row draws at ``derived_seed(seed, dim)`` from its
+  ``CHECKS[name].streams`` and reruns its residual on one-matrix stacks, at
+  the witness phase for a grid row and as the maximum over the grid for a
+  sweep row;
+- ``bound_certificate`` and ``declared_bound`` stabilize the one point of
+  stream 60 and norm the distance of its limit to f there;
+- ``terminal_decay`` and ``decay_slope`` evaluate the one-row decay
+  sequence of stream 70, and its slope fit.
+
+A check without a witness (``recovered_exactness``) has nothing to replay.
 """
 
 import numpy as np
@@ -14,46 +25,82 @@ import pytest
 
 from golden import CASES, case_config, run_case
 from stablab.algebra import derived_seed, random_element, spectral_norms
-from stablab.checkers import CHECKS, _evaluate, _Inputs
+from stablab.checkers import (
+    CHECKS,
+    _evaluate,
+    _Inputs,
+    fit_loglog_slope,
+    superstability_decay_batch,
+    superstability_shrinking_batch,
+)
 from stablab.harness import build_map
 from stablab.mappings import apply_array, unit_circle_grid
+from stablab.stabilizer import stabilize_batch
 
-LEMMA_CASES = sorted(name for name, (command, _) in CASES.items() if command == "lemma-check")
-
-
-def _stack(entries):
-    """A one-matrix stack from a report's [[re, im], ...] rows."""
-    return np.array(entries, dtype=float).view(np.complex128)[np.newaxis, ..., 0]
+REPLAYED = ("lemma-check", "stability", "superstability")
+REPLAY_CASES = sorted(name for name, (command, _) in CASES.items() if command in REPLAYED)
 
 
-@pytest.mark.parametrize("name", LEMMA_CASES)
+def redraw(seed, dim, norm_cap, streams, witness):
+    """The witness's inputs as one-matrix stacks and their drawn norms, each norm checked against the report."""
+    stacks, norms = {}, {}
+    for k, stream in streams.items():
+        norm = np.empty(())
+        drawn = random_element(seed, dim, norm_cap, stream, witness["sample_index"], norms_out=norm)
+        assert norm == witness["input_norms"][k], f"input {k}: not the drawn norm"
+        # the drawn norm is the row's target, a few ulps from a fresh SVD
+        assert abs(spectral_norms(drawn[np.newaxis])[0] - norm) <= 8 * np.spacing(norm)
+        stacks[k], norms[k] = drawn[np.newaxis], norm[np.newaxis]
+    assert sorted(stacks) == sorted(witness["input_norms"])
+    return stacks, norms
+
+
+def replay_lemma(config, report, entry):
+    dim_key, check_name = entry["name"].split("/")
+    dim = int(dim_key.removeprefix("dim"))
+    f = build_map(config.map_cfg, dim)
+    witness = entry["worst_witness"]
+    if check_name == "zero_at_zero":  # the one zero matrix, not a sampled row
+        return spectral_norms(apply_array(f, np.zeros((1, dim, dim), dtype=np.complex128)))[0]
+    check = CHECKS[check_name]
+    stacks, norms = redraw(derived_seed(report["seed"], dim), dim, config.norm_cap, check.streams, witness)
+    # a sweep row maximises over the grid, judged at tol 0; a row at mu = 1 ignores the grid
+    phases = [complex(*witness["phase"])] if check.phases == "worst" else unit_circle_grid(config.phase_grid_size)
+    tol = 0.0 if check.phases == "sweep" else config.checks_tol
+    residual, _ = _evaluate(check, f, _Inputs(f, stacks), phases, tol * check.scale(norms))
+    return residual[0]
+
+
+def replay_stability(config, report, entry):
+    assert entry["name"] in ("bound_certificate", "declared_bound")
+    f = build_map(config.map_cfg, config.dim)
+    stacks, norms = redraw(report["seed"], config.dim, config.norm_cap, {"a": 60}, entry["worst_witness"])
+    (result,) = stabilize_batch(f, stacks["a"], config.stabilizer, norms=norms["a"])
+    assert result.converged  # only converged samples are certified
+    return spectral_norms(result.limit[np.newaxis] - apply_array(f, stacks["a"], norms["a"]))[0]
+
+
+def replay_superstability(config, report, entry):
+    f = build_map(config.map_cfg, config.dim)
+    stacks, norms = redraw(report["seed"], config.dim, config.norm_cap, {"a": 70}, entry["worst_witness"])
+    shrink = report["meta"]["variant"] == "shrinking"
+    decay_batch = superstability_shrinking_batch if shrink else superstability_decay_batch
+    decay = decay_batch(f, stacks["a"], config.decay_n_max, norms=norms["a"])
+    if entry["name"] == "terminal_decay":
+        return decay[0, -1]
+    assert entry["name"] == "decay_slope"
+    return fit_loglog_slope(decay)[0]
+
+
+REPLAY = {"lemma-check": replay_lemma, "stability": replay_stability, "superstability": replay_superstability}
+
+
+@pytest.mark.parametrize("name", REPLAY_CASES)
 def test_every_witness_replays_bit_for_bit(name):
     config = case_config(name)
-    grid = unit_circle_grid(config.phase_grid_size)
     report = run_case(name)
-    for entry in report["checks"]:
-        dim_key, check_name = entry["name"].split("/")
-        dim = int(dim_key.removeprefix("dim"))
-        f = build_map(config.map_cfg, dim)
-        witness = entry["worst_witness"]
-        if check_name == "zero_at_zero":  # the one zero matrix, not a sampled row
-            residual = spectral_norms(apply_array(f, np.zeros((1, dim, dim), dtype=np.complex128)))[0]
-            assert residual == witness["residual"]
-            continue
-        check = CHECKS[check_name]
-        x = _Inputs(f, {k: _stack(v) for k, v in witness["inputs"].items()})
-        assert sorted(x) == sorted(check.streams)
-        seed, index = derived_seed(config.seed, dim), witness["sample_index"]
-        for k, stack in x.items():
-            norm = np.empty(())
-            drawn = random_element(seed, dim, config.norm_cap, check.streams[k], index, norms_out=norm)
-            assert np.array_equal(drawn, stack[0]), f"{entry['name']}: input {k} is not the sampled row"
-            assert norm == witness["input_norms"][k]
-            # the drawn norm is the row's target, a few ulps from a fresh SVD
-            assert abs(spectral_norms(stack)[0] - norm) <= 8 * np.spacing(norm)
-        # a sweep row maximises over the grid, judged at tol 0; a row at mu = 1 ignores the grid
-        phases = [complex(*witness["phase"])] if check.phases == "worst" else grid
-        tol = 0.0 if check.phases == "sweep" else config.checks_tol
-        scale = check.scale({k: np.array([v]) for k, v in witness["input_norms"].items()})
-        residual, _ = _evaluate(check, f, x, phases, tol * scale)
-        assert residual[0] == witness["residual"], entry["name"]
+    replay = REPLAY[report["command"]]
+    witnessed = [entry for entry in report["checks"] if entry["worst_witness"] is not None]
+    assert witnessed
+    for entry in witnessed:
+        assert replay(config, report, entry) == entry["worst_witness"]["residual"], entry["name"]
