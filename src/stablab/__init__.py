@@ -14,7 +14,6 @@ from .checkers import (
     additivity_ladder,
     fit_loglog_slope,
     phase_substitution_checks,
-    phase_sweep_report,
     superstability_decay_batch,
     superstability_shrinking_batch,
     telescoping_check,

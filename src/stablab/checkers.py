@@ -2,8 +2,8 @@
 
 Each displayed inequality/equation of the stability theory gets a residual
 evaluator; universal quantifiers are sampled with seeded stacks.  Every
-sampled check is one row of CHECKS (input streams, residual, scale, phase
-mode), run by one runner that draws all its streams in one sampler call
+sampled check is one row of CHECKS (input streams, residual, scale, grid
+flag), run by one runner that draws all its streams in one sampler call
 and reads their norms from the draw instead of norming them; a row over
 the phase grid is one residual call on all phases at once.  Every report's
 worst witness is read from column arrays at the worst sample: its residual
@@ -35,7 +35,6 @@ __all__ = [
     "additivity_ladder",
     "fit_loglog_slope",
     "phase_substitution_checks",
-    "phase_sweep_report",
     "superstability_decay_batch",
     "superstability_shrinking_batch",
     "telescoping_check",
@@ -70,8 +69,7 @@ class CheckReport:
     for the reported maximum; the verdict is "satisfied" when every sampled
     excess lhs - rhs stays within the scale-relative tolerance.  Equation
     checks use rhs = 0.  A row depends only on its worst sample: the
-    maximum residual, the verdict and the witness.  A "vacuous" verdict
-    marks report-only output that asserts nothing.
+    maximum residual, the verdict and the witness.
     """
 
     name: str
@@ -88,7 +86,6 @@ def _build_report(
     scales: np.ndarray | float,
     tol: float,
     *,
-    assertive: bool = True,
     norms: dict[str, np.ndarray] | None = None,
     phases: np.ndarray | None = None,
     ids: list[int] | None = None,
@@ -101,19 +98,12 @@ def _build_report(
     ``norms`` (no norms, no witness) and its phase from ``phases``.  It holds
     no matrix: the caller's seed and streams redraw its inputs from the
     sample index.  ``ids`` maps positions to sample ids when only a subset
-    of the samples is checked.
+    of the samples is checked.  Every caller judges at least one sample.
     """
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    n = lhs.size
-    if n == 0:
-        return CheckReport(name, 0.0, 0, "vacuous")
     excess = lhs - rhs - tol * np.asarray(scales, dtype=float)
     worst = int(np.argmax(excess))
-    if assertive:
-        verdict = "satisfied" if float(excess[worst]) <= 0.0 else "violated"
-    else:
-        verdict = "vacuous"
     witness = None
     if norms is not None:
         witness = Witness(
@@ -125,8 +115,8 @@ def _build_report(
     return CheckReport(
         name=name,
         max_residual=float(max(0.0, np.max(lhs - rhs))),
-        num_samples=int(n),
-        verdict=verdict,
+        num_samples=lhs.size,
+        verdict="satisfied" if float(excess[worst]) <= 0.0 else "violated",
         worst_witness=witness,
     )
 
@@ -136,18 +126,15 @@ def _build_report(
 # ---------------------------------------------------------------------------
 
 
-def _split_sum(f: MapSpec, x: dict[str, np.ndarray], mu: complex | np.ndarray) -> np.ndarray:
-    """Batched f((b-a)/3) + f((a-3*mu*c)/3) + mu*f((3a+3c-b)/3), the split inequality's lhs before its norm.
+def _split_sum(f: MapSpec, x: dict[str, np.ndarray]) -> np.ndarray:
+    """Batched f((b-a)/3) + f((a-3c)/3) + f((3a+3c-b)/3), the split inequality's lhs before its norm.
 
-    ``mu`` is the scalar mu or a (G, 1, 1, 1) column of them, which gives a
-    (G, n, d, d) stack.  Multiplying by mu == 1 is exact, so the phased form
-    at mu == 1 equals the plain one.  The three arguments sum to a at
-    mu == 1, so any additive f gives f(a) itself.
+    The three arguments sum to a, so any additive f gives f(a) itself.
     """
     a, b, c = x["a"], x["b"], x["c"]
     t1 = apply_array(f, (b - a) / 3.0)
-    t2 = apply_array(f, (a - (3.0 * mu) * c) / 3.0)
-    return t1 + t2 + mu * apply_array(f, (3.0 * a + 3.0 * c - b) / 3.0)
+    t2 = apply_array(f, (a - 3.0 * c) / 3.0)
+    return t1 + t2 + apply_array(f, (3.0 * a + 3.0 * c - b) / 3.0)
 
 
 def _stability_equation_values(
@@ -155,22 +142,19 @@ def _stability_equation_values(
     A: np.ndarray,
     B: np.ndarray,
     C: np.ndarray,
-    phase: complex | np.ndarray = 1.0,
     na: np.ndarray | None = None,
     nc: np.ndarray | None = None,
 ) -> np.ndarray:
     """Batched residual matrices of the master stability equation; their norms are its residuals.
 
-    f((mu*b-a)/3) + f((a-3c)/3) + mu*f((3a-b)/3 + c) - f(a) + f(c^2) - f(c)^2.
+    f((b-a)/3) + f((a-3c)/3) + f((3a-b)/3 + c) - f(a) + f(c^2) - f(c)^2.
     The third argument is kept in the proof's form (3a-b)/3 + c, which agrees
-    with (3a+3c-b)/3 up to rounding.  ``phase`` is the scalar mu or a
-    (G, 1, 1, 1) column of them, which gives a (G, n, d, d) stack.  ``na`` and
-    ``nc``, when the caller holds them, are the norms of A and C, passed on to
-    f(a) and f(c).
+    with (3a+3c-b)/3 up to rounding.  ``na`` and ``nc``, when the caller holds
+    them, are the norms of A and C, passed on to f(a) and f(c).
     """
-    t1 = apply_array(f, (phase * B - A) / 3.0)
-    t3 = phase * apply_array(f, (3.0 * A - B) / 3.0 + C)
+    t1 = apply_array(f, (B - A) / 3.0)
     t2 = apply_array(f, (A - 3.0 * C) / 3.0)
+    t3 = apply_array(f, (3.0 * A - B) / 3.0 + C)
     fa = apply_array(f, A, na)
     fc = apply_array(f, C, nc)
     # c^2 and f(c)^2 overflow at huge norms; the caller's norm refuses the non-finite
@@ -197,22 +181,20 @@ class Check:
     drawn from.  ``residual(f, x, mu)`` is the per-sample lhs - rhs (rhs = 0
     for an equation) over the input stacks ``x`` at the unit scalar ``mu``;
     for a grid row ``mu`` is a (G, 1, 1, 1) column of the grid's phases and
-    the residual is (G, n), one row per phase.  An asserted row's residual
-    is one matrix norm: it returns the complex matrix stack, (n, d, d) or
-    (G, n, d, d), and the runner norms it (see _evaluate); only the
-    report-only phase_sweep_split returns float values, a difference of
-    two norms.  ``x.image(name)`` is f of an input stack, computed once per run.
-    ``scale`` maps the input norms to the per-sample tolerance scale.
-    ``phases`` is None for a check at mu = 1, "worst" for an asserted check
-    maximised over the phase grid whose witness keeps the maximising phase,
-    and "sweep" for a report-only maximum over the grid.
+    the residual is (G, n), one row per phase.  Every row's residual is one
+    matrix norm: it returns the complex matrix stack, (n, d, d) or
+    (G, n, d, d), and the runner norms it (see _evaluate).  ``x.image(name)``
+    is f of an input stack, computed once per run.  ``scale`` maps the input
+    norms to the per-sample tolerance scale.  A row with ``grid`` set is
+    maximised over the phase grid and its witness keeps the maximising phase;
+    any other row is evaluated at mu = 1.
     """
 
     name: str
     streams: dict[str, int]
     residual: Callable[[MapSpec, "_Inputs", complex | np.ndarray], np.ndarray]
     scale: Callable[[dict[str, np.ndarray]], np.ndarray] = _one_plus_max_norm
-    phases: str | None = None
+    grid: bool = False
 
 
 CHECKS = {
@@ -245,33 +227,20 @@ CHECKS = {
             lambda f, x, mu: apply_array(f, x["s"] + x["t"]) - x.image("s") - x.image("t"),
         ),
         # the split inequality's two sides agree as matrices for any additive map
-        Check("telescoping_equality", {"a": 20, "b": 21, "c": 22}, lambda f, x, mu: _split_sum(f, x, mu) - x.image("a")),
+        Check("telescoping_equality", {"a": 20, "b": 21, "c": 22}, lambda f, x, mu: _split_sum(f, x) - x.image("a")),
         # unit-scalar substitution patterns: the split inequality at a = b = 0
         # and the master equation at a = c = 0
         Check(
             "phase_oddness",
             {"c": 35},
             lambda f, x, mu: apply_array(f, (-mu) * x["c"]) + mu * x.image("c"),
-            phases="worst",
+            grid=True,
         ),
         Check(
             "phase_homogeneity",
             {"b": 36},
             lambda f, x, mu: apply_array(f, (mu / 3.0) * x["b"]) + mu * apply_array(f, x["b"] / (-3.0)),
-            phases="worst",
-        ),
-        # the full displayed expressions over the grid, report only
-        Check(
-            "phase_sweep_split",
-            {"a": 37, "b": 38, "c": 39},
-            lambda f, x, mu: spectral_norms(_split_sum(f, x, mu)) - spectral_norms(x.image("a")),
-            phases="sweep",
-        ),
-        Check(
-            "phase_sweep_equation",
-            {"a": 37, "b": 38, "c": 39},
-            lambda f, x, mu: _stability_equation_values(f, x["a"], x["b"], x["c"], phase=mu),
-            phases="sweep",
+            grid=True,
         ),
     )
 }
@@ -288,32 +257,31 @@ class _Inputs(dict):
 def _evaluate(
     check: Check, f: MapSpec, x: _Inputs, grid: Sequence[complex], allowance: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-sample residual of a row and, for an asserted grid row, the first phase attaining it.
+    """Per-sample residual of a row and, for a grid row, the first phase attaining it.
 
     A grid row is one residual call on the whole grid, mu a (G, 1, 1, 1)
     column, so its temporaries are G times a single phase's.  Its residual
     is the maximum over the grid and zero; a sample whose residual never
-    exceeds zero keeps the phase 1.  A sweep row's witness names no phase.
-    A matrix stack goes through extreme_norms with ``allowance`` (tol * scale
-    per sample): the maximum, the first sample of the worst excess and its
-    first maximising phase are exact, and every other sample carries an
-    upper bound that reaches neither, so its phase is arbitrary.
-    _build_report reads nothing else.
+    exceeds zero keeps the phase 1.  A matrix stack goes through
+    extreme_norms with ``allowance`` (tol * scale per sample): the maximum,
+    the first sample of the worst excess and its first maximising phase are
+    exact, and every other sample carries an upper bound that reaches
+    neither, so its phase is arbitrary; per-sample floats are used as they
+    stand.  _build_report reads nothing else.
     """
     phases = np.asarray(grid, dtype=np.complex128)
-    if check.phases is not None and phases.size == 0:
+    if check.grid and phases.size == 0:
         count = next(iter(x.values())).shape[0]
-        return np.zeros(count), None if check.phases == "sweep" else np.ones(count, dtype=np.complex128)
-    r = check.residual(f, x, 1.0 if check.phases is None else phases[:, np.newaxis, np.newaxis, np.newaxis])
+        return np.zeros(count), np.ones(count, dtype=np.complex128)
+    r = check.residual(f, x, phases[:, np.newaxis, np.newaxis, np.newaxis] if check.grid else 1.0)
     if np.iscomplexobj(r):
         r = extreme_norms(r, allowance)
-    if check.phases is None:
+    if not check.grid:
         return r, None
     first = np.argmax(r, axis=0)  # the first phase at the maximum
     top = np.take_along_axis(r, first[np.newaxis], axis=0)[0]
     positive = top > 0.0
-    res = np.where(positive, top, 0.0)
-    return res, None if check.phases == "sweep" else np.where(positive, phases[first], 1.0 + 0.0j)
+    return np.where(positive, top, 0.0), np.where(positive, phases[first], 1.0 + 0.0j)
 
 
 def _run_checks(
@@ -326,6 +294,8 @@ def _run_checks(
     grid: Sequence[complex] = (),
 ) -> list[CheckReport]:
     """Draw every input stream with its norms in one sampler call, then evaluate and judge the named rows in order."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     checks = [CHECKS[name] for name in names]
     streams = {k: stream for check in checks for k, stream in check.streams.items()}
     d = f.dim
@@ -338,11 +308,7 @@ def _run_checks(
         row_norms = {k: norms[k] for k in check.streams}
         scales = check.scale(row_norms)
         res, phases = _evaluate(check, f, x, grid, tol * scales)
-        reports.append(
-            _build_report(
-                check.name, res, 0.0, scales, tol, assertive=check.phases != "sweep", norms=row_norms, phases=phases
-            )
-        )
+        reports.append(_build_report(check.name, res, 0.0, scales, tol, norms=row_norms, phases=phases))
     return reports
 
 
@@ -358,10 +324,9 @@ def additivity_ladder(
 
     Steps: vanishing at zero, oddness, doubling, tripling, the three-term
     zero identity, then full additivity on sampled pairs.  Verdicts compare
-    residuals against tol * (1 + max input norm) per sample.
+    residuals against tol * (1 + max input norm) per sample.  Like every
+    entry point it raises ValueError for fewer than one sample.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     d = f.dim
     r = spectral_norms(apply_array(f, np.zeros((1, d, d), dtype=np.complex128)))
     zero = _build_report("zero_at_zero", r, 0.0, 1.0, tol, norms={"a": np.zeros(1)})
@@ -398,21 +363,6 @@ def phase_substitution_checks(
     how the scalar-linearity lifting is probed numerically.
     """
     return _run_checks(("phase_oddness", "phase_homogeneity"), f, seed, samples, tol, norm_cap, phases)
-
-
-def phase_sweep_report(
-    f: MapSpec,
-    phases: list[complex],
-    seed: int,
-    samples: int,
-    norm_cap: float = 10.0,
-) -> list[CheckReport]:
-    """Report-only residuals of the full unit-scalar sweep (nothing asserted).
-
-    Away from scalar one the displayed expressions do not vanish even for
-    exact maps, so the sweep records their size instead of judging it.
-    """
-    return _run_checks(("phase_sweep_split", "phase_sweep_equation"), f, seed, samples, 0.0, norm_cap, phases)
 
 
 # ---------------------------------------------------------------------------

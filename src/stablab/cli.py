@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _print_summary(summary: RunSummary) -> None:
     for check in summary.checks:
-        tag = {"satisfied": "ok", "violated": "FAIL", "vacuous": "info"}[check.verdict]
+        tag = {"satisfied": "ok", "violated": "FAIL"}[check.verdict]
         print(f"[{tag:4s}] {check.name}: max_residual={check.max_residual:.6e} samples={check.num_samples}")
     print(f"verdict: {summary.verdict} (exit {summary.exit_code})")
 

@@ -40,7 +40,6 @@ from .checkers import (
     additivity_ladder,
     fit_loglog_slope,
     phase_substitution_checks,
-    phase_sweep_report,
     superstability_decay_batch,
     superstability_shrinking_batch,
     telescoping_check,
@@ -148,7 +147,6 @@ CONFIG_FIELDS = (
     ("stabilizer.direction", "stabilizer_direction", str, "auto", ("forward", "backward", "auto")),
     ("phase_grid_size", "phase_grid_size", int, 16, "[0, inf)"),
     ("checks.tol", "checks_tol", float, 1e-9, "[1e-13, inf)"),
-    ("checks.phase_sweep", "phase_sweep", bool, False, None),
     ("superstability.n_max", "decay_n_max", int, 64, "[5, inf)"),
     ("superstability.terminal_tol", "decay_terminal_tol", float, 1e-3, "(0, inf)"),
     ("superstability.slope_margin", "decay_slope_margin", float, 0.1, "(0, inf)"),
@@ -533,10 +531,7 @@ def _sample_rows(columns: dict[str, Any]) -> list[dict]:
 
 
 def _global_verdict(checks: list[CheckReport]) -> str:
-    asserted = [c for c in checks if c.verdict != "vacuous"]
-    if not asserted:
-        return "satisfied"
-    return "satisfied" if all(c.verdict == "satisfied" for c in asserted) else "violated"
+    return "satisfied" if all(c.verdict == "satisfied" for c in checks) else "violated"
 
 
 def _summary(
@@ -601,10 +596,10 @@ def _single_dim(config: ExperimentConfig) -> int:
 
 
 def cmd_lemma_check(config: ExperimentConfig) -> RunSummary:
-    """Per dimension: the additivity proof ladder, the telescoping equality, the
-    unit-scalar substitution checks over the phase grid and, with phase_sweep, the report-only sweep."""
+    """Per dimension: the additivity proof ladder, the telescoping equality and the
+    unit-scalar substitution checks over the phase grid."""
     map_cfg = _require_map(config)
-    streams = {s for c in CHECKS.values() if config.phase_sweep or c.phases != "sweep" for s in c.streams.values()}
+    streams = {s for c in CHECKS.values() for s in c.streams.values()}
     _refuse_oversized_draws(config.samples * len(streams), config.dims)
     grid_rows = config.samples * (4 + config.phase_grid_size)  # G phases per sample, checked before the grid is built
     _refuse_oversized_draws(grid_rows, config.dims, _field_path("phase_grid_size"), "phase-grid")
@@ -620,8 +615,6 @@ def cmd_lemma_check(config: ExperimentConfig) -> RunSummary:
         reports.extend(
             phase_substitution_checks(f, grid, dim_seed, config.samples, config.checks_tol, config.norm_cap)
         )
-        if config.phase_sweep:
-            reports.extend(phase_sweep_report(f, grid, dim_seed, config.samples, config.norm_cap))
         for r in reports:
             r.name = f"dim{dim}/{r.name}"
         checks.extend(reports)

@@ -387,7 +387,7 @@ def _calibrated_coeff(
     streams = (stream, stream + 1, stream + 2)
     A, B, C = random_elements(seed, samples, d, norm_cap, stream=streams, norms_out=norms).reshape(3, samples, d, d)
     na, nb, nc = norms.reshape(3, samples)
-    residuals = spectral_norms(_stability_equation_values(f, A, B, C, phase=1.0, na=na, nc=nc))
+    residuals = spectral_norms(_stability_equation_values(f, A, B, C, na=na, nc=nc))
     base = control_value(replace(template, coeff=1.0), na, nb, nc)
     zero = base == 0.0
     if np.any(residuals[zero] > 1e-12):

@@ -27,7 +27,6 @@ from stablab.checkers import (
     additivity_ladder,
     fit_loglog_slope,
     phase_substitution_checks,
-    phase_sweep_report,
     superstability_decay_batch,
     superstability_shrinking_batch,
     telescoping_check,
@@ -72,12 +71,18 @@ class TestTripleSplit:
 
     def test_identity_map_gives_equality(self):
         a, b, c = sample_triple(61)
-        total = _split_sum(Identity(3), split_inputs(a, b, c), 1.0)
+        total = _split_sum(Identity(3), split_inputs(a, b, c))
         assert np.allclose(total, a, rtol=0.0, atol=1e-13)
 
     def test_zero_map_gives_zero_matrix(self):
         a, b, c = sample_triple(62)
-        assert np.array_equal(_split_sum(ZeroMap(3), split_inputs(a, b, c), 1.0), np.zeros_like(a))
+        assert np.array_equal(_split_sum(ZeroMap(3), split_inputs(a, b, c)), np.zeros_like(a))
+
+    def test_proof_substitution_vanishes(self):
+        # a = b = 0 collapses the sum to f(0) + f(-c) + f(c)
+        c = random_element(90, 3, 2.0)[np.newaxis]
+        z = np.zeros_like(c)
+        assert spectral_norms(_split_sum(Identity(3), split_inputs(z, z, c)))[0] <= 1e-14
 
     def test_constant_perturbation_residual_is_twice_the_shift(self):
         # each of the three evaluated terms carries size*D and f(a) one, so the
@@ -86,26 +91,9 @@ class TestTripleSplit:
         shift = 2.0 * 0.5 * spectral_norms(unit_direction(3, "identity")[np.newaxis])[0]
         for seed in range(63, 75):
             a, b, c = sample_triple(seed)
-            residual = spectral_norms(_split_sum(f, split_inputs(a, b, c), 1.0) - apply_array(f, a))[0]
+            residual = spectral_norms(_split_sum(f, split_inputs(a, b, c)) - apply_array(f, a))[0]
             assert residual == pytest.approx(shift, rel=0.0, abs=1e-12)
 
-    def test_phase_one_reduces_bitwise(self):
-        f = Transpose(3)
-        x = split_inputs(*sample_triple(80))
-        assert np.array_equal(_split_sum(f, x, complex(1.0)), _split_sum(f, x, 1.0))
-
-    def test_proof_substitution_vanishes(self):
-        # a = b = 0 collapses the twisted sum to f(-mu c) + mu f(c)
-        c = random_element(90, 3, 2.0)[np.newaxis]
-        z = np.zeros_like(c)
-        assert spectral_norms(_split_sum(Identity(3), split_inputs(z, z, c), 1j))[0] <= 1e-14
-
-    def test_phase_minus_one_expansion_oracle(self):
-        # for the identity map the twisted sum collapses to (1-mu)b/3 + mu*a
-        a, b, c = sample_triple(91)
-        lhs = spectral_norms(_split_sum(Identity(3), split_inputs(a, b, c), complex(-1.0)))[0]
-        expected = spectral_norms((2.0 * b[0] / 3.0 - a[0])[np.newaxis])[0]
-        assert lhs == pytest.approx(expected, rel=1e-10)
 
 
 class TestStabilityEquation:
@@ -121,12 +109,6 @@ class TestStabilityEquation:
         a = random_element(110, 3, 3.0)[np.newaxis]
         r = spectral_norms(_stability_equation_values(Identity(3), a, 2.0 * a, np.zeros_like(a)))[0]
         assert r <= 1e-14 * (1.0 + spectral_norms(a)[0])
-
-    def test_imaginary_phase_expansion_oracle(self):
-        # for the identity with c = 0 the expression equals (mu - 1) a
-        a, b, _ = sample_triple(111)
-        r = spectral_norms(_stability_equation_values(Identity(3), a, b, np.zeros_like(a), phase=1j))[0]
-        assert r == pytest.approx(abs(1j - 1.0) * spectral_norms(a)[0], rel=1e-10)
 
     def test_argument_forms_agree(self):
         # (3a - b)/3 + c and (3a + 3c - b)/3 are the same up to rounding
@@ -241,7 +223,7 @@ class TestAdditivityLadder:
         # lhs <= rhs at scale-relative tolerance on the sampled triples
         f = Transpose(2)
         A, B, C = (random_elements(12, 200, 2, 10.0, stream=s) for s in (30, 31, 32))
-        lhs = spectral_norms(_split_sum(f, split_inputs(A, B, C), 1.0))
+        lhs = spectral_norms(_split_sum(f, split_inputs(A, B, C)))
         rhs = spectral_norms(apply_array(f, A))
         scales = 1.0 + np.maximum(np.maximum(spectral_norms(A), spectral_norms(B)), spectral_norms(C))
         assert np.all(lhs - rhs <= 1e-9 * scales)
@@ -255,12 +237,20 @@ class TestPhaseChecks:
             assert [r.name for r in reports] == ["phase_oddness", "phase_homogeneity"]
             assert all(r.verdict == "satisfied" for r in reports)
 
-    def test_sweep_reports_do_not_assert(self):
-        grid = unit_circle_grid(8)
-        reports = phase_sweep_report(Identity(3), grid, seed=14, samples=30)
-        assert all(r.verdict == "vacuous" for r in reports)
-        # for exact maps the swept residual is genuinely nonzero away from 1
-        assert reports[1].max_residual > 0.1
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda samples: additivity_ladder(Identity(2), seed=15, samples=samples, tol=1e-9),
+            lambda samples: telescoping_check(Identity(2), seed=15, samples=samples, tol=1e-9),
+            lambda samples: phase_substitution_checks(Identity(2), unit_circle_grid(4), 15, samples, 1e-9),
+        ],
+        ids=["ladder", "telescoping", "phase"],
+    )
+    def test_entry_points_refuse_an_empty_sample(self, run):
+        # every check judges at least one sample; none is built from nothing
+        for samples in (0, -1):
+            with pytest.raises(ValueError, match="samples must be >= 1"):
+                run(samples)
 
 
 def per_phase_loop(check, f, x, phases):
@@ -286,7 +276,7 @@ def read(report):
 class TestStackedGrid:
     """A grid row is one residual call on the whole grid; its report equals the per-phase loop it replaced."""
 
-    @pytest.mark.parametrize("name", [name for name, check in CHECKS.items() if check.phases])
+    @pytest.mark.parametrize("name", [name for name, check in CHECKS.items() if check.grid])
     def test_matches_per_phase_loop(self, name):
         check = CHECKS[name]
         phases = np.array(unit_circle_grid(16))
@@ -306,13 +296,10 @@ class TestStackedGrid:
             assert np.all(res >= ref_res)
             reports = [
                 _build_report(name, r, 0.0, scales, 1e-9, norms=norms, phases=p)
-                for r, p in ((res, phase), (ref_res, ref_phase if check.phases == "worst" else None))
+                for r, p in ((res, phase), (ref_res, ref_phase))
             ]
             assert read(reports[0]) == read(reports[1])
-            if check.phases == "worst":
-                assert np.array_equal(phase[exact], ref_phase[exact])
-            else:  # the split sweep is a difference of norms and stays exact; the equation sweep is bracketed
-                assert phase is None and (exact.all() or name == "phase_sweep_equation")
+            assert np.array_equal(phase[exact], ref_phase[exact])
 
     def test_first_maximum_ties_and_no_positive_residual(self):
         phases = np.array([-1.0, 1j, -1j, np.exp(0.25j * np.pi)])
@@ -329,7 +316,7 @@ class TestStackedGrid:
             rows = [int(np.flatnonzero(phases == m)[0]) for m in np.ravel(mu)]
             return table[rows].reshape(np.shape(mu)[:-3] + (table.shape[1],))
 
-        check = Check("table", {"c": 10}, residual, phases="worst")
+        check = Check("table", {"c": 10}, residual, grid=True)
         x = {"c": np.zeros((5, 2, 2), dtype=complex)}
         res, phase = _evaluate(check, Identity(2), x, phases, np.zeros(5))
         assert np.array_equal(res, [0.0, 2.0, 0.0, 0.4, 0.0]) and not np.signbit(res).any()
@@ -340,13 +327,13 @@ class TestStackedGrid:
         assert np.array_equal(res, np.zeros(5)) and np.array_equal(phase, np.ones(5))
 
 
-@pytest.mark.parametrize("name", [name for name, check in CHECKS.items() if check.phases != "sweep"])
+@pytest.mark.parametrize("name", list(CHECKS))
 def test_asserted_rows_return_matrix_stacks(name):
     # every asserted row is one matrix norm, taken by the runner through extreme_norms
     check = CHECKS[name]
     f = Transpose(2)
     x = _Inputs(f, {k: random_elements(23, 5, 2, 4.0, stream=s) for k, s in check.streams.items()})
-    mu = 1.0 if check.phases is None else np.array(unit_circle_grid(4))[:, np.newaxis, np.newaxis, np.newaxis]
+    mu = 1.0 if not check.grid else np.array(unit_circle_grid(4))[:, np.newaxis, np.newaxis, np.newaxis]
     r = check.residual(f, x, mu)
     assert np.iscomplexobj(r) and r.shape == np.shape(mu)[:-3] + (5, 2, 2)
 
@@ -354,11 +341,10 @@ def test_asserted_rows_return_matrix_stacks(name):
 def stack_reports(stack, scales, tol):
     """Reports of a row whose residual is ``stack`` (a grid row when 4-D), normed by the runner and in full."""
     grid = np.exp(2j * np.pi * np.arange(stack.shape[0]) / stack.shape[0]) if stack.ndim == 4 else ()
-    mode = "worst" if stack.ndim == 4 else None
     x = {"c": np.zeros((stack.shape[-3], 1, 1), dtype=complex)}
     reports = []
     for residual, allowance in ((lambda f, x, mu: stack, tol * scales), (lambda f, x, mu: spectral_norms(stack), None)):
-        res, phases = _evaluate(Check("stack", {"c": 10}, residual, phases=mode), Identity(1), x, grid, allowance)
+        res, phases = _evaluate(Check("stack", {"c": 10}, residual, grid=stack.ndim == 4), Identity(1), x, grid, allowance)
         reports.append(read(_build_report("stack", res, 0.0, scales, tol, norms={"c": scales}, phases=phases)))
     return reports
 

@@ -11,8 +11,15 @@ import hashlib
 
 import pytest
 
-from golden import CASES, _case_bytes, compare, load_golden, run_case
+from golden import CASES, CONFIG_DIR, GOLDEN_DIR, _case_bytes, compare, load_golden, run_case
 from golden.__main__ import main as golden_main
+
+
+def test_configs_cases_and_goldens_correspond():
+    # --write writes only the CASES files, so an orphan golden or a config with no case shows only here
+    assert {config for _, config in CASES.values()} == {path.name for path in CONFIG_DIR.glob("*.json")}
+    assert set(CASES) == {path.stem for path in GOLDEN_DIR.glob("*.json")}
+    assert all(config == f"{name}.json" for name, (_, config) in CASES.items())
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -363,14 +363,13 @@ class TestExitCodes:
         assert first.verdict == "violated"
         assert first.max_residual == pytest.approx(1.0, abs=1e-12)
 
-    def test_lemma_phase_sweep_flag_adds_report_only_checks(self):
-        cfg = parse_config(minimal_config(checks={"tol": 1e-9, "phase_sweep": True}))
-        summary = cmd_lemma_check(cfg)
-        sweeps = [c for c in summary.checks if "phase_sweep" in c.name]
-        assert len(sweeps) == 2
-        assert all(c.verdict == "vacuous" for c in sweeps)
-        # the swept residuals are nonzero for exact maps yet do not fail the run
-        assert summary.exit_code == EXIT_OK
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_a_config_naming_the_removed_phase_sweep_exits_config_error(self, tmp_path, capsys, flag):
+        # the report-only sweep is gone, so its switch is an unknown field either way
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(minimal_config(checks={"tol": 1e-9, "phase_sweep": flag})))
+        code, err = run_cli(capsys, ["lemma-check", "--config", str(cfg_path)])
+        assert (code, err) == (EXIT_CONFIG, ["config error: config.checks.phase_sweep: unknown field"])
 
     def test_lemma_tiny_perturbation_within_loose_tolerance(self):
         cfg = parse_config(

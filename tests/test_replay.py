@@ -10,8 +10,7 @@ bit for bit:
 
 - a lemma row draws at ``derived_seed(seed, dim)`` from its
   ``CHECKS[name].streams`` and reruns its residual on one-matrix stacks, at
-  the witness phase for a grid row and as the maximum over the grid for a
-  sweep row;
+  the witness phase for a grid row;
 - ``bound_certificate`` and ``declared_bound`` stabilize the one point of
   stream 60 and norm the distance of its limit to f there;
 - ``terminal_decay`` and ``decay_slope`` evaluate the one-row decay
@@ -34,7 +33,7 @@ from stablab.checkers import (
     superstability_shrinking_batch,
 )
 from stablab.harness import build_map
-from stablab.mappings import apply_array, unit_circle_grid
+from stablab.mappings import apply_array
 from stablab.stabilizer import stabilize_batch
 
 REPLAYED = ("lemma-check", "stability", "superstability")
@@ -64,10 +63,8 @@ def replay_lemma(config, report, entry):
         return spectral_norms(apply_array(f, np.zeros((1, dim, dim), dtype=np.complex128)))[0]
     check = CHECKS[check_name]
     stacks, norms = redraw(derived_seed(report["seed"], dim), dim, config.norm_cap, check.streams, witness)
-    # a sweep row maximises over the grid, judged at tol 0; a row at mu = 1 ignores the grid
-    phases = [complex(*witness["phase"])] if check.phases == "worst" else unit_circle_grid(config.phase_grid_size)
-    tol = 0.0 if check.phases == "sweep" else config.checks_tol
-    residual, _ = _evaluate(check, f, _Inputs(f, stacks), phases, tol * check.scale(norms))
+    phases = [complex(*witness["phase"])] if check.grid else []
+    residual, _ = _evaluate(check, f, _Inputs(f, stacks), phases, config.checks_tol * check.scale(norms))
     return residual[0]
 
 
