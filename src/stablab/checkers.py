@@ -270,9 +270,6 @@ def _evaluate(
     stand.  _build_report reads nothing else.
     """
     phases = np.asarray(grid, dtype=np.complex128)
-    if check.grid and phases.size == 0:
-        count = next(iter(x.values())).shape[0]
-        return np.zeros(count), np.ones(count, dtype=np.complex128)
     r = check.residual(f, x, phases[:, np.newaxis, np.newaxis, np.newaxis] if check.grid else 1.0)
     if np.iscomplexobj(r):
         r = extreme_norms(r, allowance)
@@ -297,6 +294,8 @@ def _run_checks(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     checks = [CHECKS[name] for name in names]
+    if len(grid) == 0 and any(check.grid for check in checks):  # a maximum over no phase would read as satisfied
+        raise ValueError("a grid row needs at least one phase")
     streams = {k: stream for check in checks for k, stream in check.streams.items()}
     d = f.dim
     drawn = np.empty(len(streams) * samples)
@@ -360,7 +359,8 @@ def phase_substitution_checks(
     "phase_oddness" is ||f(-mu*c) + mu*f(c)|| (the split inequality at
     a = b = 0) and "phase_homogeneity" is ||f(mu*b/3) + mu*f(-b/3)|| (the
     master equation at a = c = 0); both vanish for C-linear maps, which is
-    how the scalar-linearity lifting is probed numerically.
+    how the scalar-linearity lifting is probed numerically.  It raises
+    ValueError for an empty phase list.
     """
     return _run_checks(("phase_oddness", "phase_homogeneity"), f, seed, samples, tol, norm_cap, phases)
 

@@ -1,15 +1,16 @@
 """Command-line entry point.
 
 Subcommands: lemma-check, stability, superstability, bounds-table.  Every
-command reads its experiment from --config (required) and writes its report
-to --out, as JSON or, with --format csv, as CSV; without --out no report
-file is written.  A human-readable line per check is printed either way.
+command reads its experiment from --config (required) and writes its JSON
+report to --out; without --out no report file is written.  A human-readable
+line per check is printed either way.
 
 Exit codes: 0 all satisfied, 1 violated, 2 divergence, 3 config or usage
-error (no --config, --format without --out, an unwritable --out and a run
-that needs more memory than is available included), 4 numerical failure
-(overflow, non-finite values or an SVD that does not converge).  Exits 2-4
-print one stderr line and no traceback.
+error (no --config, an unknown flag, a missing subcommand, a non-integer
+--seed, an unwritable --out and a run that needs more memory than is
+available included), 4 numerical failure (overflow, non-finite values or an
+SVD that does not converge).  Exits 2-4 print one stderr line and no
+traceback.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from typing import NoReturn
 
 import numpy as np
 
@@ -25,14 +27,12 @@ from .harness import (
     EXIT_NUMERIC,
     ConfigError,
     RunSummary,
-    checks_to_csv,
     cmd_bounds_table,
     cmd_lemma_check,
     cmd_stability,
     cmd_superstability,
     load_config,
     report_json_bytes,
-    rows_to_csv,
 )
 
 _COMMANDS = {
@@ -43,9 +43,16 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises ConfigError (exit 3, one stderr line) in place of argparse's exit 2."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(message)
+
+
 @functools.cache  # parse_args leaves the parser unchanged, so every main() call shares one
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stablab",
         description="Stability experiments for Jordan *-homomorphisms on matrix algebras.",
     )
@@ -54,7 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", help="experiment config JSON path (required)")
         cmd.add_argument("--out", help="report output path")
-        cmd.add_argument("--format", choices=("json", "csv"), help="report format (default json; needs --out)")
         cmd.add_argument("--seed", type=int, help="seed override for the config's sampling seed")
     return parser
 
@@ -66,16 +72,10 @@ def _print_summary(summary: RunSummary) -> None:
     print(f"verdict: {summary.verdict} (exit {summary.exit_code})")
 
 
-def _write_output(summary: RunSummary, out: str | None, fmt: str | None) -> None:
+def _write_output(summary: RunSummary, out: str | None) -> None:
     if out is None:
         return
-    if fmt != "csv":
-        payload = report_json_bytes(summary)
-    else:
-        body = checks_to_csv(summary.checks)  # the checks lead; sample rows follow after one blank line
-        if summary.sample_rows:
-            body += "\n" + rows_to_csv(summary.sample_rows)
-        payload = body.encode("utf-8")
+    payload = report_json_bytes(summary)
     try:
         with open(out, "wb") as fh:
             fh.write(payload)
@@ -85,15 +85,13 @@ def _write_output(summary: RunSummary, out: str | None, fmt: str | None) -> None
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.config is None:
             raise ConfigError("--config: required by every command")
-        if args.format is not None and args.out is None:  # a format with nowhere to write would do nothing
-            raise ConfigError("--format: needs --out")
         config = load_config(args.config, seed_override=args.seed)
         summary = _COMMANDS[args.command](config)
-        _write_output(summary, args.out, args.format)
+        _write_output(summary, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -3,11 +3,11 @@
 Configs are versioned (top-level "schema": 1) and strictly validated:
 unknown fields are errors, not warnings, and every error names the field
 path.  A config holds the experiment and nothing else: where a report goes
-and in which format are run options (the CLI's --out and --format), so the
-config digest names only the experiment.  Reports carry their own version
-(REPORT_SCHEMA).  A run is fully determined by the config plus its seed;
-reports are byte-identical across runs except for the timestamp field,
-which is excluded from the config digest.
+is a run option (the CLI's --out), so the config digest names only the
+experiment.  Reports carry their own version (REPORT_SCHEMA).  A run is
+fully determined by the config plus its seed; reports are byte-identical
+across runs except for the timestamp field, which is excluded from the
+config digest.
 
 Exit-code contract: 0 all satisfied, 1 hypothesis or bound violated,
 2 divergence (of the sampled runs or of the exactness check's), 3 config or
@@ -18,10 +18,8 @@ value, raised as an ArithmeticError).
 
 from __future__ import annotations
 
-import csv
 import functools
 import hashlib
-import io
 import json
 import math
 from contextlib import contextmanager
@@ -104,8 +102,6 @@ __all__ = [
     "parse_config",
     "report_dict",
     "report_json_bytes",
-    "rows_to_csv",
-    "checks_to_csv",
 ]
 
 EXIT_OK = 0
@@ -483,41 +479,6 @@ def report_json_bytes(summary: RunSummary, timestamp: str | None = None) -> byte
     return json.dumps(report_dict(summary, timestamp), sort_keys=True, separators=(",", ":")).encode(
         "utf-8"
     )
-
-
-def _fmt(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
-def checks_to_csv(checks: list[CheckReport]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["name", "max_residual", "num_samples", "verdict", "witness_norms"])
-    for c in checks:
-        norms = ""
-        if c.worst_witness is not None:
-            norms = ";".join(f"{k}={_fmt(v)}" for k, v in sorted(c.worst_witness.input_norms.items()))
-        writer.writerow([c.name, _fmt(c.max_residual), c.num_samples, c.verdict, norms])
-    return buf.getvalue()
-
-
-def rows_to_csv(rows: list[dict]) -> str:
-    """Summary-row CSV: list-valued columns (the decay sequences) stay JSON-only."""
-    buf = io.StringIO()
-    if not rows:
-        return ""
-    fields = [k for k, v in rows[0].items() if not isinstance(v, list)]
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fields)
-    for row in rows:
-        writer.writerow([_fmt(row.get(k, "")) for k in fields])
-    return buf.getvalue()
 
 
 def _sample_rows(columns: dict[str, Any]) -> list[dict]:

@@ -252,6 +252,15 @@ class TestPhaseChecks:
             with pytest.raises(ValueError, match="samples must be >= 1"):
                 run(samples)
 
+    def test_an_empty_phase_grid_is_refused(self):
+        # a one-phase grid finds this map violated; no phase at all is refused, never read as satisfied
+        f = Perturbed(
+            Identity(3), Perturbation(size=1.0, power=1.0, direction=unit_direction(3, "identity"), mode="power")
+        )
+        assert [r.verdict for r in phase_substitution_checks(f, [1j], 1, 20, 1e-9)] == ["violated"] * 2
+        with pytest.raises(ValueError, match="a grid row needs at least one phase"):
+            phase_substitution_checks(f, [], 1, 20, 1e-9)
+
 
 def per_phase_loop(check, f, x, phases):
     """The grid rule one phase at a time, in full norms: keep a residual only where it beats the running maximum (from 0)."""
@@ -323,8 +332,6 @@ class TestStackedGrid:
         assert np.array_equal(phase, [1.0, 1j, 1.0, phases[3], 1.0])  # the first of two maxima; 1 when none is positive
         ref_res, ref_phase = per_phase_loop(check, Identity(2), x, phases)
         assert np.array_equal(res, ref_res) and np.array_equal(phase, ref_phase)
-        res, phase = _evaluate(check, Identity(2), x, [], np.zeros(5))  # an empty grid has no positive residual
-        assert np.array_equal(res, np.zeros(5)) and np.array_equal(phase, np.ones(5))
 
 
 @pytest.mark.parametrize("name", list(CHECKS))

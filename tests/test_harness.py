@@ -33,7 +33,6 @@ from stablab.harness import (
     REQUIRED,
     ConfigError,
     build_map,
-    checks_to_csv,
     cmd_bounds_table,
     cmd_lemma_check,
     cmd_stability,
@@ -43,7 +42,6 @@ from stablab.harness import (
     parse_config,
     report_dict,
     report_json_bytes,
-    rows_to_csv,
 )
 from stablab.mappings import (
     DIM_ONLY_ACTIONS,
@@ -86,6 +84,11 @@ BACKWARD_CONSTANT = {
     "sampling": {"seed": 77, "samples": 30, "norm_cap": 10.0},
     "exactness": {"samples": 12, "tol": 1e-8},
 }
+
+# A stability row's keys in column order: a run's columns, then, for a
+# certified run, its distance and bound columns.
+RUN_ROW_KEYS = ("sample_id", "norm_a", "iterations", "status", "r_prev", "r_last")
+CERTIFIED_ROW_KEYS = RUN_ROW_KEYS + ("dist", "bound", "slack", "declared_bound", "declared_slack")
 
 # A control a forward run can certify (exponents above one); the constant
 # control of BACKWARD_CONSTANT is refused for forward runs before any sampling.
@@ -470,7 +473,10 @@ class TestExitCodes:
             ),
             (["bounds-table"], None, "config error: --config: required by every command"),
             (["bounds-table", "--seed", "1"], None, "config error: --config: required by every command"),
-            (["lemma-check", "--format", "csv"], NO_MAP, "config error: --format: needs --out"),
+            ([], None, "config error: the following arguments are required: command"),
+            (["lemma-check", "--bogus"], None, "config error: unrecognized arguments: --bogus"),
+            (["lemma-check", "--seed", "x"], NO_MAP, "config error: argument --seed: invalid int value: 'x'"),
+            (["lemma-check", "--format", "csv"], NO_MAP, "config error: unrecognized arguments: --format csv"),
         ],
         ids=[
             "malformed-json",
@@ -480,6 +486,9 @@ class TestExitCodes:
             "superstability-no-map",
             "no-config",
             "seed-no-config",
+            "no-subcommand",
+            "unknown-flag",
+            "seed-not-int",
             "format-no-out",
         ],
     )
@@ -491,6 +500,12 @@ class TestExitCodes:
         code, err = run_cli(capsys, argv)
         assert code == EXIT_CONFIG
         assert len(err) == 1 and err[0].startswith(line)
+
+    def test_cli_help_exits_0(self, capsys):
+        # help is not a usage error: argparse prints it and exits 0
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["-h"])
+        assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: stablab")
 
     @pytest.mark.parametrize("tol, code", [(1e-9, EXIT_VIOLATED), (1e-6, EXIT_OK)])
     def test_stability_certificates_are_judged_at_checks_tol(self, tmp_path, capsys, tol, code):
@@ -712,26 +727,6 @@ class TestDeterminism:
 
 
 class TestSerialization:
-    def test_csv_uses_dot_decimal_17_digits(self):
-        rows = [{"x": 1.0 / 3.0, "n": 4}]
-        body = rows_to_csv(rows)
-        assert "0.33333333333333331" in body
-        assert "," in body  # delimiter only
-        round_tripped = float(body.splitlines()[1].split(",")[0])
-        assert round_tripped == 1.0 / 3.0
-
-    def test_checks_csv_has_witness_norms(self):
-        summary = cmd_lemma_check(parse_config(minimal_config()))
-        body = checks_to_csv(summary.checks)
-        header = body.splitlines()[0]
-        assert header.split(",") == [
-            "name",
-            "max_residual",
-            "num_samples",
-            "verdict",
-            "witness_norms",
-        ]
-
     def test_report_json_witness_names_its_sample_without_matrices(self):
         cfg = parse_config(
             minimal_config(
@@ -758,53 +753,33 @@ class TestSerialization:
         assert len(phased["phase"]) == 2 and all(type(x) is float for x in phased["phase"])
 
     def test_cli_calls_share_one_parser_and_no_flags(self, tmp_path):
-        # a call's --format csv does not carry over to the next call's --out, and a call without --out writes nothing
-        flagged, plain, cfg_path = tmp_path / "flagged.csv", tmp_path / "plain.json", tmp_path / "cfg.json"
+        # a call's --seed does not carry over to the next call, and a call without --out writes nothing
+        flagged, plain, cfg_path = tmp_path / "flagged.json", tmp_path / "plain.json", tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(minimal_config()))
-        assert cli_main(["lemma-check", "--config", str(cfg_path), "--out", str(flagged), "--format", "csv"]) == EXIT_OK
+        assert cli_main(["lemma-check", "--config", str(cfg_path), "--out", str(flagged), "--seed", "5"]) == EXIT_OK
         assert cli_main(["lemma-check", "--config", str(cfg_path), "--out", str(plain)]) == EXIT_OK
         assert cli_main(["lemma-check", "--config", str(cfg_path)]) == EXIT_OK
-        assert flagged.read_text().startswith("name,")
-        assert json.loads(plain.read_text())["command"] == "lemma-check"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "flagged.csv", "plain.json"]
+        assert json.loads(flagged.read_text())["seed"] == 5
+        assert json.loads(plain.read_text())["seed"] == minimal_config()["sampling"]["seed"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "flagged.json", "plain.json"]
         assert cli._build_parser() is cli._build_parser()
 
-    def test_csv_output_via_cli(self, tmp_path):
+    def test_report_output_via_cli(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(dict(BACKWARD_CONSTANT)))
-        out = tmp_path / "rows.csv"
-        assert (
-            cli_main(
-                ["stability", "--config", str(cfg_path), "--out", str(out), "--format", "csv"]
-            )
-            == EXIT_OK
-        )
-        checks, rows = (section.splitlines() for section in out.read_text().split("\n\n"))
-        assert checks[0] == "name,max_residual,num_samples,verdict,witness_norms"
-        assert [(c.split(",")[0], c.split(",")[3]) for c in checks[1:]] == [
+        out = tmp_path / "report.json"
+        assert cli_main(["stability", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+        report = strict_json(out.read_bytes())
+        assert [(c["name"], c["verdict"]) for c in report["checks"]] == [
             ("bound_certificate", "satisfied"),
             ("declared_bound", "satisfied"),
             ("recovered_exactness", "satisfied"),
         ]
-        assert rows[0].startswith("sample_id,norm_a,iterations,status,r_prev,r_last,dist")
-        assert len(rows) == 31
+        assert [r["sample_id"] for r in report["samples"]] == list(range(30))
+        assert all(r.keys() == set(CERTIFIED_ROW_KEYS) for r in report["samples"])
 
-    @pytest.mark.parametrize("command", ["stability", "superstability", "bounds-table", "lemma-check"])
-    def test_csv_checks_lead_the_sample_rows(self, tmp_path, command):
-        # the checks section, then, for a command with sample rows, one blank line and the rows
-        raw = {"stability": BACKWARD_CONSTANT, "superstability": POWER_DECAY, "bounds-table": BOUNDS_TABLE}
-        cfg_path, out = tmp_path / "cfg.json", tmp_path / "report.csv"
-        cfg_path.write_text(json.dumps(raw.get(command, minimal_config())))
-        summary = cli._COMMANDS[command](load_config(str(cfg_path)))
-        assert cli_main([command, "--config", str(cfg_path), "--out", str(out), "--format", "csv"]) == summary.exit_code
-        expected = checks_to_csv(summary.checks)
-        if summary.sample_rows:
-            expected += "\n" + rows_to_csv(summary.sample_rows)
-        assert out.read_text() == expected
-        assert summary.checks and bool(summary.sample_rows) == (command != "lemma-check")
-
-    def test_diverged_csv_header_leads_the_certified_header(self, tmp_path):
-        headers = []
+    def test_diverged_row_keys_lead_the_certified_row_keys(self, tmp_path):
+        summaries = []
         # forward rescaling diverges on the constant defect
         for direction, bound, code in (
             ("backward", BACKWARD_CONSTANT["bound"], EXIT_OK),
@@ -812,15 +787,15 @@ class TestSerialization:
         ):
             cfg_path = tmp_path / f"{direction}.json"
             cfg_path.write_text(json.dumps(dict(BACKWARD_CONSTANT, bound=bound, stabilizer={"direction": direction})))
-            out = tmp_path / f"{direction}.csv"
-            assert cli_main(["stability", "--config", str(cfg_path), "--out", str(out), "--format", "csv"]) == code
-            checks, rows = out.read_text().split("\n\n")
-            headers.append(rows.splitlines()[0].split(","))
-        certified, diverged = headers
-        assert diverged == ["sample_id", "norm_a", "iterations", "status", "r_prev", "r_last"]
-        assert certified[: len(diverged)] == diverged
-        assert checks == "name,max_residual,num_samples,verdict,witness_norms"  # no check is judged
-
+            out = tmp_path / f"{direction}.report.json"
+            summary = cmd_stability(load_config(str(cfg_path)))
+            assert cli_main(["stability", "--config", str(cfg_path), "--out", str(out)]) == summary.exit_code == code
+            assert strict_json(out.read_bytes())["samples"] == summary.sample_rows
+            summaries.append(summary)
+        certified, diverged = summaries
+        assert all(list(r) == list(RUN_ROW_KEYS) for r in diverged.sample_rows)
+        assert all(list(r) == list(CERTIFIED_ROW_KEYS) for r in certified.sample_rows)
+        assert diverged.checks == []  # no check is judged
 
     def test_calibration_error_keeps_the_sample_rows(self, tmp_path):
         # a power-3 defect outgrows a power-1.5 control: the fit at ten times the
@@ -834,12 +809,13 @@ class TestSerialization:
         assert (summary.exit_code, summary.checks) == (EXIT_VIOLATED, [])
         assert "calibration_error" in summary.meta
         assert [r["sample_id"] for r in summary.sample_rows] == list(range(20))
-        cfg_path, out = tmp_path / "cfg.json", tmp_path / "rows.csv"
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "report.json"
         cfg_path.write_text(json.dumps(raw))
-        assert cli_main(["stability", "--config", str(cfg_path), "--out", str(out), "--format", "csv"]) == EXIT_VIOLATED
-        checks, rows = (section.splitlines() for section in out.read_text().split("\n\n"))
-        assert len(checks) == 1  # the header alone: no check is judged
-        assert rows[0] == "sample_id,norm_a,iterations,status,r_prev,r_last" and len(rows) == 21
+        assert cli_main(["stability", "--config", str(cfg_path), "--out", str(out)]) == EXIT_VIOLATED
+        report = strict_json(out.read_bytes())
+        assert report["checks"] == []  # no check is judged
+        assert [r["sample_id"] for r in report["samples"]] == list(range(20))
+        assert all(r.keys() == set(RUN_ROW_KEYS) for r in report["samples"])
 
 class TestSuperstabilityCommand:
     def test_exact_map_all_zero_sequence(self):
@@ -857,7 +833,6 @@ class TestSuperstabilityCommand:
         cfg = parse_config(minimal_config(superstability={"n_max": 8}, sampling={"seed": 1, "samples": 5}))
         rows = strict_json(report_json_bytes(cmd_superstability(cfg)))["samples"]
         assert [r["slope"] for r in rows] == [None] * 5
-        assert [line.split(",")[4] for line in rows_to_csv(rows).splitlines()] == ["slope"] + [""] * 5
 
     def test_shortest_decay_is_strict_json(self):
         # n_max 5 leaves the fit its two points; at 4 it failed and wrote Infinity
@@ -1319,7 +1294,7 @@ class TestOutOfRangeValues:
             ("stability", {"exactness.tol": 1e-16}, [], "exactness.tol: must be in [1e-13, inf), got 1e-16"),
             # an integer beyond the float range reads as inf
             ("lemma-check", {"sampling.norm_cap": 10**400}, [], "sampling.norm_cap: expected a finite number, got inf"),
-            # where a report goes is a run option (--out, --format), not part of the experiment
+            # where a report goes is a run option (--out), not part of the experiment
             ("bounds-table", {"outputs.path": "x.json"}, [], "outputs: unknown field"),
             # calibration draws at sampling.norm_cap
             ("stability", {"calibration.norm_cap": 5.0}, [], "calibration.norm_cap: unknown field"),
