@@ -58,7 +58,7 @@ class Witness:
     sample_index: int
     residual: float
     input_norms: dict[str, float]
-    phase: complex | None = None
+    phase: list[float] | None = None  # [re, im]
 
 
 @dataclass
@@ -95,10 +95,11 @@ def _build_report(
     The report reads only the maximum of lhs - rhs and the first maximum of
     the excess lhs - rhs - tol * scales.  The witness is position ``worst``
     of every column: its residual is lhs[worst], its input norms come from
-    ``norms`` (no norms, no witness) and its phase from ``phases``.  It holds
-    no matrix: the caller's seed and streams redraw its inputs from the
-    sample index.  ``ids`` maps positions to sample ids when only a subset
-    of the samples is checked.  Every caller judges at least one sample.
+    ``norms`` (no norms, no witness) and its phase, as [re, im], from
+    ``phases``.  It holds no matrix: the caller's seed and streams redraw its
+    inputs from the sample index.  ``ids`` maps positions to sample ids when
+    only a subset of the samples is checked.  Every caller judges at least
+    one sample.
     """
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -110,7 +111,7 @@ def _build_report(
             worst if ids is None else int(ids[worst]),
             float(lhs[worst]),
             {k: float(v[worst]) for k, v in norms.items()},
-            None if phases is None else complex(phases[worst]),
+            None if phases is None else [float(phases[worst].real), float(phases[worst].imag)],
         )
     return CheckReport(
         name=name,

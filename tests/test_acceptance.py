@@ -93,8 +93,8 @@ class TestCriterion2ForwardPowerBound:
         assert summary.exit_code == EXIT_OK
         assert len(summary.sample_rows) == 200
         assert all(row["status"] == "converged" for row in summary.sample_rows)
-        assert all(row["slack"] >= 0.0 for row in summary.sample_rows)
-        assert all(row["declared_slack"] >= 0.0 for row in summary.sample_rows)
+        assert all(row["bound"] - row["dist"] >= 0.0 for row in summary.sample_rows)
+        assert all(row["declared_bound"] - row["dist"] >= 0.0 for row in summary.sample_rows)
         assert elapsed <= 10.0
         report(
             "criterion 2: forward square-exponent bound is 7.5 (closed form and 60-term series) "

@@ -31,6 +31,7 @@ from stablab.harness import (
     MAP_FIELDS,
     PERTURBATION_FIELDS,
     REQUIRED,
+    SLOPE_MARGIN,
     ConfigError,
     build_map,
     cmd_bounds_table,
@@ -88,7 +89,7 @@ BACKWARD_CONSTANT = {
 # A stability row's keys in column order: a run's columns, then, for a
 # certified run, its distance and bound columns.
 RUN_ROW_KEYS = ("sample_id", "norm_a", "iterations", "status", "r_prev", "r_last")
-CERTIFIED_ROW_KEYS = RUN_ROW_KEYS + ("dist", "bound", "slack", "declared_bound", "declared_slack")
+CERTIFIED_ROW_KEYS = RUN_ROW_KEYS + ("dist", "bound", "declared_bound")
 
 # A control a forward run can certify (exponents above one); the constant
 # control of BACKWARD_CONSTANT is refused for forward runs before any sampling.
@@ -391,7 +392,7 @@ class TestExitCodes:
     def test_stability_exit_zero(self):
         summary = cmd_stability(parse_config(dict(BACKWARD_CONSTANT)))
         assert summary.exit_code == EXIT_OK
-        assert all(r["slack"] >= 0 for r in summary.sample_rows)
+        assert all(r["bound"] - r["dist"] >= 0 for r in summary.sample_rows)
 
     def test_stability_divergence_exit_two(self):
         cfg = dict(BACKWARD_CONSTANT, bound=FORWARD_BOUND)
@@ -879,34 +880,44 @@ class TestSuperstabilityCommand:
         assert summary.exit_code == EXIT_OK
 
     def test_slope_without_target_is_violated(self):
-        # a constant defect has no exponent to aim at, so any fitted slope fails decay_slope
+        # a constant defect has no exponent to aim at: decay_slope judges each
+        # row's largest defect against the noise floor that decides its fit
         raw = json.loads(P05_CONFIG.read_text())
         raw["map"]["perturbation"] = {"mode": "constant", "size": 0.01}
         raw["sampling"]["samples"] = 20
         summary = cmd_superstability(parse_config(raw))
         assert summary.exit_code == EXIT_VIOLATED
-        assert "slope_target" not in summary.meta
+        assert "slope_target" not in summary.meta and "steepest_slope" not in summary.meta
         check = summary.checks[-1]
-        assert (check.name, check.verdict, check.num_samples, check.worst_witness) == ("decay_slope", "violated", 20, None)
-        # max_residual is clamped at zero as in every CheckReport; the steepest slope goes to meta
-        assert check.max_residual == 0.0
-        assert summary.meta["steepest_slope"] == pytest.approx(-2.0, abs=1e-12)
+        assert (check.name, check.verdict, check.num_samples) == ("decay_slope", "violated", 20)
+        peaks = [max(r["sequence"]) for r in summary.sample_rows]
+        witness = check.worst_witness
+        assert check.max_residual == max(peaks) and witness.residual == peaks[witness.sample_index]
+        assert witness.input_norms == {"a": summary.sample_rows[witness.sample_index]["norm_a"]}
+        # every row is fitted, and its slope stays in the rows
+        assert all(r["slope"] == pytest.approx(-2.0, abs=1e-12) for r in summary.sample_rows)
 
-    @pytest.mark.parametrize("margin,verdict,code", [(0.25, "violated", EXIT_VIOLATED), (1.0, "satisfied", EXIT_OK)])
-    def test_slope_margin_sets_the_decay_slope_verdict(self, margin, verdict, code):
+    def test_slope_beyond_target_plus_margin_violates(self):
         # On an identity base the cross terms a eps(a) + eps(a) a dominate the
-        # power-0.5 decay: every slope lies near -0.5 against the target -1, so
-        # the margin alone decides the verdict.
+        # power-0.5 decay: every slope lies near -0.5, above the target -1 plus SLOPE_MARGIN.
         raw = json.loads(P05_CONFIG.read_text())
         raw["map"]["base"] = {"kind": "identity"}
-        raw["superstability"]["slope_margin"] = margin
         summary = cmd_superstability(parse_config(raw))
         assert summary.meta["slope_target"] == -1.0
         steepest = max(r["slope"] for r in summary.sample_rows)
         assert -0.75 < steepest < -0.25
         check = summary.checks[-1]
-        assert (summary.exit_code, check.name, check.verdict) == (code, "decay_slope", verdict)
-        assert check.max_residual == pytest.approx(max(0.0, steepest - (-1.0 + margin)), abs=1e-12)
+        assert (summary.exit_code, check.name, check.verdict) == (EXIT_VIOLATED, "decay_slope", "violated")
+        assert check.max_residual == pytest.approx(steepest - (-1.0 + SLOPE_MARGIN), abs=1e-12)
+
+    def test_a_config_naming_the_slope_margin_exits_config_error(self, tmp_path, capsys):
+        # the margin is a constant of the decay_slope check, not a config field
+        raw = json.loads(P05_CONFIG.read_text())
+        raw["superstability"]["slope_margin"] = 0.1
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        code, err = run_cli(capsys, ["superstability", "--config", str(cfg_path)])
+        assert (code, err) == (EXIT_CONFIG, ["config error: config.superstability.slope_margin: unknown field"])
 
 
 class TestNormCount:
@@ -1049,7 +1060,7 @@ class TestBoundsTableCommand:
         summary = cmd_bounds_table(cfg)
         assert summary.exit_code == EXIT_OK
         assert len(summary.sample_rows) == 54
-        assert all(r["agree"] for r in summary.sample_rows)
+        assert all(r["rel_err"] <= 1e-9 for r in summary.sample_rows)
 
     @pytest.mark.parametrize("terms", [2, 10, 20, 30])
     def test_short_series_agrees_with_its_tail(self, terms):
@@ -1057,7 +1068,7 @@ class TestBoundsTableCommand:
         cfg = parse_config(set_path(copy.deepcopy(BOUNDS_TABLE), "bounds_table.terms", terms))
         summary = cmd_bounds_table(cfg)
         assert summary.exit_code == EXIT_OK
-        assert all(r["agree"] for r in summary.sample_rows)
+        assert all(r["rel_err"] <= 1e-9 for r in summary.sample_rows)
 
     def test_reference_cells(self):
         cfg = parse_config({"schema": 1, "algebra": {"dim": 2}, "sampling": {"seed": 0, "samples": 1}})
@@ -1111,7 +1122,7 @@ class TestBoundsTableCommand:
             for i, norm in enumerate(norms_a.tolist()):
                 row = {"direction": direction, "coeff": coeff, "exponent": exp, "norm_a": norm}
                 row |= {"closed_form": float(closed[i]), "series": float(series[i]), "tail_estimate": float(tail[i])}
-                row |= {"rel_err": float(rel[i]), "agree": bool(rel[i] <= 1e-9)}
+                row["rel_err"] = float(rel[i])
                 rows.append(row)
         return rows
 
@@ -1137,7 +1148,7 @@ class TestBoundsTableCommand:
         config = parse_config(raw)
         summary = cmd_bounds_table(config)
         expected = self.per_control_rows(config)
-        assert len(summary.sample_rows) == len(expected) == summary.meta["cells"]
+        assert len(summary.sample_rows) == len(expected) == summary.checks[0].num_samples
         for got, want in zip(summary.sample_rows, expected):
             assert list(got) == list(want)
             for key, value in want.items():  # bit for bit (repr keeps a float's every bit and -0.0), types included
@@ -1484,8 +1495,16 @@ class TestRunFailures:
         report = json.loads(out.read_text())
         assert (report["verdict"], report["meta"]["exhausted_samples"]) == ("violated", 39)
         checks = {c["name"]: c for c in report["checks"]}
+        # all_samples_converged is the stabilizer's stopping rule r_last <= tol * (1 + ||a||) over every
+        # sample: it reads each row's status, and its witness is an exhausted sample
+        rows = report["samples"]
+        assert all((r["status"] == "exhausted") == (r["r_last"] > 1e-10 * (1 + r["norm_a"])) for r in rows)
         unconverged = checks["all_samples_converged"]
-        assert (unconverged["verdict"], unconverged["max_residual"]) == ("violated", 39.0)
+        witness = unconverged["worst_witness"]
+        assert (unconverged["verdict"], unconverged["num_samples"]) == ("violated", 50)
+        assert unconverged["max_residual"] == max(r["r_last"] for r in rows)
+        assert rows[witness["sample_index"]]["status"] == "exhausted"
+        assert witness["residual"] == rows[witness["sample_index"]]["r_last"]
         assert checks["bound_certificate"]["num_samples"] == checks["declared_bound"]["num_samples"] == 11
         # four laws on each of the 48 exactness samples, plus uniqueness on each converged sample
         assert checks["recovered_exactness"]["num_samples"] == 4 * 48 + 11

@@ -13,16 +13,22 @@ bit for bit:
   the witness phase for a grid row;
 - ``bound_certificate`` and ``declared_bound`` stabilize the one point of
   stream 60 and norm the distance of its limit to f there;
+  ``all_samples_converged`` stabilizes it and norms its last Cauchy
+  residual, which the shipped configs never exhaust, so an exhausted run
+  is replayed here too;
 - ``terminal_decay`` and ``decay_slope`` evaluate the one-row decay
-  sequence of stream 70, and its slope fit.
+  sequence of stream 70, and its slope fit, or its largest term for a map
+  with no defect exponent (no shipped config), replayed here too.
 
 A check without a witness (``recovered_exactness``) has nothing to replay.
 """
 
+import json
+
 import numpy as np
 import pytest
 
-from golden import CASES, case_config, run_case
+from golden import CASES, CONFIG_DIR, case_config, run_case
 from stablab.algebra import derived_seed, random_element, spectral_norms
 from stablab.checkers import (
     CHECKS,
@@ -32,7 +38,7 @@ from stablab.checkers import (
     superstability_decay_batch,
     superstability_shrinking_batch,
 )
-from stablab.harness import build_map
+from stablab.harness import build_map, cmd_stability, cmd_superstability, parse_config, report_json_bytes
 from stablab.mappings import apply_array
 from stablab.stabilizer import stabilize_batch
 
@@ -69,10 +75,13 @@ def replay_lemma(config, report, entry):
 
 
 def replay_stability(config, report, entry):
-    assert entry["name"] in ("bound_certificate", "declared_bound")
     f = build_map(config.map_cfg, config.dim)
     stacks, norms = redraw(report["seed"], config.dim, config.norm_cap, {"a": 60}, entry["worst_witness"])
     (result,) = stabilize_batch(f, stacks["a"], config.stabilizer, norms=norms["a"])
+    if entry["name"] == "all_samples_converged":  # the worst excess of r_last over the stopping tolerance
+        assert result.status == "exhausted"
+        return spectral_norms(result.differences)[1]
+    assert entry["name"] in ("bound_certificate", "declared_bound")
     assert result.converged  # only converged samples are certified
     return spectral_norms(result.limit[np.newaxis] - apply_array(f, stacks["a"], norms["a"]))[0]
 
@@ -86,18 +95,57 @@ def replay_superstability(config, report, entry):
     if entry["name"] == "terminal_decay":
         return decay[0, -1]
     assert entry["name"] == "decay_slope"
+    if "defect_exponent" not in report["meta"]:  # no slope target: the row's largest defect is judged
+        return np.max(decay[0])
     return fit_loglog_slope(decay)[0]
 
 
 REPLAY = {"lemma-check": replay_lemma, "stability": replay_stability, "superstability": replay_superstability}
 
 
-@pytest.mark.parametrize("name", REPLAY_CASES)
-def test_every_witness_replays_bit_for_bit(name):
-    config = case_config(name)
-    report = run_case(name)
+def assert_witnesses_replay(config, report):
     replay = REPLAY[report["command"]]
     witnessed = [entry for entry in report["checks"] if entry["worst_witness"] is not None]
     assert witnessed
     for entry in witnessed:
         assert replay(config, report, entry) == entry["worst_witness"]["residual"], entry["name"]
+
+
+@pytest.mark.parametrize("name", REPLAY_CASES)
+def test_every_witness_replays_bit_for_bit(name):
+    assert_witnesses_replay(case_config(name), run_case(name))
+
+
+def run_raw(command, raw):
+    """A raw config's parsed config and its report as parsed JSON."""
+    config = parse_config(raw)
+    return config, json.loads(report_json_bytes(command(config)))
+
+
+def test_exhausted_run_all_samples_converged_witness_replays():
+    # 39 of 50 samples exhaust 18 iterations; the witness is the sample furthest above its stopping tolerance
+    raw = json.loads((CONFIG_DIR / "stability_forward_power.json").read_text())
+    raw["sampling"] |= {"samples": 50, "norm_cap": 10}
+    raw["stabilizer"]["max_iter"] = 18
+    config, report = run_raw(cmd_stability, raw)
+    assert report["checks"][-1]["name"] == "all_samples_converged"
+    assert_witnesses_replay(config, report)
+
+
+def test_no_target_decay_slope_witness_replays():
+    raw = json.loads((CONFIG_DIR / "superstability_p05.json").read_text())
+    raw["map"]["perturbation"] = {"mode": "constant", "size": 0.01}
+    raw["sampling"]["samples"] = 20
+    config, report = run_raw(cmd_superstability, raw)
+    assert "slope_target" not in report["meta"]
+    assert report["checks"][-1]["name"] == "decay_slope"
+    assert_witnesses_replay(config, report)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_every_check_has_a_witness_but_the_two_that_name_no_sample(name):
+    # recovered_exactness judges two sample sets at once, and profile_power_consistency
+    # compares two closed forms on the bounds grid, so neither names one sample
+    unwitnessed = {"recovered_exactness", "profile_power_consistency"}
+    for entry in run_case(name)["checks"]:
+        assert (entry["worst_witness"] is None) == (entry["name"] in unwitnessed), entry["name"]
