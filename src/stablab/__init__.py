@@ -45,7 +45,8 @@ from .mappings import (
     UnitaryConjugation,
     ZeroMap,
     apply_array,
-    jordan_star_defects,
+    jordan_star_laws,
+    jordan_star_points,
     phase_permutation_unitary,
     unit_circle_grid,
     unit_direction,
@@ -53,7 +54,6 @@ from .mappings import (
 from .stabilizer import (
     CalibrationError,
     ControlDirectionError,
-    DivergedError,
     PowerControl,
     StabilizationResult,
     StabilizerConfig,

@@ -23,7 +23,7 @@ import hashlib
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, make_dataclass
+from dataclasses import dataclass, make_dataclass
 from datetime import datetime, timezone
 from types import GenericAlias, SimpleNamespace
 from typing import Any, get_args, get_origin
@@ -53,7 +53,8 @@ from .mappings import (
     UnitaryConjugation,
     apply_array,
     describe,
-    jordan_star_defects,
+    jordan_star_laws,
+    jordan_star_points,
     phase_permutation_unitary,
     unit_circle_grid,
     unit_direction,
@@ -65,7 +66,6 @@ from .stabilizer import (
     SERIES_TERMS_MAX,
     CalibrationError,
     ControlDirectionError,
-    DivergedError,
     PowerControl,
     StabilizationResult,
     StabilizerConfig,
@@ -445,6 +445,14 @@ def config_digest(config: ExperimentConfig) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _check_dict(check: CheckReport) -> dict:
+    """A check's fields and its witness's, copied one level deep (dataclasses.asdict copies every leaf)."""
+    row = dict(vars(check))
+    if check.worst_witness is not None:
+        row["worst_witness"] = dict(vars(check.worst_witness))
+    return row
+
+
 def report_dict(summary: RunSummary, timestamp: str | None = None) -> dict:
     if timestamp is None:
         timestamp = datetime.now(timezone.utc).isoformat()
@@ -455,7 +463,7 @@ def report_dict(summary: RunSummary, timestamp: str | None = None) -> dict:
         "timestamp": timestamp,
         "seed": summary.seed,
         "meta": summary.meta,
-        "checks": [asdict(c) for c in summary.checks],
+        "checks": [_check_dict(c) for c in summary.checks],
         "samples": summary.sample_rows,
         "verdict": summary.verdict,
         "exit_code": summary.exit_code,
@@ -514,7 +522,7 @@ def _require_map(config: ExperimentConfig) -> dict:
 # samples × the sum of dim² over its dimensions × the streams it draws.  Its
 # phase grid, of G <= 4 + phase_grid_size phases, is held to the same budget:
 # a lemma grid row stacks samples × G matrices per dimension, and the
-# stability exactness run stabilizes (4 + G) points per exactness sample.
+# stability command stabilizes (4 + G) points per exactness sample.
 # 10**7 complex entries are 160 MB for the drawn stacks alone.
 SAMPLE_WORK_BUDGET = 10**7
 # The most series terms (cells × terms) a bounds table may evaluate.  A
@@ -569,17 +577,6 @@ def cmd_lemma_check(config: ExperimentConfig) -> RunSummary:
     return _summary("lemma-check", config, meta, checks, [])
 
 
-def _stabilized_evaluator(f: MapSpec, cfg: StabilizerConfig):
-    def eval_fn(xs: np.ndarray, norms: np.ndarray) -> np.ndarray:
-        results = stabilize_batch(f, xs, cfg, norms=norms)
-        bad = sum(1 for r in results if not r.converged)
-        if bad:
-            raise DivergedError(f"{bad} of {len(results)} limit evaluations did not converge")
-        return np.stack([r.limit for r in results])
-
-    return eval_fn
-
-
 def _stopping_residuals(results: list[StabilizationResult]) -> tuple[np.ndarray, np.ndarray]:
     """Each run's last two Cauchy residuals (r_prev, r_last) from one spectral_norms call.
 
@@ -590,7 +587,7 @@ def _stopping_residuals(results: list[StabilizationResult]) -> tuple[np.ndarray,
 
 
 def cmd_stability(config: ExperimentConfig) -> RunSummary:
-    """Calibrate the control, stabilize samples, certify, check the limit map."""
+    """Stabilize the samples and the exactness points in one run, calibrate, certify, check the limit map."""
     map_cfg = _require_map(config)
     template = config.bound_spec()
     if template is None:
@@ -617,7 +614,16 @@ def cmd_stability(config: ExperimentConfig) -> RunSummary:
 
     norms_a = np.empty(config.samples)
     A = random_elements(config.seed, config.samples, dim, config.norm_cap, stream=60, norms_out=norms_a)
-    results = stabilize_batch(f, A, config.stabilizer, norms=norms_a)
+    # The exactness points are drawn up front, so one lockstep run evaluates the limit at the samples and at them.
+    exact_cap = 1.0 if config.norm_cap <= 0.0 else min(config.norm_cap, 1.0)
+    phases = unit_circle_grid(config.phase_grid_size)
+    points, norms_points = jordan_star_points(
+        dim, config.exactness_samples, derived_seed(config.seed, 8), norm_cap=exact_cap, phases=phases
+    )
+    runs = stabilize_batch(
+        f, np.concatenate([A, points]), config.stabilizer, norms=np.concatenate([norms_a, norms_points])
+    )
+    results, limit_runs = runs[: config.samples], runs[config.samples :]
     scales = 1.0 + norms_a
     status = np.array([r.status for r in results])
     r_prev, r_last = _stopping_residuals(results)
@@ -673,22 +679,13 @@ def cmd_stability(config: ExperimentConfig) -> RunSummary:
             checks.append(_build_report(name, dists_c, bounds[converged], scales_c, config.checks_tol, **witness))
     rows = _sample_rows(columns)
 
-    # Exactness of the recovered limit map, evaluated through stabilization.
-    eval_fn = _stabilized_evaluator(f, config.stabilizer)
-    exact_cap = 1.0 if config.norm_cap <= 0.0 else min(config.norm_cap, 1.0)
-    try:
-        defects, _ = jordan_star_defects(
-            eval_fn,
-            dim,
-            config.exactness_samples,
-            derived_seed(config.seed, 8),
-            norm_cap=exact_cap,
-            phases=unit_circle_grid(config.phase_grid_size),
-        )
-    except DivergedError as exc:  # the report keeps the rows and checks built so far
-        meta["exactness_error"] = str(exc)
-        reason = f"exactness check: {exc}"
+    # Exactness of the recovered limit map, at the limits of the exactness points.
+    unconverged = sum(1 for r in limit_runs if not r.converged)
+    if unconverged:  # the report keeps the rows and checks built so far
+        meta["exactness_error"] = f"{unconverged} of {len(limit_runs)} limit evaluations did not converge"
+        reason = f"exactness check: {meta['exactness_error']}"
         return _summary("stability", config, meta, checks, rows, verdict="diverged", reason=reason)
+    defects = jordan_star_laws(np.stack([r.limit for r in limit_runs]), phases)
     # Uniqueness: the exact base of f is a Jordan *-homomorphism within the
     # control distance of f, so the limit must equal it on every converged sample.
     if converged.size:

@@ -10,7 +10,7 @@ map adds a controlled defect term to an exact base.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -31,7 +31,8 @@ __all__ = [
     "UNIT_DIRECTIONS",
     "apply_array",
     "describe",
-    "jordan_star_defects",
+    "jordan_star_laws",
+    "jordan_star_points",
     "phase_permutation_unitary",
     "unit_circle_grid",
     "unit_direction",
@@ -302,47 +303,59 @@ def _conj_t(xs: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(xs, -1, -2))
 
 
-def jordan_star_defects(
-    eval_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    dim: int,
-    samples: int,
-    seed: int,
-    norm_cap: float = 1.0,
-    phases: list[complex] | None = None,
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Per-sample residuals of the Jordan *-homomorphism laws for a pointwise evaluator.
+def _twists(phases: list[complex] | None) -> np.ndarray:
+    """The phases mu != 1 of a grid (unit_circle_grid() by default), as a (twists, 1, 1, 1) column."""
+    if phases is None:
+        phases = unit_circle_grid()
+    return np.array([mu for mu in phases if mu != 1], dtype=np.complex128)[:, None, None, None]
 
-    Checks, in order: squares (f(a^2) vs f(a)^2), involution, additivity on
-    sampled pairs, and homogeneity over the unit-scalar grid.  Returns the
-    residual arrays keyed by check name plus the sample stack used.  All
-    evaluation points go through a single eval_fn(points, norms) call, so
-    evaluators that stabilize pointwise pay one lockstep run.  ``norms`` are
-    the points' operator norms: the drawn ones for A and B, the norm of A
-    again for A* and each mu A (|mu| = 1), so only A^2 and A + B are normed
-    here.  Every law matrix (squares, involution, additivity and each twist
-    mu != 1) goes through one spectral_norms call, so every law value is
-    exact; homogeneity is the maximum over the twists, zero without any.
+
+def jordan_star_points(
+    dim: int, samples: int, seed: int, norm_cap: float = 1.0, phases: list[complex] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The evaluation points of the Jordan *-homomorphism laws and their operator norms.
+
+    Draws A and B (streams 1 and 2) and stacks, ``samples`` rows each: A,
+    A^2, A*, A + B, B, then mu A for every phase mu != 1 of the grid.  The
+    norms are the drawn ones for A and B, the norm of A again for A* and
+    each mu A (|mu| = 1), and one spectral_norms call for A^2 and A + B.  A
+    caller evaluates f at every point, in one pass if it stabilizes, and
+    hands the values to jordan_star_laws; the sample stack A is
+    ``points[:samples]``.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if phases is None:
-        phases = unit_circle_grid()
-    mus = np.array([mu for mu in phases if mu != 1], dtype=np.complex128)[:, None, None, None]
+    mus = _twists(phases)
     drawn = np.empty(2 * samples)
     A, B = random_elements(seed, samples, dim, norm_cap, stream=(1, 2), norms_out=drawn).reshape(2, samples, dim, dim)
     na, nb = drawn.reshape(2, samples)
     squares, sums = A @ A, A + B
     n_squares, n_sums = spectral_norms(np.stack([squares, sums]))
     points = np.concatenate([A, squares, _conj_t(A), sums, B, *(mus * A)], axis=0)
-    values = eval_fn(points, np.concatenate([na, n_squares, na, n_sums, nb, np.tile(na, len(mus))]))
+    return points, np.concatenate([na, n_squares, na, n_sums, nb, np.tile(na, len(mus))])
+
+
+def jordan_star_laws(values: np.ndarray, phases: list[complex] | None = None) -> dict[str, np.ndarray]:
+    """Per-sample residuals of the Jordan *-homomorphism laws from f at jordan_star_points.
+
+    ``values`` is f at every point, in their order, and ``phases`` the grid
+    the points were drawn with.  Checks, in order: squares (f(a^2) vs
+    f(a)^2), involution, additivity on sampled pairs, and homogeneity over
+    the unit-scalar grid.  Every law matrix (squares, involution, additivity
+    and each twist mu != 1) goes through one spectral_norms call, so every
+    law value is exact; homogeneity is the maximum over the twists, zero
+    without any.
+    """
+    mus = _twists(phases)
+    dim = values.shape[-1]
+    samples = len(values) // (5 + len(mus))
     fa, faa, fas, fab, fb = values[: 5 * samples].reshape(5, samples, dim, dim)
     f_twisted = values[5 * samples :].reshape(len(mus), samples, dim, dim)
     untwisted = np.stack([faa - fa @ fa, fas - _conj_t(fa), fab - fa - fb])
     laws = spectral_norms(np.concatenate([untwisted, f_twisted - mus * fa]))
-    defects = {
+    return {
         "squares": laws[0],
         "involution": laws[1],
         "additivity": laws[2],
         "homogeneity": np.max(laws[3:], axis=0, initial=0.0),
     }
-    return defects, A

@@ -31,7 +31,6 @@ __all__ = [
     "SERIES_TERMS_MAX",
     "CalibrationError",
     "ControlDirectionError",
-    "DivergedError",
     "PowerControl",
     "StabilizationResult",
     "StabilizerConfig",
@@ -59,10 +58,6 @@ class ControlDirectionError(ValueError):
 
 class CalibrationError(RuntimeError):
     """Empirical control-coefficient fit failed (unbounded ratio)."""
-
-
-class DivergedError(RuntimeError):
-    """A stabilization run needed by the caller did not converge."""
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +304,11 @@ def stabilize_batch(
     tol * (1 + ||a||), diverges after five consecutive residual increases
     that end above the initial residual (or once an iterate entry passes
     ITERATE_OVERFLOW_LIMIT), or exhausts max_iter.  A direction "auto" that
-    resolve_direction cannot resolve raises ValueError.
+    resolve_direction cannot resolve raises ValueError.  A row's result is
+    the one it gets alone, bit for bit, whatever else the stack holds: a
+    stopped row runs on as the zero matrix (in working copies of A and
+    norms, never the caller's), so its rescaled point cannot overflow while
+    other rows still iterate.
 
     Each iteration's residuals are one NormBracket, starting from their
     Frobenius brackets.  Where a bracket leaves a decision open (converged,
@@ -364,6 +363,7 @@ def stabilize_batch(
             iters[stopped] = n
             limits[kept] = h[kept]
             diffs[stopped, 0], diffs[stopped, 1] = diff_prev[stopped], diff[stopped]
+            A, norms_a = np.where(stopped[:, None, None], 0.0, A), np.where(stopped, 0.0, norms_a)
         if not active.any():
             break
         h_prev, diff_prev = h, diff

@@ -5,12 +5,15 @@ stabilization results through ``_stabilize_work``; ``perfbench/run.py``
 builds every shipped config's maps from ``load_config(path).algebra.dim``.
 The benchmark is not part of this suite, so these contracts are pinned
 here: a change that breaks one fails a test instead of the next benchmark
-run.  The tracer module is loaded from its file and left unchanged.
+run.  The tracer module is loaded from its file and left unchanged, and one
+short traced benchmark run per workload must read correct.
 """
 
 import importlib
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -98,3 +101,18 @@ def test_setup_probe_reads_algebra_dim(path):
     if cfg.map_cfg is not None:
         for dim in sorted(set(cfg.dims) | {cfg.algebra.dim}):
             assert build_map(cfg.map_cfg, dim).dim == dim
+
+
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_traced_benchmark_run_is_correct(workload):
+    # the shortest traced run: a warm-up pass, then an untraced and a traced pass until two traced ones;
+    # every invocation's exit code, verdicts and report bytes are checked, and the work counters must repeat
+    argv = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload, "--seed", "1"]
+    argv += ["--seconds", "0", "--trace", "1"]
+    proc = subprocess.run(argv, capture_output=True, text=True, cwd=ROOT, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert (result["correct"], result["failed"]) == (True, 0), proc.stderr

@@ -974,8 +974,8 @@ class TestNormCount:
 
     @pytest.mark.parametrize("config_name", ["stability_backward_constant.json", "stability_forward_power.json"])
     def test_stabilization_norms_nothing(self, monkeypatch, config_name):
-        # both stabilization runs of a shipped config (samples, exactness points) settle every residual
-        # decision with their Frobenius and entrywise brackets, and are handed their points' norms
+        # the one stabilization run of a shipped config, over the samples and the exactness points, settles
+        # every residual decision with its Frobenius and entrywise brackets, and is handed its points' norms
         runs, inside, normed = [], [False], []  # normed: the stacks spectral_norms gets inside stabilize_batch
         real_norms, real_stabilize = algebra.spectral_norms, harness.stabilize_batch
 
@@ -995,8 +995,10 @@ class TestNormCount:
         for module in (algebra, stabilizer):
             monkeypatch.setattr(module, "spectral_norms", counted)
         monkeypatch.setattr(harness, "stabilize_batch", stabilize)
-        assert cmd_stability(load_config(str(README.parent / "configs" / config_name))).exit_code == EXIT_OK
-        assert len(runs) == 2 and normed == []
+        config = load_config(str(README.parent / "configs" / config_name))
+        assert cmd_stability(config).exit_code == EXIT_OK
+        points = (4 + len(unit_circle_grid(config.phase_grid_size))) * config.exactness_samples
+        assert runs == [config.samples + points] and normed == []
 
     def test_superstability_p05(self, monkeypatch):
         # 4851 when every perturbed evaluation normed its input, 1676 when the
@@ -1015,7 +1017,7 @@ class TestNormCount:
 
 
 class TestExactnessNorms:
-    """The exactness run carries its points' norms from the draw: it norms A^2 and A + B, then every law matrix."""
+    """The exactness points carry their drawn norms into the stabilization run: only A^2 and A + B are normed, then the laws."""
 
     @pytest.mark.parametrize("path", [BACKWARD_CONSTANT_CONFIG, FORWARD_POWER_CONFIG], ids=lambda p: p.stem)
     def test_exactness_run_norms_two_inputs_per_sample(self, monkeypatch, path):
@@ -1025,25 +1027,30 @@ class TestExactnessNorms:
         for module in (mappings, stabilizer):
             real = module.spectral_norms
             monkeypatch.setattr(module, "spectral_norms", lambda mats, real=real: inputs.append(mats.shape) or real(mats))
-        runs, real_stabilize, real_defects = [], stabilizer.stabilize_batch, harness.jordan_star_defects
+        runs, real_stabilize = [], stabilizer.stabilize_batch
 
         def recorded(f, xs, cfg, *, norms=None):
             runs.append((f, xs, cfg, norms, real_stabilize(f, xs, cfg, norms=norms)))
             return runs[-1][-1]
 
-        def exactness_stage(*args, **kwargs):
-            inputs.clear()
-            result = real_defects(*args, **kwargs)
-            exactness.extend(inputs)
-            return result
+        def exactness_stage(real):
+            def stage(*args, **kwargs):
+                inputs.clear()
+                result = real(*args, **kwargs)
+                exactness.extend(inputs)
+                return result
+
+            return stage
 
         monkeypatch.setattr(harness, "stabilize_batch", recorded)
-        monkeypatch.setattr(harness, "jordan_star_defects", exactness_stage)
+        for name in ("jordan_star_points", "jordan_star_laws"):
+            monkeypatch.setattr(harness, name, exactness_stage(getattr(harness, name)))
         assert cmd_stability(config).exit_code == EXIT_OK
-        # two input norms per sample (not 20), then 3 + G - 1 law matrices per sample in a second call
+        # two input norms per sample (not 20) in the draw, then 3 + G - 1 law matrices per sample in the laws
         laws, samples = 3 + len(unit_circle_grid(config.phase_grid_size)) - 1, config.exactness_samples
         assert [math.prod(shape[:-2]) for shape in exactness] == [2 * samples, laws * samples]
-        (_, (f, xs, cfg, norms, results)) = runs  # the samples' run, then the exactness run
+        ((f, xs, cfg, norms, results),) = runs  # one run: the samples, then the exactness points
+        xs, norms, results = xs[config.samples :], norms[config.samples :], results[config.samples :]
         assert xs.shape[0] == 20 * config.exactness_samples
         monkeypatch.undo()
         np.testing.assert_allclose(norms, algebra.spectral_norms(xs), rtol=2e-15, atol=0.0)

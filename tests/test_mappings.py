@@ -19,7 +19,8 @@ from stablab.mappings import (
     UnitaryConjugation,
     ZeroMap,
     apply_array,
-    jordan_star_defects,
+    jordan_star_laws,
+    jordan_star_points,
     phase_permutation_unitary,
     unit_circle_grid,
     unit_direction,
@@ -258,14 +259,29 @@ class TestUnitCircleGrid:
         )
 
 
+def jordan_star(f, dim, samples, seed, phases=None):
+    """The Jordan *-law residuals of f at freshly drawn points, and their sample stack A."""
+    points, _ = jordan_star_points(dim, samples, seed, phases=phases)
+    return jordan_star_laws(apply_array(f, points), phases), points[:samples]
+
+
 class TestJordanStar:
+    def test_points_carry_their_norms(self):
+        # A, A^2, A*, A + B, B and mu A for each of the G - 1 twists, each with its operator norm
+        phases = unit_circle_grid(8)
+        points, norms = jordan_star_points(3, 25, 30, phases=phases)
+        assert points.shape == ((4 + len(phases)) * 25, 3, 3)
+        np.testing.assert_allclose(norms, spectral_norms(points), rtol=2e-15, atol=0.0)
+        A, B = random_elements(30, 25, 3, 1.0, stream=(1, 2)).reshape(2, 25, 3, 3)
+        assert np.array_equal(points[:25], A) and np.array_equal(points[100:125], B)
+
     def test_transpose_is_jordan_star(self):
         # oracle: entrywise identities (a*)^T == (a^T)* and (a^2)^T == (a^T)^2
         rng = np.random.default_rng(8)
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         assert np.allclose((a.conj().T).T, (a.T).conj().T)
         assert np.allclose((a @ a).T, a.T @ a.T)
-        defects, _ = jordan_star_defects(lambda xs, norms: apply_array(Transpose(3), xs), 3, 100, 31)
+        defects, _ = jordan_star(Transpose(3), 3, 100, 31)
         assert max(float(np.max(v)) for v in defects.values()) <= 1e-9
 
     def test_unitary_conjugation_is_jordan_star(self):
@@ -276,11 +292,11 @@ class TestJordanStar:
         ua = u @ a @ u.conj().T
         assert np.allclose(ua @ ua, u @ (a @ a) @ u.conj().T, atol=1e-12)
         f = UnitaryConjugation(u)
-        defects, _ = jordan_star_defects(lambda xs, norms: apply_array(f, xs), 3, 100, 32)
+        defects, _ = jordan_star(f, 3, 100, 32)
         assert max(float(np.max(v)) for v in defects.values()) <= 1e-9
 
     def test_zero_map_is_jordan_star(self):
-        defects, _ = jordan_star_defects(lambda xs, norms: apply_array(ZeroMap(3), xs), 3, 20, 33)
+        defects, _ = jordan_star(ZeroMap(3), 3, 20, 33)
         assert max(float(np.max(v)) for v in defects.values()) <= 1e-12
 
     def test_constant_perturbation_fails_with_witness(self):
@@ -288,7 +304,7 @@ class TestJordanStar:
             Identity(3),
             Perturbation(size=0.1, power=0.0, direction=unit_direction(3, "identity"), mode="constant"),
         )
-        defects, A = jordan_star_defects(lambda xs, norms: apply_array(f, xs), 3, 100, 34)
+        defects, A = jordan_star(f, 3, 100, 34)
         worst = max(defects, key=lambda name: np.max(defects[name]))
         assert float(np.max(defects[worst])) > 1e-6
         # the witness replays: its square defect recomputed alone is the sampled one
@@ -299,7 +315,7 @@ class TestJordanStar:
         assert 0.01 <= float(np.max(defects[worst])) <= 1.0
 
     def test_negation_is_additive_but_not_jordan(self):
-        defects, _ = jordan_star_defects(lambda xs, norms: apply_array(Negation(3), xs), 3, 100, 35)
+        defects, _ = jordan_star(Negation(3), 3, 100, 35)
         assert float(np.max(defects["squares"])) > 1e-9
         assert max(defects, key=lambda name: np.max(defects[name])) == "squares"
         assert np.max(defects["additivity"]) <= 1e-12
@@ -308,7 +324,7 @@ class TestJordanStar:
 
     def test_exact_kinds_additive_and_homogeneous(self):
         for f in (Identity(3), Transpose(3), Negation(3), UnitaryConjugation(phase_permutation_unitary(3, 1))):
-            defects, _ = jordan_star_defects(lambda xs, norms: apply_array(f, xs), 3, 150, 36)
+            defects, _ = jordan_star(f, 3, 150, 36)
             assert np.max(defects["additivity"]) <= 1e-10
             assert np.max(defects["homogeneity"]) <= 1e-10
 
@@ -319,7 +335,7 @@ class TestJordanStar:
             Perturbation(size=0.1, power=0.5, direction=unit_direction(3, "corner"), mode="power"),
         )
         phases = unit_circle_grid(8)
-        defects, A = jordan_star_defects(lambda xs, norms: apply_array(f, xs), 3, 30, 37, phases=phases)
+        defects, A = jordan_star(f, 3, 30, 37, phases=phases)
         fa = apply_array(f, A)
         worst = np.zeros(30)
         for mu in phases[1:]:
@@ -335,7 +351,7 @@ class TestJordanStar:
             Perturbation(size=0.1, power=0.5, direction=unit_direction(3, "corner"), mode="power", odd=True),
         )
         phases = unit_circle_grid(8)
-        defects, A = jordan_star_defects(lambda xs, norms: apply_array(f, xs), 3, 200, 39, phases=phases)
+        defects, A = jordan_star(f, 3, 200, 39, phases=phases)
         B = random_elements(39, 200, 3, 1.0, stream=2)
         fa, fb = apply_array(f, A), apply_array(f, B)
         mus = np.array(phases[1:])[:, None, None, None]
@@ -354,14 +370,9 @@ class TestJordanStar:
             Identity(3),
             Perturbation(size=0.1, power=0.0, direction=unit_direction(3, "identity"), mode="constant"),
         )
-        seen = []
-
-        def eval_fn(xs, norms):
-            seen.append(xs.shape[0])
-            return apply_array(f, xs)
-
-        defects, _ = jordan_star_defects(eval_fn, 3, 20, 38, phases=[1.0])
-        assert seen == [5 * 20]
+        points, _ = jordan_star_points(3, 20, 38, phases=[1.0])
+        assert points.shape == (5 * 20, 3, 3)
+        defects = jordan_star_laws(apply_array(f, points), phases=[1.0])
         assert np.array_equal(defects["homogeneity"], np.zeros(20))
         assert np.max(defects["additivity"]) > 1e-3
 

@@ -410,6 +410,57 @@ class TestStabilizePoint:
             first_step_stops += sum(r.iterations_used == 1 for r in batch)
         assert first_step_stops > 0  # a zero row stops at n = 1, with r_prev None
 
+    @staticmethod
+    def assert_same_results(got, expected):
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert (g.status, g.iterations_used) == (e.status, e.iterations_used)
+            assert (g.limit is None) == (e.limit is None)
+            if g.limit is not None:
+                assert g.limit.tobytes() == e.limit.tobytes()
+            assert g.differences.tobytes() == e.differences.tobytes()
+
+    def test_stopped_row_does_not_break_its_batch(self):
+        # alone, 1e300 I converges at n = 1 and 0.5 I at n = 21; a stopped row that kept
+        # being scaled by 3^n overflowed its carried norm and broke the batch
+        f = Perturbed(
+            Identity(3),
+            Perturbation(size=0.5, power=0.0, direction=unit_direction(3, "identity"), mode="constant"),
+        )
+        cfg = StabilizerConfig(tol=1e-10, direction=BACKWARD)
+        A = np.stack([1e300 * np.eye(3), 0.5 * np.eye(3)]).astype(np.complex128)
+        norms = np.array([1e300, 0.5])
+        kept_a, kept_norms = A.copy(), norms.copy()
+        batch = stabilize_batch(f, A, cfg, norms=norms)
+        assert [(r.status, r.iterations_used) for r in batch] == [("converged", 1), ("converged", 21)]
+        alone = [stabilize_batch(f, A[i : i + 1], cfg, norms=norms[i : i + 1])[0] for i in range(2)]
+        self.assert_same_results(batch, alone)
+        assert np.array_equal(A, kept_a) and np.array_equal(norms, kept_norms)  # the caller's arrays stay as given
+
+    @pytest.mark.parametrize(
+        "mode, power, direction, statuses",
+        [
+            ("power", 2.0, FORWARD, {"converged", "exhausted"}),
+            ("power", 0.5, BACKWARD, {"converged", "exhausted"}),
+            ("constant", 0.0, BACKWARD, {"converged", "exhausted"}),
+            ("constant", 0.0, FORWARD, {"converged", "diverged"}),
+        ],
+    )
+    def test_mixed_batch_equals_its_parts(self, mode, power, direction, statuses):
+        # rows of norm 0 to 1e5 stop at different n, or not at all; the batch and any split of it
+        # give each row its own result, bit for bit
+        f = Perturbed(
+            Identity(3),
+            Perturbation(size=0.3, power=power, direction=unit_direction(3, "identity"), mode=mode),
+        )
+        scales = np.array([0.0, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e5])
+        A = random_elements(12, 2 * len(scales), 3, 1.0) * np.tile(scales, 2)[:, np.newaxis, np.newaxis]
+        cfg = StabilizerConfig(max_iter=20, direction=direction)
+        batch = stabilize_batch(f, A, cfg)
+        assert {r.status for r in batch} == statuses
+        self.assert_same_results(batch, stabilize_batch(f, A[:5], cfg) + stabilize_batch(f, A[5:], cfg))
+        self.assert_same_results(batch, [stabilize_batch(f, A[i : i + 1], cfg)[0] for i in range(len(A))])
+
 
 class TestCarriedNorms:
     """Every norm the stabilizer and the decay sequences carry into apply_array equals a fresh SVD to a few ulps."""
